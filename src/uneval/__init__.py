@@ -1,34 +1,13 @@
-"""Annotation-aware JSON Schema validation and unevaluated* elimination."""
+"""Annotation-aware JSON Schema validation and unevaluated* elimination.
 
-from .analysis import (
-    Analyzer,
-    EvalPair,
-    PatternSet,
-    covers_check,
-    eq_pairs,
-    eq_patterns,
-    ex_ei,
-    ex_ep,
-    exact_pattern,
-    max_ei,
-    max_ep,
-    min_ei,
-    min_ep,
-)
+The names below are the public surface; everything else lives in the
+submodules and may change between versions.
+"""
+
+from .analysis import Analyzer
 from .difftest import DiffReport, difftest
-from .eliminate import (
-    count_uneval_keywords,
-    elim_document,
-    elim_document_with_stats,
-    elim_schema,
-    is_uneval_schema,
-    p_props,
-    pref_its,
-    push_uneval_items,
-    push_uneval_props,
-    unnest,
-)
-from .enf import BranchList, EnfBuilder, and_combine, close, conjoin, dedup, enf, or_combine
+from .eliminate import count_uneval_keywords, elim_document, elim_document_with_stats
+from .enf import enf
 from .errors import (
     DuplicateKeyError,
     EliminationError,
@@ -39,45 +18,39 @@ from .errors import (
     UnevalError,
 )
 from .families import gen_family_san, gen_family_sn
-from .instances import enumerate_instances, oracle_names, relevant_size
-from .jsonvalue import (
-    JsonValue,
-    dump_json,
-    format_number,
-    json_equal,
-    parse_json,
-    serialize_json,
-    type_of,
-)
-from .schema import (
-    INF,
-    BoolSchema,
-    Keyword,
-    ObjSchema,
-    Schema,
-    SchemaDocument,
-    boolean_one_of,
-    build_document,
-    canonical_text,
-    check_guarded,
-    deref,
-    find_unguarded_cycle,
-    in_place_depth,
-    parse_schema,
-    schema_to_json,
-    serialize_schema,
-)
-from .validator import (
-    Annotation,
-    ValidationOutcome,
-    validate,
-    validate_dependent,
-    validate_document,
-    validate_keyword,
-    validate_keyword_list,
-)
-from .cli import main, run_cli
+from .instances import enumerate_instances
+from .jsonvalue import parse_json, serialize_json
+from .schema import SchemaDocument, find_unguarded_cycle, parse_schema, serialize_schema
+from .validator import ValidationOutcome, validate
+from .cli import main
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "parse_json",
+    "serialize_json",
+    "parse_schema",
+    "serialize_schema",
+    "SchemaDocument",
+    "find_unguarded_cycle",
+    "validate",
+    "ValidationOutcome",
+    "elim_document",
+    "elim_document_with_stats",
+    "count_uneval_keywords",
+    "enf",
+    "Analyzer",
+    "enumerate_instances",
+    "difftest",
+    "DiffReport",
+    "gen_family_sn",
+    "gen_family_san",
+    "UnevalError",
+    "JsonParseError",
+    "DuplicateKeyError",
+    "SchemaParseError",
+    "RefResolutionError",
+    "GuardednessError",
+    "EliminationError",
+    "main",
+]
 
 __version__ = "0.1.0"

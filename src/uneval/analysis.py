@@ -29,7 +29,6 @@ from .schema import (
     FALSE_SCHEMA,
     all_of,
     any_of,
-    canonical_text,
     compile_pattern,
     deref,
 )
@@ -92,51 +91,22 @@ def eq_patterns(a: PatternSet, b: PatternSet) -> bool:
 
 
 def eq_pairs(a: EvalPair, b: EvalPair) -> bool:
-    """Component-wise: equal bound and guards equal by canonical text."""
-    if a.h != b.h:
-        return False
-    if isinstance(a.guard, BoolSchema) and isinstance(b.guard, BoolSchema):
-        return a.guard.value == b.guard.value
-    return canonical_text(a.guard) == canonical_text(b.guard)
+    """Component-wise: equal bound and equal guard nodes."""
+    return a.h == b.h and a.guard == b.guard
 
 
-def _guard_any_of(guards: list[Schema]) -> Schema:
-    """Disjunction of guards with constant folding and deduplication."""
-    kept: list[Schema] = []
-    seen: set[str] = set()
-    for g in guards:
+def _guard_combine(guards: list[Schema], unit: BoolSchema) -> Schema:
+    """Disjunction (unit ``false``) or conjunction (unit ``true``) of guards,
+    with constant folding and deduplication."""
+    kept = list(dict.fromkeys(g for g in guards if g != unit))
+    for g in kept:
         if isinstance(g, BoolSchema):
-            if g.value:
-                return TRUE_SCHEMA
-            continue
-        key = canonical_text(g)
-        if key not in seen:
-            seen.add(key)
-            kept.append(g)
+            return g  # the absorbing constant
     if not kept:
-        return FALSE_SCHEMA
+        return unit
     if len(kept) == 1:
         return kept[0]
-    return any_of(kept)
-
-
-def _guard_all_of(guards: list[Schema]) -> Schema:
-    kept: list[Schema] = []
-    seen: set[str] = set()
-    for g in guards:
-        if isinstance(g, BoolSchema):
-            if not g.value:
-                return FALSE_SCHEMA
-            continue
-        key = canonical_text(g)
-        if key not in seen:
-            seen.add(key)
-            kept.append(g)
-    if not kept:
-        return TRUE_SCHEMA
-    if len(kept) == 1:
-        return kept[0]
-    return all_of(kept)
+    return all_of(kept) if unit.value else any_of(kept)
 
 
 def _norm_pair(h: int | float, guard: Schema) -> EvalPair:
@@ -156,9 +126,8 @@ def _combine_union(pairs: list[EvalPair]) -> EvalPair:
         return ZERO_PAIR
     if len(pairs) == 1:
         return pairs[0]
-    return _norm_pair(
-        max(p.h for p in pairs), _guard_any_of([p.guard for p in pairs])
-    )
+    guard = _guard_combine([p.guard for p in pairs], FALSE_SCHEMA)
+    return _norm_pair(max(p.h for p in pairs), guard)
 
 
 def _combine_intersection(pairs: list[EvalPair]) -> EvalPair:
@@ -167,9 +136,8 @@ def _combine_intersection(pairs: list[EvalPair]) -> EvalPair:
         return ZERO_PAIR
     if len(pairs) == 1:
         return pairs[0]
-    return _norm_pair(
-        min(p.h for p in pairs), _guard_all_of([p.guard for p in pairs])
-    )
+    guard = _guard_combine([p.guard for p in pairs], TRUE_SCHEMA)
+    return _norm_pair(min(p.h for p in pairs), guard)
 
 
 class Analyzer:
@@ -315,13 +283,13 @@ def patterns_dominate(lo: PatternSet, hi: PatternSet) -> bool:
     return lo.contains_dotstar or hi.patterns <= lo.patterns
 
 
-def _disjunct_texts(guard: Schema) -> frozenset[str]:
-    """Canonical texts of a guard's disjuncts (a lone guard is one disjunct)."""
+def _disjuncts(guard: Schema) -> frozenset[Schema]:
+    """A guard's disjuncts (a lone guard is one disjunct)."""
     if isinstance(guard, ObjSchema):
         kw = guard.single_keyword("anyOf")
         if kw is not None:
-            return frozenset(canonical_text(b) for b in kw.value)
-    return frozenset({canonical_text(guard)})
+            return frozenset(kw.value)
+    return frozenset((guard,))
 
 
 def guard_implies(premise: Schema, conclusion: Schema) -> bool:
@@ -330,10 +298,10 @@ def guard_implies(premise: Schema, conclusion: Schema) -> bool:
         return True
     if isinstance(premise, BoolSchema) and not premise.value:
         return True
-    if canonical_text(premise) == canonical_text(conclusion):
+    if premise == conclusion:
         return True
     # a disjunction follows from any sub-disjunction of its branches
-    return _disjunct_texts(premise) <= _disjunct_texts(conclusion)
+    return _disjuncts(premise) <= _disjuncts(conclusion)
 
 
 def pair_dominates(lo: EvalPair, hi: EvalPair) -> bool:
@@ -345,35 +313,3 @@ def pair_dominates(lo: EvalPair, hi: EvalPair) -> bool:
     if isinstance(hi.guard, BoolSchema) and not hi.guard.value:
         return True
     return guard_implies(hi.guard, lo.guard)
-
-
-# ---------------------------------------------------------------------------
-# module-level wrappers matching the one-shot call shape
-
-
-def min_ep(doc: SchemaDocument, s: Schema) -> PatternSet:
-    return Analyzer(doc).min_ep(s)
-
-
-def max_ep(doc: SchemaDocument, s: Schema) -> PatternSet:
-    return Analyzer(doc).max_ep(s)
-
-
-def min_ei(doc: SchemaDocument, s: Schema) -> EvalPair:
-    return Analyzer(doc).min_ei(s)
-
-
-def max_ei(doc: SchemaDocument, s: Schema) -> EvalPair:
-    return Analyzer(doc).max_ei(s)
-
-
-def ex_ep(doc: SchemaDocument, s: Schema) -> PatternSet | None:
-    return Analyzer(doc).ex_ep(s)
-
-
-def ex_ei(doc: SchemaDocument, s: Schema) -> EvalPair | None:
-    return Analyzer(doc).ex_ei(s)
-
-
-def covers_check(doc: SchemaDocument, s1: Schema, s2: Schema) -> bool:
-    return Analyzer(doc).covers(s1, s2)

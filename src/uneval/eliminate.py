@@ -275,11 +275,6 @@ class _ElimRun:
         return result
 
 
-def elim_schema(doc: SchemaDocument, s: Schema) -> Schema:
-    """Rewrite one named schema; schemas without unevaluated* are unchanged."""
-    return _ElimRun(doc).elim(s)
-
-
 def elim_document(doc: SchemaDocument) -> SchemaDocument:
     """Rewrite a whole document into its annotation-independent equivalent."""
     result, _ = elim_document_with_stats(doc)

@@ -9,7 +9,8 @@ through which ``unevaluated*`` keywords can be pushed soundly.
 Normalization only ever expands boolean applicators and references, so
 guarded recursion makes it terminate; conjunctions are flattened and
 lists deduplicated, which keeps the output within a ``2^n`` envelope in
-the number of distinct subschemas.
+the number of distinct subschemas.  Deduplication compares nodes by their
+identity, the cached canonical text (:attr:`Schema.key`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .analysis import Analyzer
 from .errors import EliminationError, GuardednessError
 from .schema import (
     ADK_NAMES,
-    BoolSchema,
     Keyword,
     ObjSchema,
     Schema,
@@ -28,9 +28,8 @@ from .schema import (
     TRUE_SCHEMA,
     all_of,
     any_of,
-    canonical_text,
+    boolean_one_of,
     deref,
-    not_,
 )
 
 
@@ -49,15 +48,13 @@ def conjoin(s1: Schema, s2: Schema) -> Schema:
     ``true`` conjuncts are dropped; a conjunction that collapses to a
     single atom is returned bare.
     """
-    atoms: list[Schema] = []
-    seen: set[str] = set()
-    for s in (*_conjunct_atoms(s1), *_conjunct_atoms(s2)):
-        if isinstance(s, BoolSchema) and s.value:
-            continue
-        key = canonical_text(s)
-        if key not in seen:
-            seen.add(key)
-            atoms.append(s)
+    atoms = list(
+        dict.fromkeys(
+            s
+            for s in (*_conjunct_atoms(s1), *_conjunct_atoms(s2))
+            if s != TRUE_SCHEMA
+        )
+    )
     if not atoms:
         return TRUE_SCHEMA
     if len(atoms) == 1:
@@ -65,48 +62,34 @@ def conjoin(s1: Schema, s2: Schema) -> Schema:
     return all_of(atoms)
 
 
-def branch_key(s: Schema) -> str:
-    """Canonical identity of a branch; conjunctions compare order-insensitively."""
+def branch_key(s: Schema) -> Schema | frozenset[Schema]:
+    """Identity of a branch; conjunctions compare order-insensitively."""
     atoms = _conjunct_atoms(s)
-    if len(atoms) == 1:
-        return canonical_text(s)
-    return "allOf:" + ",".join(sorted(set(canonical_text(a) for a in atoms)))
-
-
-def dedup(branches: Iterable[Schema]) -> list[Schema]:
-    """Drop branches whose canonical form already occurred (first one wins)."""
-    out: list[Schema] = []
-    seen: set[str] = set()
-    for s in branches:
-        key = branch_key(s)
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
+    return s if len(atoms) == 1 else frozenset(atoms)
 
 
 class BranchList:
-    """Ordered, duplicate-free list of branches."""
+    """Ordered list of branches without duplicates (first one wins)."""
 
-    __slots__ = ("branches", "_seen")
+    __slots__ = ("_by_key",)
 
     def __init__(self, branches: Iterable[Schema] = ()):
-        self.branches: list[Schema] = []
-        self._seen: set[str] = set()
+        self._by_key: dict[Schema | frozenset[Schema], Schema] = {}
         for s in branches:
             self.add(s)
 
     def add(self, s: Schema) -> None:
-        key = branch_key(s)
-        if key not in self._seen:
-            self._seen.add(key)
-            self.branches.append(s)
+        self._by_key.setdefault(branch_key(s), s)
+
+    @property
+    def branches(self) -> list[Schema]:
+        return list(self._by_key.values())
 
     def __iter__(self):
-        return iter(self.branches)
+        return iter(self._by_key.values())
 
     def __len__(self):
-        return len(self.branches)
+        return len(self._by_key)
 
 
 def and_combine(lists: Iterable[Iterable[Schema]]) -> BranchList:
@@ -198,7 +181,7 @@ class EnfBuilder:
             if isinstance(s, ObjSchema):
                 kw = s.single_keyword("anyOf")
                 if kw is not None:
-                    return dedup(kw.value)
+                    return BranchList(kw.value).branches
             return [s]
         assert isinstance(s, ObjSchema)  # booleans are always characterized
         # a top-level $anchor of an inlined definition must not be copied
@@ -220,18 +203,12 @@ class EnfBuilder:
             parts = [self.branch_list(b, depth + 1) for b in kw.value]
             return or_combine(self.doc, parts, self.analyzer).branches
         if kw.name == "oneOf":
-            args = list(kw.value)
-            out = BranchList()
-            for i, arg in enumerate(args):
-                product = all_of(
-                    tuple(
-                        args[j] if j == i else not_(args[j])
-                        for j in range(len(args))
-                    )
-                )
-                for branch in self.branch_list(product, depth + 1):
-                    out.add(branch)
-            return out.branches
+            (products,) = boolean_one_of(kw.value).keywords
+            return BranchList(
+                branch
+                for product in products.value
+                for branch in self.branch_list(product, depth + 1)
+            ).branches
         if kw.name == "$ref":
             memo = self._ref_memo.get(kw.value)
             if memo is not None:
@@ -251,54 +228,31 @@ class EnfBuilder:
         )
 
 
+#: Keywords read by a neighbour, each mapped to the neighbour that reads it.
+_READ_BY = {
+    "properties": "additionalProperties",
+    "patternProperties": "additionalProperties",
+    "prefixItems": "items",
+    "minContains": "contains",
+    "maxContains": "contains",
+}
+
+
 def _dependency_groups(keywords: tuple[Keyword, ...]) -> list[tuple[Keyword, ...]]:
     """Split a keyword list into independently evaluable units.
 
     Keywords that read their neighbours stay with them: the contains
     triple is one unit, ``additionalProperties`` keeps its adjacent
     properties/patternProperties, ``items`` keeps its adjacent
-    prefixItems.  Everything else forms its own unit.
+    prefixItems.  Everything else forms its own unit.  Units keep the
+    position of their first keyword.
     """
     names = {kw.name for kw in keywords}
-    prop_group_names = (
-        {"properties", "patternProperties", "additionalProperties"}
-        if "additionalProperties" in names
-        else set()
-    )
-    item_group_names = {"prefixItems", "items"} if "items" in names else set()
-    contains_group_names = (
-        {"contains", "minContains", "maxContains"} if "contains" in names else set()
-    )
-
-    groups: list[tuple[Keyword, ...]] = []
-    buckets: dict[str, list[Keyword]] = {"prop": [], "item": [], "contains": []}
-    placed: dict[str, bool] = {"prop": False, "item": False, "contains": False}
-
-    def bucket_of(name: str) -> str | None:
-        if name in prop_group_names:
-            return "prop"
-        if name in item_group_names:
-            return "item"
-        if name in contains_group_names:
-            return "contains"
-        return None
-
-    order: list[tuple[str, object]] = []
+    units: dict[str, list[Keyword]] = {}
     for kw in keywords:
-        b = bucket_of(kw.name)
-        if b is None:
-            order.append(("single", kw))
-        else:
-            buckets[b].append(kw)
-            if not placed[b]:
-                placed[b] = True
-                order.append(("bucket", b))
-    for kind, payload in order:
-        if kind == "single":
-            groups.append((payload,))
-        else:
-            groups.append(tuple(buckets[payload]))
-    return groups
+        reader = _READ_BY.get(kw.name)
+        units.setdefault(reader if reader in names else kw.name, []).append(kw)
+    return [tuple(unit) for unit in units.values()]
 
 
 def enf(doc: SchemaDocument, s: Schema) -> ObjSchema:

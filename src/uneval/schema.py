@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import GuardednessError, RefResolutionError, SchemaParseError
@@ -84,15 +85,38 @@ class Keyword:
 
 
 class Schema:
+    """A schema node: a boolean or an ordered keyword list.
+
+    Node identity is the canonical text (:func:`canonical_text`), computed
+    at most once per node and cached as :attr:`key`.  Two nodes are equal,
+    and hash equal, exactly when their canonical texts are equal.  The text
+    is used rather than Python structural equality, under which
+    ``{"const": true}`` and ``{"const": 1}`` would be the same node.
+    """
+
     __slots__ = ()
 
+    @cached_property
+    def key(self) -> str:
+        return canonical_text(self)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Schema):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+@dataclass(frozen=True, eq=False)
 class BoolSchema(Schema):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjSchema(Schema):
     keywords: tuple[Keyword, ...]
 
@@ -483,11 +507,6 @@ def find_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
     return None
 
 
-def check_guarded(doc: SchemaDocument) -> bool:
-    """True iff every reference cycle crosses a structural keyword."""
-    return find_unguarded_cycle(doc) is None
-
-
 def boolean_one_of(args: Iterable[Schema]) -> Schema:
     """Expand exclusive choice into anyOf-of-allOf with negated siblings."""
     branches = []
@@ -582,5 +601,9 @@ def serialize_schema(doc: SchemaDocument) -> JsonValue:
 
 
 def canonical_text(s: Schema) -> str:
-    """Deterministic text form used for deduplication and guard comparison."""
+    """Deterministic text form of a schema: its node identity.
+
+    Read it through the cached :attr:`Schema.key`, which calls this once
+    per node.
+    """
     return serialize_json(schema_to_json(s))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import GuardednessError
 from .jsonvalue import (
     JsonValue,
     is_integer_valued,
@@ -72,16 +71,6 @@ def validate(doc: SchemaDocument, schema: Schema, instance: JsonValue) -> Valida
         return ValidationOutcome(schema.value, EMPTY_ANNOTATION)
     ok, ann = validate_keyword_list(doc, schema.keywords, instance)
     return ValidationOutcome(ok, ann if ok else EMPTY_ANNOTATION)
-
-
-def validate_document(doc: SchemaDocument, instance: JsonValue) -> ValidationOutcome:
-    """Validate against the document root, checking guarded recursion first."""
-    from .schema import find_unguarded_cycle
-
-    cycle = find_unguarded_cycle(doc)
-    if cycle is not None:
-        raise GuardednessError(cycle)
-    return validate(doc, doc.root, instance)
 
 
 def validate_keyword_list(
@@ -312,20 +301,3 @@ def _dependent_step(
         )
         return r, Annotation(items=frozenset(range(len(instance))))
     raise AssertionError(f"not a dependent keyword: {kw.name}")
-
-
-def validate_dependent(
-    doc: SchemaDocument,
-    prefix: Sequence[Keyword],
-    kw: Keyword,
-    instance: JsonValue,
-) -> tuple[bool, Annotation]:
-    """Judgment for a dependent keyword given the keywords preceding it.
-
-    Recomputes the prefix fold; the combined result conjoins the prefix
-    verdict with the keyword's own checks, and the keyword claims the full
-    evaluated set on instances of its type.
-    """
-    prefix_ok, prefix_ann = validate_keyword_list(doc, prefix, instance)
-    r, contributed = _dependent_step(doc, prefix, kw, instance, prefix_ann)
-    return prefix_ok and r, prefix_ann.union(contributed)

@@ -2,15 +2,9 @@ from uneval.analysis import (
     Analyzer,
     EvalPair,
     PatternSet,
-    covers_check,
     eq_pairs,
     eq_patterns,
-    ex_ep,
     exact_pattern,
-    max_ep,
-    max_ei,
-    min_ei,
-    min_ep,
 )
 from uneval.instances import enumerate_instances
 from uneval.schema import (
@@ -32,8 +26,9 @@ def doc_of(schema_json):
 
 def test_min_ep_properties_row():
     doc = doc_of({"properties": {"k1": {"type": "string"}}})
-    assert min_ep(doc, doc.root).patterns == {exact_pattern("k1")}
-    assert max_ep(doc, doc.root).patterns == {exact_pattern("k1")}
+    an = Analyzer(doc)
+    assert an.min_ep(doc.root).patterns == {exact_pattern("k1")}
+    assert an.max_ep(doc.root).patterns == {exact_pattern("k1")}
 
 
 ANYOF_CLOSED = {
@@ -46,36 +41,38 @@ ANYOF_CLOSED = {
 
 def test_min_ep_anyof_intersection_keeps_dotstar():
     doc = doc_of(ANYOF_CLOSED)
-    assert min_ep(doc, doc.root).patterns == {".*"}
-    assert max_ep(doc, doc.root).patterns == {".*", exact_pattern("a"), exact_pattern("b")}
+    an = Analyzer(doc)
+    assert an.min_ep(doc.root).patterns == {".*"}
+    assert an.max_ep(doc.root).patterns == {".*", exact_pattern("a"), exact_pattern("b")}
 
 
 def test_min_ep_empty_schema():
     doc = doc_of({})
-    assert min_ep(doc, doc.root).patterns == set()
+    assert Analyzer(doc).min_ep(doc.root).patterns == set()
 
 
 def test_min_ei_prefix_items():
     doc = doc_of({"prefixItems": [True, True]})
-    assert min_ei(doc, doc.root) == EvalPair(2, FALSE_SCHEMA)
+    assert Analyzer(doc).min_ei(doc.root) == EvalPair(2, FALSE_SCHEMA)
 
 
 def test_min_ei_contains():
     doc = doc_of({"contains": {"type": "string"}})
-    pair = min_ei(doc, doc.root)
+    pair = Analyzer(doc).min_ei(doc.root)
     assert pair.h == 0
     assert pair.guard == doc.root.get("contains").value
 
 
 def test_min_ei_other_schema():
     doc = doc_of({"minimum": 3})
-    assert min_ei(doc, doc.root) == EvalPair(0, FALSE_SCHEMA)
+    assert Analyzer(doc).min_ei(doc.root) == EvalPair(0, FALSE_SCHEMA)
 
 
 def test_min_ei_items_row():
     doc = doc_of({"items": {"type": "string"}})
-    assert min_ei(doc, doc.root) == EvalPair(INF, TRUE_SCHEMA)
-    assert max_ei(doc, doc.root) == EvalPair(INF, TRUE_SCHEMA)
+    an = Analyzer(doc)
+    assert an.min_ei(doc.root) == EvalPair(INF, TRUE_SCHEMA)
+    assert an.max_ei(doc.root) == EvalPair(INF, TRUE_SCHEMA)
 
 
 def test_eq_patterns_dotstar_absorption():
@@ -102,17 +99,17 @@ def test_eq_pairs():
 
 def test_ex_ep_pattern_properties():
     doc = doc_of({"patternProperties": {"^p": {}}})
-    assert ex_ep(doc, doc.root).patterns == {"^p"}
+    assert Analyzer(doc).ex_ep(doc.root).patterns == {"^p"}
 
 
 def test_ex_ep_anyof_defined_under_plus_eq():
     doc = doc_of(ANYOF_CLOSED)
-    assert ex_ep(doc, doc.root).patterns == {".*"}
+    assert Analyzer(doc).ex_ep(doc.root).patterns == {".*"}
 
 
 def test_ex_ep_undefined_for_differing_branches():
     doc = doc_of({"anyOf": [{"properties": {"a": {}}}, {"properties": {"b": {}}}]})
-    assert ex_ep(doc, doc.root) is None
+    assert Analyzer(doc).ex_ep(doc.root) is None
 
 
 def test_ex_ei_items():
@@ -130,19 +127,19 @@ def test_covers_uneval_all_props():
             }
         }
     )
-    assert covers_check(doc, doc.defs["all"], doc.defs["any"])
+    assert Analyzer(doc).covers(doc.defs["all"], doc.defs["any"])
 
 
 def test_covers_nothing_evaluated_right():
     doc = doc_of({"$defs": {"s1": {"properties": {"a": True}}, "s2": {"minimum": 3}}})
-    assert covers_check(doc, doc.defs["s1"], doc.defs["s2"])
+    assert Analyzer(doc).covers(doc.defs["s1"], doc.defs["s2"])
 
 
 def test_covers_unprovable():
     doc = doc_of(
         {"$defs": {"s1": {"properties": {"a": True}}, "s2": {"properties": {"b": True}}}}
     )
-    assert not covers_check(doc, doc.defs["s1"], doc.defs["s2"])
+    assert not Analyzer(doc).covers(doc.defs["s1"], doc.defs["s2"])
 
 
 def _in_place_reachable_choice_divergent(doc, analyzer):
@@ -306,7 +303,7 @@ def test_covers_implies_annotation_containment():
         }
     )
     s1, s2 = doc.defs["big"], doc.defs["small"]
-    assert covers_check(doc, s1, s2)
+    assert Analyzer(doc).covers(s1, s2)
     for instance in enumerate_instances(doc, max_fields=2):
         o1 = validate(doc, s1, instance)
         o2 = validate(doc, s2, instance)

@@ -4,7 +4,7 @@ import pytest
 
 from uneval.difftest import difftest
 from uneval.eliminate import count_uneval_keywords, elim_document
-from uneval.schema import check_guarded, parse_schema
+from uneval.schema import find_unguarded_cycle, parse_schema
 from uneval.validator import validate
 
 from conftest import load_corpus
@@ -62,7 +62,7 @@ def test_corpus_includes_both_families_at_small_sizes():
 
 def test_schema_parses_and_is_guarded(fixture):
     doc = parse_schema(fixture.schema_json)
-    assert check_guarded(doc)
+    assert find_unguarded_cycle(doc) is None
 
 
 def test_witness_labels(fixture):

@@ -4,7 +4,6 @@ from uneval.analysis import PatternSet
 from uneval.eliminate import (
     count_uneval_keywords,
     elim_document,
-    elim_schema,
     is_uneval_schema,
     p_props,
     pref_its,
@@ -191,12 +190,12 @@ def test_push_rejects_uncharacterized_branch():
         push_uneval_props(doc, FALSE_SCHEMA, fake)
 
 
-def test_elim_schema_unchanged_without_adk():
+def test_elim_document_unchanged_without_adk():
     doc = parse_schema({"type": "string"})
-    assert elim_schema(doc, doc.root) is doc.root
+    assert schema_to_json(elim_document(doc).root) == {"type": "string"}
 
 
-def test_elim_schema_both_adks_shares_enf():
+def test_elim_document_both_adks_shares_enf():
     doc = parse_schema(
         {
             "properties": {"a": True},
@@ -204,8 +203,7 @@ def test_elim_schema_both_adks_shares_enf():
             "unevaluatedItems": False,
         }
     )
-    out = elim_schema(doc, doc.root)
-    got = schema_to_json(out)
+    got = schema_to_json(elim_document(doc).root)
     assert list(got) == ["allOf"]
     props_part, items_part = got["allOf"]
     assert "additionalProperties" in serialize_json(props_part)

@@ -4,12 +4,14 @@ from uneval.enf import (
     EnfBuilder,
     and_combine,
     close,
-    dedup,
+    conjoin,
     enf,
     or_combine,
 )
 from uneval.instances import enumerate_instances
+from uneval.jsonvalue import parse_json
 from uneval.schema import (
+    BoolSchema,
     ObjSchema,
     canonical_text,
     in_place_depth,
@@ -123,11 +125,29 @@ def test_close_unprovable_pair_conjoined():
 
 
 def test_dedup():
-    assert dedup([A, A]) == [A]
+    assert BranchList([A, A]).branches == [A]
     ab = parsed({"allOf": [{"properties": {"a": True}}, {"properties": {"b": True}}]})
     ba = parsed({"allOf": [{"properties": {"b": True}}, {"properties": {"a": True}}]})
-    assert dedup([ab, ba]) == [ab]
-    assert dedup([A, B]) == [A, B]
+    assert BranchList([ab, ba]).branches == [ab]
+    assert BranchList([A, B]).branches == [A, B]
+    # identity is the canonical text, not Python equality (True == 1)
+    for js1, js2 in (
+        ({"const": True}, {"const": 1}),
+        ({"const": False}, {"const": 0}),
+        ({"const": None}, {"const": False}),
+    ):
+        s1, s2 = parsed(js1), parsed(js2)
+        assert s1 != s2
+        assert BranchList([s1, s2]).branches == [s1, s2]
+        assert schema_to_json(conjoin(s1, s2)) == {"allOf": [js1, js2]}
+    # exact decimals: 1 and 1.0 are the same number, hence the same node
+    one, one_point_zero = parsed({"const": 1}), parse_schema(parse_json('{"const": 1.0}')).root
+    assert one == one_point_zero and hash(one) == hash(one_point_zero)
+    assert BranchList([one, one_point_zero]).branches == [one]
+    assert conjoin(one, one_point_zero) is one
+    assert A == parsed({"properties": {"a": True}})
+    assert hash(A) == hash(parsed({"properties": {"a": True}}))
+    assert BoolSchema(True) != ObjSchema(())
 
 
 def test_branchlist_rejects_duplicates():

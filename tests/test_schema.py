@@ -7,7 +7,6 @@ from uneval.schema import (
     BoolSchema,
     ObjSchema,
     boolean_one_of,
-    check_guarded,
     deref,
     find_unguarded_cycle,
     in_place_depth,
@@ -174,7 +173,6 @@ def test_anchor_defs_collision():
 
 def test_guarded_self_loop_through_anyof():
     doc = parse_schema({"$defs": {"r": {"anyOf": [{"$ref": "#/$defs/r"}]}}})
-    assert check_guarded(doc) is False
     assert find_unguarded_cycle(doc) is not None
 
 
@@ -182,11 +180,11 @@ def test_guarded_recursion_through_properties():
     doc = parse_schema(
         {"$defs": {"r": {"properties": {"x": {"$ref": "#/$defs/r"}}}}}
     )
-    assert check_guarded(doc) is True
+    assert find_unguarded_cycle(doc) is None
 
 
 def test_sale_car_guarded():
-    assert check_guarded(parse_schema(SALE_CAR)) is True
+    assert find_unguarded_cycle(parse_schema(SALE_CAR)) is None
 
 
 def test_in_place_depth_bool():

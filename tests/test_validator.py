@@ -2,7 +2,6 @@ from uneval.schema import parse_schema
 from uneval.validator import (
     EMPTY_ANNOTATION,
     validate,
-    validate_dependent,
     validate_keyword,
     validate_keyword_list,
 )
@@ -123,14 +122,12 @@ def test_additional_properties_rejects_unlisted():
     assert outcome(schema, {"a": 1}).valid
 
 
-def test_validate_dependent_signature():
+def test_validate_keyword_list_dependent_step():
     doc = parse_schema({"properties": {"a": True}, "additionalProperties": False})
-    prefix = doc.root.keywords[:1]
-    kw = doc.root.keywords[1]
-    ok, ann = validate_dependent(doc, prefix, kw, {"a": 1, "b": 2})
+    ok, ann = validate_keyword_list(doc, doc.root.keywords, {"a": 1, "b": 2})
     assert not ok
     assert ann.props == {"a", "b"}
-    ok, ann = validate_dependent(doc, prefix, kw, {"a": 1})
+    ok, ann = validate_keyword_list(doc, doc.root.keywords, {"a": 1})
     assert ok and ann.props == {"a"}
 
 
