@@ -39,7 +39,7 @@ def exact_pattern(name: str) -> str:
     return "^" + re.escape(name) + "$"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternSet:
     """A finite union of unanchored patterns."""
 
@@ -63,7 +63,7 @@ EMPTY_PATTERNS = PatternSet(frozenset())
 DOTSTAR_PATTERNS = PatternSet(frozenset({".*"}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalPair:
     """Item-evaluation bound: positions <= h (1-based) or values in guard."""
 

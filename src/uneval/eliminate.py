@@ -84,32 +84,39 @@ def _rebuild_keyword(kw: Keyword, rewrite) -> Keyword:
     return kw
 
 
+class _Hoister:
+    """Post-order rewrite that moves nested uneval-schemas into fresh
+    definitions, collected in ``new_defs``."""
+
+    def __init__(self, taken: set[str]):
+        self.fresh = _FreshNames(taken)
+        self.new_defs: dict[str, Schema] = {}
+
+    def hoist(self, s: Schema) -> Schema:
+        """Rewrite children post-order; replace uneval occurrences by refs."""
+        rebuilt = self.rewrite_children(s)
+        if is_uneval_schema(rebuilt):
+            name = self.fresh.next()
+            self.new_defs[name] = rebuilt
+            return ref(f"#/$defs/{name}")
+        return rebuilt
+
+    def rewrite_children(self, s: Schema) -> Schema:
+        if not isinstance(s, ObjSchema):
+            return s
+        return ObjSchema(tuple(_rebuild_keyword(kw, self.hoist) for kw in s.keywords))
+
+
 def unnest(doc: SchemaDocument) -> SchemaDocument:
     """Hoist nested uneval-schemas into fresh definitions.
 
     Afterwards every unevaluated* keyword sits at the top level of a named
     schema, and uneval-schemas reach each other only through references.
     """
-    fresh = _FreshNames(set(doc.defs))
-    new_defs: dict[str, Schema] = {}
-
-    def hoist(s: Schema) -> Schema:
-        """Rewrite children post-order; replace uneval occurrences by refs."""
-        rebuilt = rewrite_children(s)
-        if is_uneval_schema(rebuilt):
-            name = fresh.next()
-            new_defs[name] = rebuilt
-            return ref(f"#/$defs/{name}")
-        return rebuilt
-
-    def rewrite_children(s: Schema) -> Schema:
-        if not isinstance(s, ObjSchema):
-            return s
-        return ObjSchema(tuple(_rebuild_keyword(kw, hoist) for kw in s.keywords))
-
-    defs = {name: rewrite_children(s) for name, s in doc.defs.items()}
-    root = rewrite_children(doc.root)
-    defs.update(new_defs)
+    hoister = _Hoister(set(doc.defs))
+    defs = {name: hoister.rewrite_children(s) for name, s in doc.defs.items()}
+    root = hoister.rewrite_children(doc.root)
+    defs.update(hoister.new_defs)
     return build_document(root, defs)
 
 
@@ -289,8 +296,13 @@ def elim_document_with_stats(
         raise GuardednessError(cycle)
     unnested = unnest(doc)
     run = _ElimRun(unnested)
-    new_defs = {name: run.elim_named(name) for name in sorted(unnested.defs)}
-    new_root = run.elim_named("")
+    try:
+        new_defs = {name: run.elim_named(name) for name in sorted(unnested.defs)}
+        new_root = run.elim_named("")
+    finally:
+        # the builder calls back into the run: break that cycle so that the
+        # run's memos are freed now, not at the next full collection
+        run.enf_builder = None
     out = build_document(new_root, new_defs)
     if count_uneval_keywords(out) != 0:
         raise EliminationError("rewriting left unevaluated* keywords behind")

@@ -43,17 +43,6 @@ def is_number(v: JsonValue) -> bool:
     return not isinstance(v, bool) and isinstance(v, (int, float, Decimal))
 
 
-def is_integer_valued(v: JsonValue) -> bool:
-    """True for numbers with zero fractional part (the 'integer' type)."""
-    if not is_number(v):
-        return False
-    if isinstance(v, int):
-        return True
-    if isinstance(v, float):
-        return v == int(v)
-    return v == v.to_integral_value()
-
-
 def _reject_constant(name: str):
     raise JsonParseError(f"non-finite number literal {name!r} is not allowed")
 
@@ -113,6 +102,28 @@ def json_equal(a: JsonValue, b: JsonValue) -> bool:
     return False
 
 
+#: Keys of the two booleans, unequal to every other key (``True == 1``).
+_TRUE_KEY = object()
+_FALSE_KEY = object()
+
+
+def unique_key(v: JsonValue):
+    """A hashable key that is equal for two values exactly when
+    :func:`json_equal` holds.
+
+    Numbers key as themselves: ``int``, ``float`` and ``Decimal`` compare
+    and hash by exact value across the three types.  Booleans get keys of
+    their own, arrays key as tuples and objects as frozensets of pairs.
+    """
+    if isinstance(v, bool):
+        return _TRUE_KEY if v else _FALSE_KEY
+    if isinstance(v, list):
+        return tuple(map(unique_key, v))
+    if isinstance(v, dict):
+        return frozenset((k, unique_key(item)) for k, item in v.items())
+    return v
+
+
 def format_number(v: int | float | Decimal) -> str:
     """Canonical plain-decimal rendering: no exponent, no trailing zeros."""
     if isinstance(v, int) and not isinstance(v, bool):
@@ -138,44 +149,37 @@ def format_number(v: int | float | Decimal) -> str:
     return "-" + out if sign else out
 
 
-def _write_canonical(v: JsonValue, emit) -> None:
+def _canonical(v: JsonValue) -> str:
     if v is None:
-        emit("null")
-    elif isinstance(v, bool):
-        emit("true" if v else "false")
-    elif is_number(v):
-        emit(format_number(v))
-    elif isinstance(v, str):
-        emit(json.dumps(v, ensure_ascii=False))
-    elif isinstance(v, list):
-        emit("[")
-        for i, item in enumerate(v):
-            if i:
-                emit(",")
-            _write_canonical(item, emit)
-        emit("]")
-    elif isinstance(v, dict):
-        emit("{")
-        for i, key in enumerate(sorted(v.keys())):
-            if i:
-                emit(",")
-            emit(json.dumps(key, ensure_ascii=False))
-            emit(":")
-            _write_canonical(v[key], emit)
-        emit("}")
-    else:
-        raise TypeError(f"not a JSON value: {v!r}")
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if is_number(v):
+        return format_number(v)
+    if isinstance(v, str):
+        return json.dumps(v, ensure_ascii=False)
+    if isinstance(v, list):
+        return "[" + ",".join(map(_canonical, v)) + "]"
+    if isinstance(v, dict):
+        return (
+            "{"
+            + ",".join(
+                json.dumps(key, ensure_ascii=False) + ":" + _canonical(v[key])
+                for key in sorted(v.keys())
+            )
+            + "}"
+        )
+    raise TypeError(f"not a JSON value: {v!r}")
 
 
 def serialize_json(v: JsonValue) -> str:
     """Canonical serialization: compact, object keys in lexicographic order.
 
     Deterministic by construction, so equal values always serialize to the
-    same text; schema deduplication relies on this.
+    same text; schema deduplication relies on this.  Each container is
+    joined from its members' texts, so no per-token list is built.
     """
-    parts: list[str] = []
-    _write_canonical(v, parts.append)
-    return "".join(parts)
+    return _canonical(v)
 
 
 def dump_json(v: JsonValue, indent: int = 2) -> str:

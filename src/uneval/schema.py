@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import GuardednessError, RefResolutionError, SchemaParseError
@@ -67,7 +66,7 @@ def keyword_rank(name: str) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Keyword:
     """One schema keyword: a name plus its parsed argument.
 
@@ -94,11 +93,16 @@ class Schema:
     ``{"const": true}`` and ``{"const": 1}`` would be the same node.
     """
 
-    __slots__ = ()
+    __slots__ = ("_key",)
 
-    @cached_property
+    @property
     def key(self) -> str:
-        return canonical_text(self)
+        try:
+            return self._key
+        except AttributeError:
+            key = canonical_text(self)
+            object.__setattr__(self, "_key", key)  # nodes are frozen
+            return key
 
     def __eq__(self, other):
         if self is other:
@@ -111,12 +115,12 @@ class Schema:
         return hash(self.key)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class BoolSchema(Schema):
     value: bool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ObjSchema(Schema):
     keywords: tuple[Keyword, ...]
 
@@ -169,6 +173,9 @@ class SchemaDocument:
     root: Schema
     defs: dict[str, Schema] = field(default_factory=dict)
     anchors: dict[str, Schema] = field(default_factory=dict)
+    #: The validator's closures, per node of this document, keyed by the
+    #: node's ``id``; filled on first validation (see :mod:`uneval.validator`).
+    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def named_schemas(self) -> Iterator[tuple[str, Schema]]:
         """Root first (name ``""``), then definitions in name order."""
@@ -481,29 +488,35 @@ def _inplace_edges(
 
 def find_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
     """One cycle of the immediately-unguardedly-depends graph, or None."""
-    WHITE, GREY, BLACK = 0, 1, 2
     color: dict[int, int] = {}
-
-    def visit(s: Schema, trail: list[str]) -> Optional[list[str]]:
-        state = color.get(id(s), WHITE)
-        if state == GREY:
-            return trail
-        if state == BLACK:
-            return None
-        color[id(s)] = GREY
-        for label, nxt in _inplace_edges(doc, s):
-            found = visit(nxt, trail + [label])
-            if found is not None:
-                return found
-        color[id(s)] = BLACK
-        return None
-
     for name, top in doc.named_schemas():
         start = f"#/$defs/{name}" if name else "#"
         for s in walk(top):
-            found = visit(s, [start])
+            found = _unguarded_path(doc, color, s, [start])
             if found is not None:
                 return found
+    return None
+
+
+_GREY, _BLACK = 1, 2
+
+
+def _unguarded_path(
+    doc: SchemaDocument, color: dict[int, int], s: Schema, trail: list[str]
+) -> Optional[list[str]]:
+    """Depth-first search for a cycle through ``s``; ``color`` marks the
+    nodes on the current path (grey) and those finished (black)."""
+    state = color.get(id(s))
+    if state == _GREY:
+        return trail
+    if state == _BLACK:
+        return None
+    color[id(s)] = _GREY
+    for label, nxt in _inplace_edges(doc, s):
+        found = _unguarded_path(doc, color, nxt, trail + [label])
+        if found is not None:
+            return found
+    color[id(s)] = _BLACK
     return None
 
 
@@ -565,38 +578,60 @@ def in_place_depth(doc: SchemaDocument, node: Schema | Keyword) -> int:
 
 
 def keyword_to_json(kw: Keyword) -> JsonValue:
+    return _keyword_json(kw, {})
+
+
+def schema_to_json(s: Schema) -> JsonValue:
+    """JSON form of a schema.
+
+    A node that occurs several times in the tree, as rewrites share
+    subschemas, is converted once and its occurrences share that value.
+    """
+    return _schema_json(s, {})
+
+
+def _keyword_json(kw: Keyword, memo: dict) -> JsonValue:
     if kw.name in SCHEMA_VALUED:
-        return schema_to_json(kw.value)
+        return _schema_json(kw.value, memo)
     if kw.name in LIST_VALUED:
-        return [schema_to_json(s) for s in kw.value]
+        return [_schema_json(s, memo) for s in kw.value]
     if kw.name in MAP_VALUED:
-        return {k: schema_to_json(s) for k, s in kw.value.items()}
+        return {k: _schema_json(s, memo) for k, s in kw.value.items()}
     if kw.name == "required":
         return list(kw.value)
     return kw.value
 
 
-def schema_to_json(s: Schema) -> JsonValue:
+def _schema_json(s: Schema, memo: dict) -> JsonValue:
+    """``memo`` maps the ids of the nodes converted so far to their values."""
     if isinstance(s, BoolSchema):
         return s.value
-    out: dict[str, JsonValue] = {}
+    out = memo.get(id(s))
+    if out is not None:
+        return out
+    out = memo[id(s)] = {}
     for kw in s.keywords:
         # materialized defaults disappear again on output
         if kw.name == "minContains" and kw.value == 1:
             continue
         if kw.name == "maxContains" and kw.value == INF:
             continue
-        out[kw.name] = keyword_to_json(kw)
+        out[kw.name] = _keyword_json(kw, memo)
     return out
 
 
 def serialize_schema(doc: SchemaDocument) -> JsonValue:
-    """JSON form of the document, keywords in canonical partition order."""
-    root = schema_to_json(doc.root)
+    """JSON form of the document, keywords in canonical partition order.
+
+    Occurrences of one node share one JSON value; copy before mutating.
+    """
+    memo: dict = {}
+    root = _schema_json(doc.root, memo)
     if doc.defs:
         if not isinstance(root, dict):
             raise SchemaParseError("cannot attach $defs to a boolean root schema")
-        root["$defs"] = {name: schema_to_json(s) for name, s in sorted(doc.defs.items())}
+        root = dict(root)  # the root node may also occur inside a definition
+        root["$defs"] = {name: _schema_json(s, memo) for name, s in sorted(doc.defs.items())}
     return root
 
 

@@ -1,26 +1,45 @@
-"""Annotation-aware validation.
+"""Annotation-aware validation, compiled once per document.
 
 Validating an instance against a schema returns a boolean plus an
 *annotation*: the set of object properties and array positions that were
 evaluated by structural keywords.  Boolean applicators transmit the union
-of their branches' annotations (all branches run, no short-circuit); a
-failing schema forgets the annotation it produced.  The two
-``unevaluated*`` keywords consume the annotation accumulated by the
-keywords before them and re-check whatever the annotation missed.
+of their valid branches' annotations; a failing schema forgets the
+annotation it produced.  The two ``unevaluated*`` keywords consume the
+annotation accumulated by the keywords before them and re-check whatever
+the annotation missed.
+
+Each schema node is compiled to a closure, once per
+:class:`~uneval.schema.SchemaDocument` (the cache is the document's
+``compiled`` field), in one of two modes:
+
+* *bool mode* returns only the verdict and stops as soon as it is known:
+  keyword lists at their first failing keyword, ``anyOf``/``allOf`` at the
+  deciding branch, ``oneOf`` at a second success, ``contains`` once the
+  count is decided;
+* *annotation mode* returns the annotation (a set of property names or of
+  item positions) of a valid instance, or ``None`` for an invalid one.
+
+Annotations are tracked only where an ``unevaluated*`` keyword can observe
+them: a keyword list holding one compiles its in-place applicators
+(``allOf``/``anyOf``/``oneOf``/``$ref``) in annotation mode, transitively;
+``not`` and every subschema applied to a child instance are in bool mode.
+A schema without ``unevaluated*`` keywords, such as a rewrite, therefore
+runs in bool mode throughout.  :func:`validate` returns the bool-mode
+verdict; :attr:`ValidationOutcome.annotation` is computed on first read, in
+annotation mode.
+
+Only nodes reachable from the document's root and definitions are cached,
+so validating ad hoc schema objects against a document does not grow its
+cache; such nodes are compiled afresh on each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from decimal import Decimal
+from typing import Callable, Sequence
 
-from .jsonvalue import (
-    JsonValue,
-    is_integer_valued,
-    is_number,
-    json_equal,
-    type_of,
-)
+from .jsonvalue import JsonValue, json_equal, unique_key
 from .schema import (
     ADK_NAMES,
     INF,
@@ -28,9 +47,8 @@ from .schema import (
     Keyword,
     Schema,
     SchemaDocument,
-    SDK_NAMES,
+    compile_pattern,
     deref,
-    pattern_matches,
 )
 
 
@@ -41,21 +59,32 @@ class Annotation:
     props: frozenset[str] = frozenset()
     items: frozenset[int] = frozenset()
 
-    def union(self, other: "Annotation") -> "Annotation":
-        if not other.props and not other.items:
-            return self
-        if not self.props and not self.items:
-            return other
-        return Annotation(self.props | other.props, self.items | other.items)
-
 
 EMPTY_ANNOTATION = Annotation()
 
 
-@dataclass(frozen=True)
 class ValidationOutcome:
-    valid: bool
-    annotation: Annotation
+    """The verdict of :func:`validate`; the annotation is computed on first
+    read."""
+
+    __slots__ = ("valid", "_doc", "_schema", "_instance", "_annotation")
+
+    def __init__(self, valid: bool, doc: SchemaDocument, schema: Schema, instance: JsonValue):
+        self.valid = valid
+        self._doc = doc
+        self._schema = schema
+        self._instance = instance
+        self._annotation = None
+
+    @property
+    def annotation(self) -> Annotation:
+        if self._annotation is None:
+            found = None
+            if self.valid:
+                found = _compiled(self._doc, self._schema, ANNOT)(self._instance)
+            self._annotation = _as_annotation(self._instance, found)
+            self._doc = self._schema = self._instance = None
+        return self._annotation
 
     def to_json(self) -> dict:
         return {
@@ -64,240 +93,756 @@ class ValidationOutcome:
             "evaluatedItems": sorted(self.annotation.items),
         }
 
+    def __repr__(self):
+        return f"ValidationOutcome(valid={self.valid})"
+
 
 def validate(doc: SchemaDocument, schema: Schema, instance: JsonValue) -> ValidationOutcome:
     """Apply a schema to an instance; a failing schema yields no annotation."""
-    if isinstance(schema, BoolSchema):
-        return ValidationOutcome(schema.value, EMPTY_ANNOTATION)
-    ok, ann = validate_keyword_list(doc, schema.keywords, instance)
-    return ValidationOutcome(ok, ann if ok else EMPTY_ANNOTATION)
+    entry = doc.compiled.get(id(schema))
+    if entry is not None and entry[0] is schema and entry[BOOL] is not None:
+        check = entry[BOOL]
+    else:
+        check = _compiled(doc, schema, BOOL)
+    return ValidationOutcome(check(instance), doc, schema, instance)
 
 
 def validate_keyword_list(
     doc: SchemaDocument, keywords: Sequence[Keyword], instance: JsonValue
 ) -> tuple[bool, Annotation]:
-    """Left fold over a canonically ordered keyword list.
+    """Left fold over a canonically ordered keyword list, without
+    short-circuit.
 
-    The empty list accepts with an empty annotation.  Dependent keywords
-    receive the fold state accumulated by the keywords before them.
+    The empty list accepts with an empty annotation.  Each keyword
+    contributes its annotation whether or not it holds, and dependent
+    keywords receive the annotation accumulated by the keywords before them.
     """
+    compiler = _Compiler(doc)
+    steps = [compiler.exact_step(kw, keywords) for kw in keywords]
+    compiler.commit()
     ok = True
-    ann = EMPTY_ANNOTATION
-    bounds = _contains_bounds(keywords)
-    for idx, kw in enumerate(keywords):
-        if kw.name in SDK_NAMES or kw.name in ADK_NAMES:
-            r, contributed = _dependent_step(doc, keywords[:idx], kw, instance, ann)
-        elif kw.name == "contains":
-            r, contributed = _contains_triple(doc, kw.value, bounds, instance)
-        else:
-            r, contributed = validate_keyword(doc, kw, instance)
-        ok = ok and r
-        ann = ann.union(contributed)
-    return ok, ann
-
-
-def _contains_bounds(keywords: Iterable[Keyword]) -> tuple[int, float]:
-    lo, hi = 1, INF
-    for kw in keywords:
-        if kw.name == "minContains":
-            lo = kw.value
-        elif kw.name == "maxContains":
-            hi = kw.value
-    return lo, hi
+    acc = _EMPTY
+    for step in steps:
+        holds, found = step(instance, acc)
+        ok = ok and holds
+        if found:
+            acc = acc | found
+    return ok, _as_annotation(instance, acc)
 
 
 def validate_keyword(
     doc: SchemaDocument, kw: Keyword, instance: JsonValue
 ) -> tuple[bool, Annotation]:
-    """Judgment for one independent keyword.
+    """Judgment for one keyword on its own, as a one-keyword list.
 
-    Typed terminal keywords accept trivially on instances of other types.
-    A bare ``contains`` keyword uses the default occurrence bounds.
+    Typed keywords accept trivially on instances of other types; a bare
+    ``contains`` uses the default occurrence bounds.
     """
-    name = kw.name
-    ty = type_of(instance)
+    return validate_keyword_list(doc, (kw,), instance)
 
-    if name in ("anyOf", "allOf", "oneOf"):
-        outcomes = [validate(doc, s, instance) for s in kw.value]
-        ann = EMPTY_ANNOTATION
-        for o in outcomes:
-            ann = ann.union(o.annotation)
-        if name == "allOf":
-            r = all(o.valid for o in outcomes)
-        elif name == "anyOf":
-            r = any(o.valid for o in outcomes)
+
+def _as_annotation(instance: JsonValue, found) -> Annotation:
+    if not found:
+        return EMPTY_ANNOTATION
+    if isinstance(instance, dict):
+        return Annotation(props=frozenset(found))
+    return Annotation(items=frozenset(found))
+
+
+# ---------------------------------------------------------------------------
+# compiled closures
+
+#: Indices of the two modes in a cache entry ``[node, bool_fn, annotation_fn]``.
+BOOL, ANNOT = 1, 2
+
+_EMPTY: frozenset = frozenset()
+_OK = (True, _EMPTY)
+
+Check = Callable[[JsonValue], bool]
+
+
+def _true(x) -> bool:
+    return True
+
+
+def _false(x) -> bool:
+    return False
+
+
+def _ann_true(x):
+    return _EMPTY
+
+
+def _ann_false(x):
+    return None
+
+
+_CONSTANT = {(True, BOOL): _true, (False, BOOL): _false, (True, ANNOT): _ann_true, (False, ANNOT): _ann_false}
+
+_NULL = type(None)
+_NUMBERS = (int, float, Decimal)
+#: The exact Python types of JSON values; bool before int for isinstance.
+_JSON_TYPES = (bool, dict, list, str, int, float, Decimal, _NULL)
+_TYPE_CLASSES = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "number": _NUMBERS,
+    "integer": _NUMBERS,
+    "boolean": (bool,),
+    "null": (_NULL,),
+}
+
+
+def _exact_type(x) -> type:
+    """The JSON type of an instance of a subclass, as its exact base."""
+    for t in _JSON_TYPES:
+        if isinstance(x, t):
+            return t
+    raise TypeError(f"not a JSON value: {x!r}")
+
+
+def _all(checks: Sequence[Check]) -> Check:
+    if not checks:
+        return _true
+    if len(checks) == 1:
+        return checks[0]
+    if len(checks) == 2:
+        a, b = checks
+        return lambda x: a(x) and b(x)
+    checks = tuple(checks)
+
+    def all_(x):
+        for c in checks:
+            if not c(x):
+                return False
+        return True
+
+    return all_
+
+
+def _dispatch(table: dict) -> Check:
+    """One check per exact instance type, as a single closure."""
+    first = table[dict]
+    if all(f is first for f in table.values()):
+        return first
+    get = table.get
+
+    def by_type(x):
+        f = get(type(x))
+        if f is None:
+            f = table[_exact_type(x)]
+        return f(x)
+
+    return by_type
+
+
+def _siblings(context: Sequence[Keyword]) -> dict:
+    return {kw.name: kw.value for kw in context}
+
+
+class _Compiler:
+    """One compile session against one document.
+
+    Closures of nodes reachable from the document's root and definitions
+    are stored in ``doc.compiled`` when the session commits; other nodes are
+    compiled for the session only.
+    """
+
+    def __init__(self, doc: SchemaDocument):
+        self.doc = doc
+        self.new: dict[int, list] = {}
+        #: named schemas whose compilation is under way, for recursive $ref
+        self.pending: dict[tuple[int, int], list] = {}
+
+    def commit(self) -> None:
+        cache = self.doc.compiled
+        for key, entry in self.new.items():
+            old = cache.get(key)
+            if old is None:
+                cache[key] = entry
+            else:
+                old[BOOL] = old[BOOL] or entry[BOOL]
+                old[ANNOT] = old[ANNOT] or entry[ANNOT]
+
+    def lookup(self, node: Schema, mode: int):
+        for table in (self.new, self.doc.compiled):
+            entry = table.get(id(node))
+            if entry is not None and entry[0] is node and entry[mode] is not None:
+                return entry[mode]
+        return None
+
+    def store(self, node: Schema, mode: int, fn) -> None:
+        entry = self.new.get(id(node))
+        if entry is None:
+            entry = self.new[id(node)] = [node, None, None]
+        entry[mode] = fn
+
+    def is_named(self, node: Schema) -> bool:
+        doc = self.doc
+        return node is doc.root or any(node is s for s in doc.defs.values())
+
+    # -- schemas
+
+    def schema(self, node: Schema, mode: int, cached: bool):
+        """Compile a node; ``cached`` marks a node of the document.
+
+        A reference back to a node whose compilation is under way gets a
+        late-bound trampoline.
+        """
+        if isinstance(node, BoolSchema):
+            return _CONSTANT[node.value, mode]
+        fn = self.lookup(node, mode)
+        if fn is not None:
+            return fn
+        cached = cached or self.is_named(node)
+        key = (id(node), mode)
+        cell = self.pending.get(key)
+        if cell is not None:
+            return lambda x: cell[0](x)
+        cell = self.pending[key] = [None]
+        keywords = node.keywords
+        if mode == ANNOT:
+            fn = self.annotation_list(keywords, cached)
+        elif any(kw.name in ADK_NAMES for kw in keywords):
+            annotated = self.schema(node, ANNOT, cached)
+            fn = lambda x: annotated(x) is not None
         else:
-            r = sum(1 for o in outcomes if o.valid) == 1
-        return r, ann
-    if name == "not":
-        o = validate(doc, kw.value, instance)
-        return (not o.valid), o.annotation
-    if name == "$ref":
-        o = validate(doc, deref(doc, kw.value), instance)
-        return o.valid, o.annotation
+            fn = self.bool_list(keywords, keywords, cached)
+        cell[0] = fn
+        del self.pending[key]
+        if cached:
+            self.store(node, mode, fn)
+        return fn
 
-    if name == "const":
-        return json_equal(instance, kw.value), EMPTY_ANNOTATION
-    if name == "type":
-        if kw.value == "integer":
-            return is_integer_valued(instance), EMPTY_ANNOTATION
-        return ty == kw.value, EMPTY_ANNOTATION
-    if name == "minimum":
-        return (not is_number(instance)) or instance >= kw.value, EMPTY_ANNOTATION
-    if name == "maximum":
-        return (not is_number(instance)) or instance <= kw.value, EMPTY_ANNOTATION
-    if name == "pattern":
-        if ty != "string":
-            return True, EMPTY_ANNOTATION
-        return pattern_matches(kw.value, instance), EMPTY_ANNOTATION
+    # -- bool mode
 
-    if name == "properties":
-        if ty != "object":
-            return True, EMPTY_ANNOTATION
-        matched = set()
-        r = True
-        for field, value in instance.items():
-            sub = kw.value.get(field)
-            if sub is not None:
-                matched.add(field)
-                r = validate(doc, sub, value).valid and r
-        return r, Annotation(props=frozenset(matched))
-    if name == "patternProperties":
-        if ty != "object":
-            return True, EMPTY_ANNOTATION
-        matched = set()
-        r = True
-        for field, value in instance.items():
-            for pattern, sub in kw.value.items():
-                if pattern_matches(pattern, field):
-                    matched.add(field)
-                    r = validate(doc, sub, value).valid and r
-        return r, Annotation(props=frozenset(matched))
-    if name == "required":
-        if ty != "object":
-            return True, EMPTY_ANNOTATION
-        return all(k in instance for k in kw.value), EMPTY_ANNOTATION
-    if name == "propertyNames":
-        if ty != "object":
-            return True, EMPTY_ANNOTATION
-        return (
-            all(validate(doc, kw.value, k).valid for k in instance),
-            EMPTY_ANNOTATION,
+    def bool_list(self, keywords: Sequence[Keyword], context: Sequence[Keyword], cached: bool) -> Check:
+        """Verdict of a keyword list without ``unevaluated*``.
+
+        ``context`` is the whole list, whose syntax ``additionalProperties``,
+        ``items`` and ``contains`` read.
+        """
+        general: list[Check] = []
+        typed: dict[type, list[Check]] = {}
+        accepted = set(_JSON_TYPES)
+        siblings = None
+        for kw in keywords:
+            name = kw.name
+            if name == "type":
+                accepted.intersection_update(_TYPE_CLASSES[kw.value])
+                if kw.value == "integer":
+                    typed.setdefault(float, []).insert(0, float.is_integer)
+                    typed.setdefault(Decimal, []).insert(0, _is_integral)
+                continue
+            if name == "const":
+                accepted.intersection_update(_const_types(kw.value))
+                general.append(_const_check(kw.value))
+                continue
+            compile_kw = _BOOL_KEYWORDS.get(name)
+            if compile_kw is None:
+                continue  # $anchor, minContains/maxContains, unknown keywords
+            types, compile_kw = compile_kw
+            if name in _CONTEXT_READERS and siblings is None:
+                siblings = _siblings(context)
+            check = compile_kw(self, kw.value, siblings, cached)
+            if check is _true:
+                continue
+            if check is _false and types is None:
+                return _false
+            if types is None:
+                general.append(check)
+            else:
+                for t in types:
+                    typed.setdefault(t, []).append(check)
+        if not accepted:
+            return _false
+        if not typed and len(accepted) == len(_JSON_TYPES):
+            return _all(general)
+        combined: dict[tuple, Check] = {}
+        table = {}
+        for t in _JSON_TYPES:
+            if t not in accepted:
+                table[t] = _false
+                continue
+            checks = (*typed.get(t, ()), *general)
+            fn = combined.get(checks)
+            if fn is None:
+                fn = combined[checks] = _all(checks)
+            table[t] = fn
+        return _dispatch(table)
+
+    def bool_any_of(self, branches, siblings, cached) -> Check:
+        fs = [self.schema(s, BOOL, cached) for s in branches]
+        if _true in fs:
+            return _true
+        fs = tuple(f for f in fs if f is not _false)
+        if not fs:
+            return _false
+        if len(fs) == 1:
+            return fs[0]
+
+        def any_of(x):
+            for f in fs:
+                if f(x):
+                    return True
+            return False
+
+        return any_of
+
+    def bool_all_of(self, branches, siblings, cached) -> Check:
+        fs = [self.schema(s, BOOL, cached) for s in branches]
+        if _false in fs:
+            return _false
+        return _all([f for f in fs if f is not _true])
+
+    def bool_one_of(self, branches, siblings, cached) -> Check:
+        fs = tuple(self.schema(s, BOOL, cached) for s in branches)
+
+        def one_of(x):
+            found = False
+            for f in fs:
+                if f(x):
+                    if found:
+                        return False
+                    found = True
+            return found
+
+        return one_of
+
+    def bool_not(self, sub, siblings, cached) -> Check:
+        f = self.schema(sub, BOOL, cached)
+        if f is _true:
+            return _false
+        if f is _false:
+            return _true
+        return lambda x: not f(x)
+
+    def bool_ref(self, uri, siblings, cached) -> Check:
+        return self.schema(deref(self.doc, uri), BOOL, True)
+
+    def bool_properties(self, props, siblings, cached) -> Check:
+        subs = {}
+        for name, sub in props.items():
+            f = self.schema(sub, BOOL, cached)
+            if f is not _true:
+                subs[name] = f
+        if not subs:
+            return _true
+        get = subs.get
+
+        def properties(x):
+            for k, v in x.items():
+                f = get(k)
+                if f is not None and not f(v):
+                    return False
+            return True
+
+        return properties
+
+    def bool_pattern_properties(self, props, siblings, cached) -> Check:
+        pairs = []
+        for pattern, sub in props.items():
+            f = self.schema(sub, BOOL, cached)
+            if f is not _true:
+                pairs.append((compile_pattern(pattern).search, f))
+        if not pairs:
+            return _true
+
+        def pattern_properties(x):
+            for k, v in x.items():
+                for search, f in pairs:
+                    if search(k) is not None and not f(v):
+                        return False
+            return True
+
+        return pattern_properties
+
+    def bool_additional_properties(self, sub, siblings, cached) -> Check:
+        f = self.schema(sub, BOOL, cached)
+        if f is _true:
+            return _true
+        names = frozenset(siblings.get("properties", ()))
+        searches = tuple(compile_pattern(p).search for p in siblings.get("patternProperties", ()))
+
+        def additional_properties(x):
+            for k, v in x.items():
+                if k in names:
+                    continue
+                for search in searches:
+                    if search(k) is not None:
+                        break
+                else:
+                    if not f(v):
+                        return False
+            return True
+
+        return additional_properties
+
+    def bool_property_names(self, sub, siblings, cached) -> Check:
+        f = self.schema(sub, BOOL, cached)
+        if f is _true:
+            return _true
+
+        def property_names(x):
+            for k in x:
+                if not f(k):
+                    return False
+            return True
+
+        return property_names
+
+    def bool_prefix_items(self, subs, siblings, cached) -> Check:
+        fs = tuple(self.schema(s, BOOL, cached) for s in subs)
+        if all(f is _true for f in fs):
+            return _true
+
+        def prefix_items(x):
+            for f, v in zip(fs, x):
+                if not f(v):
+                    return False
+            return True
+
+        return prefix_items
+
+    def bool_items(self, sub, siblings, cached) -> Check:
+        f = self.schema(sub, BOOL, cached)
+        start = len(siblings.get("prefixItems", ()))
+        if f is _true:
+            return _true
+        if f is _false:
+            return lambda x: len(x) <= start
+
+        def items(x):
+            for i in range(start, len(x)):
+                if not f(x[i]):
+                    return False
+            return True
+
+        return items
+
+    def bool_contains(self, sub, siblings, cached) -> Check:
+        f = self.schema(sub, BOOL, cached)
+        lo = siblings.get("minContains", 1)
+        hi = siblings.get("maxContains", INF)
+        if lo == 0 and hi == INF:
+            return _true
+
+        def contains(x):
+            n = 0
+            for v in x:
+                if f(v):
+                    n += 1
+                    if n > hi:
+                        return False
+                    if n >= lo and hi == INF:
+                        return True
+            return lo <= n
+
+        return contains
+
+    # -- annotation mode
+
+    def annotation_list(self, keywords: Sequence[Keyword], cached: bool):
+        """Annotation of a valid instance, or ``None``; stops at the first
+        failing keyword, whose annotation would be discarded anyway."""
+        plain = [kw for kw in keywords if kw.name not in _ANNOTATING]
+        check = self.bool_list(plain, keywords, cached)
+        steps = tuple(
+            _STEPS[kw.name](self, kw.value, keywords, cached, False)
+            for kw in keywords
+            if kw.name in _ANNOTATING
         )
-    if name == "minProperties":
-        return ty != "object" or len(instance) >= kw.value, EMPTY_ANNOTATION
-    if name == "maxProperties":
-        return ty != "object" or len(instance) <= kw.value, EMPTY_ANNOTATION
+        if check is _false:
+            return _ann_false
+        if check is _true:
+            check = None
 
-    if name == "prefixItems":
-        if ty != "array":
-            return True, EMPTY_ANNOTATION
-        upto = min(len(kw.value), len(instance))
-        r = all(validate(doc, kw.value[i], instance[i]).valid for i in range(upto))
-        return r, Annotation(items=frozenset(range(upto)))
-    if name == "contains":
-        return _contains_triple(doc, kw.value, (1, INF), instance)
-    if name == "minItems":
-        return ty != "array" or len(instance) >= kw.value, EMPTY_ANNOTATION
-    if name == "maxItems":
-        return ty != "array" or len(instance) <= kw.value, EMPTY_ANNOTATION
-    if name == "uniqueItems":
-        if ty != "array" or not kw.value:
-            return True, EMPTY_ANNOTATION
-        for i in range(len(instance)):
-            for j in range(i + 1, len(instance)):
-                if json_equal(instance[i], instance[j]):
-                    return False, EMPTY_ANNOTATION
-        return True, EMPTY_ANNOTATION
+        def annotated(x):
+            if check is not None and not check(x):
+                return None
+            acc = _EMPTY
+            for step in steps:
+                ok, found = step(x, acc)
+                if not ok:
+                    return None
+                if found:
+                    acc = acc | found
+            return acc
 
-    # $anchor, minContains, maxContains (handled with contains), unknown
-    # keywords: ignored during validation
-    return True, EMPTY_ANNOTATION
+        return annotated
 
+    def exact_step(self, kw: Keyword, context: Sequence[Keyword]):
+        """``step(x, acc) -> (holds, annotation)`` of one keyword, with the
+        annotation kept also when the keyword fails."""
+        make = _STEPS.get(kw.name)
+        if make is not None:
+            return make(self, kw.value, context, False, True)
+        check = self.bool_list((kw,), context, False)
+        return lambda x, acc: (check(x), _EMPTY)
 
-def _contains_triple(
-    doc: SchemaDocument,
-    schema: Schema,
-    bounds: tuple[int, float],
-    instance: JsonValue,
-) -> tuple[bool, Annotation]:
-    """contains + minContains + maxContains act as one keyword."""
-    if type_of(instance) != "array":
-        return True, EMPTY_ANNOTATION
-    lo, hi = bounds
-    hits = frozenset(
-        i for i, item in enumerate(instance) if validate(doc, schema, item).valid
-    )
-    return (lo <= len(hits) <= hi), Annotation(items=hits)
+    # Each step below is ``step(x, acc) -> (holds, annotation)``, where
+    # ``acc`` is the annotation of the keywords before it.  Unless ``exact``,
+    # a step may stop once it fails, with an incomplete annotation.
 
+    def any_of_step(self, branches, context, cached, exact):
+        fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
 
-def _props_of(keywords: Sequence[Keyword]):
-    """Matcher for names covered by adjacent properties/patternProperties."""
-    names: set[str] = set()
-    patterns: list[str] = []
-    for kw in keywords:
-        if kw.name == "properties":
-            names.update(kw.value.keys())
-        elif kw.name == "patternProperties":
-            patterns.extend(kw.value.keys())
+        def any_of(x, acc):
+            ok = False
+            union = _EMPTY
+            for f in fs:
+                found = f(x)
+                if found is not None:
+                    ok = True
+                    if found:
+                        union = union | found
+            return ok, union
 
-    def covered(field: str) -> bool:
-        return field in names or any(pattern_matches(p, field) for p in patterns)
+        return any_of
 
-    return covered
+    def all_of_step(self, branches, context, cached, exact):
+        fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
 
+        def all_of(x, acc):
+            ok = True
+            union = _EMPTY
+            for f in fs:
+                found = f(x)
+                if found is None:
+                    if not exact:
+                        return False, union
+                    ok = False
+                elif found:
+                    union = union | found
+            return ok, union
 
-def _prefix_len_of(keywords: Sequence[Keyword]) -> int:
-    for kw in keywords:
-        if kw.name == "prefixItems":
-            return len(kw.value)
-    return 0
+        return all_of
 
+    def one_of_step(self, branches, context, cached, exact):
+        fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
 
-def _dependent_step(
-    doc: SchemaDocument,
-    prefix: Sequence[Keyword],
-    kw: Keyword,
-    instance: JsonValue,
-    prefix_annotation: Annotation,
-) -> tuple[bool, Annotation]:
-    ty = type_of(instance)
-    sub = kw.value
-    if kw.name == "additionalProperties":
-        if ty != "object":
-            return True, EMPTY_ANNOTATION
-        covered = _props_of(prefix)
-        r = all(
-            validate(doc, sub, value).valid
-            for field, value in instance.items()
-            if not covered(field)
+        def one_of(x, acc):
+            valid = 0
+            union = _EMPTY
+            for f in fs:
+                found = f(x)
+                if found is not None:
+                    valid += 1
+                    if valid == 2 and not exact:
+                        return False, union
+                    if found:
+                        union = union | found
+            return valid == 1, union
+
+        return one_of
+
+    def ref_step(self, uri, context, cached, exact):
+        f = self.schema(deref(self.doc, uri), ANNOT, True)
+
+        def ref(x, acc):
+            found = f(x)
+            return found is not None, found or _EMPTY
+
+        return ref
+
+    def not_step(self, sub, context, cached, exact):
+        f = self.schema(sub, ANNOT, cached)
+
+        def not_(x, acc):
+            found = f(x)
+            return found is None, found or _EMPTY
+
+        return not_
+
+    def properties_step(self, props, context, cached, exact):
+        names = props.keys()
+        check = self.bool_properties(props, None, cached)
+        return _annotating(dict, check, lambda x: x.keys() & names)
+
+    def pattern_properties_step(self, props, context, cached, exact):
+        searches = [compile_pattern(p).search for p in props]
+        check = self.bool_pattern_properties(props, None, cached)
+        return _annotating(
+            dict, check, lambda x: {k for k in x if any(s(k) is not None for s in searches)}
         )
-        return r, Annotation(props=frozenset(instance.keys()))
-    if kw.name == "items":
-        if ty != "array":
-            return True, EMPTY_ANNOTATION
-        start = _prefix_len_of(prefix)
-        r = all(
-            validate(doc, sub, instance[i]).valid
-            for i in range(start, len(instance))
-        )
-        return r, Annotation(items=frozenset(range(len(instance))))
-    if kw.name == "unevaluatedProperties":
-        if ty != "object":
-            return True, EMPTY_ANNOTATION
-        r = all(
-            validate(doc, sub, value).valid
-            for field, value in instance.items()
-            if field not in prefix_annotation.props
-        )
-        return r, Annotation(props=frozenset(instance.keys()))
-    if kw.name == "unevaluatedItems":
-        if ty != "array":
-            return True, EMPTY_ANNOTATION
-        r = all(
-            validate(doc, sub, instance[i]).valid
-            for i in range(len(instance))
-            if i not in prefix_annotation.items
-        )
-        return r, Annotation(items=frozenset(range(len(instance))))
-    raise AssertionError(f"not a dependent keyword: {kw.name}")
+
+    def additional_properties_step(self, sub, context, cached, exact):
+        check = self.bool_additional_properties(sub, _siblings(context), cached)
+        return _annotating(dict, check, dict.keys)
+
+    def unevaluated_properties_step(self, sub, context, cached, exact):
+        f = self.schema(sub, BOOL, cached)
+
+        def unevaluated_properties(x, acc):
+            if not isinstance(x, dict):
+                return _OK
+            for k, v in x.items():
+                if k not in acc and not f(v):
+                    return False, x.keys()
+            return True, x.keys()
+
+        return unevaluated_properties
+
+    def prefix_items_step(self, subs, context, cached, exact):
+        n = len(subs)
+        check = self.bool_prefix_items(subs, None, cached)
+        return _annotating(list, check, lambda x: set(range(min(n, len(x)))))
+
+    def items_step(self, sub, context, cached, exact):
+        check = self.bool_items(sub, _siblings(context), cached)
+        return _annotating(list, check, lambda x: set(range(len(x))))
+
+    def contains_step(self, sub, context, cached, exact):
+        f = self.schema(sub, BOOL, cached)
+        siblings = _siblings(context)
+        lo = siblings.get("minContains", 1)
+        hi = siblings.get("maxContains", INF)
+
+        def contains(x, acc):
+            if not isinstance(x, list):
+                return _OK
+            hits = {i for i, v in enumerate(x) if f(v)}
+            return lo <= len(hits) <= hi, hits
+
+        return contains
+
+    def unevaluated_items_step(self, sub, context, cached, exact):
+        f = self.schema(sub, BOOL, cached)
+
+        def unevaluated_items(x, acc):
+            if not isinstance(x, list):
+                return _OK
+            every = set(range(len(x)))
+            for i, v in enumerate(x):
+                if i not in acc and not f(v):
+                    return False, every
+            return True, every
+
+        return unevaluated_items
+
+
+def _annotating(kind: type, check: Check, annotate):
+    """Step of a keyword on instances of ``kind`` whose annotation does not
+    depend on its verdict."""
+
+    def step(x, acc):
+        if not isinstance(x, kind):
+            return _OK
+        return check(x), annotate(x)
+
+    return step
+
+
+def _const_types(value) -> tuple:
+    """The instance types that can equal a ``const`` value."""
+    if isinstance(value, bool):
+        return (bool,)
+    if value is None:
+        return (_NULL,)
+    if isinstance(value, _NUMBERS):
+        return _NUMBERS
+    for t in (str, list, dict):
+        if isinstance(value, t):
+            return (t,)
+    return ()
+
+
+def _const_check(value) -> Check:
+    if isinstance(value, bool) or value is None:
+        return lambda x: x is value
+    if isinstance(value, (list, dict)):
+        return lambda x: json_equal(x, value)
+    return lambda x: x == value
+
+
+def _is_integral(x: Decimal) -> bool:
+    return x == x.to_integral_value()
+
+
+def _pattern(source: str) -> Check:
+    search = compile_pattern(source).search
+    return lambda x: search(x) is not None
+
+
+def _required(names) -> Check:
+    need = frozenset(names)
+    if not need:
+        return _true
+    if len(need) == 1:
+        (name,) = need
+        return lambda x: name in x
+    return lambda x: x.keys() >= need
+
+
+def _unique_items(x) -> bool:
+    seen = set()
+    for v in x:
+        key = unique_key(v)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+def _leaf(types, make):
+    """A keyword whose check depends on its argument only."""
+    return types, lambda compiler, value, siblings, cached: make(value)
+
+
+#: Bool-mode compilers of the keywords other than ``type``/``const``, with
+#: the instance types they constrain (``None``: every type).
+_BOOL_KEYWORDS = {
+    "anyOf": (None, _Compiler.bool_any_of),
+    "allOf": (None, _Compiler.bool_all_of),
+    "oneOf": (None, _Compiler.bool_one_of),
+    "not": (None, _Compiler.bool_not),
+    "$ref": (None, _Compiler.bool_ref),
+    "minimum": _leaf(_NUMBERS, lambda m: lambda x: x >= m),
+    "maximum": _leaf(_NUMBERS, lambda m: lambda x: x <= m),
+    "pattern": _leaf((str,), _pattern),
+    "properties": ((dict,), _Compiler.bool_properties),
+    "patternProperties": ((dict,), _Compiler.bool_pattern_properties),
+    "additionalProperties": ((dict,), _Compiler.bool_additional_properties),
+    "required": _leaf((dict,), _required),
+    "propertyNames": ((dict,), _Compiler.bool_property_names),
+    "minProperties": _leaf((dict,), lambda n: lambda x: len(x) >= n),
+    "maxProperties": _leaf((dict,), lambda n: lambda x: len(x) <= n),
+    "prefixItems": ((list,), _Compiler.bool_prefix_items),
+    "items": ((list,), _Compiler.bool_items),
+    "contains": ((list,), _Compiler.bool_contains),
+    "minItems": _leaf((list,), lambda n: lambda x: len(x) >= n),
+    "maxItems": _leaf((list,), lambda n: lambda x: len(x) <= n),
+    "uniqueItems": _leaf((list,), lambda on: _unique_items if on else _true),
+}
+
+#: Keywords whose check reads the syntax of their siblings.
+_CONTEXT_READERS = frozenset({"additionalProperties", "items", "contains"})
+
+#: Annotation-mode compilers.  ``not`` contributes only to the exact fold
+#: of :func:`validate_keyword_list`, since a failing keyword's annotation is
+#: otherwise discarded; the others are the keywords that can contribute to
+#: an annotation.
+_STEPS = {
+    "anyOf": _Compiler.any_of_step,
+    "allOf": _Compiler.all_of_step,
+    "oneOf": _Compiler.one_of_step,
+    "$ref": _Compiler.ref_step,
+    "not": _Compiler.not_step,
+    "properties": _Compiler.properties_step,
+    "patternProperties": _Compiler.pattern_properties_step,
+    "additionalProperties": _Compiler.additional_properties_step,
+    "unevaluatedProperties": _Compiler.unevaluated_properties_step,
+    "prefixItems": _Compiler.prefix_items_step,
+    "items": _Compiler.items_step,
+    "contains": _Compiler.contains_step,
+    "unevaluatedItems": _Compiler.unevaluated_items_step,
+}
+_ANNOTATING = frozenset(_STEPS) - {"not"}
+
+
+def _compiled(doc: SchemaDocument, schema: Schema, mode: int):
+    compiler = _Compiler(doc)
+    fn = compiler.schema(schema, mode, False)
+    compiler.commit()
+    return fn

@@ -11,6 +11,7 @@ from uneval.jsonvalue import (
     parse_json,
     serialize_json,
     type_of,
+    unique_key,
 )
 
 
@@ -133,3 +134,46 @@ def test_equal_transitive(a, b, c):
 def test_equal_agrees_with_canonical_text(a, b):
     # canonical serialization is injective up to value equality
     assert json_equal(a, b) == (serialize_json(a) == serialize_json(b))
+
+
+def test_unique_key_cases():
+    assert unique_key(1) == unique_key(1.0) == unique_key(Decimal("1.0"))
+    assert unique_key(True) != unique_key(1)
+    assert unique_key(False) != unique_key(0)
+    assert unique_key(None) != unique_key(False)
+    assert unique_key({"a": 1, "b": [2]}) == unique_key({"b": [2.0], "a": 1})
+    assert unique_key([1, True]) != unique_key([True, 1])
+    assert unique_key(["a"]) != unique_key({"a": None})
+    # a float keys by its exact binary value, as json_equal compares it
+    assert unique_key(0.1) != unique_key(Decimal("0.1"))
+    assert unique_key(0.5) == unique_key(Decimal("0.5"))
+
+
+def _random_arrays():
+    import random
+
+    from randgen import gen_instance
+
+    rng = random.Random(311)
+    scalars = [1, 1.0, Decimal("1.0"), Decimal("1.5"), 1.5, 0, -0.0, True, False, None]
+    for _ in range(600):
+        arr = [gen_instance(rng, 3) for _ in range(rng.randrange(0, 6))]
+        arr += [rng.choice(scalars) for _ in range(rng.randrange(0, 3))]
+        rng.shuffle(arr)
+        yield arr
+
+
+def test_unique_key_agrees_with_json_equal_on_random_arrays():
+    pairs = 0
+    for arr in _random_arrays():
+        for i, a in enumerate(arr):
+            for b in arr[i + 1 :]:
+                assert (unique_key(a) == unique_key(b)) == json_equal(a, b), (a, b)
+                pairs += 1
+    assert pairs > 1000
+
+
+@given(json_values, json_values)
+@settings(max_examples=100)
+def test_unique_key_agrees_with_json_equal(a, b):
+    assert (unique_key(a) == unique_key(b)) == json_equal(a, b)

@@ -1,4 +1,13 @@
-from uneval.schema import parse_schema
+import random
+
+from uneval.schema import (
+    Keyword,
+    ObjSchema,
+    build_document,
+    document_schemas,
+    not_,
+    parse_schema,
+)
 from uneval.validator import (
     EMPTY_ANNOTATION,
     validate,
@@ -213,3 +222,73 @@ def test_annotation_soundness_on_corpus():
                 assert o.annotation.props == frozenset()
             else:
                 assert o.annotation == EMPTY_ANNOTATION
+
+
+def test_unique_items_by_value():
+    schema = {"uniqueItems": True}
+    assert outcome(schema, [1, True, "1", None, False, 0]).valid
+    assert not outcome(schema, [1, 1.0]).valid
+    assert not outcome(schema, [{"a": [1]}, {"a": [1.0]}]).valid
+    assert outcome(schema, [[1, True], [True, 1]]).valid
+
+
+# ---------------------------------------------------------------------------
+# bool mode (validate) against the exact annotation fold
+
+
+def _object_root_pairs():
+    from conftest import load_corpus
+    from randgen import gen_instance, gen_schema
+
+    rng = random.Random(4242)
+    produced = 0
+    while produced < 1000:
+        schema_json = gen_schema(rng, rng.randrange(1, 4))
+        if isinstance(schema_json, dict) and rng.random() < 0.5:
+            schema_json = dict(schema_json)
+            adk = rng.choice(["unevaluatedProperties", "unevaluatedItems"])
+            schema_json[adk] = gen_schema(rng, 1, False)
+        try:
+            doc = parse_schema(schema_json)
+        except Exception:
+            continue
+        if isinstance(doc.root, ObjSchema):
+            produced += 1
+            yield doc, gen_instance(rng, 3)
+    for fixture in load_corpus():
+        doc = parse_schema(fixture.schema_json)
+        if isinstance(doc.root, ObjSchema):
+            for instance in fixture.valid + fixture.invalid:
+                yield doc, instance
+
+
+def test_bool_mode_verdict_equals_exact_fold():
+    checked = 0
+    for doc, instance in _object_root_pairs():
+        ok, _ = validate_keyword_list(doc, doc.root.keywords, instance)
+        assert validate(doc, doc.root, instance).valid == ok
+        checked += 1
+    assert checked > 1000
+
+
+def test_one_node_gets_each_documents_verdict():
+    node = ObjSchema((Keyword("$ref", "#/$defs/a"),))
+    strings = build_document(node, {"a": parse_schema({"type": "string"}).root})
+    numbers = build_document(node, {"a": parse_schema({"type": "number"}).root})
+    for _ in range(2):
+        assert validate(strings, node, "x").valid
+        assert not validate(strings, node, 1).valid
+        assert validate(numbers, node, 1).valid
+        assert not validate(numbers, node, "x").valid
+
+
+def test_ad_hoc_schemas_do_not_grow_the_cache():
+    doc = parse_schema(SALE_CAR)
+    node_count = len({id(s) for s in document_schemas(doc)})
+    instance = {"price": 100, "plate": "x111"}
+    sizes = set()
+    for _ in range(10_000):
+        assert validate(doc, not_(not_(doc.root)), instance).valid
+        sizes.add(len(doc.compiled))
+    assert max(sizes) <= node_count
+    assert len(sizes) == 1
