@@ -1,0 +1,179 @@
+"""Alternating parent/change runs of ``bench/run.py`` and their summary.
+
+Run from anywhere, with two checkouts of the repository::
+
+    python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \
+        --seeds 501-510 --log runs.jsonl --out BENCH_topic.json
+
+For each workload of ``BENCHMARK.json`` and each seed, the parent and the
+change run ``python3 bench/run.py --workload W --seed S --seconds 20
+--trace 0`` in their own checkout, the parent first on even pairs and the
+change first on odd ones.  Every run's result line is appended to the log,
+and runs already in the log are not repeated, so an interrupted series
+resumes.  The summary gives, per workload and end-to-end metric, each side's
+median and quartiles, the pairs the change won and lost, and whether the
+change stays within the metric's bound.  The tier-1 suite is timed once per
+checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SECONDS = 20
+BENCH = ["bench/run.py", "--seconds", str(SECONDS), "--trace", "0"]
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+
+
+def seeds_arg(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Q1, median, Q3 by linear interpolation between order statistics."""
+    ordered = sorted(values)
+
+    def at(q: float) -> float:
+        pos = q * (len(ordered) - 1)
+        i = int(pos)
+        j = min(i + 1, len(ordered) - 1)
+        return ordered[i] + (ordered[j] - ordered[i]) * (pos - i)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
+    t0 = time.time()
+    done = subprocess.run(
+        [sys.executable, *BENCH, "--workload", workload, "--seed", str(seed)],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
+    return {"exit": done.returncode, "wall_s": time.time() - t0, "result": result}
+
+
+def time_tier1(checkout: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    t0 = time.time()
+    done = subprocess.run(
+        [sys.executable, *TIER1], cwd=checkout, env=env, capture_output=True, text=True
+    )
+    return {
+        "wall_s": round(time.time() - t0, 1),
+        "summary": done.stdout.strip().splitlines()[-1] if done.stdout.strip() else "",
+    }
+
+
+def collect(args, spec: dict) -> None:
+    done = set()
+    if args.log.exists():
+        for line in args.log.read_text().splitlines():
+            r = json.loads(line)
+            done.add((r["workload"], r["seed"], r["side"]))
+    checkouts = {"parent": args.parent, "change": args.change}
+    for workload in [w["name"] for w in spec["workloads"]]:
+        for k, seed in enumerate(args.seeds):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                if (workload, seed, side) in done:
+                    continue
+                r = run_bench(checkouts[side], workload, seed)
+                r.update(workload=workload, seed=seed, side=side, pair=k, first=order[0])
+                with args.log.open("a") as log:
+                    log.write(json.dumps(r) + "\n")
+                print(f"{workload} seed {seed} {side}: exit {r['exit']}, {r['wall_s']:.0f} s", flush=True)
+
+
+def summarize(args, spec: dict) -> dict:
+    runs = [json.loads(line) for line in args.log.read_text().splitlines()]
+    metrics = spec["end_to_end"]
+    workloads = {}
+    for w in [w["name"] for w in spec["workloads"]]:
+        mine = [r for r in runs if r["workload"] == w and r["seed"] in args.seeds]
+        by_side = {
+            side: {r["seed"]: r for r in mine if r["side"] == side} for side in ("parent", "change")
+        }
+        seeds = sorted(set(by_side["parent"]) & set(by_side["change"]))
+        rows = {}
+        for m in metrics:
+            name, lower = m["name"], m["better"] == "lower"
+
+            def values(side):
+                return [by_side[side][s]["result"]["metrics"][name]["value"] for s in seeds]
+
+            parent, change = values("parent"), values("change")
+            wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+            losses = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
+            pq, cq = quartiles(parent), quartiles(change)
+            rel = (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0
+            worse = rel if lower else -rel
+            rows[name] = {
+                "unit": m["unit"],
+                "better": m["better"],
+                "bound": m["bound"],
+                "parent": {"q1": pq[0], "median": pq[1], "q3": pq[2], "runs": parent},
+                "change": {"q1": cq[0], "median": cq[1], "q3": cq[2], "runs": change},
+                "median_change": round(rel, 4),
+                "pairs_won": wins,
+                "pairs_lost": losses,
+                "gain_rule_met": wins >= 0.9 * len(seeds)
+                and abs(cq[1] - pq[1]) > (pq[2] - pq[0]),
+                "within_bound": worse <= m["bound"],
+            }
+        workloads[w] = {
+            "pairs": len(seeds),
+            "failed_runs": sum(r["exit"] != 0 for r in mine),
+            "metrics": rows,
+        }
+    return workloads
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seeds", type=seeds_arg, required=True)
+    parser.add_argument("--log", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    args.parent, args.change = args.parent.resolve(), args.change.resolve()
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    collect(args, spec)
+
+    def head(checkout: Path) -> str:
+        return subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=checkout, capture_output=True, text=True
+        ).stdout.strip()
+
+    report = {
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "commits": {"parent": head(args.parent), "change": head(args.change)},
+        "seeds": args.seeds,
+        "command": "python3 " + " ".join(BENCH) + " --workload W --seed S  (from each checkout's root)",
+        "order": "pair k runs the parent first when k is even, the change first when k is odd",
+        "gain_rule": "change wins >= 9/10 of pairs and |median difference| > parent Q3 - Q1",
+        "workloads": summarize(args, spec),
+        "tier1": {
+            "command": "PYTHONPATH=src python3 " + " ".join(TIER1),
+            "parent": time_tier1(args.parent),
+            "change": time_tier1(args.change),
+        },
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
