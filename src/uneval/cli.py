@@ -54,17 +54,17 @@ def _cmd_validate(args) -> int:
 
 def _cmd_eliminate(args) -> int:
     doc = _load_document(args.schema)
-    input_bytes = len(serialize_json(serialize_schema(doc)))
     started = time.perf_counter()
     rewritten, branch_counts = elim_document_with_stats(doc)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     out_json = serialize_schema(rewritten)
-    output_bytes = len(serialize_json(out_json))
     if args.output:
         Path(args.output).write_text(dump_json(out_json) + "\n", encoding="utf-8")
     else:
         _print_json(out_json)
     if args.stats:
+        input_bytes = len(serialize_json(serialize_schema(doc)))
+        output_bytes = len(serialize_json(out_json))
         stats = {
             "input_bytes": input_bytes,
             "output_bytes": output_bytes,

@@ -28,11 +28,12 @@ from .schema import (
     all_of,
     any_of,
     build_document,
+    child_nodes,
     deref,
+    distinct_nodes,
     find_unguarded_cycle,
     make_obj,
     ref,
-    walk,
     LIST_VALUED,
     MAP_VALUED,
     SCHEMA_VALUED,
@@ -47,13 +48,30 @@ def is_uneval_schema(s: Schema) -> bool:
 
 
 def count_uneval_keywords(doc: SchemaDocument) -> int:
-    """Residual unevaluated* occurrences in a whole document."""
-    total = 0
-    for name, top in doc.named_schemas():
-        for s in walk(top):
-            if isinstance(s, ObjSchema):
-                total += sum(1 for kw in s.keywords if kw.name in ADK_NAMES)
-    return total
+    """Residual unevaluated* occurrences in a whole document.
+
+    A node that occurs several times counts each time, but its subtree is
+    counted once (per-node memo over :func:`distinct_nodes`).
+    """
+    tops = (doc.root, *doc.defs.values())
+    below: dict[int, int] = {}  # occurrences in each node's subtree
+    for s in distinct_nodes(tops):
+        below[id(s)] = (
+            sum(kw.name in ADK_NAMES for kw in s.keywords)
+            + sum([below[id(child)] for child in child_nodes(s)])
+            if isinstance(s, ObjSchema)
+            else 0
+        )
+    return sum(below[id(top)] for top in tops)
+
+
+def _has_uneval_keywords(doc: SchemaDocument) -> bool:
+    return any(
+        kw.name in ADK_NAMES
+        for s in distinct_nodes((doc.root, *doc.defs.values()))
+        if isinstance(s, ObjSchema)
+        for kw in s.keywords
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +322,6 @@ def elim_document_with_stats(
         # run's memos are freed now, not at the next full collection
         run.enf_builder = None
     out = build_document(new_root, new_defs)
-    if count_uneval_keywords(out) != 0:
+    if _has_uneval_keywords(out):
         raise EliminationError("rewriting left unevaluated* keywords behind")
     return out, dict(run.enf_branches)

@@ -4,12 +4,17 @@ Instances are plain Python trees: ``None``, ``bool``, ``int``/``Decimal``,
 ``str``, ``list``, ``dict``.  Numbers are kept as exact decimals so that
 ``minimum``/``maximum``/``const`` comparisons never go through binary
 floats and ``1.0`` equals ``1`` by mathematical value.
+
+Values built by the package, such as the JSON form of a rewrite, may reuse
+one list or dict object at several places; :func:`serialize_json` builds
+the text of such a shared container once per call.
 """
 
 from __future__ import annotations
 
 import json
 from decimal import Decimal
+from json.encoder import encode_basestring
 from typing import Union
 
 from .errors import DuplicateKeyError, JsonParseError
@@ -149,6 +154,11 @@ def format_number(v: int | float | Decimal) -> str:
     return "-" + out if sign else out
 
 
+#: JSON text of a string, as ``json.dumps(s, ensure_ascii=False)`` gives it
+#: but without building an encoder per call.
+string_text = encode_basestring
+
+
 def _canonical(v: JsonValue) -> str:
     if v is None:
         return "null"
@@ -157,19 +167,69 @@ def _canonical(v: JsonValue) -> str:
     if is_number(v):
         return format_number(v)
     if isinstance(v, str):
-        return json.dumps(v, ensure_ascii=False)
+        return string_text(v)
     if isinstance(v, list):
         return "[" + ",".join(map(_canonical, v)) + "]"
     if isinstance(v, dict):
         return (
             "{"
             + ",".join(
-                json.dumps(key, ensure_ascii=False) + ":" + _canonical(v[key])
-                for key in sorted(v.keys())
+                string_text(key) + ":" + _canonical(v[key]) for key in sorted(v.keys())
             )
             + "}"
         )
     raise TypeError(f"not a JSON value: {v!r}")
+
+
+def _shared_uses(v: list | dict) -> dict[int, int]:
+    """How often each list or dict that occurs more than once in ``v`` is
+    met, by ``id``, when each is entered only the first time it is met."""
+    met: dict[int, int] = {}
+    stack = [v]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x = pop()
+        i = id(x)
+        if i in met:
+            met[i] += 1
+            continue
+        met[i] = 1
+        for c in x.values() if type(x) is dict else x:
+            t = type(c)
+            if t is dict or t is list:
+                push(c)
+    return {i: n for i, n in met.items() if n > 1}
+
+
+class _SharedWriter:
+    """Serializes a value whose lists and dicts may occur several times: a
+    shared one's text is built once and dropped after its last use."""
+
+    def __init__(self, uses: dict[int, int]):
+        self.uses = uses
+        self.texts: dict[int, str] = {}
+
+    def text(self, v: JsonValue) -> str:
+        t = type(v)
+        if t is not dict and t is not list:
+            return _canonical(v)
+        i = id(v)
+        left = self.uses.get(i)
+        if left is None:
+            return self.build(v, t)
+        text = self.texts.pop(i, None)
+        if text is None:
+            text = self.build(v, t)
+        if left > 1:
+            self.uses[i] = left - 1
+            self.texts[i] = text
+        return text
+
+    def build(self, v: list | dict, t: type) -> str:
+        text = self.text
+        if t is list:
+            return "[" + ",".join(map(text, v)) + "]"
+        return "{" + ",".join([string_text(k) + ":" + text(v[k]) for k in sorted(v)]) + "}"
 
 
 def serialize_json(v: JsonValue) -> str:
@@ -177,9 +237,17 @@ def serialize_json(v: JsonValue) -> str:
 
     Deterministic by construction, so equal values always serialize to the
     same text; schema deduplication relies on this.  Each container is
-    joined from its members' texts, so no per-token list is built.
+    joined from its members' texts, so no per-token list is built.  A list
+    or dict object that occurs at several places in ``v`` (as the JSON form
+    of a rewrite shares subschemas) is serialized once per call; its text
+    is kept only until its last occurrence.
     """
-    return _canonical(v)
+    if type(v) is not dict and type(v) is not list:
+        return _canonical(v)
+    uses = _shared_uses(v)
+    if not uses:
+        return _canonical(v)
+    return _SharedWriter(uses).text(v)
 
 
 def dump_json(v: JsonValue, indent: int = 2) -> str:

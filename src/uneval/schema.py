@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import GuardednessError, RefResolutionError, SchemaParseError
-from .jsonvalue import JsonValue, is_number, serialize_json
+from .jsonvalue import JsonValue, is_number, serialize_json, string_text
 
 INF = math.inf
 
@@ -87,7 +87,8 @@ class Schema:
     """A schema node: a boolean or an ordered keyword list.
 
     Node identity is the canonical text (:func:`canonical_text`), computed
-    at most once per node and cached as :attr:`key`.  Two nodes are equal,
+    at most once per node from the children's keys and cached as
+    :attr:`key`.  Two nodes are equal,
     and hash equal, exactly when their canonical texts are equal.  The text
     is used rather than Python structural equality, under which
     ``{"const": true}`` and ``{"const": 1}`` would be the same node.
@@ -411,12 +412,11 @@ def _index_anchors(doc: SchemaDocument) -> None:
 
 
 def _check_closed(doc: SchemaDocument) -> None:
-    for _, top in doc.named_schemas():
-        for s in walk(top):
-            if isinstance(s, ObjSchema):
-                kw = s.get("$ref")
-                if kw is not None:
-                    deref(doc, kw.value)  # raises if unresolved
+    for s in distinct_nodes((doc.root, *doc.defs.values())):
+        if isinstance(s, ObjSchema):
+            kw = s.get("$ref")
+            if kw is not None:
+                deref(doc, kw.value)  # raises if unresolved
 
 
 def deref(doc: SchemaDocument, uri: str) -> Schema:
@@ -439,6 +439,14 @@ def deref(doc: SchemaDocument, uri: str) -> Schema:
 # traversal
 
 
+#: How a keyword holds subschemas: 0 one, 1 a list, 2 a name map.
+_CHILD_KIND = {
+    **dict.fromkeys(SCHEMA_VALUED, 0),
+    **dict.fromkeys(LIST_VALUED, 1),
+    **dict.fromkeys(MAP_VALUED, 2),
+}
+
+
 def child_schemas(s: Schema) -> Iterator[tuple[Keyword, Schema]]:
     """All directly nested subschemas, with the keyword that holds them."""
     if not isinstance(s, ObjSchema):
@@ -459,6 +467,57 @@ def walk(s: Schema) -> Iterator[Schema]:
     yield s
     for _, child in child_schemas(s):
         yield from walk(child)
+
+
+def child_nodes(s: Schema) -> list[Schema]:
+    """The directly nested subschemas of ``s``, in keyword order."""
+    out: list[Schema] = []
+    if isinstance(s, ObjSchema):
+        for kw in s.keywords:
+            kind = _CHILD_KIND.get(kw.name)
+            if kind == 0:
+                out.append(kw.value)
+            elif kind == 1:
+                out.extend(kw.value)
+            elif kind == 2:
+                out.extend(kw.value.values())
+    return out
+
+
+def distinct_nodes(tops: Iterable[Schema]) -> list[Schema]:
+    """Every node reachable from ``tops``, each once however often it
+    occurs, children before the nodes that hold them.
+
+    Rewrites share subschemas, so this costs one visit per distinct node
+    where :func:`walk` costs one per occurrence.  Nodes are told apart by
+    ``id``, not by :attr:`Schema.key`, so no key is computed.
+    """
+    order: list[Schema] = []
+    # id -> False once entered, True once listed; a node is met again while
+    # entered only as its own second entry, pushed below its children
+    listed: dict[int, bool] = {}
+    stack: list = list(tops)
+    pop, push, push_all = stack.pop, stack.append, stack.extend
+    kinds = _CHILD_KIND
+    while stack:
+        s = pop()
+        i = id(s)
+        state = listed.get(i)
+        if state is None and isinstance(s, ObjSchema):
+            listed[i] = False
+            push(s)
+            for kw in s.keywords:
+                kind = kinds.get(kw.name)
+                if kind == 0:
+                    push(kw.value)
+                elif kind == 1:
+                    push_all(kw.value)
+                elif kind == 2:
+                    push_all(kw.value.values())
+        elif not state:
+            listed[i] = True
+            order.append(s)
+    return order
 
 
 def document_schemas(doc: SchemaDocument) -> Iterator[Schema]:
@@ -611,13 +670,17 @@ def _schema_json(s: Schema, memo: dict) -> JsonValue:
         return out
     out = memo[id(s)] = {}
     for kw in s.keywords:
-        # materialized defaults disappear again on output
-        if kw.name == "minContains" and kw.value == 1:
-            continue
-        if kw.name == "maxContains" and kw.value == INF:
-            continue
-        out[kw.name] = _keyword_json(kw, memo)
+        if not _is_materialized_default(kw):
+            out[kw.name] = _keyword_json(kw, memo)
     return out
+
+
+def _is_materialized_default(kw: Keyword) -> bool:
+    """The parser's ``minContains``/``maxContains`` defaults, which
+    disappear again on output."""
+    return (kw.name == "minContains" and kw.value == 1) or (
+        kw.name == "maxContains" and kw.value == INF
+    )
 
 
 def serialize_schema(doc: SchemaDocument) -> JsonValue:
@@ -638,7 +701,28 @@ def serialize_schema(doc: SchemaDocument) -> JsonValue:
 def canonical_text(s: Schema) -> str:
     """Deterministic text form of a schema: its node identity.
 
-    Read it through the cached :attr:`Schema.key`, which calls this once
-    per node.
+    Equal to ``serialize_json(schema_to_json(s))``, but composed from the
+    cached keys of the node's children, so each distinct node is
+    serialized once however many nodes contain it.  Read it through the
+    cached :attr:`Schema.key`, which calls this once per node.
     """
-    return serialize_json(schema_to_json(s))
+    if isinstance(s, BoolSchema):
+        return "true" if s.value else "false"
+    # a dict, as in schema_to_json: a repeated name keeps its last keyword
+    by_name = {kw.name: kw.value for kw in s.keywords if not _is_materialized_default(kw)}
+    parts = []
+    for name in sorted(by_name):
+        value = by_name[name]
+        kind = _CHILD_KIND.get(name)
+        if kind == 0:
+            text = value.key
+        elif kind == 1:
+            text = "[" + ",".join([sub.key for sub in value]) + "]"
+        elif kind == 2:
+            text = "{" + ",".join([string_text(k) + ":" + value[k].key for k in sorted(value)]) + "}"
+        elif name == "required":
+            text = serialize_json(list(value))
+        else:
+            text = serialize_json(value)
+        parts.append(string_text(name) + ":" + text)
+    return "{" + ",".join(parts) + "}"

@@ -1,6 +1,8 @@
 import json
 
 from uneval.cli import main
+from uneval.jsonvalue import serialize_json
+from uneval.schema import parse_schema, serialize_schema
 
 
 def run(capsys, *argv):
@@ -69,6 +71,28 @@ def test_eliminate_stats(tmp_path, capsys):
     }
     rewritten = json.loads(out_file.read_text())
     assert "unevaluatedProperties" not in json.dumps(rewritten)
+
+
+def test_eliminate_output_unchanged_by_stats(tmp_path, capsys):
+    schema = write(tmp_path, "s.json", SCHEMA)
+    code, plain, _ = run(capsys, "eliminate", "--schema", schema)
+    code_stats, with_stats, _ = run(capsys, "eliminate", "--schema", schema, "--stats")
+    assert code == code_stats == 0
+    assert with_stats.startswith(plain)
+    stats = json.loads(with_stats[len(plain):])
+    doc = parse_schema(SCHEMA)
+    assert stats["input_bytes"] == len(serialize_json(serialize_schema(doc)))
+    assert stats["output_bytes"] == len(serialize_json(json.loads(plain)))
+
+    files = [tmp_path / "plain.json", tmp_path / "stats.json"]
+    code, out, _ = run(capsys, "eliminate", "--schema", schema, "-o", str(files[0]))
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "eliminate", "--schema", schema, "-o", str(files[1]), "--stats")
+    assert code == 0
+    assert {k: v for k, v in json.loads(out).items() if k != "elapsed_ms"} == {
+        k: v for k, v in stats.items() if k != "elapsed_ms"
+    }
+    assert files[0].read_text() == files[1].read_text()
 
 
 def test_eliminate_stdout(tmp_path, capsys):

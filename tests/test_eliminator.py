@@ -16,9 +16,15 @@ from uneval.errors import EliminationError
 from uneval.instances import enumerate_instances
 from uneval.jsonvalue import serialize_json
 from uneval.schema import (
+    ADK_NAMES,
     FALSE_SCHEMA,
+    Keyword,
     ObjSchema,
     TRUE_SCHEMA,
+    all_of,
+    any_of,
+    build_document,
+    not_,
     keyword_to_json,
     parse_schema,
     schema_to_json,
@@ -60,6 +66,26 @@ def test_unnest_hoists_nested_uneval():
     hoisted = out.defs["__uneval_0"]
     assert is_uneval_schema(hoisted)
     assert count_uneval_keywords(out) == 1
+
+
+def test_count_uneval_keywords_counts_each_occurrence_of_a_shared_node():
+    shared = ObjSchema(
+        (
+            Keyword("unevaluatedProperties", FALSE_SCHEMA),
+            Keyword("unevaluatedItems", TRUE_SCHEMA),
+        )
+    )
+    twice = all_of((shared, not_(shared)))
+    doc = build_document(any_of((twice, twice, shared)), {"d": twice, "e": shared})
+    by_walk = sum(
+        kw.name in ADK_NAMES
+        for _, top in doc.named_schemas()
+        for s in walk(top)
+        if isinstance(s, ObjSchema)
+        for kw in s.keywords
+    )
+    # root: 2 + 2 + 1 occurrences, "d": 2, "e": 1; two keywords each
+    assert count_uneval_keywords(doc) == by_walk == 16
 
 
 def test_unnest_no_uneval_unchanged():

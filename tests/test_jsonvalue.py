@@ -1,3 +1,6 @@
+import copy
+import json
+import random
 from decimal import Decimal
 
 import pytest
@@ -75,6 +78,56 @@ def test_serialize_scalars():
     assert serialize_json([]) == "[]"
     assert serialize_json(Decimal("1.0")) == "1"
     assert serialize_json(Decimal("2.50")) == "2.5"
+
+
+def _unshared(v):
+    """A copy in which no list or dict object occurs twice."""
+    if isinstance(v, list):
+        return [_unshared(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _unshared(x) for k, x in v.items()}
+    return v
+
+
+def test_serialize_shared_containers():
+    leaf = {"b": [1, "x", None], "a": Decimal("1.50")}
+    pair = [leaf, leaf]
+    inner = {"p": pair, "q": leaf, "r": [pair, {"s": pair}]}
+    value = {"one": inner, "two": [inner, inner, pair], "three": leaf, "four": [[leaf]]}
+    expected = serialize_json(_unshared(value))
+    assert serialize_json(value) == expected
+    assert serialize_json(copy.deepcopy(value)) == expected
+    assert serialize_json(value) == expected
+    assert serialize_json([leaf, leaf]) == "[" + ",".join([serialize_json(leaf)] * 2) + "]"
+
+
+def _random_shared_value(rng: random.Random):
+    """A value built bottom-up from a pool, so that later containers reuse
+    earlier ones at several places and depths."""
+    pool = [None, True, False, 0, -3, 10**20, "", "a", "é\u2028\"\n", "\x00"]
+    containers = []
+    for _ in range(rng.randrange(1, 30)):
+        members = [rng.choice(pool) for _ in range(rng.randrange(0, 5))]
+        if rng.random() < 0.5:
+            new = members
+        else:
+            new = {rng.choice("abcdé"): m for m in members}
+        pool.append(new)
+        containers.append(new)
+    return [rng.choice(containers) for _ in range(rng.randrange(1, 4))]
+
+
+def test_serialize_shared_containers_random():
+    for seed in range(300):
+        value = _random_shared_value(random.Random(seed))
+        flat = _unshared(value)
+        # an independent reference: the canonical form is json.dumps's
+        # compact sorted form for values without floats or Decimals
+        expected = json.dumps(flat, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert serialize_json(flat) == expected, seed
+        assert serialize_json(value) == expected, seed
+        assert serialize_json(copy.deepcopy(value)) == expected, seed
+        assert serialize_json(value) == expected, seed
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,21 @@
+import random
+
 import pytest
 
-from uneval.errors import RefResolutionError, SchemaParseError
+from uneval.eliminate import elim_document
+from uneval.errors import RefResolutionError, SchemaParseError, UnevalError
+from uneval.families import gen_family_san, gen_family_sn
 from uneval.jsonvalue import serialize_json
 from uneval.schema import (
     INF,
     BoolSchema,
+    Keyword,
     ObjSchema,
+    SchemaDocument,
     boolean_one_of,
+    child_nodes,
     deref,
+    distinct_nodes,
     find_unguarded_cycle,
     in_place_depth,
     parse_schema,
@@ -17,6 +25,7 @@ from uneval.schema import (
 )
 
 from conftest import load_corpus
+from randgen import gen_schema
 
 SALE_CAR = {
     "anyOf": [{"$ref": "#sale"}, {"$ref": "#car"}],
@@ -257,3 +266,64 @@ def test_roundtrip_corpus_idempotent():
         assert serialize_schema(again) == emitted, fixture.name
         # canonical text is stable as well
         assert serialize_json(serialize_schema(again)) == serialize_json(emitted)
+
+
+def _originals_and_rewrites():
+    """Corpus originals and rewrites, sn/san n = 2..7 and their rewrites,
+    and randgen schemas with their rewrites where they have one."""
+    for fixture in load_corpus():
+        doc = parse_schema(fixture.schema_json)
+        yield doc
+        if not fixture.adversarial:
+            yield elim_document(doc)
+    for n in range(2, 8):
+        for gen in (gen_family_sn, gen_family_san):
+            doc = gen(n)
+            yield doc
+            yield elim_document(doc)
+    # built by hand: maps out of name order, a repeated keyword name, and
+    # defaults that the serializer drops
+    yield SchemaDocument(
+        ObjSchema(
+            (
+                Keyword("properties", {"b": BoolSchema(True), "a": ObjSchema(())}),
+                Keyword("const", {"z": [1, None], "a": "é"}),
+                Keyword("minContains", 1),
+                Keyword("maxContains", INF),
+                Keyword("const", 2),
+            )
+        )
+    )
+    rng = random.Random(611)
+    for _ in range(300):
+        try:
+            doc = parse_schema(gen_schema(rng, rng.randrange(1, 4)))
+        except SchemaParseError:
+            continue
+        yield doc
+        try:
+            yield elim_document(doc)
+        except UnevalError:
+            pass
+
+
+def test_key_equals_serialized_json_form():
+    """The key composed from children's keys agrees with the serializer."""
+    checked = 0
+    for doc in _originals_and_rewrites():
+        # holders first, so a key is also composed before its children's
+        for s in reversed(distinct_nodes((doc.root, *doc.defs.values()))):
+            assert s.key == serialize_json(schema_to_json(s))
+            checked += 1
+    assert checked > 5_000
+
+
+def test_distinct_nodes_lists_each_node_once_children_first():
+    for doc in _originals_and_rewrites():
+        tops = [top for _, top in doc.named_schemas()]
+        order = distinct_nodes(tops)
+        position = {id(s): i for i, s in enumerate(order)}
+        assert len(position) == len(order)
+        assert set(position) == {id(s) for top in tops for s in walk(top)}
+        for s in order:
+            assert all(position[id(c)] < position[id(s)] for c in child_nodes(s))
