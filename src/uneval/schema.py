@@ -493,8 +493,9 @@ def distinct_nodes(tops: Iterable[Schema]) -> list[Schema]:
     ``id``, not by :attr:`Schema.key`, so no key is computed.
     """
     order: list[Schema] = []
-    # id -> False once entered, True once listed; a node is met again while
-    # entered only as its own second entry, pushed below its children
+    # id -> False once entered, True once listed.  Nodes are built from
+    # their children, so none holds itself: a node is met again while
+    # entered only as its own second entry, pushed below its children.
     listed: dict[int, bool] = {}
     stack: list = list(tops)
     pop, push, push_all = stack.pop, stack.append, stack.extend
