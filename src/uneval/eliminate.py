@@ -28,7 +28,7 @@ from .schema import (
     all_of,
     any_of,
     build_document,
-    child_nodes,
+    child_schemas,
     deref,
     distinct_nodes,
     find_unguarded_cycle,
@@ -51,18 +51,24 @@ def count_uneval_keywords(doc: SchemaDocument) -> int:
     """Residual unevaluated* occurrences in a whole document.
 
     A node that occurs several times counts each time, but its subtree is
-    counted once (per-node memo over :func:`distinct_nodes`).
+    counted once: the count below each node is memoized by ``id``.
     """
-    tops = (doc.root, *doc.defs.values())
-    below: dict[int, int] = {}  # occurrences in each node's subtree
-    for s in distinct_nodes(tops):
-        below[id(s)] = (
+    below: dict[int, int] = {}
+    return sum(_uneval_below(top, below) for _, top in doc.named_schemas())
+
+
+def _uneval_below(s: Schema, below: dict[int, int]) -> int:
+    """unevaluated* occurrences in the subtree of ``s``; recurses as deep as
+    the schema nests, like the parser."""
+    n = below.get(id(s))
+    if n is None:
+        n = below[id(s)] = (
             sum(kw.name in ADK_NAMES for kw in s.keywords)
-            + sum([below[id(child)] for child in child_nodes(s)])
+            + sum([_uneval_below(child, below) for _, child in child_schemas(s)])
             if isinstance(s, ObjSchema)
             else 0
         )
-    return sum(below[id(top)] for top in tops)
+    return n
 
 
 def _has_uneval_keywords(doc: SchemaDocument) -> bool:

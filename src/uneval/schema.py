@@ -88,8 +88,8 @@ class Schema:
 
     Node identity is the canonical text (:func:`canonical_text`), computed
     at most once per node from the children's keys and cached as
-    :attr:`key`.  Two nodes are equal,
-    and hash equal, exactly when their canonical texts are equal.  The text
+    :attr:`key`.  Two nodes are equal, and hash equal, exactly when their
+    canonical texts are equal.  The text
     is used rather than Python structural equality, under which
     ``{"const": true}`` and ``{"const": 1}`` would be the same node.
     """
@@ -469,55 +469,33 @@ def walk(s: Schema) -> Iterator[Schema]:
         yield from walk(child)
 
 
-def child_nodes(s: Schema) -> list[Schema]:
-    """The directly nested subschemas of ``s``, in keyword order."""
-    out: list[Schema] = []
-    if isinstance(s, ObjSchema):
-        for kw in s.keywords:
-            kind = _CHILD_KIND.get(kw.name)
-            if kind == 0:
-                out.append(kw.value)
-            elif kind == 1:
-                out.extend(kw.value)
-            elif kind == 2:
-                out.extend(kw.value.values())
-    return out
-
-
 def distinct_nodes(tops: Iterable[Schema]) -> list[Schema]:
     """Every node reachable from ``tops``, each once however often it
-    occurs, children before the nodes that hold them.
+    occurs, in the order first met.
 
     Rewrites share subschemas, so this costs one visit per distinct node
     where :func:`walk` costs one per occurrence.  Nodes are told apart by
     ``id``, not by :attr:`Schema.key`, so no key is computed.
     """
     order: list[Schema] = []
-    # id -> False once entered, True once listed.  Nodes are built from
-    # their children, so none holds itself: a node is met again while
-    # entered only as its own second entry, pushed below its children.
-    listed: dict[int, bool] = {}
+    seen: set[int] = set()
     stack: list = list(tops)
-    pop, push, push_all = stack.pop, stack.append, stack.extend
     kinds = _CHILD_KIND
     while stack:
-        s = pop()
-        i = id(s)
-        state = listed.get(i)
-        if state is None and isinstance(s, ObjSchema):
-            listed[i] = False
-            push(s)
+        s = stack.pop()
+        if id(s) in seen:
+            continue
+        seen.add(id(s))
+        order.append(s)
+        if isinstance(s, ObjSchema):
             for kw in s.keywords:
                 kind = kinds.get(kw.name)
                 if kind == 0:
-                    push(kw.value)
+                    stack.append(kw.value)
                 elif kind == 1:
-                    push_all(kw.value)
+                    stack.extend(kw.value)
                 elif kind == 2:
-                    push_all(kw.value.values())
-        elif not state:
-            listed[i] = True
-            order.append(s)
+                    stack.extend(kw.value.values())
     return order
 
 
