@@ -17,7 +17,8 @@ same heap and cache state.  Outputs of A and B must be byte-identical.
 The report gives, per op, the median time of each side and their relative
 difference; then the corpus p50/p90 over per-fixture medians (the shape of
 ``rewrite_ms_p50``/``_p90``) and the family total of medians (the shape of
-``family_rewrite_s``).  Times are raw ``perf_counter_ns`` of this machine.
+``family_rewrite_s``).  Times are raw ``perf_counter_ns`` readings, not
+scaled to a reference machine as the benchmark's are.
 """
 
 from __future__ import annotations
@@ -109,11 +110,10 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--family-max-n", type=int, default=8)
-    parser.add_argument("--corpus", type=Path, help="fixture directory (default: B's tests/corpus)")
     parser.add_argument("--json", type=Path, help="also write the report here")
     args = parser.parse_args(argv)
     pkgs = {s: load_package(f"uneval_{s}", getattr(args, s).resolve()) for s in SIDES}
-    ops = build_ops(pkgs, args.corpus or args.b / "tests" / "corpus", args.family_max_n)
+    ops = build_ops(pkgs, args.b / "tests" / "corpus", args.family_max_n)
 
     for _, name, by_side in ops:  # warm-up, and the outputs must agree
         if by_side["a"]() != by_side["b"]():
