@@ -55,6 +55,14 @@ LIST_VALUED = ("anyOf", "allOf", "oneOf", "prefixItems")
 MAP_VALUED = ("properties", "patternProperties")
 BOOLEAN_APPLICATORS = ("anyOf", "allOf", "oneOf", "not")
 
+#: How a keyword holds subschemas: 0 one, 1 a list, 2 a name map.  Every
+#: traversal of a node's children dispatches on this table.
+CHILD_KIND = {
+    **dict.fromkeys(SCHEMA_VALUED, 0),
+    **dict.fromkeys(LIST_VALUED, 1),
+    **dict.fromkeys(MAP_VALUED, 2),
+}
+
 _PLAIN_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 
@@ -412,7 +420,7 @@ def _index_anchors(doc: SchemaDocument) -> None:
 
 
 def _check_closed(doc: SchemaDocument) -> None:
-    for s in distinct_nodes((doc.root, *doc.defs.values())):
+    for s in distinct_nodes(top for _, top in doc.named_schemas()):
         if isinstance(s, ObjSchema):
             kw = s.get("$ref")
             if kw is not None:
@@ -439,25 +447,18 @@ def deref(doc: SchemaDocument, uri: str) -> Schema:
 # traversal
 
 
-#: How a keyword holds subschemas: 0 one, 1 a list, 2 a name map.
-_CHILD_KIND = {
-    **dict.fromkeys(SCHEMA_VALUED, 0),
-    **dict.fromkeys(LIST_VALUED, 1),
-    **dict.fromkeys(MAP_VALUED, 2),
-}
-
-
 def child_schemas(s: Schema) -> Iterator[tuple[Keyword, Schema]]:
     """All directly nested subschemas, with the keyword that holds them."""
     if not isinstance(s, ObjSchema):
         return
     for kw in s.keywords:
-        if kw.name in SCHEMA_VALUED:
+        kind = CHILD_KIND.get(kw.name)
+        if kind == 0:
             yield kw, kw.value
-        elif kw.name in LIST_VALUED:
+        elif kind == 1:
             for sub in kw.value:
                 yield kw, sub
-        elif kw.name in MAP_VALUED:
+        elif kind == 2:
             for sub in kw.value.values():
                 yield kw, sub
 
@@ -471,16 +472,20 @@ def walk(s: Schema) -> Iterator[Schema]:
 
 def distinct_nodes(tops: Iterable[Schema]) -> list[Schema]:
     """Every node reachable from ``tops``, each once however often it
-    occurs, in the order first met.
+    occurs, in the order first met: ``tops`` in turn, each pre-order, but
+    with the children of a node taken last to first.
 
     Rewrites share subschemas, so this costs one visit per distinct node
     where :func:`walk` costs one per occurrence.  Nodes are told apart by
-    ``id``, not by :attr:`Schema.key`, so no key is computed.
+    ``id``, not by :attr:`Schema.key`, so no key is computed.  Children
+    are pushed as they come and popped last first; putting them in walk
+    order would cost a reversal per node.
     """
     order: list[Schema] = []
     seen: set[int] = set()
     stack: list = list(tops)
-    kinds = _CHILD_KIND
+    stack.reverse()
+    kinds = CHILD_KIND
     while stack:
         s = stack.pop()
         if id(s) in seen:
@@ -629,11 +634,12 @@ def schema_to_json(s: Schema) -> JsonValue:
 
 
 def _keyword_json(kw: Keyword, memo: dict) -> JsonValue:
-    if kw.name in SCHEMA_VALUED:
+    kind = CHILD_KIND.get(kw.name)
+    if kind == 0:
         return _schema_json(kw.value, memo)
-    if kw.name in LIST_VALUED:
+    if kind == 1:
         return [_schema_json(s, memo) for s in kw.value]
-    if kw.name in MAP_VALUED:
+    if kind == 2:
         return {k: _schema_json(s, memo) for k, s in kw.value.items()}
     if kw.name == "required":
         return list(kw.value)
@@ -692,7 +698,7 @@ def canonical_text(s: Schema) -> str:
     parts = []
     for name in sorted(by_name):
         value = by_name[name]
-        kind = _CHILD_KIND.get(name)
+        kind = CHILD_KIND.get(name)
         if kind == 0:
             text = value.key
         elif kind == 1:

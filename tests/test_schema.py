@@ -13,6 +13,7 @@ from uneval.schema import (
     ObjSchema,
     SchemaDocument,
     boolean_one_of,
+    child_schemas,
     deref,
     distinct_nodes,
     find_unguarded_cycle,
@@ -306,21 +307,35 @@ def _originals_and_rewrites():
             pass
 
 
-def test_key_equals_serialized_json_form():
-    """The key composed from children's keys agrees with the serializer."""
+def _mirrored_first_met(s, first_met: dict) -> None:
+    """Pre-order over first occurrences, a node's children last to first."""
+    if id(s) in first_met:
+        return
+    first_met[id(s)] = None
+    for _, child in reversed(list(child_schemas(s))):
+        _mirrored_first_met(child, first_met)
+
+
+def test_keys_and_distinct_nodes_over_originals_and_rewrites():
+    """The key composed from children's keys agrees with the serializer, and
+    distinct_nodes lists each node once, in its documented order."""
     checked = 0
     for doc in _originals_and_rewrites():
-        # first-met order keys holders before their children, so most keys
-        # are composed while the children's are not yet cached
-        for s in distinct_nodes((doc.root, *doc.defs.values())):
+        tops = [top for _, top in doc.named_schemas()]
+        nodes = distinct_nodes(tops)
+        first_met: dict[int, None] = {}
+        for top in tops:
+            _mirrored_first_met(top, first_met)
+        assert [id(s) for s in nodes] == list(first_met)
+        # pre-order keys holders before their children, so most keys are
+        # composed while the children's are not yet cached
+        for s in nodes:
             assert s.key == serialize_json(schema_to_json(s))
             checked += 1
     assert checked > 5_000
 
 
-def test_distinct_nodes_lists_each_node_once():
-    for doc in _originals_and_rewrites():
-        tops = [top for _, top in doc.named_schemas()]
-        ids = [id(s) for s in distinct_nodes(tops)]
-        assert len(set(ids)) == len(ids)
-        assert set(ids) == {id(s) for top in tops for s in walk(top)}
+def test_unresolved_reference_in_root_is_reported_first():
+    doc = {"$ref": "#/$defs/nowhere", "$defs": {"a": {"$ref": "#/$defs/elsewhere"}}}
+    with pytest.raises(RefResolutionError, match="nowhere"):
+        parse_schema(doc)
