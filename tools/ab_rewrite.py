@@ -2,7 +2,7 @@
 
 Run from anywhere, with two checkouts of the repository::
 
-    python3 tools/ab_rewrite.py --a PARENT_DIR --b CHANGE_DIR [--rounds 15]
+    python3 tools/ab_rewrite.py --a PARENT_DIR --b CHANGE_DIR [--json OUT]
 
 Each checkout's ``src/uneval`` is imported into this one process under its
 own package name (``uneval_a``, ``uneval_b``).  An op is the user-facing
@@ -12,7 +12,9 @@ guardedness, rewritten and serialized, as ``bench/run.py`` times them for
 is rewritten and serialized, as for ``family_rewrite_s``.  Every round runs
 all ops in a fresh seeded order, each op once under A and once under B, the
 side that goes first alternating per op and round, so both packages see the
-same heap and cache state.  Outputs of A and B must be byte-identical.
+same heap and cache state.  There are ``ROUNDS`` rounds, ordered from a
+fixed ``SEED``, and the families run n = 2..``FAMILY_MAX_N``.  Outputs of A
+and B must be byte-identical.
 
 The report gives, per op, the median time of each side and their relative
 difference; then the corpus p50/p90 over per-fixture medians (the shape of
@@ -35,6 +37,9 @@ import time
 from pathlib import Path
 
 SIDES = ("a", "b")
+ROUNDS = 40
+SEED = 7
+FAMILY_MAX_N = 8
 
 
 def load_package(name: str, checkout: Path):
@@ -72,16 +77,16 @@ def family_op(pkg, kind: str, n: int):
     return op
 
 
-def build_ops(pkgs: dict, corpus_dir: Path, max_n: int) -> list[tuple[str, str, dict]]:
+def build_ops(pkgs: dict, corpus_dir: Path) -> list[tuple[str, str, dict]]:
     """(group, name, {side: op}) for every non-adversarial fixture and
-    every family member ``sn``/``san`` with n = 2..max_n."""
+    every family member ``sn``/``san`` with n = 2..FAMILY_MAX_N."""
     ops = []
     for path in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
         if path.name.startswith("adv_"):
             continue
         data = (path / "schema.json").read_bytes()
         ops.append(("corpus", path.name, {s: corpus_op(pkgs[s], data) for s in SIDES}))
-    for n in range(2, max_n + 1):
+    for n in range(2, FAMILY_MAX_N + 1):
         for kind in ("sn", "san"):
             ops.append(("family", f"{kind}_{n}", {s: family_op(pkgs[s], kind, n) for s in SIDES}))
     return ops
@@ -107,21 +112,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", type=Path, required=True, help="checkout A (the parent)")
     parser.add_argument("--b", type=Path, required=True, help="checkout B (the change)")
-    parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--family-max-n", type=int, default=8)
     parser.add_argument("--json", type=Path, help="also write the report here")
     args = parser.parse_args(argv)
     pkgs = {s: load_package(f"uneval_{s}", getattr(args, s).resolve()) for s in SIDES}
-    ops = build_ops(pkgs, args.b / "tests" / "corpus", args.family_max_n)
+    ops = build_ops(pkgs, args.b / "tests" / "corpus")
 
     for _, name, by_side in ops:  # warm-up, and the outputs must agree
         if by_side["a"]() != by_side["b"]():
             raise SystemExit(f"{name}: A and B rewrite to different texts")
 
     times = {name: {s: [] for s in SIDES} for _, name, _ in ops}
-    rng = random.Random(args.seed)
-    for r in range(args.rounds):
+    rng = random.Random(SEED)
+    for r in range(ROUNDS):
         order = list(range(len(ops)))
         rng.shuffle(order)
         for k, i in enumerate(order):
@@ -154,8 +156,8 @@ def main(argv=None) -> int:
     if args.json:
         report = {
             "python": platform.python_version(),
-            "rounds": args.rounds,
-            "seed": args.seed,
+            "rounds": ROUNDS,
+            "seed": SEED,
             "commits": {s: head(getattr(args, s)) for s in SIDES},
             "summary": summary,
             "per_op": per_op,
