@@ -53,7 +53,7 @@ def count_uneval_keywords(doc: SchemaDocument) -> int:
     document with none, as every rewrite is, is answered by one plain
     visit per distinct node, which costs about half of the memoized count.
     """
-    tops = [top for _, top in doc.named_schemas()]
+    tops = (doc.root, *doc.defs.values())
     if not any(
         kw.name in ADK_NAMES
         for s in distinct_nodes(tops)

@@ -420,7 +420,8 @@ def _index_anchors(doc: SchemaDocument) -> None:
 
 
 def _check_closed(doc: SchemaDocument) -> None:
-    for s in distinct_nodes(top for _, top in doc.named_schemas()):
+    # parsing stores the definitions in name order
+    for s in distinct_nodes((doc.root, *doc.defs.values())):
         if isinstance(s, ObjSchema):
             kw = s.get("$ref")
             if kw is not None:
