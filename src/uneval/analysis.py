@@ -145,30 +145,30 @@ class Analyzer:
 
     def __init__(self, doc: SchemaDocument):
         self.doc = doc
-        # id -> (node, value); the node reference keeps ids from being reused
-        self._memo: dict[str, dict[int, tuple]] = {
-            "min_ep": {},
-            "max_ep": {},
-            "min_ei": {},
-            "max_ei": {},
-        }
-
-    def _memoized(self, table: str, s: Schema, compute):
-        memo = self._memo[table]
-        hit = memo.get(id(s))
-        if hit is not None and hit[0] is s:
-            return hit[1]
-        value = compute(s)
-        memo[id(s)] = (s, value)
-        return value
+        # one memo per bound, id -> (node, value); the node reference keeps
+        # ids from being reused
+        self._min_ep: dict[int, tuple[Schema, PatternSet]] = {}
+        self._max_ep: dict[int, tuple[Schema, PatternSet]] = {}
+        self._min_ei: dict[int, tuple[Schema, EvalPair]] = {}
+        self._max_ei: dict[int, tuple[Schema, EvalPair]] = {}
 
     # -- property bounds
 
     def min_ep(self, s: Schema) -> PatternSet:
-        return self._memoized("min_ep", s, lambda n: self._ep(n, lower=True))
+        hit = self._min_ep.get(id(s))
+        if hit is not None and hit[0] is s:
+            return hit[1]
+        value = self._ep(s, lower=True)
+        self._min_ep[id(s)] = (s, value)
+        return value
 
     def max_ep(self, s: Schema) -> PatternSet:
-        return self._memoized("max_ep", s, lambda n: self._ep(n, lower=False))
+        hit = self._max_ep.get(id(s))
+        if hit is not None and hit[0] is s:
+            return hit[1]
+        value = self._ep(s, lower=False)
+        self._max_ep[id(s)] = (s, value)
+        return value
 
     def _ep(self, s: Schema, lower: bool) -> PatternSet:
         if isinstance(s, BoolSchema):
@@ -214,10 +214,20 @@ class Analyzer:
     # -- item bounds
 
     def min_ei(self, s: Schema) -> EvalPair:
-        return self._memoized("min_ei", s, lambda n: self._ei(n, lower=True))
+        hit = self._min_ei.get(id(s))
+        if hit is not None and hit[0] is s:
+            return hit[1]
+        value = self._ei(s, lower=True)
+        self._min_ei[id(s)] = (s, value)
+        return value
 
     def max_ei(self, s: Schema) -> EvalPair:
-        return self._memoized("max_ei", s, lambda n: self._ei(n, lower=False))
+        hit = self._max_ei.get(id(s))
+        if hit is not None and hit[0] is s:
+            return hit[1]
+        value = self._ei(s, lower=False)
+        self._max_ei[id(s)] = (s, value)
+        return value
 
     def _ei(self, s: Schema, lower: bool) -> EvalPair:
         if isinstance(s, BoolSchema):

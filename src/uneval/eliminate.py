@@ -11,6 +11,7 @@ the property side, ``prefixItems``+``items`` on the item side).
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from .analysis import Analyzer, PatternSet
@@ -28,7 +29,7 @@ from .schema import (
     TRUE_SCHEMA,
     all_of,
     any_of,
-    build_document,
+    assemble_document,
     child_schemas,
     deref,
     distinct_nodes,
@@ -98,13 +99,24 @@ class _FreshNames:
 
 
 def _rebuild_keyword(kw: Keyword, rewrite) -> Keyword:
+    """``kw`` with ``rewrite`` applied to its subschemas; ``kw`` itself when
+    ``rewrite`` returned each of them unchanged."""
     kind = CHILD_KIND.get(kw.name)
     if kind == 0:
-        return Keyword(kw.name, rewrite(kw.value))
+        new = rewrite(kw.value)
+        return kw if new is kw.value else Keyword(kw.name, new)
     if kind == 1:
-        return Keyword(kw.name, tuple(rewrite(s) for s in kw.value))
+        news = tuple([rewrite(s) for s in kw.value])
+        if all(map(operator.is_, news, kw.value)):
+            return kw
+        return Keyword(kw.name, news)
     if kind == 2:
-        return Keyword(kw.name, {k: rewrite(s) for k, s in kw.value.items()})
+        changed = {}
+        for k, s in kw.value.items():
+            new = rewrite(s)
+            if new is not s:
+                changed[k] = new
+        return Keyword(kw.name, {**kw.value, **changed}) if changed else kw
     return kw
 
 
@@ -126,9 +138,13 @@ class _Hoister:
         return rebuilt
 
     def rewrite_children(self, s: Schema) -> Schema:
+        """``s`` with its children hoisted; ``s`` itself when none changed."""
         if not isinstance(s, ObjSchema):
             return s
-        return ObjSchema(tuple(_rebuild_keyword(kw, self.hoist) for kw in s.keywords))
+        keywords = tuple([_rebuild_keyword(kw, self.hoist) for kw in s.keywords])
+        if all(map(operator.is_, keywords, s.keywords)):
+            return s
+        return ObjSchema(keywords)
 
 
 def unnest(doc: SchemaDocument) -> SchemaDocument:
@@ -136,12 +152,18 @@ def unnest(doc: SchemaDocument) -> SchemaDocument:
 
     Afterwards every unevaluated* keyword sits at the top level of a named
     schema, and uneval-schemas reach each other only through references.
+    Subtrees without unevaluated* are kept as they are, and a document
+    with nothing to hoist is returned itself.
     """
     hoister = _Hoister(set(doc.defs))
     defs = {name: hoister.rewrite_children(s) for name, s in doc.defs.items()}
     root = hoister.rewrite_children(doc.root)
+    if not hoister.new_defs:
+        return doc
     defs.update(hoister.new_defs)
-    return build_document(root, defs)
+    # closed: the old references keep their targets, the new ones name the
+    # hoisted definitions
+    return assemble_document(root, defs)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +337,17 @@ def elim_document(doc: SchemaDocument) -> SchemaDocument:
 def elim_document_with_stats(
     doc: SchemaDocument,
 ) -> tuple[SchemaDocument, dict[str, int]]:
+    """The rewrite of ``doc`` and the ENF branch count of each named schema
+    that carried unevaluated*.  A document without unevaluated* comes back
+    as a new document over the same nodes, with no counts."""
     cycle = find_unguarded_cycle(doc)
     if cycle is not None:
         raise GuardednessError(cycle)
     unnested = unnest(doc)
+    if not any(map(is_uneval_schema, (unnested.root, *unnested.defs.values()))):
+        # nothing was hoisted (hoisted schemas carry unevaluated*), so this
+        # is ``doc``, and no node of it has unevaluated*
+        return SchemaDocument(doc.root, dict(doc.defs), dict(doc.anchors)), {}
     run = _ElimRun(unnested)
     try:
         new_defs = {name: run.elim_named(name) for name in sorted(unnested.defs)}
@@ -327,7 +356,20 @@ def elim_document_with_stats(
         # the builder calls back into the run: break that cycle so that the
         # run's memos are freed now, not at the next full collection
         run.enf_builder = None
-    out = build_document(new_root, new_defs)
-    if count_uneval_keywords(out) != 0:
-        raise EliminationError("rewriting left unevaluated* keywords behind")
+    # each named schema keeps its name and its $anchor, and every reference
+    # of a rewrite was one of the unnested document's
+    out = assemble_document(new_root, new_defs)
+    _check_rewrite(out)
     return out, dict(run.enf_branches)
+
+
+def _check_rewrite(doc: SchemaDocument) -> None:
+    """Every reference resolves and no unevaluated* is left: one visit per
+    distinct node."""
+    for s in distinct_nodes((doc.root, *doc.defs.values())):
+        if isinstance(s, ObjSchema):
+            for kw in s.keywords:
+                if kw.name == "$ref":
+                    deref(doc, kw.value)  # raises if unresolved
+                elif kw.name in ADK_NAMES:
+                    raise EliminationError("rewriting left unevaluated* keywords behind")

@@ -19,8 +19,9 @@ from typing import Iterator
 from .jsonvalue import JsonValue
 from .schema import (
     ObjSchema,
+    Schema,
     SchemaDocument,
-    document_schemas,
+    distinct_nodes,
 )
 
 SCALAR_ALPHABET: tuple[JsonValue, ...] = (None, 0, "x")
@@ -42,10 +43,16 @@ def pattern_literal(pattern: str) -> str | None:
     return None
 
 
+def _document_nodes(doc: SchemaDocument) -> list[Schema]:
+    """Each node of the document once; the callers below only collect a
+    set, a maximum or a yes/no, so the order does not matter."""
+    return distinct_nodes((doc.root, *doc.defs.values()))
+
+
 def relevant_property_names(doc: SchemaDocument) -> list[str]:
     """Names the schema can distinguish: literal keys, requireds, patterns."""
     names: set[str] = set()
-    for s in document_schemas(doc):
+    for s in _document_nodes(doc):
         if not isinstance(s, ObjSchema):
             continue
         for kw in s.keywords:
@@ -63,7 +70,7 @@ def relevant_property_names(doc: SchemaDocument) -> list[str]:
 
 def relevant_prefix_positions(doc: SchemaDocument) -> int:
     longest = 0
-    for s in document_schemas(doc):
+    for s in _document_nodes(doc):
         if isinstance(s, ObjSchema):
             kw = s.get("prefixItems")
             if kw is not None:
@@ -94,7 +101,7 @@ def oracle_names(doc: SchemaDocument) -> list[str]:
 
 
 def _uses(doc: SchemaDocument, keyword_names: tuple[str, ...]) -> bool:
-    for s in document_schemas(doc):
+    for s in _document_nodes(doc):
         if isinstance(s, ObjSchema):
             for kw in s.keywords:
                 if kw.name in keyword_names:

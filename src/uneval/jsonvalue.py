@@ -181,10 +181,18 @@ def _canonical(v: JsonValue) -> str:
     raise TypeError(f"not a JSON value: {v!r}")
 
 
-def _shared_uses(v: list | dict) -> dict[int, int]:
+#: Scalar types the C encoder writes exactly as :func:`_canonical` does.
+_PLAIN_SCALARS = frozenset((str, int, bool, type(None)))
+_STR_ONLY = frozenset((str,))
+
+
+def _shared_uses(v: list | dict) -> tuple[dict[int, int], bool]:
     """How often each list or dict that occurs more than once in ``v`` is
-    met, by ``id``, when each is entered only the first time it is met."""
+    met, by ``id``, when each is entered only the first time it is met;
+    and whether every scalar in ``v`` is exactly a str, int, bool or None
+    and every key a str."""
     met: dict[int, int] = {}
+    plain = True
     stack = [v]
     pop, push = stack.pop, stack.append
     while stack:
@@ -194,11 +202,17 @@ def _shared_uses(v: list | dict) -> dict[int, int]:
             met[i] += 1
             continue
         met[i] = 1
-        for c in x.values() if type(x) is dict else x:
+        if type(x) is dict:
+            if plain and not _STR_ONLY.issuperset(map(type, x)):
+                plain = False
+            x = x.values()
+        for c in x:
             t = type(c)
             if t is dict or t is list:
                 push(c)
-    return {i: n for i, n in met.items() if n > 1}
+            elif t not in _PLAIN_SCALARS:
+                plain = False
+    return {i: n for i, n in met.items() if n > 1}, plain
 
 
 class _SharedWriter:
@@ -232,6 +246,14 @@ class _SharedWriter:
         return "{" + ",".join([string_text(k) + ":" + text(v[k]) for k in sorted(v)]) + "}"
 
 
+#: Writes plain trees (see :func:`_shared_uses`) in C, with the same text
+#: as :func:`_canonical`: ints through ``int.__repr__``, strings through
+#: :data:`string_text`, keys sorted.
+_PLAIN_ENCODER = json.JSONEncoder(
+    ensure_ascii=False, separators=(",", ":"), sort_keys=True, check_circular=False
+)
+
+
 def serialize_json(v: JsonValue) -> str:
     """Canonical serialization: compact, object keys in lexicographic order.
 
@@ -240,14 +262,17 @@ def serialize_json(v: JsonValue) -> str:
     joined from its members' texts, so no per-token list is built.  A list
     or dict object that occurs at several places in ``v`` (as the JSON form
     of a rewrite shares subschemas) is serialized once per call; its text
-    is kept only until its last occurrence.
+    is kept only until its last occurrence.  A tree without shared
+    containers, floats or Decimals goes through the C encoder.
     """
     if type(v) is not dict and type(v) is not list:
         return _canonical(v)
-    uses = _shared_uses(v)
-    if not uses:
-        return _canonical(v)
-    return _SharedWriter(uses).text(v)
+    uses, plain = _shared_uses(v)
+    if uses:
+        return _SharedWriter(uses).text(v)
+    if plain:
+        return _PLAIN_ENCODER.encode(v)
+    return _canonical(v)
 
 
 def dump_json(v: JsonValue, indent: int = 2) -> str:
@@ -259,10 +284,7 @@ def dump_json(v: JsonValue, indent: int = 2) -> str:
         if isinstance(node, dict):
             if not node:
                 return "{}"
-            rows = [
-                f"{inner}{json.dumps(k, ensure_ascii=False)}: {rec(val, depth + 1)}"
-                for k, val in node.items()
-            ]
+            rows = [f"{inner}{string_text(k)}: {rec(val, depth + 1)}" for k, val in node.items()]
             return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
         if isinstance(node, list):
             if not node:
@@ -275,6 +297,6 @@ def dump_json(v: JsonValue, indent: int = 2) -> str:
             return "true" if node else "false"
         if is_number(node):
             return format_number(node)
-        return json.dumps(node, ensure_ascii=False)
+        return string_text(node)
 
     return rec(v, 0)

@@ -185,6 +185,10 @@ class SchemaDocument:
     #: The validator's closures, per node of this document, keyed by the
     #: node's ``id``; filled on first validation (see :mod:`uneval.validator`).
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: :func:`find_unguarded_cycle`'s answer, ``()`` for none; filled on
+    #: first call.  Like ``compiled``, it relies on the document not
+    #: changing after construction.
+    cycle: Optional[tuple[str, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def named_schemas(self) -> Iterator[tuple[str, Schema]]:
         """Root first (name ``""``), then definitions in name order."""
@@ -246,6 +250,8 @@ def _parse_pattern(v, path):
 
 class _Parser:
     def __init__(self):
+        #: every ``$ref`` argument parsed so far, in the order parsed
+        self.refs: list[str] = []
         self.scalar_parsers: dict[str, Callable] = {
             "minimum": _parse_number,
             "maximum": _parse_number,
@@ -302,6 +308,7 @@ class _Parser:
                     f"'#anchor' are supported, got {arg!r}",
                     path,
                 )
+            self.refs.append(arg)
             return Keyword(name, arg)
         if name == "type":
             if arg not in TYPE_NAMES:
@@ -368,10 +375,14 @@ def parse_schema(v: JsonValue) -> SchemaDocument:
 
     Keywords are canonically reordered, ``$defs``/``$anchor`` are indexed,
     ``minContains``/``maxContains`` defaults are materialized, and the
-    document is checked to be closed (every reference resolves).
+    document is checked to be closed (every reference resolves).  An
+    unresolved reference of the root is reported before those of the
+    definitions, and within one named schema the first parsed: keywords in
+    source order, map entries by name.
     """
     parser = _Parser()
     defs: dict[str, Schema] = {}
+    def_refs: list[str] = []
     if isinstance(v, dict) and "$defs" in v:
         defs_json = v["$defs"]
         if not isinstance(defs_json, dict):
@@ -380,18 +391,27 @@ def parse_schema(v: JsonValue) -> SchemaDocument:
             defs[name] = parser.parse_schema_node(
                 defs_json[name], f"/$defs/{name}", named_top=True
             )
+        def_refs, parser.refs = parser.refs, []
         v = {k: val for k, val in v.items() if k != "$defs"}
     root = parser.parse_schema_node(v, "", named_top=True)
-    doc = SchemaDocument(root=root, defs=defs)
+    doc = assemble_document(root, defs)
+    for uri in dict.fromkeys(parser.refs + def_refs):
+        deref(doc, uri)  # raises if unresolved
+    return doc
+
+
+def assemble_document(root: Schema, defs: dict[str, Schema]) -> SchemaDocument:
+    """A document over already-parsed schemas, anchors re-indexed; the
+    caller vouches that every reference resolves."""
+    doc = SchemaDocument(root=root, defs=dict(defs))
     _index_anchors(doc)
-    _check_closed(doc)
     return doc
 
 
 def build_document(root: Schema, defs: dict[str, Schema]) -> SchemaDocument:
-    """Assemble a document from already-parsed schemas and re-index anchors."""
-    doc = SchemaDocument(root=root, defs=dict(defs))
-    _index_anchors(doc)
+    """Assemble a document from already-parsed schemas, re-index anchors and
+    check that it is closed."""
+    doc = assemble_document(root, defs)
     _check_closed(doc)
     return doc
 
@@ -531,14 +551,47 @@ def _inplace_edges(
 
 
 def find_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
-    """One cycle of the immediately-unguardedly-depends graph, or None."""
+    """One cycle of the immediately-unguardedly-depends graph, or None.
+
+    Searched once per document and kept in ``doc.cycle``; each call
+    returns a list of its own.
+    """
+    if doc.cycle is None:
+        doc.cycle = tuple(_first_unguarded_cycle(doc) or ())
+    return list(doc.cycle) or None
+
+
+def _first_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
+    """The cycle found by a depth-first search from each distinct node, in
+    the order :func:`walk` first meets them, named schema by named schema.
+
+    Every cycle takes a reference, so it passes through a named or an
+    anchored schema: a search from those alone tells whether there is one,
+    and only then are all nodes searched.  The nodes to start from are told
+    apart by a set of their own, not by the search's colours: a node the
+    search has finished may still have children (under ``properties``, say)
+    that no search has reached, and skipping them would change which cycle
+    is found first.
+    """
     color: dict[int, int] = {}
+    targets = (doc.root, *doc.defs.values(), *doc.anchors.values())
+    if all(_unguarded_path(doc, color, s, []) is None for s in targets):
+        return None
+    color.clear()
+    seen: set[int] = set()
     for name, top in doc.named_schemas():
         start = f"#/$defs/{name}" if name else "#"
-        for s in walk(top):
-            found = _unguarded_path(doc, color, s, [start])
-            if found is not None:
-                return found
+        stack = [top]
+        while stack:
+            s = stack.pop()
+            if id(s) in seen:
+                continue
+            seen.add(id(s))
+            if id(s) not in color:
+                found = _unguarded_path(doc, color, s, [start])
+                if found is not None:
+                    return found
+            stack.extend(reversed([child for _, child in child_schemas(s)]))
     return None
 
 

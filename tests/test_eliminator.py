@@ -4,6 +4,7 @@ from uneval.analysis import PatternSet
 from uneval.eliminate import (
     count_uneval_keywords,
     elim_document,
+    elim_document_with_stats,
     is_uneval_schema,
     p_props,
     pref_its,
@@ -24,6 +25,7 @@ from uneval.schema import (
     all_of,
     any_of,
     build_document,
+    distinct_nodes,
     not_,
     keyword_to_json,
     parse_schema,
@@ -103,6 +105,42 @@ def test_unnest_named_uneval_unchanged():
     )
     out = unnest(doc)
     assert serialize_schema(out) == serialize_schema(doc)
+
+
+def _tops(doc):
+    return (doc.root, *doc.defs.values())
+
+
+def test_document_without_uneval_comes_back_over_the_same_nodes():
+    plain = 0
+    for fixture in load_corpus():
+        doc = parse_schema(fixture.schema_json)
+        if count_uneval_keywords(doc):
+            continue
+        plain += 1
+        assert unnest(doc) is doc
+        out, stats = elim_document_with_stats(doc)
+        assert stats == {}
+        assert out is not doc and out.defs is not doc.defs
+        assert out.root is doc.root
+        assert out.defs.keys() == doc.defs.keys()
+        assert all(out.defs[name] is s for name, s in doc.defs.items())
+        assert out.anchors == doc.anchors
+    assert plain >= 30
+
+
+def test_unnest_keeps_subtrees_without_uneval():
+    kept = 0
+    for fixture in load_corpus():
+        doc = parse_schema(fixture.schema_json)
+        if not count_uneval_keywords(doc):
+            continue
+        after = {id(s) for s in distinct_nodes(_tops(unnest(doc)))}
+        for s in distinct_nodes(_tops(doc)):
+            if not any(map(is_uneval_schema, walk(s))):
+                assert id(s) in after, fixture.name
+                kept += 1
+    assert kept > 100
 
 
 def test_p_props():

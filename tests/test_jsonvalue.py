@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uneval.eliminate import elim_document
 from uneval.errors import DuplicateKeyError, JsonParseError
+from uneval.families import gen_family_san, gen_family_sn
 from uneval.jsonvalue import (
+    _canonical,
+    dump_json,
     format_number,
     json_equal,
     parse_json,
@@ -16,6 +20,10 @@ from uneval.jsonvalue import (
     type_of,
     unique_key,
 )
+from uneval.schema import parse_schema, serialize_schema
+
+from conftest import load_corpus
+from randgen import gen_instance, gen_schema
 
 
 def test_parse_object():
@@ -128,6 +136,61 @@ def test_serialize_shared_containers_random():
         assert serialize_json(value) == expected, seed
         assert serialize_json(copy.deepcopy(value)) == expected, seed
         assert serialize_json(value) == expected, seed
+
+
+def test_serialize_plain_trees_as_canonical():
+    """Plain trees take the C encoder, others the Python writers; all
+    agree with the recursive canonical writer."""
+    rng = random.Random(23)
+    values = [gen_instance(rng, 4) for _ in range(300)]
+    values += [gen_schema(rng, 4) for _ in range(300)]
+    values += [
+        {"a": 1.0, "b": [1e20, -0.5]},
+        [Decimal("1.50"), Decimal("1E+3"), Decimal("-0")],
+        {"t": True, "f": False, "one": 1, "zero": 0, "big": 10**30, "n": None},
+        [True, 1, False, 0, [True], {"1": 1}],
+        {"é": "\u2028\"\n\x00", "": [[], {}]},
+        {"deep": [[[[{"x": [1, [2, [3]]]}]]]]},
+    ]
+    for v in values:
+        assert serialize_json(v) == _canonical(v), v
+    leaf = {"k": [1, "x"]}
+    shared = {"p": leaf, "q": [leaf, leaf], "r": 1.0}
+    assert serialize_json(shared) == _canonical(shared)
+    assert serialize_json([leaf, leaf]) == _canonical([leaf, leaf])
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, [{"a": {None: 1}}], {"a": {(1,): 2}}, [(1, 2)], {"a": {1.5}}])
+def test_serialize_rejects_non_json(value):
+    with pytest.raises(TypeError):
+        serialize_json(value)
+
+
+def _has_decimal(v):
+    if isinstance(v, dict):
+        return any(map(_has_decimal, v.values()))
+    if isinstance(v, list):
+        return any(map(_has_decimal, v))
+    return isinstance(v, Decimal)
+
+
+def test_dump_json_matches_json_dumps():
+    outputs = []
+    for fixture in load_corpus():
+        if not fixture.adversarial:
+            outputs.append(serialize_schema(elim_document(parse_schema(fixture.schema_json))))
+    for n in range(2, 7):
+        for gen in (gen_family_sn, gen_family_san):
+            outputs.append(serialize_schema(elim_document(gen(n))))
+    compared = 0
+    for v in outputs:
+        if not _has_decimal(v):  # json.dumps cannot write a Decimal
+            assert dump_json(v) == json.dumps(v, indent=2, ensure_ascii=False)
+            compared += 1
+    assert compared >= 75
+    # a Decimal keeps its plain-decimal text
+    v = {"é": [Decimal("2.50"), Decimal("1E+2"), 3], "b": {}}
+    assert dump_json(v) == '{\n  "é": [\n    2.5,\n    100,\n    3\n  ],\n  "b": {}\n}'
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from uneval.schema import (
     find_unguarded_cycle,
     in_place_depth,
     parse_schema,
+    _inplace_edges,
     schema_to_json,
     serialize_schema,
     walk,
@@ -339,3 +340,115 @@ def test_unresolved_reference_in_root_is_reported_first():
     doc = {"$ref": "#/$defs/nowhere", "$defs": {"a": {"$ref": "#/$defs/elsewhere"}}}
     with pytest.raises(RefResolutionError, match="nowhere"):
         parse_schema(doc)
+
+
+def test_unresolved_references_within_one_schema_in_parse_order():
+    # keywords in source order, map entries by name
+    doc = {"anyOf": [{"$ref": "#/$defs/second"}, {"$ref": "#/$defs/first"}]}
+    with pytest.raises(RefResolutionError, match="second"):
+        parse_schema(doc)
+    doc = {"properties": {"z": {"$ref": "#/$defs/z"}, "a": {"$ref": "#/$defs/a"}}}
+    with pytest.raises(RefResolutionError, match="'#/\\$defs/a'"):
+        parse_schema(doc)
+    doc = {"$defs": {"b": {"$ref": "#b_target"}, "a": {"not": {"$ref": "#a_target"}}}}
+    with pytest.raises(RefResolutionError, match="a_target"):
+        parse_schema(doc)
+
+
+def _walk_order_cycle(doc):
+    """Reference for find_unguarded_cycle: a depth-first search from every
+    occurrence of every node, in walk order, colours shared."""
+    color = {}
+
+    def path(s, trail):
+        state = color.get(id(s))
+        if state == "grey":
+            return trail
+        if state == "black":
+            return None
+        color[id(s)] = "grey"
+        for label, nxt in _inplace_edges(doc, s):
+            found = path(nxt, trail + [label])
+            if found is not None:
+                return found
+        color[id(s)] = "black"
+        return None
+
+    for name, top in doc.named_schemas():
+        start = f"#/$defs/{name}" if name else "#"
+        for s in walk(top):
+            found = path(s, [start])
+            if found is not None:
+                return found
+    return None
+
+
+#: A node coloured by its parent's search (``middle``, reached through
+#: ``anyOf``) has a ``properties`` child that reaches a cycle; a search
+#: that skipped the children of coloured nodes would first find the cycle
+#: of the definition ``a`` instead.
+COLOURED_PARENT = {
+    "anyOf": [{"properties": {"p": {"$ref": "#/$defs/b"}}}],
+    "$defs": {
+        "a": {"anyOf": [{"$ref": "#/$defs/a"}]},
+        "b": {"allOf": [True, {"not": {"$ref": "#/$defs/b"}}]},
+    },
+}
+
+
+def _random_ref_document(rng):
+    """Definitions that reference each other at in-place and at guarded
+    places, around randgen subschemas; cyclic or not."""
+    names = [f"d{i}" for i in range(rng.randrange(1, 5))]
+
+    def ref():
+        return {"$ref": "#/$defs/" + rng.choice(names)}
+
+    def part(depth):
+        roll = rng.randrange(7)
+        if depth == 0 or roll == 0:
+            return gen_schema(rng, 1, allow_uneval=False)
+        if roll == 1:
+            return ref()
+        if roll == 2:
+            return {"anyOf": [part(depth - 1) for _ in range(rng.randrange(1, 3))]}
+        if roll == 3:
+            return {"not": part(depth - 1)}
+        if roll == 4:
+            return {"properties": {"a": part(depth - 1), "b": part(depth - 1)}}
+        if roll == 5:
+            return {"items": part(depth - 1), "allOf": [part(depth - 1)]}
+        return {"oneOf": [part(depth - 1), part(depth - 1)]}
+
+    return {"allOf": [part(3)], "$defs": {name: part(3) for name in names}}
+
+
+def test_find_unguarded_cycle_follows_walk_order():
+    docs = [parse_schema(COLOURED_PARENT)]
+    docs += [parse_schema(f.schema_json) for f in load_corpus()]
+    rng = random.Random(41)
+    docs += [parse_schema(_random_ref_document(rng)) for _ in range(400)]
+    cyclic = 0
+    for doc in docs:
+        expected = _walk_order_cycle(doc)
+        assert find_unguarded_cycle(doc) == expected
+        cyclic += expected is not None
+    assert 50 < cyclic < len(docs) - 50
+    # found from the root's properties child, before the definitions
+    assert find_unguarded_cycle(docs[0]) == [
+        "#",
+        "$ref:#/$defs/b",
+        "allOf[1]",
+        "not",
+        "$ref:#/$defs/b",
+    ]
+
+
+def test_find_unguarded_cycle_returns_a_list_of_its_own():
+    doc = parse_schema(COLOURED_PARENT)
+    first = find_unguarded_cycle(doc)
+    expected = list(first)
+    first.append("mutated")
+    first[0] = "mutated"
+    second = find_unguarded_cycle(doc)
+    assert second == expected and second is not first

@@ -14,7 +14,8 @@ all ops in a fresh seeded order, each op once under A and once under B, the
 side that goes first alternating per op and round, so both packages see the
 same heap and cache state.  There are ``ROUNDS`` rounds, ordered from a
 fixed ``SEED``, and the families run n = 2..``FAMILY_MAX_N``.  Outputs of A
-and B must be byte-identical.
+and B must be byte-identical, and their ENF branch counts
+(``elim_document_with_stats``' stats) equal.
 
 The report gives, per op, the median time of each side and their relative
 difference; then the corpus p50/p90 over per-fixture medians (the shape of
@@ -57,12 +58,12 @@ def load_package(name: str, checkout: Path):
 
 
 def corpus_op(pkg, schema_bytes: bytes):
-    def op() -> str:
+    def op() -> tuple[str, dict]:
         doc = pkg.parse_schema(pkg.parse_json(schema_bytes))
         if pkg.find_unguarded_cycle(doc) is not None:
             raise SystemExit("corpus schema reported as unguarded")
-        out, _ = pkg.elim_document_with_stats(doc)
-        return pkg.serialize_json(pkg.serialize_schema(out))
+        out, stats = pkg.elim_document_with_stats(doc)
+        return pkg.serialize_json(pkg.serialize_schema(out)), stats
 
     return op
 
@@ -70,9 +71,9 @@ def corpus_op(pkg, schema_bytes: bytes):
 def family_op(pkg, kind: str, n: int):
     doc = (pkg.gen_family_sn if kind == "sn" else pkg.gen_family_san)(n)
 
-    def op() -> str:
-        out, _ = pkg.elim_document_with_stats(doc)
-        return pkg.serialize_json(pkg.serialize_schema(out))
+    def op() -> tuple[str, dict]:
+        out, stats = pkg.elim_document_with_stats(doc)
+        return pkg.serialize_json(pkg.serialize_schema(out)), stats
 
     return op
 
@@ -118,8 +119,11 @@ def main(argv=None) -> int:
     ops = build_ops(pkgs, args.b / "tests" / "corpus")
 
     for _, name, by_side in ops:  # warm-up, and the outputs must agree
-        if by_side["a"]() != by_side["b"]():
+        (text_a, stats_a), (text_b, stats_b) = by_side["a"](), by_side["b"]()
+        if text_a != text_b:
             raise SystemExit(f"{name}: A and B rewrite to different texts")
+        if stats_a != stats_b:
+            raise SystemExit(f"{name}: A and B report different ENF branch counts")
 
     times = {name: {s: [] for s in SIDES} for _, name, _ in ops}
     rng = random.Random(SEED)
