@@ -189,8 +189,9 @@ _STR_ONLY = frozenset((str,))
 def _shared_uses(v: list | dict) -> tuple[dict[int, int], bool]:
     """How often each list or dict that occurs more than once in ``v`` is
     met, by ``id``, when each is entered only the first time it is met;
-    and whether every scalar in ``v`` is exactly a str, int, bool or None
-    and every key a str."""
+    and whether ``v`` is a plain tree: no container met twice, every
+    scalar exactly a str, int, bool or None, and every key a str.  The
+    scalars and keys are not checked after the first repeat."""
     met: dict[int, int] = {}
     plain = True
     stack = [v]
@@ -200,6 +201,7 @@ def _shared_uses(v: list | dict) -> tuple[dict[int, int], bool]:
         i = id(x)
         if i in met:
             met[i] += 1
+            plain = False
             continue
         met[i] = 1
         if type(x) is dict:
@@ -210,7 +212,7 @@ def _shared_uses(v: list | dict) -> tuple[dict[int, int], bool]:
             t = type(c)
             if t is dict or t is list:
                 push(c)
-            elif t not in _PLAIN_SCALARS:
+            elif plain and t not in _PLAIN_SCALARS:
                 plain = False
     return {i: n for i, n in met.items() if n > 1}, plain
 
