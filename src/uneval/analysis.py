@@ -152,23 +152,22 @@ class Analyzer:
         self._min_ei: dict[int, tuple[Schema, EvalPair]] = {}
         self._max_ei: dict[int, tuple[Schema, EvalPair]] = {}
 
+    @staticmethod
+    def _memo(table: dict, s: Schema, compute, lower: bool):
+        hit = table.get(id(s))
+        if hit is not None and hit[0] is s:
+            return hit[1]
+        value = compute(s, lower=lower)
+        table[id(s)] = (s, value)
+        return value
+
     # -- property bounds
 
     def min_ep(self, s: Schema) -> PatternSet:
-        hit = self._min_ep.get(id(s))
-        if hit is not None and hit[0] is s:
-            return hit[1]
-        value = self._ep(s, lower=True)
-        self._min_ep[id(s)] = (s, value)
-        return value
+        return self._memo(self._min_ep, s, self._ep, True)
 
     def max_ep(self, s: Schema) -> PatternSet:
-        hit = self._max_ep.get(id(s))
-        if hit is not None and hit[0] is s:
-            return hit[1]
-        value = self._ep(s, lower=False)
-        self._max_ep[id(s)] = (s, value)
-        return value
+        return self._memo(self._max_ep, s, self._ep, False)
 
     def _ep(self, s: Schema, lower: bool) -> PatternSet:
         if isinstance(s, BoolSchema):
@@ -214,20 +213,10 @@ class Analyzer:
     # -- item bounds
 
     def min_ei(self, s: Schema) -> EvalPair:
-        hit = self._min_ei.get(id(s))
-        if hit is not None and hit[0] is s:
-            return hit[1]
-        value = self._ei(s, lower=True)
-        self._min_ei[id(s)] = (s, value)
-        return value
+        return self._memo(self._min_ei, s, self._ei, True)
 
     def max_ei(self, s: Schema) -> EvalPair:
-        hit = self._max_ei.get(id(s))
-        if hit is not None and hit[0] is s:
-            return hit[1]
-        value = self._ei(s, lower=False)
-        self._max_ei[id(s)] = (s, value)
-        return value
+        return self._memo(self._max_ei, s, self._ei, False)
 
     def _ei(self, s: Schema, lower: bool) -> EvalPair:
         if isinstance(s, BoolSchema):

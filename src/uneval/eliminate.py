@@ -29,7 +29,7 @@ from .schema import (
     TRUE_SCHEMA,
     all_of,
     any_of,
-    assemble_document,
+    build_document,
     child_schemas,
     deref,
     distinct_nodes,
@@ -163,7 +163,7 @@ def unnest(doc: SchemaDocument) -> SchemaDocument:
     defs.update(hoister.new_defs)
     # closed: the old references keep their targets, the new ones name the
     # hoisted definitions
-    return assemble_document(root, defs)
+    return build_document(root, defs)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def elim_document_with_stats(
         run.enf_builder = None
     # each named schema keeps its name and its $anchor, and every reference
     # of a rewrite was one of the unnested document's
-    out = assemble_document(new_root, new_defs)
+    out = build_document(new_root, new_defs)
     _check_rewrite(out)
     return out, dict(run.enf_branches)
 

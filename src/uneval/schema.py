@@ -185,10 +185,6 @@ class SchemaDocument:
     #: The validator's closures, per node of this document, keyed by the
     #: node's ``id``; filled on first validation (see :mod:`uneval.validator`).
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    #: :func:`find_unguarded_cycle`'s answer, ``()`` for none; filled on
-    #: first call.  Like ``compiled``, it relies on the document not
-    #: changing after construction.
-    cycle: Optional[tuple[str, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def named_schemas(self) -> Iterator[tuple[str, Schema]]:
         """Root first (name ``""``), then definitions in name order."""
@@ -394,25 +390,17 @@ def parse_schema(v: JsonValue) -> SchemaDocument:
         def_refs, parser.refs = parser.refs, []
         v = {k: val for k, val in v.items() if k != "$defs"}
     root = parser.parse_schema_node(v, "", named_top=True)
-    doc = assemble_document(root, defs)
+    doc = build_document(root, defs)
     for uri in dict.fromkeys(parser.refs + def_refs):
         deref(doc, uri)  # raises if unresolved
     return doc
 
 
-def assemble_document(root: Schema, defs: dict[str, Schema]) -> SchemaDocument:
+def build_document(root: Schema, defs: dict[str, Schema]) -> SchemaDocument:
     """A document over already-parsed schemas, anchors re-indexed; the
     caller vouches that every reference resolves."""
     doc = SchemaDocument(root=root, defs=dict(defs))
     _index_anchors(doc)
-    return doc
-
-
-def build_document(root: Schema, defs: dict[str, Schema]) -> SchemaDocument:
-    """Assemble a document from already-parsed schemas, re-index anchors and
-    check that it is closed."""
-    doc = assemble_document(root, defs)
-    _check_closed(doc)
     return doc
 
 
@@ -437,15 +425,6 @@ def _index_anchors(doc: SchemaDocument) -> None:
             )
         anchors[anchor] = schema
     doc.anchors = anchors
-
-
-def _check_closed(doc: SchemaDocument) -> None:
-    # parsing stores the definitions in name order
-    for s in distinct_nodes((doc.root, *doc.defs.values())):
-        if isinstance(s, ObjSchema):
-            kw = s.get("$ref")
-            if kw is not None:
-                deref(doc, kw.value)  # raises if unresolved
 
 
 def deref(doc: SchemaDocument, uri: str) -> Schema:
@@ -553,16 +532,7 @@ def _inplace_edges(
 def find_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
     """One cycle of the immediately-unguardedly-depends graph, or None.
 
-    Searched once per document and kept in ``doc.cycle``; each call
-    returns a list of its own.
-    """
-    if doc.cycle is None:
-        doc.cycle = tuple(_first_unguarded_cycle(doc) or ())
-    return list(doc.cycle) or None
-
-
-def _first_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
-    """The cycle found by a depth-first search from each distinct node, in
+    The cycle found by a depth-first search from each distinct node, in
     the order :func:`walk` first meets them, named schema by named schema.
 
     Every cycle takes a reference, so it passes through a named or an

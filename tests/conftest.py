@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -43,3 +44,27 @@ def load_suite() -> list[tuple[str, dict]]:
 @pytest.fixture(scope="session")
 def corpus():
     return load_corpus()
+
+
+class Rewrites(NamedTuple):
+    #: the rewrites of the non-adversarial fixtures, in name order
+    corpus: list
+    #: n -> the rewrites of sn(n) and san(n), for n = 2..7
+    family: dict[int, tuple]
+
+
+@pytest.fixture(scope="session")
+def rewrites(corpus):
+    """Rewrites made once for the tests that check properties of outputs."""
+    # imported here, so that loading this file needs no package on the path
+    from uneval.eliminate import elim_document
+    from uneval.families import gen_family_san, gen_family_sn
+    from uneval.schema import parse_schema
+
+    return Rewrites(
+        [elim_document(parse_schema(f.schema_json)) for f in corpus if not f.adversarial],
+        {
+            n: (elim_document(gen_family_sn(n)), elim_document(gen_family_san(n)))
+            for n in range(2, 8)
+        },
+    )

@@ -1,5 +1,3 @@
-from uneval.eliminate import elim_document
-from uneval.families import gen_family_san, gen_family_sn
 from uneval.instances import (
     ARRAY_KEYWORDS,
     OBJECT_KEYWORDS,
@@ -9,8 +7,6 @@ from uneval.instances import (
     relevant_property_names,
 )
 from uneval.schema import ObjSchema, document_schemas, parse_schema
-
-from conftest import load_corpus
 
 
 def _walked_keywords(doc):
@@ -37,18 +33,12 @@ def _reference_universe_inputs(doc):
     return sorted(names), longest, uses
 
 
-def test_universe_inputs_equal_the_walk_over_every_occurrence():
+def test_universe_inputs_equal_the_walk_over_every_occurrence(corpus, rewrites):
     """The names, prefix length and keyword groups that fix a universe are
     the same over distinct nodes as over every occurrence, for originals
     and for rewrites, which share nodes."""
-    docs = []
-    for fixture in load_corpus():
-        doc = parse_schema(fixture.schema_json)
-        docs.append(doc)
-        if not fixture.adversarial:
-            docs.append(elim_document(doc))
-    for n in range(2, 6):
-        docs += [elim_document(gen_family_sn(n)), elim_document(gen_family_san(n))]
+    docs = [parse_schema(fixture.schema_json) for fixture in corpus]
+    docs += rewrites.corpus + [d for n in range(2, 6) for d in rewrites.family[n]]
     for doc in docs:
         names, longest, uses = _reference_universe_inputs(doc)
         assert relevant_property_names(doc) == names

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uneval.eliminate import elim_document
 from uneval.errors import DuplicateKeyError, JsonParseError
-from uneval.families import gen_family_san, gen_family_sn
 from uneval.jsonvalue import (
     _canonical,
     dump_json,
@@ -20,9 +18,8 @@ from uneval.jsonvalue import (
     type_of,
     unique_key,
 )
-from uneval.schema import parse_schema, serialize_schema
+from uneval.schema import serialize_schema
 
-from conftest import load_corpus
 from randgen import gen_instance, gen_schema
 
 
@@ -174,14 +171,9 @@ def _has_decimal(v):
     return isinstance(v, Decimal)
 
 
-def test_dump_json_matches_json_dumps():
-    outputs = []
-    for fixture in load_corpus():
-        if not fixture.adversarial:
-            outputs.append(serialize_schema(elim_document(parse_schema(fixture.schema_json))))
-    for n in range(2, 7):
-        for gen in (gen_family_sn, gen_family_san):
-            outputs.append(serialize_schema(elim_document(gen(n))))
+def test_dump_json_matches_json_dumps(rewrites):
+    docs = rewrites.corpus + [d for n in range(2, 7) for d in rewrites.family[n]]
+    outputs = [serialize_schema(doc) for doc in docs]
     compared = 0
     for v in outputs:
         if not _has_decimal(v):  # json.dumps cannot write a Decimal
