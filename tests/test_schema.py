@@ -137,6 +137,30 @@ def test_parse_errors(schema):
         parse_schema(schema)
 
 
+@pytest.mark.parametrize(
+    "schema, path",
+    [
+        ({"properties": {"a": {"anyOf": [True, {"minimum": "x"}]}}}, "/properties/a/anyOf/1/minimum"),
+        ({"$defs": {"x": {"patternProperties": {"(": True}}}}, "/$defs/x/patternProperties/("),
+        ({"patternProperties": {"a": {"pattern": "["}}}, "/patternProperties/a/pattern"),
+        ({"prefixItems": [True, {"contains": 3}]}, "/prefixItems/1/contains"),
+        ({"items": {"not": {"type": "frob"}}}, "/items/not/type"),
+        ({"allOf": [{"$anchor": "a"}]}, "/allOf/0/$anchor"),
+        ({"properties": {"a": {"$defs": {}}}}, "/properties/a/$defs"),
+        ({"$defs": {"x": 5}}, "/$defs/x"),
+        ({"$defs": 5}, "/$defs"),
+        ({"required": [1]}, "/required"),
+        ("no", ""),
+    ],
+)
+def test_parse_error_path(schema, path):
+    """The error names the JSON pointer of the offending value."""
+    with pytest.raises(SchemaParseError) as info:
+        parse_schema(schema)
+    assert info.value.path == path
+    assert str(info.value).startswith(f"{path or '<root>'}: ")
+
+
 def test_contains_normalization():
     doc = parse_schema({"contains": {"type": "string"}})
     names = [kw.name for kw in doc.root.keywords]
