@@ -18,11 +18,20 @@ class DuplicateKeyError(JsonParseError):
 
 
 class SchemaParseError(UnevalError):
-    """Schema text does not conform to the supported grammar."""
+    """Schema text does not conform to the supported grammar.
+
+    ``path`` is the JSON pointer of the offending value.  The parser
+    prepends its segments while the error unwinds, so the message is
+    composed when it is read.
+    """
 
     def __init__(self, message: str, path: str = ""):
-        super().__init__(f"{path or '<root>'}: {message}")
+        super().__init__(message)
+        self.message = message
         self.path = path
+
+    def __str__(self):
+        return f"{self.path or '<root>'}: {self.message}"
 
 
 class RefResolutionError(UnevalError):

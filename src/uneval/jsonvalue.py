@@ -65,7 +65,8 @@ class _DuplicateCheckingPairs:
 def parse_json(text: str | bytes) -> JsonValue:
     """Parse JSON text into a value tree.
 
-    Floats are decoded as ``Decimal``; duplicate object keys are rejected.
+    Floats are decoded as ``Decimal``; duplicate object keys are rejected,
+    and so is text that nests deeper than the decoder's recursion allows.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
@@ -80,6 +81,8 @@ def parse_json(text: str | bytes) -> JsonValue:
         raise
     except json.JSONDecodeError as exc:
         raise JsonParseError(exc.msg, offset=exc.pos) from None
+    except RecursionError:
+        raise JsonParseError("the text nests too deeply to decode") from None
 
 
 def json_equal(a: JsonValue, b: JsonValue) -> bool:

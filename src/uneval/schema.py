@@ -16,9 +16,11 @@ the document.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import GuardednessError, RefResolutionError, SchemaParseError
@@ -72,6 +74,10 @@ def keyword_rank(name: str) -> int:
     if name in SDK_NAMES:
         return 1
     return 0
+
+
+def _rank(kw: Keyword) -> int:
+    return keyword_rank(kw.name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,6 +137,9 @@ class BoolSchema(Schema):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ObjSchema(Schema):
+    """An ordered keyword list, in rank order (:func:`keyword_rank`), so
+    that an ``unevaluated*`` keyword, if any, comes last."""
+
     keywords: tuple[Keyword, ...]
 
     def get(self, name: str) -> Optional[Keyword]:
@@ -152,7 +161,7 @@ FALSE_SCHEMA = BoolSchema(False)
 
 def make_obj(*keywords: Keyword) -> ObjSchema:
     """Build an object schema, reordering keywords into the grammar partition."""
-    ordered = tuple(sorted(keywords, key=lambda kw: keyword_rank(kw.name)))
+    ordered = tuple(sorted(keywords, key=_rank))
     names = [kw.name for kw in ordered]
     if len(names) != len(set(names)):
         raise SchemaParseError(f"duplicate keyword among {names}")
@@ -197,26 +206,15 @@ class SchemaDocument:
 # parsing
 
 
-_pattern_cache: dict[str, re.Pattern] = {}
-
-
+@functools.lru_cache(maxsize=1024)
 def compile_pattern(source: str) -> re.Pattern:
-    pat = _pattern_cache.get(source)
-    if pat is None:
-        pat = re.compile(source)
-        _pattern_cache[source] = pat
-    return pat
+    """The compiled pattern; the most recently used sources are kept."""
+    return re.compile(source)
 
 
 def pattern_matches(source: str, name: str) -> bool:
     """Unanchored match: the pattern 'a' matches any string containing 'a'."""
     return compile_pattern(source).search(name) is not None
-
-
-def _parse_number(v, path):
-    if is_number(v):
-        return v
-    raise SchemaParseError(f"expected a number, got {type_name(v)}", path)
 
 
 def type_name(v) -> str:
@@ -228,142 +226,236 @@ def type_name(v) -> str:
         return type(v).__name__
 
 
-def _parse_nonneg_int(v, path):
+# The argument checks below raise with the path of the keyword itself;
+# the parser prepends the enclosing segments while the error unwinds, so
+# no path is built unless one is reported.
+
+
+def _parse_number(v):
+    if is_number(v):
+        return v
+    raise SchemaParseError(f"expected a number, got {type_name(v)}")
+
+
+def _parse_nonneg_int(v):
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        raise SchemaParseError("expected a non-negative integer", path)
+        raise SchemaParseError("expected a non-negative integer")
     return v
 
 
-def _parse_pattern(v, path):
+def _parse_pattern(v):
     if not isinstance(v, str):
-        raise SchemaParseError("expected a pattern string", path)
+        raise SchemaParseError("expected a pattern string")
     try:
         compile_pattern(v)
     except re.error as exc:
-        raise SchemaParseError(f"invalid regular expression {v!r}: {exc}", path)
+        raise SchemaParseError(f"invalid regular expression {v!r}: {exc}")
     return v
 
 
+#: Keywords that move to the end of a node's keyword list.
+_RANKED = frozenset(SDK_NAMES + ADK_NAMES)
+
+#: Keyword arguments that key by their text when a node is hash-consed.
+_BY_TEXT = frozenset((list, dict, Decimal))
+
+
+def _intern_key(keywords: tuple[Keyword, ...]) -> tuple:
+    """The hash-consing key of a node whose children are all interned.
+
+    Children key by ``id``; scalars with their type, so that ``1``, ``1.0``,
+    ``true`` and ``"1"`` stay apart; lists, dicts and Decimals by their
+    text.  Keywords keep their order, which the serialized form follows.
+    """
+    parts = []
+    for kw in keywords:
+        v = kw.value
+        kind = CHILD_KIND.get(kw.name)
+        if kind == 0:
+            parts.append((kw.name, id(v)))
+        elif kind == 1:
+            parts.append((kw.name, tuple(map(id, v))))
+        elif kind == 2:
+            parts.append((kw.name, tuple([(k, id(sub)) for k, sub in v.items()])))
+        else:
+            t = type(v)
+            parts.append((kw.name, t, serialize_json(v) if t in _BY_TEXT else v))
+    return tuple(parts)
+
+
+def _normalize_contains(keywords: list[Keyword]) -> list[Keyword]:
+    """Insert default minContains/maxContains next to contains; drop strays."""
+    has_contains = any(kw.name == "contains" for kw in keywords)
+    if not has_contains:
+        return [kw for kw in keywords if kw.name not in ("minContains", "maxContains")]
+    names = {kw.name for kw in keywords}
+    out: list[Keyword] = []
+    for kw in keywords:
+        out.append(kw)
+        if kw.name == "contains":
+            if "minContains" not in names:
+                out.append(Keyword("minContains", 1))
+            if "maxContains" not in names:
+                out.append(Keyword("maxContains", INF))
+    return out
+
+
 class _Parser:
+    """One parse of a document.
+
+    Inner nodes without a ``$ref`` below them are hash-consed: two equal
+    ones, keyword for keyword, are one object, so a re-parsed rewrite
+    shares its subschemas as the rewrite did.  Named tops and nodes that
+    reach a ``$ref`` are never shared, so every reference cycle runs
+    through nodes of its own.  The table lives as long as the parser.
+
+    A ``SchemaParseError`` leaves :meth:`parse_schema_node` with the path
+    below the node; the caller prepends the node's own.
+    """
+
     def __init__(self):
         #: every ``$ref`` argument parsed so far, in the order parsed
         self.refs: list[str] = []
-        self.scalar_parsers: dict[str, Callable] = {
-            "minimum": _parse_number,
-            "maximum": _parse_number,
-            "pattern": _parse_pattern,
-            "minProperties": _parse_nonneg_int,
-            "maxProperties": _parse_nonneg_int,
-            "minItems": _parse_nonneg_int,
-            "maxItems": _parse_nonneg_int,
-            "minContains": _parse_nonneg_int,
-            "maxContains": _parse_nonneg_int,
-        }
+        self.interned: dict[tuple, ObjSchema] = {}
 
-    def parse_schema_node(self, v: JsonValue, path: str, named_top: bool) -> Schema:
+    def parse_schema_node(self, v: JsonValue, named_top: bool) -> Schema:
         if isinstance(v, bool):
-            return BoolSchema(v)
+            return TRUE_SCHEMA if v else FALSE_SCHEMA
         if not isinstance(v, dict):
-            raise SchemaParseError(
-                f"a schema must be a boolean or an object, got {type_name(v)}", path
-            )
+            raise SchemaParseError(f"a schema must be a boolean or an object, got {type_name(v)}")
+        n_refs = len(self.refs)
         keywords: list[Keyword] = []
-        for name, arg in v.items():
-            keywords.append(self.parse_keyword(name, arg, f"{path}/{name}", named_top))
-        keywords = self._normalize_contains(keywords, path)
-        keywords.sort(key=lambda kw: keyword_rank(kw.name))
-        return ObjSchema(tuple(keywords))
+        parsers, inert = _KEYWORD_PARSERS, _Parser.inert
+        try:
+            for name, arg in v.items():
+                keywords.append(parsers.get(name, inert)(self, name, arg, named_top))
+        except SchemaParseError as exc:
+            exc.path = f"/{name}{exc.path}"
+            raise
+        if "contains" in v or "minContains" in v or "maxContains" in v:
+            keywords = _normalize_contains(keywords)
+        if not _RANKED.isdisjoint(v):
+            keywords.sort(key=_rank)
+        node_keywords = tuple(keywords)
+        if named_top or len(self.refs) != n_refs:
+            return ObjSchema(node_keywords)
+        key = _intern_key(node_keywords)
+        node = self.interned.get(key)
+        if node is None:
+            node = self.interned[key] = ObjSchema(node_keywords)
+        return node
 
-    def parse_keyword(self, name: str, arg, path: str, named_top: bool) -> Keyword:
-        if name in UNSUPPORTED_NAMES:
-            raise SchemaParseError(f"keyword {name!r} is not supported", path)
-        if name == "$defs":
-            raise SchemaParseError(
-                "$defs is only allowed at the top level of the document", path
-            )
-        if name == "$anchor":
-            if not named_top:
-                raise SchemaParseError(
-                    "$anchor is only supported at the top level of the root "
-                    "or of a named schema",
-                    path,
-                )
-            if not isinstance(arg, str) or not _PLAIN_NAME_RE.match(arg):
-                raise SchemaParseError("expected a plain-name anchor", path)
-            return Keyword(name, arg)
-        if name == "$ref":
-            if not isinstance(arg, str):
-                raise SchemaParseError("expected a reference string", path)
-            if not (
-                arg.startswith("#/$defs/")
-                and "/" not in arg[len("#/$defs/") :]
-                and arg[len("#/$defs/") :]
-            ) and not (arg.startswith("#") and _PLAIN_NAME_RE.match(arg[1:] or " ")):
-                raise SchemaParseError(
-                    f"only local references of shape '#/$defs/name' or "
-                    f"'#anchor' are supported, got {arg!r}",
-                    path,
-                )
-            self.refs.append(arg)
-            return Keyword(name, arg)
-        if name == "type":
-            if arg not in TYPE_NAMES:
-                raise SchemaParseError(f"unknown type {arg!r}", path)
-            return Keyword(name, arg)
-        if name == "const":
-            return Keyword(name, arg)
-        if name == "required":
-            if not isinstance(arg, list) or not all(isinstance(k, str) for k in arg):
-                raise SchemaParseError("expected an array of property names", path)
-            return Keyword(name, tuple(arg))
-        if name == "uniqueItems":
-            if not isinstance(arg, bool):
-                raise SchemaParseError("expected a boolean", path)
-            return Keyword(name, arg)
-        if name in self.scalar_parsers:
-            return Keyword(name, self.scalar_parsers[name](arg, path))
-        if name in SCHEMA_VALUED:
-            return Keyword(name, self.parse_schema_node(arg, path, False))
-        if name in LIST_VALUED:
-            if not isinstance(arg, list):
-                raise SchemaParseError("expected an array of schemas", path)
-            return Keyword(
-                name,
-                tuple(
-                    self.parse_schema_node(s, f"{path}/{i}", False)
-                    for i, s in enumerate(arg)
-                ),
-            )
-        if name in MAP_VALUED:
-            if not isinstance(arg, dict):
-                raise SchemaParseError("expected an object of schemas", path)
-            if name == "patternProperties":
-                for p in arg:
-                    _parse_pattern(p, f"{path}/{p}")
-            parsed = {
-                key: self.parse_schema_node(arg[key], f"{path}/{key}", False)
-                for key in sorted(arg)
-            }
-            return Keyword(name, parsed)
-        # anything else is inert during validation and round-trips verbatim
+    # One method per keyword class: ``(name, arg, named_top) -> Keyword``.
+
+    def inert(self, name, arg, named_top):
+        """``const``, and unknown keywords, which round-trip verbatim."""
         return Keyword(name, arg)
 
-    @staticmethod
-    def _normalize_contains(keywords: list[Keyword], path: str) -> list[Keyword]:
-        """Insert default minContains/maxContains next to contains; drop strays."""
-        has_contains = any(kw.name == "contains" for kw in keywords)
-        if not has_contains:
-            return [kw for kw in keywords if kw.name not in ("minContains", "maxContains")]
-        names = {kw.name for kw in keywords}
-        out: list[Keyword] = []
-        for kw in keywords:
-            out.append(kw)
-            if kw.name == "contains":
-                if "minContains" not in names:
-                    out.append(Keyword("minContains", 1))
-                if "maxContains" not in names:
-                    out.append(Keyword("maxContains", INF))
-        return out
+    def unsupported(self, name, arg, named_top):
+        raise SchemaParseError(f"keyword {name!r} is not supported")
+
+    def nested_defs(self, name, arg, named_top):
+        raise SchemaParseError("$defs is only allowed at the top level of the document")
+
+    def anchor(self, name, arg, named_top):
+        if not named_top:
+            raise SchemaParseError(
+                "$anchor is only supported at the top level of the root or of a named schema"
+            )
+        if not isinstance(arg, str) or not _PLAIN_NAME_RE.match(arg):
+            raise SchemaParseError("expected a plain-name anchor")
+        return Keyword(name, arg)
+
+    def reference(self, name, arg, named_top):
+        if not isinstance(arg, str):
+            raise SchemaParseError("expected a reference string")
+        if not (
+            arg.startswith("#/$defs/")
+            and "/" not in arg[len("#/$defs/") :]
+            and arg[len("#/$defs/") :]
+        ) and not (arg.startswith("#") and _PLAIN_NAME_RE.match(arg[1:] or " ")):
+            raise SchemaParseError(
+                f"only local references of shape '#/$defs/name' or "
+                f"'#anchor' are supported, got {arg!r}"
+            )
+        self.refs.append(arg)
+        return Keyword(name, arg)
+
+    def type_(self, name, arg, named_top):
+        if arg not in TYPE_NAMES:
+            raise SchemaParseError(f"unknown type {arg!r}")
+        return Keyword(name, arg)
+
+    def required(self, name, arg, named_top):
+        if not isinstance(arg, list) or not all(isinstance(k, str) for k in arg):
+            raise SchemaParseError("expected an array of property names")
+        return Keyword(name, tuple(arg))
+
+    def unique_items(self, name, arg, named_top):
+        if not isinstance(arg, bool):
+            raise SchemaParseError("expected a boolean")
+        return Keyword(name, arg)
+
+    def number(self, name, arg, named_top):
+        return Keyword(name, _parse_number(arg))
+
+    def nonneg_int(self, name, arg, named_top):
+        return Keyword(name, _parse_nonneg_int(arg))
+
+    def pattern(self, name, arg, named_top):
+        return Keyword(name, _parse_pattern(arg))
+
+    def schema_valued(self, name, arg, named_top):
+        return Keyword(name, self.parse_schema_node(arg, False))
+
+    def list_valued(self, name, arg, named_top):
+        if not isinstance(arg, list):
+            raise SchemaParseError("expected an array of schemas")
+        subs = []
+        try:
+            for s in arg:
+                subs.append(self.parse_schema_node(s, False))
+        except SchemaParseError as exc:
+            exc.path = f"/{len(subs)}{exc.path}"
+            raise
+        return Keyword(name, tuple(subs))
+
+    def map_valued(self, name, arg, named_top):
+        if not isinstance(arg, dict):
+            raise SchemaParseError("expected an object of schemas")
+        key = None
+        try:
+            if name == "patternProperties":
+                for key in arg:
+                    _parse_pattern(key)
+            parsed = {}
+            for key in sorted(arg):
+                parsed[key] = self.parse_schema_node(arg[key], False)
+        except SchemaParseError as exc:
+            exc.path = f"/{key}{exc.path}"
+            raise
+        return Keyword(name, parsed)
+
+
+_KEYWORD_PARSERS: dict[str, Callable] = {
+    **dict.fromkeys(UNSUPPORTED_NAMES, _Parser.unsupported),
+    "$defs": _Parser.nested_defs,
+    "$anchor": _Parser.anchor,
+    "$ref": _Parser.reference,
+    "type": _Parser.type_,
+    "required": _Parser.required,
+    "uniqueItems": _Parser.unique_items,
+    "minimum": _Parser.number,
+    "maximum": _Parser.number,
+    "pattern": _Parser.pattern,
+    **dict.fromkeys(
+        ("minProperties", "maxProperties", "minItems", "maxItems", "minContains", "maxContains"),
+        _Parser.nonneg_int,
+    ),
+    **dict.fromkeys(SCHEMA_VALUED, _Parser.schema_valued),
+    **dict.fromkeys(LIST_VALUED, _Parser.list_valued),
+    **dict.fromkeys(MAP_VALUED, _Parser.map_valued),
+}
 
 
 def parse_schema(v: JsonValue) -> SchemaDocument:
@@ -374,7 +466,8 @@ def parse_schema(v: JsonValue) -> SchemaDocument:
     document is checked to be closed (every reference resolves).  An
     unresolved reference of the root is reported before those of the
     definitions, and within one named schema the first parsed: keywords in
-    source order, map entries by name.
+    source order, map entries by name.  Equal inner subschemas with no
+    ``$ref`` below them become one shared node.
     """
     parser = _Parser()
     defs: dict[str, Schema] = {}
@@ -384,12 +477,14 @@ def parse_schema(v: JsonValue) -> SchemaDocument:
         if not isinstance(defs_json, dict):
             raise SchemaParseError("expected an object of named schemas", "/$defs")
         for name in sorted(defs_json):
-            defs[name] = parser.parse_schema_node(
-                defs_json[name], f"/$defs/{name}", named_top=True
-            )
+            try:
+                defs[name] = parser.parse_schema_node(defs_json[name], named_top=True)
+            except SchemaParseError as exc:
+                exc.path = f"/$defs/{name}{exc.path}"
+                raise
         def_refs, parser.refs = parser.refs, []
         v = {k: val for k, val in v.items() if k != "$defs"}
-    root = parser.parse_schema_node(v, "", named_top=True)
+    root = parser.parse_schema_node(v, named_top=True)
     doc = build_document(root, defs)
     for uri in dict.fromkeys(parser.refs + def_refs):
         deref(doc, uri)  # raises if unresolved

@@ -237,6 +237,11 @@ def _dispatch(table: dict) -> Check:
     return by_type
 
 
+def _restrict(accepted, types) -> set:
+    """The accepted instance types narrowed to ``types``; ``None`` is all."""
+    return set(types) if accepted is None else accepted.intersection(types)
+
+
 def _siblings(context: Sequence[Keyword]) -> dict:
     return {kw.name: kw.value for kw in context}
 
@@ -254,6 +259,7 @@ class _Compiler:
         self.new: dict[int, list] = {}
         #: named schemas whose compilation is under way, for recursive $ref
         self.pending: dict[tuple[int, int], list] = {}
+        self.named = {id(doc.root), *map(id, doc.defs.values())}
 
     def commit(self) -> None:
         cache = self.doc.compiled
@@ -265,23 +271,6 @@ class _Compiler:
                 old[BOOL] = old[BOOL] or entry[BOOL]
                 old[ANNOT] = old[ANNOT] or entry[ANNOT]
 
-    def lookup(self, node: Schema, mode: int):
-        for table in (self.new, self.doc.compiled):
-            entry = table.get(id(node))
-            if entry is not None and entry[0] is node and entry[mode] is not None:
-                return entry[mode]
-        return None
-
-    def store(self, node: Schema, mode: int, fn) -> None:
-        entry = self.new.get(id(node))
-        if entry is None:
-            entry = self.new[id(node)] = [node, None, None]
-        entry[mode] = fn
-
-    def is_named(self, node: Schema) -> bool:
-        doc = self.doc
-        return node is doc.root or any(node is s for s in doc.defs.values())
-
     # -- schemas
 
     def schema(self, node: Schema, mode: int, cached: bool):
@@ -292,11 +281,15 @@ class _Compiler:
         """
         if isinstance(node, BoolSchema):
             return _CONSTANT[node.value, mode]
-        fn = self.lookup(node, mode)
-        if fn is not None:
-            return fn
-        cached = cached or self.is_named(node)
-        key = (id(node), mode)
+        i = id(node)
+        entry = self.new.get(i)
+        if entry is not None and entry[0] is node and entry[mode] is not None:
+            return entry[mode]
+        old = self.doc.compiled.get(i)
+        if old is not None and old[0] is node and old[mode] is not None:
+            return old[mode]
+        cached = cached or i in self.named
+        key = (i, mode)
         cell = self.pending.get(key)
         if cell is not None:
             return lambda x: cell[0](x)
@@ -304,7 +297,7 @@ class _Compiler:
         keywords = node.keywords
         if mode == ANNOT:
             fn = self.annotation_list(keywords, cached)
-        elif any(kw.name in ADK_NAMES for kw in keywords):
+        elif keywords and keywords[-1].name in ADK_NAMES:  # rank order: ADKs last
             annotated = self.schema(node, ANNOT, cached)
             fn = lambda x: annotated(x) is not None
         else:
@@ -312,7 +305,10 @@ class _Compiler:
         cell[0] = fn
         del self.pending[key]
         if cached:
-            self.store(node, mode, fn)
+            entry = self.new.get(i)  # compiling the other mode may have made it
+            if entry is None:
+                entry = self.new[i] = [node, None, None]
+            entry[mode] = fn
         return fn
 
     # -- bool mode
@@ -325,18 +321,19 @@ class _Compiler:
         """
         general: list[Check] = []
         typed: dict[type, list[Check]] = {}
-        accepted = set(_JSON_TYPES)
+        # the instance types left by ``type`` and ``const``; None: all
+        accepted = None
         siblings = None
         for kw in keywords:
             name = kw.name
             if name == "type":
-                accepted.intersection_update(_TYPE_CLASSES[kw.value])
+                accepted = _restrict(accepted, _TYPE_CLASSES[kw.value])
                 if kw.value == "integer":
                     typed.setdefault(float, []).insert(0, float.is_integer)
                     typed.setdefault(Decimal, []).insert(0, _is_integral)
                 continue
             if name == "const":
-                accepted.intersection_update(_const_types(kw.value))
+                accepted = _restrict(accepted, _const_types(kw.value))
                 general.append(_const_check(kw.value))
                 continue
             compile_kw = _BOOL_KEYWORDS.get(name)
@@ -355,21 +352,24 @@ class _Compiler:
             else:
                 for t in types:
                     typed.setdefault(t, []).append(check)
-        if not accepted:
-            return _false
-        if not typed and len(accepted) == len(_JSON_TYPES):
+        if accepted is None and not typed:
             return _all(general)
+        if accepted is not None and not accepted:
+            return _false
+        every = _all(general)
         combined: dict[tuple, Check] = {}
         table = {}
         for t in _JSON_TYPES:
-            if t not in accepted:
+            if accepted is not None and t not in accepted:
                 table[t] = _false
-                continue
-            checks = (*typed.get(t, ()), *general)
-            fn = combined.get(checks)
-            if fn is None:
-                fn = combined[checks] = _all(checks)
-            table[t] = fn
+            elif t not in typed:
+                table[t] = every
+            else:
+                checks = (*typed[t], *general)
+                fn = combined.get(checks)
+                if fn is None:
+                    fn = combined[checks] = _all(checks)
+                table[t] = fn
         return _dispatch(table)
 
     def bool_any_of(self, branches, siblings, cached) -> Check:

@@ -180,3 +180,49 @@ def test_unguarded_schema_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--schema", schema)
     assert code == 2
     assert "recursion" in err
+
+
+def test_text_nested_too_deeply_exits_2(tmp_path, capsys):
+    """Schema and instance text beyond the decoder's depth is a clean
+    error, not a traceback; the depths are the benchmark's deep probes."""
+    depth = 1500
+    deep_schema = tmp_path / "deep_schema.json"
+    deep_schema.write_text(
+        '{"unevaluatedProperties":false,"properties":{"a":'
+        + '{"properties":{"a":' * (depth - 1)
+        + '{"type":"integer"}'
+        + "}}" * depth
+    )
+    instance = write(tmp_path, "i.json", {"a": 0})
+    for argv in (
+        ("validate", "--schema", str(deep_schema), "--instance", instance),
+        ("eliminate", "--schema", str(deep_schema)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "nests too deeply" in err
+
+    depth = 2000
+    schema = write(
+        tmp_path,
+        "list.json",
+        {
+            "$ref": "#/$defs/list",
+            "$defs": {
+                "list": {
+                    "anyOf": [
+                        {"const": None},
+                        {
+                            "properties": {"head": {"type": "integer"}, "tail": {"$ref": "#/$defs/list"}},
+                            "required": ["head", "tail"],
+                        },
+                    ]
+                }
+            },
+        },
+    )
+    deep_instance = tmp_path / "deep_instance.json"
+    deep_instance.write_text('{"head":1,"tail":' * depth + "null" + "}" * depth)
+    code, _, err = run(capsys, "validate", "--schema", schema, "--instance", str(deep_instance))
+    assert code == 2
+    assert "nests too deeply" in err

@@ -5,19 +5,24 @@ import pytest
 from uneval.eliminate import elim_document
 from uneval.errors import RefResolutionError, SchemaParseError, UnevalError
 from uneval.families import gen_family_san, gen_family_sn
-from uneval.jsonvalue import serialize_json
+from uneval.jsonvalue import dump_json, parse_json, serialize_json
 from uneval.schema import (
+    FALSE_SCHEMA,
+    CHILD_KIND,
     INF,
+    TRUE_SCHEMA,
     BoolSchema,
     Keyword,
     ObjSchema,
     SchemaDocument,
     boolean_one_of,
     child_schemas,
+    compile_pattern,
     deref,
     distinct_nodes,
     find_unguarded_cycle,
     in_place_depth,
+    keyword_rank,
     parse_schema,
     _inplace_edges,
     schema_to_json,
@@ -283,14 +288,17 @@ def test_roundtrip_sale_car():
     assert serialize_schema(again) == serialize_schema(doc)
 
 
-def test_roundtrip_corpus_idempotent():
-    for fixture in load_corpus():
-        doc = parse_schema(fixture.schema_json)
+def test_roundtrip_corpus_idempotent(rewrites):
+    """Originals and rewrites re-parse to the same text, compact and
+    pretty, although parsing shares their equal subtrees."""
+    docs = [parse_schema(fixture.schema_json) for fixture in load_corpus()]
+    for doc in docs + rewrites.corpus:
         emitted = serialize_schema(doc)
-        again = parse_schema(emitted)
-        assert serialize_schema(again) == emitted, fixture.name
-        # canonical text is stable as well
-        assert serialize_json(serialize_schema(again)) == serialize_json(emitted)
+        text, pretty = serialize_json(emitted), dump_json(emitted)
+        again = parse_schema(parse_json(text))
+        assert serialize_schema(again) == emitted
+        assert serialize_json(serialize_schema(again)) == text
+        assert dump_json(serialize_schema(parse_schema(parse_json(pretty)))) == pretty
 
 
 def _originals_and_rewrites(rewrites):
@@ -356,6 +364,110 @@ def test_keys_and_distinct_nodes_over_originals_and_rewrites(rewrites):
             assert s.key == serialize_json(schema_to_json(s))
             checked += 1
     assert checked > 5_000
+
+
+def _reaches_ref(s, memo: dict) -> bool:
+    if id(s) not in memo:
+        memo[id(s)] = isinstance(s, ObjSchema) and (
+            s.get("$ref") is not None
+            or any(_reaches_ref(child, memo) for _, child in child_schemas(s))
+        )
+    return memo[id(s)]
+
+
+def test_parse_shares_equal_ref_free_subtrees(rewrites):
+    """In a re-parsed rewrite (or original), equal inner nodes without a
+    $ref below them are one object; a named top or a node that reaches a
+    $ref occurs once."""
+    docs = [parse_schema(parse_json(serialize_json(serialize_schema(d)))) for d in rewrites.corpus]
+    docs += [parse_schema(parse_json((f.path / "schema.json").read_bytes())) for f in load_corpus()]
+    shared = 0
+    for doc in docs:
+        tops = [top for _, top in doc.named_schemas()]
+        occurrences: dict[int, int] = {}
+        for top in tops:
+            for s in walk(top):
+                occurrences[id(s)] = occurrences.get(id(s), 0) + 1
+        reaches: dict[int, bool] = {}
+        by_key: dict[tuple, int] = {}
+        for s in distinct_nodes(tops):
+            if isinstance(s, BoolSchema):
+                assert s is (TRUE_SCHEMA if s.value else FALSE_SCHEMA)
+            elif any(s is top for top in tops) or _reaches_ref(s, reaches):
+                assert occurrences[id(s)] == 1
+            else:
+                # equal keyword lists, in their order and with their
+                # arguments' types, make one node
+                ident = (
+                    tuple(kw.name for kw in s.keywords),
+                    tuple(type(kw.value) for kw in s.keywords if kw.name not in CHILD_KIND),
+                    s.key,
+                )
+                assert by_key.setdefault(ident, id(s)) == id(s)
+                shared += occurrences[id(s)] > 1
+    assert shared > 50
+
+
+def test_named_tops_and_ref_carrying_nodes_are_not_shared():
+    doc = parse_schema(
+        {
+            "properties": {
+                "x": {"type": "string"},
+                "y": {"not": {"$ref": "#/$defs/a"}},
+                "z": {"not": {"$ref": "#/$defs/a"}},
+                "w": {"type": "string"},
+            },
+            "$defs": {"a": {"type": "string"}, "b": {"type": "string"}},
+        }
+    )
+    props = doc.root.get("properties").value
+    assert props["x"] is props["w"]
+    assert props["y"] is not props["z"]
+    assert props["y"].get("not").value is not props["z"].get("not").value
+    assert doc.defs["a"] is not doc.defs["b"]
+    assert props["x"] is not doc.defs["a"] and props["x"] is not doc.defs["b"]
+
+
+def test_parse_keeps_json_types_of_arguments_apart():
+    doc = parse_schema(
+        parse_json(
+            '{"anyOf": [{"const": 1}, {"const": 1.0}, {"const": true}, {"const": "1"},'
+            ' {"const": [1]}, {"const": [true]}, {"const": {"a": null}}, {"const": {"a": false}},'
+            ' {"const": 1}, {"const": [1]}, {"const": {"a": null}},'
+            ' {"type": "string", "minimum": 1}, {"minimum": 1, "type": "string"}]}'
+        )
+    )
+    branches = doc.root.get("anyOf").value
+    assert len({id(s) for s in branches[:8]}) == 8
+    assert branches[8] is branches[0]
+    assert branches[9] is branches[4]
+    assert branches[10] is branches[6]
+    # the keyword order is kept, so these two are not one node
+    assert branches[11] is not branches[12]
+
+
+def test_pattern_cache_is_bounded_and_keeps_no_error():
+    for i in range(1100):
+        compile_pattern(f"^p{i}$")
+    info = compile_pattern.cache_info()
+    assert info.currsize <= info.maxsize == 1024
+    for _ in range(2):
+        with pytest.raises(SchemaParseError, match="invalid regular expression"):
+            parse_schema({"patternProperties": {"(": True}})
+
+
+def test_keywords_stay_in_rank_order(rewrites):
+    """Parsed nodes and every node a rewrite builds keep their keywords in
+    rank order, so an unevaluated* keyword, if any, is the last one; the
+    validator's compiler looks only there."""
+    checked = 0
+    for doc in _originals_and_rewrites(rewrites):
+        for s in distinct_nodes([top for _, top in doc.named_schemas()]):
+            if isinstance(s, ObjSchema):
+                ranks = [keyword_rank(kw.name) for kw in s.keywords]
+                assert ranks == sorted(ranks)
+                checked += ranks[-1:] == [2]
+    assert checked > 50
 
 
 def test_unresolved_reference_in_root_is_reported_first():

@@ -4,9 +4,11 @@ from uneval.schema import (
     Keyword,
     ObjSchema,
     build_document,
+    distinct_nodes,
     document_schemas,
     not_,
     parse_schema,
+    serialize_schema,
 )
 from uneval.validator import (
     EMPTY_ANNOTATION,
@@ -292,3 +294,27 @@ def test_ad_hoc_schemas_do_not_grow_the_cache():
         sizes.add(len(doc.compiled))
     assert max(sizes) <= node_count
     assert len(sizes) == 1
+
+
+def test_one_cache_entry_per_distinct_node(corpus, rewrites):
+    """Parsing shares equal ref-free subtrees, so the first validation of a
+    freshly parsed document compiles each distinct node once."""
+    from uneval.jsonvalue import parse_json, serialize_json
+
+    fixtures = [f for f in corpus if not f.adversarial]
+    assert len(fixtures) == len(rewrites.corpus) == 73
+    totals = {"original": 0, "rewrite": 0}
+    for fixture, rewrite in zip(fixtures, rewrites.corpus):
+        first = (fixture.valid + fixture.invalid)[0]
+        docs = {
+            "original": parse_schema(parse_json((fixture.path / "schema.json").read_bytes())),
+            "rewrite": parse_schema(parse_json(serialize_json(serialize_schema(rewrite)))),
+        }
+        for kind, doc in docs.items():
+            validate(doc, doc.root, first)
+            tops = [top for _, top in doc.named_schemas()]
+            assert len(doc.compiled) <= len(distinct_nodes(tops))
+            totals[kind] += len(doc.compiled)
+    # 264 and 663 entries when parsing kept every occurrence apart
+    assert totals["original"] <= 251
+    assert totals["rewrite"] <= 506
