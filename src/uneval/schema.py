@@ -226,23 +226,6 @@ def type_name(v) -> str:
         return type(v).__name__
 
 
-# The argument checks below raise with the path of the keyword itself;
-# the parser prepends the enclosing segments while the error unwinds, so
-# no path is built unless one is reported.
-
-
-def _parse_number(v):
-    if is_number(v):
-        return v
-    raise SchemaParseError(f"expected a number, got {type_name(v)}")
-
-
-def _parse_nonneg_int(v):
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        raise SchemaParseError("expected a non-negative integer")
-    return v
-
-
 def _parse_pattern(v):
     if not isinstance(v, str):
         raise SchemaParseError("expected a pattern string")
@@ -309,8 +292,9 @@ class _Parser:
     reach a ``$ref`` are never shared, so every reference cycle runs
     through nodes of its own.  The table lives as long as the parser.
 
-    A ``SchemaParseError`` leaves :meth:`parse_schema_node` with the path
-    below the node; the caller prepends the node's own.
+    A ``SchemaParseError`` is raised with the path below the keyword or
+    node that detects it, and each enclosing level prepends its segment
+    while the error unwinds, so no path is built unless one is reported.
     """
 
     def __init__(self):
@@ -397,10 +381,14 @@ class _Parser:
         return Keyword(name, arg)
 
     def number(self, name, arg, named_top):
-        return Keyword(name, _parse_number(arg))
+        if not is_number(arg):
+            raise SchemaParseError(f"expected a number, got {type_name(arg)}")
+        return Keyword(name, arg)
 
     def nonneg_int(self, name, arg, named_top):
-        return Keyword(name, _parse_nonneg_int(arg))
+        if isinstance(arg, bool) or not isinstance(arg, int) or arg < 0:
+            raise SchemaParseError("expected a non-negative integer")
+        return Keyword(name, arg)
 
     def pattern(self, name, arg, named_top):
         return Keyword(name, _parse_pattern(arg))
@@ -423,7 +411,6 @@ class _Parser:
     def map_valued(self, name, arg, named_top):
         if not isinstance(arg, dict):
             raise SchemaParseError("expected an object of schemas")
-        key = None
         try:
             if name == "patternProperties":
                 for key in arg:
