@@ -140,125 +140,147 @@ def _combine_intersection(pairs: list[EvalPair]) -> EvalPair:
     return _norm_pair(min(p.h for p in pairs), guard)
 
 
+def _union_patterns(bounds) -> tuple[PatternSet, PatternSet]:
+    """Pattern bounds of a conjunction: the union of its parts' bounds,
+    built once when every part's two bounds are one object."""
+    lo = hi = EMPTY_PATTERNS
+    for klo, khi in bounds:
+        if klo is khi and lo is hi:
+            lo = hi = lo.union(klo)
+        else:
+            lo, hi = lo.union(klo), hi.union(khi)
+    return lo, hi
+
+
+def _union_pairs(bounds: list[tuple[EvalPair, EvalPair]]) -> tuple[EvalPair, EvalPair]:
+    """Item bounds of a conjunction: :func:`_combine_union` of its parts'
+    bounds, built once when every part's two bounds are one object."""
+    lo = _combine_union([klo for klo, _ in bounds])
+    if all(klo is khi for klo, khi in bounds):
+        return lo, lo
+    return lo, _combine_union([khi for _, khi in bounds])
+
+
 class Analyzer:
-    """Bound computations over one document, memoized per schema node."""
+    """Bound computations over one document, memoized per schema node.
+
+    Each bound family is a pair (lower, upper) computed in one walk per
+    distinct node and memoized by the node's ``id``: ``ep`` for property
+    patterns, ``ei`` for item pairs.  Where the two bounds cannot differ
+    they are one object: every keyword but ``anyOf``/``oneOf``, and every
+    ``allOf``, ``$ref`` or keyword list whose parts each have one object
+    for both bounds (an ``anyOf``/``oneOf`` too, when all its branches
+    share one such object).  ``ex_ep``/``ex_ei`` then answer by identity
+    before comparing, and an item walk builds no second guard node.
+    """
 
     def __init__(self, doc: SchemaDocument):
         self.doc = doc
-        # one memo per bound, id -> (node, value); the node reference keeps
-        # ids from being reused
-        self._min_ep: dict[int, tuple[Schema, PatternSet]] = {}
-        self._max_ep: dict[int, tuple[Schema, PatternSet]] = {}
-        self._min_ei: dict[int, tuple[Schema, EvalPair]] = {}
-        self._max_ei: dict[int, tuple[Schema, EvalPair]] = {}
-
-    @staticmethod
-    def _memo(table: dict, s: Schema, compute, lower: bool):
-        hit = table.get(id(s))
-        if hit is not None and hit[0] is s:
-            return hit[1]
-        value = compute(s, lower=lower)
-        table[id(s)] = (s, value)
-        return value
+        # id -> (node, lower, upper); the node reference keeps ids from
+        # being reused
+        self._ep: dict[int, tuple[Schema, PatternSet, PatternSet]] = {}
+        self._ei: dict[int, tuple[Schema, EvalPair, EvalPair]] = {}
 
     # -- property bounds
 
+    def _ep_of(self, s: Schema) -> tuple[Schema, PatternSet, PatternSet]:
+        hit = self._ep.get(id(s))
+        if hit is None or hit[0] is not s:
+            if isinstance(s, BoolSchema):
+                hit = (s, EMPTY_PATTERNS, EMPTY_PATTERNS)
+            else:
+                hit = (s, *_union_patterns(map(self._ep_keyword, s.keywords)))
+            self._ep[id(s)] = hit
+        return hit
+
     def min_ep(self, s: Schema) -> PatternSet:
-        return self._memo(self._min_ep, s, self._ep, True)
+        return self._ep_of(s)[1]
 
     def max_ep(self, s: Schema) -> PatternSet:
-        return self._memo(self._max_ep, s, self._ep, False)
+        return self._ep_of(s)[2]
 
-    def _ep(self, s: Schema, lower: bool) -> PatternSet:
-        if isinstance(s, BoolSchema):
-            return EMPTY_PATTERNS
-        result = EMPTY_PATTERNS
-        for kw in s.keywords:
-            result = result.union(self._ep_keyword(kw, lower))
-        return result
-
-    def _ep_keyword(self, kw: Keyword, lower: bool) -> PatternSet:
+    def _ep_keyword(self, kw: Keyword) -> tuple[PatternSet, PatternSet]:
         name = kw.name
         if name == "properties":
-            return PatternSet(frozenset(exact_pattern(k) for k in kw.value))
+            p = PatternSet(frozenset(exact_pattern(k) for k in kw.value))
+            return p, p
         if name == "patternProperties":
-            return PatternSet(frozenset(kw.value.keys()))
+            p = PatternSet(frozenset(kw.value.keys()))
+            return p, p
         if name in ("additionalProperties", "unevaluatedProperties"):
-            return DOTSTAR_PATTERNS
+            return DOTSTAR_PATTERNS, DOTSTAR_PATTERNS
         if name == "$ref":
-            target = deref(self.doc, kw.value)
-            return self.min_ep(target) if lower else self.max_ep(target)
-        if name in ("anyOf", "oneOf"):
-            branches = [
-                self.min_ep(b) if lower else self.max_ep(b) for b in kw.value
-            ]
-            if not branches:
-                return EMPTY_PATTERNS
-            if lower:
-                out = branches[0]
-                for b in branches[1:]:
-                    out = out.intersection(b)
-                return out
-            out = EMPTY_PATTERNS
-            for b in branches:
-                out = out.union(b)
-            return out
+            return self._ep_of(deref(self.doc, kw.value))[1:]
         if name == "allOf":
-            out = EMPTY_PATTERNS
-            for b in kw.value:
-                out = out.union(self.min_ep(b) if lower else self.max_ep(b))
-            return out
-        return EMPTY_PATTERNS
+            return _union_patterns(self._ep_of(b)[1:] for b in kw.value)
+        if name in ("anyOf", "oneOf"):
+            entries = [self._ep_of(b) for b in kw.value]
+            if not entries:
+                return EMPTY_PATTERNS, EMPTY_PATTERNS
+            lo = entries[0][1]
+            if all(blo is lo and bhi is lo for _, blo, bhi in entries):
+                return lo, lo
+            hi = EMPTY_PATTERNS
+            for _, blo, bhi in entries:
+                lo, hi = lo.intersection(blo), hi.union(bhi)
+            return lo, hi
+        return EMPTY_PATTERNS, EMPTY_PATTERNS
 
     # -- item bounds
 
+    def _ei_of(self, s: Schema) -> tuple[Schema, EvalPair, EvalPair]:
+        hit = self._ei.get(id(s))
+        if hit is None or hit[0] is not s:
+            if isinstance(s, BoolSchema):
+                hit = (s, ZERO_PAIR, ZERO_PAIR)
+            else:
+                # adjacent keywords conjoin, so their evaluations accumulate
+                hit = (s, *_union_pairs([self._ei_keyword(kw) for kw in s.keywords]))
+            self._ei[id(s)] = hit
+        return hit
+
     def min_ei(self, s: Schema) -> EvalPair:
-        return self._memo(self._min_ei, s, self._ei, True)
+        return self._ei_of(s)[1]
 
     def max_ei(self, s: Schema) -> EvalPair:
-        return self._memo(self._max_ei, s, self._ei, False)
+        return self._ei_of(s)[2]
 
-    def _ei(self, s: Schema, lower: bool) -> EvalPair:
-        if isinstance(s, BoolSchema):
-            return ZERO_PAIR
-        pairs = [self._ei_keyword(kw, lower) for kw in s.keywords]
-        # adjacent keywords conjoin, so their evaluations accumulate
-        return _combine_union(pairs)
-
-    def _ei_keyword(self, kw: Keyword, lower: bool) -> EvalPair:
+    def _ei_keyword(self, kw: Keyword) -> tuple[EvalPair, EvalPair]:
         name = kw.name
         if name == "prefixItems":
-            return EvalPair(len(kw.value), FALSE_SCHEMA)
+            p = EvalPair(len(kw.value), FALSE_SCHEMA)
+            return p, p
         if name == "contains":
-            return _norm_pair(0, kw.value)
+            p = _norm_pair(0, kw.value)
+            return p, p
         if name in ("items", "unevaluatedItems"):
-            return ALL_PAIR
+            return ALL_PAIR, ALL_PAIR
         if name == "$ref":
-            target = deref(self.doc, kw.value)
-            return self.min_ei(target) if lower else self.max_ei(target)
-        if name in ("anyOf", "oneOf"):
-            branches = [
-                self.min_ei(b) if lower else self.max_ei(b) for b in kw.value
-            ]
-            if lower:
-                return _combine_intersection(branches)
-            return _combine_union(branches)
+            return self._ei_of(deref(self.doc, kw.value))[1:]
         if name == "allOf":
-            branches = [
-                self.min_ei(b) if lower else self.max_ei(b) for b in kw.value
-            ]
-            return _combine_union(branches)
-        return ZERO_PAIR
+            return _union_pairs([self._ei_of(b)[1:] for b in kw.value])
+        if name in ("anyOf", "oneOf"):
+            entries = [self._ei_of(b) for b in kw.value]
+            if not entries:
+                return ZERO_PAIR, ZERO_PAIR
+            lo = entries[0][1]
+            if all(blo is lo and bhi is lo for _, blo, bhi in entries):
+                return lo, lo
+            return (
+                _combine_intersection([blo for _, blo, _ in entries]),
+                _combine_union([bhi for _, _, bhi in entries]),
+            )
+        return ZERO_PAIR, ZERO_PAIR
 
     # -- exact characterizations
 
     def ex_ep(self, s: Schema) -> PatternSet | None:
-        lo, hi = self.min_ep(s), self.max_ep(s)
-        return lo if eq_patterns(lo, hi) else None
+        _, lo, hi = self._ep_of(s)
+        return lo if lo is hi or eq_patterns(lo, hi) else None
 
     def ex_ei(self, s: Schema) -> EvalPair | None:
-        lo, hi = self.min_ei(s), self.max_ei(s)
-        return lo if eq_pairs(lo, hi) else None
+        _, lo, hi = self._ei_of(s)
+        return lo if lo is hi or eq_pairs(lo, hi) else None
 
     def is_characterized(self, s: Schema) -> bool:
         return self.ex_ep(s) is not None and self.ex_ei(s) is not None
@@ -272,8 +294,8 @@ class Analyzer:
         satisfying both schemas, s1 evaluates everything s2 evaluates;
         False only means the cover could not be proven.
         """
-        return patterns_dominate(self.min_ep(s1), self.max_ep(s2)) and pair_dominates(
-            self.min_ei(s1), self.max_ei(s2)
+        return patterns_dominate(self._ep_of(s1)[1], self._ep_of(s2)[2]) and pair_dominates(
+            self._ei_of(s1)[1], self._ei_of(s2)[2]
         )
 
 

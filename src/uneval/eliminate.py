@@ -122,19 +122,27 @@ def _rebuild_keyword(kw: Keyword, rewrite) -> Keyword:
 
 class _Hoister:
     """Post-order rewrite that moves nested uneval-schemas into fresh
-    definitions, collected in ``new_defs``."""
+    definitions, collected in ``new_defs``.  A node met at several places
+    is rewritten once, so a shared uneval-schema gets one definition."""
 
     def __init__(self, taken: set[str]):
         self.fresh = _FreshNames(taken)
         self.new_defs: dict[str, Schema] = {}
+        # id -> (node, its rewrite); the node reference keeps ids from
+        # being reused
+        self._done: dict[int, tuple[Schema, Schema]] = {}
 
     def hoist(self, s: Schema) -> Schema:
         """Rewrite children post-order; replace uneval occurrences by refs."""
+        hit = self._done.get(id(s))
+        if hit is not None and hit[0] is s:
+            return hit[1]
         rebuilt = self.rewrite_children(s)
         if is_uneval_schema(rebuilt):
             name = self.fresh.next()
             self.new_defs[name] = rebuilt
-            return ref(f"#/$defs/{name}")
+            rebuilt = ref(f"#/$defs/{name}")
+        self._done[id(s)] = (s, rebuilt)
         return rebuilt
 
     def rewrite_children(self, s: Schema) -> Schema:

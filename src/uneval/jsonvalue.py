@@ -6,8 +6,9 @@ Instances are plain Python trees: ``None``, ``bool``, ``int``/``Decimal``,
 floats and ``1.0`` equals ``1`` by mathematical value.
 
 Values built by the package, such as the JSON form of a rewrite, may reuse
-one list or dict object at several places; :func:`serialize_json` builds
-the text of such a shared container once per call.
+one list or dict object at several places.  :func:`serialize_json` writes
+a plain value's shared containers once per occurrence, in C; in a value
+with floats or Decimals it builds a shared container's text once per call.
 """
 
 from __future__ import annotations
@@ -190,11 +191,10 @@ _STR_ONLY = frozenset((str,))
 
 
 def _shared_uses(v: list | dict) -> tuple[dict[int, int], bool]:
-    """How often each list or dict that occurs more than once in ``v`` is
-    met, by ``id``, when each is entered only the first time it is met;
-    and whether ``v`` is a plain tree: no container met twice, every
-    scalar exactly a str, int, bool or None, and every key a str.  The
-    scalars and keys are not checked after the first repeat."""
+    """How often each list or dict in ``v`` is met, by ``id``, when each is
+    entered only the first time it is met; and whether ``v`` is plain:
+    every scalar exactly a str, int, bool or None, and every key a str.
+    Each distinct container is checked once, whether or not it repeats."""
     met: dict[int, int] = {}
     plain = True
     stack = [v]
@@ -204,7 +204,6 @@ def _shared_uses(v: list | dict) -> tuple[dict[int, int], bool]:
         i = id(x)
         if i in met:
             met[i] += 1
-            plain = False
             continue
         met[i] = 1
         if type(x) is dict:
@@ -217,7 +216,7 @@ def _shared_uses(v: list | dict) -> tuple[dict[int, int], bool]:
                 push(c)
             elif plain and t not in _PLAIN_SCALARS:
                 plain = False
-    return {i: n for i, n in met.items() if n > 1}, plain
+    return met, plain
 
 
 class _SharedWriter:
@@ -251,9 +250,10 @@ class _SharedWriter:
         return "{" + ",".join([string_text(k) + ":" + text(v[k]) for k in sorted(v)]) + "}"
 
 
-#: Writes plain trees (see :func:`_shared_uses`) in C, with the same text
+#: Writes plain values (see :func:`_shared_uses`) in C, with the same text
 #: as :func:`_canonical`: ints through ``int.__repr__``, strings through
-#: :data:`string_text`, keys sorted.
+#: :data:`string_text`, keys sorted.  A shared container is written at
+#: each of its occurrences.
 _PLAIN_ENCODER = json.JSONEncoder(
     ensure_ascii=False, separators=(",", ":"), sort_keys=True, check_circular=False
 )
@@ -263,20 +263,22 @@ def serialize_json(v: JsonValue) -> str:
     """Canonical serialization: compact, object keys in lexicographic order.
 
     Deterministic by construction, so equal values always serialize to the
-    same text; schema deduplication relies on this.  Each container is
-    joined from its members' texts, so no per-token list is built.  A list
-    or dict object that occurs at several places in ``v`` (as the JSON form
-    of a rewrite shares subschemas) is serialized once per call; its text
-    is kept only until its last occurrence.  A tree without shared
-    containers, floats or Decimals goes through the C encoder.
+    same text; schema deduplication relies on this.  A plain value, one
+    without floats or Decimals, goes through the C encoder, which writes a
+    list or dict object that occurs at several places in ``v`` (as the JSON
+    form of a rewrite shares subschemas) once per occurrence.  Any other
+    value is joined in Python from its members' texts, so no per-token list
+    is built; there a shared container is serialized once per call, and
+    its text is kept only until its last occurrence.
     """
     if type(v) is not dict and type(v) is not list:
         return _canonical(v)
-    uses, plain = _shared_uses(v)
-    if uses:
-        return _SharedWriter(uses).text(v)
+    met, plain = _shared_uses(v)
     if plain:
         return _PLAIN_ENCODER.encode(v)
+    uses = {i: n for i, n in met.items() if n > 1}
+    if uses:
+        return _SharedWriter(uses).text(v)
     return _canonical(v)
 
 

@@ -207,15 +207,55 @@ class SchemaDocument:
 # parsing
 
 
+def _ecma_end_anchors(source: str) -> str:
+    """``source`` with every ``$`` outside a character class, and not
+    escaped, written as ``\\Z``: in ECMA-262 ``$`` matches only at the end
+    of the input, in Python also before a final newline.  Classes are
+    delimited as Python reads them, where a ``]`` right after ``[`` or
+    ``[^`` is a member."""
+    if "$" not in source:
+        return source
+    out = []
+    i, n = 0, len(source)
+    in_class = False
+    while i < n:
+        c = source[i]
+        i += 1
+        if c == "\\":
+            c += source[i : i + 1]
+            i += 1
+        elif in_class:
+            in_class = c != "]"
+        elif c == "[":
+            in_class = True
+            if source.startswith("^", i):
+                c += "^"
+                i += 1
+            if source.startswith("]", i):
+                c += "]"
+                i += 1
+        elif c == "$":
+            c = "\\Z"
+        out.append(c)
+    return "".join(out)
+
+
 @functools.lru_cache(maxsize=1024)
 def compile_pattern(source: str) -> re.Pattern:
-    """The compiled pattern; the most recently used sources are kept."""
-    return re.compile(source)
+    """The compiled pattern, with ``$`` meaning the end of the input as in
+    ECMA-262; the most recently used sources are kept."""
+    return re.compile(_ecma_end_anchors(source))
 
 
 def pattern_matches(source: str, name: str) -> bool:
     """Unanchored match: the pattern 'a' matches any string containing 'a'."""
     return compile_pattern(source).search(name) is not None
+
+
+def _pointer_segment(name: str) -> str:
+    """``name`` as one JSON pointer segment: ``~`` as ``~0``, ``/`` as
+    ``~1`` (RFC 6901)."""
+    return name.replace("~", "~0").replace("/", "~1")
 
 
 def type_name(v) -> str:
@@ -315,7 +355,7 @@ class _Parser:
             for name, arg in v.items():
                 keywords.append(parsers.get(name, inert)(self, name, arg, named_top))
         except SchemaParseError as exc:
-            exc.path = f"/{name}{exc.path}"
+            exc.path = f"/{_pointer_segment(name)}{exc.path}"
             raise
         if "contains" in v or "minContains" in v or "maxContains" in v:
             keywords = _normalize_contains(keywords)
@@ -420,7 +460,7 @@ class _Parser:
             for key in sorted(arg):
                 parsed[key] = self.parse_schema_node(arg[key], False)
         except SchemaParseError as exc:
-            exc.path = f"/{key}{exc.path}"
+            exc.path = f"/{_pointer_segment(key)}{exc.path}"
             raise
         return Keyword(name, parsed)
 
@@ -468,7 +508,7 @@ def parse_schema(v: JsonValue) -> SchemaDocument:
             try:
                 defs[name] = parser.parse_schema_node(defs_json[name], named_top=True)
             except SchemaParseError as exc:
-                exc.path = f"/$defs/{name}{exc.path}"
+                exc.path = f"/$defs/{_pointer_segment(name)}{exc.path}"
                 raise
         def_refs, parser.refs = parser.refs, []
         v = {k: val for k, val in v.items() if k != "$defs"}

@@ -1,23 +1,38 @@
+import random
+
 from uneval.analysis import (
+    ALL_PAIR,
+    DOTSTAR_PATTERNS,
+    EMPTY_PATTERNS,
+    ZERO_PAIR,
     Analyzer,
     EvalPair,
     PatternSet,
+    _combine_intersection,
+    _combine_union,
+    _norm_pair,
     eq_pairs,
     eq_patterns,
     exact_pattern,
 )
+from uneval.errors import SchemaParseError
+from uneval.families import gen_family_san, gen_family_sn
 from uneval.instances import enumerate_instances
 from uneval.schema import (
     INF,
     FALSE_SCHEMA,
+    BoolSchema,
     ObjSchema,
     TRUE_SCHEMA,
+    deref,
+    distinct_nodes,
     parse_schema,
     walk,
 )
 from uneval.validator import validate
 
 from conftest import load_corpus
+from randgen import gen_schema
 
 
 def doc_of(schema_json):
@@ -310,3 +325,181 @@ def test_covers_implies_annotation_containment():
         if o1.valid and o2.valid:
             assert o2.annotation.props <= o1.annotation.props
             assert o2.annotation.items <= o1.annotation.items
+
+
+class _FourWalkAnalyzer:
+    """Reference bounds: each of the four computed by a walk of its own,
+    with its own memo, as the analysis did before it computed both bounds
+    of a family in one walk."""
+
+    def __init__(self, doc):
+        self.doc = doc
+        self.memo = {}
+
+    def _memo(self, which, s, compute, lower):
+        key = (which, id(s))
+        hit = self.memo.get(key)
+        if hit is not None and hit[0] is s:
+            return hit[1]
+        value = compute(s, lower)
+        self.memo[key] = (s, value)
+        return value
+
+    def min_ep(self, s):
+        return self._memo("min_ep", s, self._ep, True)
+
+    def max_ep(self, s):
+        return self._memo("max_ep", s, self._ep, False)
+
+    def min_ei(self, s):
+        return self._memo("min_ei", s, self._ei, True)
+
+    def max_ei(self, s):
+        return self._memo("max_ei", s, self._ei, False)
+
+    def _ep(self, s, lower):
+        if isinstance(s, BoolSchema):
+            return EMPTY_PATTERNS
+        result = EMPTY_PATTERNS
+        for kw in s.keywords:
+            result = result.union(self._ep_keyword(kw, lower))
+        return result
+
+    def _ep_keyword(self, kw, lower):
+        bound = self.min_ep if lower else self.max_ep
+        if kw.name == "properties":
+            return PatternSet(frozenset(exact_pattern(k) for k in kw.value))
+        if kw.name == "patternProperties":
+            return PatternSet(frozenset(kw.value.keys()))
+        if kw.name in ("additionalProperties", "unevaluatedProperties"):
+            return DOTSTAR_PATTERNS
+        if kw.name == "$ref":
+            return bound(deref(self.doc, kw.value))
+        if kw.name in ("anyOf", "oneOf"):
+            branches = [bound(b) for b in kw.value]
+            if not branches:
+                return EMPTY_PATTERNS
+            out = branches[0] if lower else EMPTY_PATTERNS
+            for b in branches:
+                out = out.intersection(b) if lower else out.union(b)
+            return out
+        if kw.name == "allOf":
+            out = EMPTY_PATTERNS
+            for b in kw.value:
+                out = out.union(bound(b))
+            return out
+        return EMPTY_PATTERNS
+
+    def _ei(self, s, lower):
+        if isinstance(s, BoolSchema):
+            return ZERO_PAIR
+        return _combine_union([self._ei_keyword(kw, lower) for kw in s.keywords])
+
+    def _ei_keyword(self, kw, lower):
+        bound = self.min_ei if lower else self.max_ei
+        if kw.name == "prefixItems":
+            return EvalPair(len(kw.value), FALSE_SCHEMA)
+        if kw.name == "contains":
+            return _norm_pair(0, kw.value)
+        if kw.name in ("items", "unevaluatedItems"):
+            return ALL_PAIR
+        if kw.name == "$ref":
+            return bound(deref(self.doc, kw.value))
+        if kw.name in ("anyOf", "oneOf"):
+            branches = [bound(b) for b in kw.value]
+            return (_combine_intersection if lower else _combine_union)(branches)
+        if kw.name == "allOf":
+            return _combine_union([bound(b) for b in kw.value])
+        return ZERO_PAIR
+
+    def ex_ep(self, s):
+        lo, hi = self.min_ep(s), self.max_ep(s)
+        return lo if eq_patterns(lo, hi) else None
+
+    def ex_ei(self, s):
+        lo, hi = self.min_ei(s), self.max_ei(s)
+        return lo if eq_pairs(lo, hi) else None
+
+
+def _random_documents(count, seed):
+    rng = random.Random(seed)
+    docs = []
+    while len(docs) < count:
+        try:
+            docs.append(parse_schema(gen_schema(rng, rng.randrange(1, 5))))
+        except SchemaParseError:
+            continue
+    return docs
+
+
+def _bound_documents(rewrites):
+    """Corpus originals and their rewrites, sn/san n <= 6 and their
+    rewrites, and seeded random schemas."""
+    docs = [parse_schema(f.schema_json) for f in load_corpus()]
+    docs += rewrites.corpus
+    for n in range(2, 7):
+        docs += [gen_family_sn(n), gen_family_san(n), *rewrites.family[n]]
+    return docs + _random_documents(2000, seed=31)
+
+
+def _chooses(doc, s, memo):
+    """Whether an anyOf/oneOf is reachable from ``s`` through allOf and
+    $ref, the keywords along which bounds are combined."""
+    hit = memo.get(id(s))
+    if hit is None:
+        hit = False
+        if isinstance(s, ObjSchema):
+            for kw in s.keywords:
+                if kw.name in ("anyOf", "oneOf"):
+                    hit = True
+                elif kw.name == "allOf":
+                    hit = any([_chooses(doc, b, memo) for b in kw.value])
+                elif kw.name == "$ref":
+                    hit = _chooses(doc, deref(doc, kw.value), memo)
+                if hit:
+                    break
+        memo[id(s)] = hit
+    return hit
+
+
+def test_bounds_equal_the_four_walk_reference(rewrites):
+    """Both bounds of a family come from one walk; they equal the four
+    separate walks' bounds, and so do the exact characterizations, on
+    every distinct node.  Where no choice is reachable the two bounds
+    are one object."""
+    nodes = shared = 0
+    for doc in _bound_documents(rewrites):
+        an, ref_an = Analyzer(doc), _FourWalkAnalyzer(doc)
+        memo = {}
+        for s in distinct_nodes([top for _, top in doc.named_schemas()]):
+            nodes += 1
+            assert an.min_ep(s) == ref_an.min_ep(s)
+            assert an.max_ep(s) == ref_an.max_ep(s)
+            assert an.min_ei(s) == ref_an.min_ei(s)
+            assert an.max_ei(s) == ref_an.max_ei(s)
+            assert an.ex_ep(s) == ref_an.ex_ep(s)
+            assert an.ex_ei(s) == ref_an.ex_ei(s)
+            if not _chooses(doc, s, memo):
+                assert an.min_ep(s) is an.max_ep(s)
+                assert an.min_ei(s) is an.max_ei(s)
+                shared += 1
+    assert nodes > 10000 and shared > 8000, (nodes, shared)
+
+
+def test_bounds_are_one_object_for_a_single_or_repeated_choice():
+    doc = doc_of(
+        {
+            "$defs": {"c": {"contains": {"type": "string"}}},
+            "allOf": [
+                {"anyOf": [{"$ref": "#/$defs/c"}]},
+                {"oneOf": [{"prefixItems": [True]}, {"prefixItems": [True]}]},
+            ],
+        }
+    )
+    an = Analyzer(doc)
+    assert an.min_ei(doc.root) is an.max_ei(doc.root)
+    assert an.ex_ei(doc.root) == EvalPair(1, doc.defs["c"].get("contains").value)
+    split = doc_of({"anyOf": [{"prefixItems": [True]}, {"contains": True}]})
+    an = Analyzer(split)
+    assert an.min_ei(split.root) is not an.max_ei(split.root)
+    assert an.ex_ei(split.root) is None

@@ -39,3 +39,22 @@ def test_deterministic():
 def test_report_counts_consistent():
     report = difftest(gen_family_sn(2))
     assert report.agree + report.disagree == report.instances_total
+
+
+def test_trailing_newline_names_agree():
+    """The rewrite's exact-name patterns end in ``$``, which must not
+    match before a final newline."""
+    doc = parse_schema({"properties": {"a": True}, "unevaluatedProperties": False})
+    report = difftest(doc, instances=[{"a": 1}, {"a\n": 1}, {"a\n": 1, "a": 1}, {"\n": 1}])
+    assert report.instances_total == 4
+    assert report.disagree == 0, report.disagreements
+
+
+def test_shared_nested_uneval_agrees():
+    inner = {"properties": {"x": True}, "unevaluatedProperties": False}
+    doc = parse_schema(
+        {"properties": {"a": inner, "b": inner}, "unevaluatedProperties": False}
+    )
+    report = difftest(doc)
+    assert report.instances_total > 0
+    assert report.disagree == 0, report.disagreements

@@ -70,6 +70,25 @@ def test_unnest_hoists_nested_uneval():
     assert count_uneval_keywords(out) == 1
 
 
+def test_unnest_hoists_a_shared_nested_uneval_once():
+    inner = {"properties": {"x": True}, "unevaluatedProperties": False}
+    doc = parse_schema(
+        {"properties": {"a": inner, "b": inner}, "unevaluatedProperties": False}
+    )
+    props = doc.root.get("properties").value
+    assert props["a"] is props["b"]
+    out = unnest(doc)
+    assert sorted(out.defs) == ["__uneval_0"]
+    assert schema_to_json(out.root)["properties"] == {
+        "a": {"$ref": "#/$defs/__uneval_0"},
+        "b": {"$ref": "#/$defs/__uneval_0"},
+    }
+    rewritten, stats = elim_document_with_stats(doc)
+    assert sorted(rewritten.defs) == ["__uneval_0"]
+    assert stats == {"__uneval_0": 1, "": 1}
+    assert equivalent(doc, rewritten)
+
+
 def test_count_uneval_keywords_counts_each_occurrence_of_a_shared_node():
     shared = ObjSchema(
         (

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uneval import jsonvalue
 from uneval.errors import DuplicateKeyError, JsonParseError
 from uneval.jsonvalue import (
     _canonical,
@@ -155,6 +156,32 @@ def test_serialize_plain_trees_as_canonical():
     shared = {"p": leaf, "q": [leaf, leaf], "r": 1.0}
     assert serialize_json(shared) == _canonical(shared)
     assert serialize_json([leaf, leaf]) == _canonical([leaf, leaf])
+
+
+def test_serialize_dag_paths_as_canonical(monkeypatch):
+    """A plain value goes through the C encoder whether it shares
+    containers or not; a shared value with a Decimal or a float goes
+    through the shared-text writer.  All agree with the canonical writer."""
+    written = []
+
+    class Recording(jsonvalue._SharedWriter):
+        def __init__(self, uses):
+            written.append(dict(uses))
+            super().__init__(uses)
+
+    monkeypatch.setattr(jsonvalue, "_SharedWriter", Recording)
+    leaf = {"k": [1, "x", None], "é": True}
+    pair = [leaf, leaf]
+    plain_dag = {"p": pair, "q": [pair, {"r": leaf}], "s": leaf}
+    plain_tree = {"a": [{"b": 1}, {"b": 1}], "c": "\u2028"}
+    for v in (plain_dag, plain_tree, [pair, pair]):
+        assert serialize_json(v) == _canonical(v), v
+    assert written == []
+    number_leaf = {"d": Decimal("2.50"), "f": 1e20}
+    numbers_dag = {"p": [number_leaf, number_leaf], "q": plain_dag, "r": number_leaf}
+    assert serialize_json(numbers_dag) == _canonical(numbers_dag)
+    assert len(written) == 1
+    assert written[0][id(number_leaf)] == 3 and written[0][id(leaf)] == 4
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, [{"a": {None: 1}}], {"a": {(1,): 2}}, [(1, 2)], {"a": {1.5}}])

@@ -156,6 +156,10 @@ def test_parse_errors(schema):
         ({"$defs": 5}, "/$defs"),
         ({"required": [1]}, "/required"),
         ("no", ""),
+        ({"properties": {"a/b": {"minimum": "x"}}}, "/properties/a~1b/minimum"),
+        ({"$defs": {"m~n": {"minimum": "x"}}}, "/$defs/m~0n/minimum"),
+        ({"patternProperties": {"~/": {"type": "frob"}}}, "/patternProperties/~0~1/type"),
+        ({"properties": {"~1": {"not": {"minimum": "x"}}}}, "/properties/~01/not/minimum"),
     ],
 )
 def test_parse_error_path(schema, path):

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from uneval.eliminate import elim_document
 from uneval.schema import (
     Keyword,
     ObjSchema,
@@ -131,6 +134,37 @@ def test_additional_properties_rejects_unlisted():
     schema = {"properties": {"a": True}, "additionalProperties": False}
     assert not outcome(schema, {"a": 1, "b": 2}).valid
     assert outcome(schema, {"a": 1}).valid
+
+
+@pytest.mark.parametrize(
+    "pattern, matched, unmatched",
+    [
+        ("^a$", ["a"], ["a\n", "ab"]),
+        ("b$", ["ab", "b"], ["b\n", "ba"]),
+        ("a\\$", ["a$", "xa$"], ["a", "a\n"]),
+        ("[$]", ["$", "x$y"], ["x"]),
+        ("[]$]$", ["]", "$"], ["]\n", "$\n"]),
+        ("^(a|b$)", ["a\n", "b"], ["b\n"]),
+    ],
+)
+def test_dollar_is_the_end_of_input(pattern, matched, unmatched):
+    """As in ECMA-262, an end anchor does not match before a final newline;
+    an escaped ``$`` and one in a class stay literal."""
+    for name in matched:
+        assert outcome({"pattern": pattern}, name).valid, (pattern, name)
+        assert outcome({"patternProperties": {pattern: False}}, {name: 1}).valid is False
+    for name in unmatched:
+        assert not outcome({"pattern": pattern}, name).valid, (pattern, name)
+        assert outcome({"patternProperties": {pattern: False}}, {name: 1}).valid
+
+
+def test_closed_properties_reject_a_name_with_a_trailing_newline():
+    schema = {"properties": {"a": True}, "unevaluatedProperties": False}
+    doc = parse_schema(schema)
+    rewritten = elim_document(doc)
+    for instance, valid in (({"a": 1}, True), ({"a\n": 1}, False), ({"a": 1, "a\n": 1}, False)):
+        assert validate(doc, doc.root, instance).valid is valid, instance
+        assert validate(rewritten, rewritten.root, instance).valid is valid, instance
 
 
 def test_validate_keyword_list_dependent_step():

@@ -40,7 +40,7 @@ from pathlib import Path
 SIDES = ("a", "b")
 ROUNDS = 40
 SEED = 7
-FAMILY_MAX_N = 8
+FAMILY_MAX_N = 10
 
 
 def load_package(name: str, checkout: Path):
