@@ -259,6 +259,22 @@ _PLAIN_ENCODER = json.JSONEncoder(
 )
 
 
+def _encode_plain(v: JsonValue, depth: int = 2) -> str:
+    """``_PLAIN_ENCODER.encode(v)``, with the members of the top ``depth``
+    levels encoded one by one.  The encoder holds every fragment of its
+    output until it joins them, about five times the text in memory; a
+    rewrite's text is spread over the members of its top two levels (the
+    branches of a top-level ``anyOf``, the definitions), so this bounds the
+    fragments held to those of one member."""
+    t = type(v)
+    if depth == 0 or (t is not list and t is not dict):
+        return _PLAIN_ENCODER.encode(v)
+    depth -= 1
+    if t is list:
+        return "[" + ",".join([_encode_plain(x, depth) for x in v]) + "]"
+    return "{" + ",".join([string_text(k) + ":" + _encode_plain(v[k], depth) for k in sorted(v)]) + "}"
+
+
 def serialize_json(v: JsonValue) -> str:
     """Canonical serialization: compact, object keys in lexicographic order.
 
@@ -275,7 +291,7 @@ def serialize_json(v: JsonValue) -> str:
         return _canonical(v)
     met, plain = _shared_uses(v)
     if plain:
-        return _PLAIN_ENCODER.encode(v)
+        return _encode_plain(v)
     uses = {i: n for i, n in met.items() if n > 1}
     if uses:
         return _SharedWriter(uses).text(v)

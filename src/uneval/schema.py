@@ -243,8 +243,13 @@ def _ecma_end_anchors(source: str) -> str:
 @functools.lru_cache(maxsize=1024)
 def compile_pattern(source: str) -> re.Pattern:
     """The compiled pattern, with ``$`` meaning the end of the input as in
-    ECMA-262; the most recently used sources are kept."""
-    return re.compile(_ecma_end_anchors(source))
+    ECMA-262; the most recently used sources are kept.  A syntax error is
+    reported at its position in ``source``."""
+    try:
+        return re.compile(_ecma_end_anchors(source))
+    except re.error:
+        re.compile(source)
+        raise
 
 
 def pattern_matches(source: str, name: str) -> bool:

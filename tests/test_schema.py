@@ -460,6 +460,14 @@ def test_pattern_cache_is_bounded_and_keeps_no_error():
             parse_schema({"patternProperties": {"(": True}})
 
 
+def test_pattern_error_names_the_position_in_the_source():
+    """``$`` is compiled as ``\\Z``, but an error names its position in
+    the pattern as written."""
+    for pattern, position in (("a$*", 2), ("$$[", 2), ("$)", 1)):
+        with pytest.raises(SchemaParseError, match=f"at position {position}$"):
+            parse_schema({"pattern": pattern})
+
+
 def test_keywords_stay_in_rank_order(rewrites):
     """Parsed nodes and every node a rewrite builds keep their keywords in
     rank order, so an unevaluated* keyword, if any, is the last one; the
