@@ -10,7 +10,8 @@ change run ``python3 bench/run.py --workload W --seed S --seconds 20
 --trace 0`` in their own checkout, the parent first on even pairs and the
 change first on odd ones.  Every run's result line is appended to the log,
 and runs already in the log are not repeated, so an interrupted series
-resumes.  The summary gives, per workload and end-to-end metric, each side's
+resumes; the log keeps each run's ``# key: value`` lines as ``info``.  The
+summary gives, per workload and end-to-end metric, each side's
 median and quartiles, the pairs the change won and lost, and whether the
 change stays within the metric's bound.  The tier-1 suite is timed once per
 checkout.
@@ -60,7 +61,9 @@ def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     )
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
-    return {"exit": done.returncode, "wall_s": time.time() - t0, "result": result}
+    # the run's "# key: value" lines, such as the oracle's validated pairs
+    info = dict(line[2:].rpartition(": ")[::2] for line in lines if line.startswith("# "))
+    return {"exit": done.returncode, "wall_s": time.time() - t0, "result": result, "info": info}
 
 
 def time_tier1(checkout: Path) -> dict:
