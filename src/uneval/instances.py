@@ -26,8 +26,8 @@ from .schema import (
 
 SCALAR_ALPHABET: tuple[JsonValue, ...] = (None, 0, "x")
 
-_LITERAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_-]*$")
-_ANCHORED_RE = re.compile(r"^\^([A-Za-z0-9_][A-Za-z0-9_-]*)\$$")
+_LITERAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
+_ANCHORED_RE = re.compile(r"\^([A-Za-z0-9_][A-Za-z0-9_-]*)\$")
 
 MAX_NAMES = 12
 MAX_CONCATS = 3
@@ -35,10 +35,10 @@ MAX_CONCATS = 3
 
 def pattern_literal(pattern: str) -> str | None:
     """The literal name a pattern denotes, if it is metacharacter-free."""
-    m = _ANCHORED_RE.match(pattern)
+    m = _ANCHORED_RE.fullmatch(pattern)
     if m:
         return m.group(1)
-    if _LITERAL_RE.match(pattern):
+    if _LITERAL_RE.fullmatch(pattern):
         return pattern
     return None
 

@@ -7,8 +7,8 @@ floats and ``1.0`` equals ``1`` by mathematical value.
 
 Values built by the package, such as the JSON form of a rewrite, may reuse
 one list or dict object at several places.  :func:`serialize_json` writes
-a plain value's shared containers once per occurrence, in C; in a value
-with floats or Decimals it builds a shared container's text once per call.
+such a shared container once per occurrence: in C for a plain value, in
+Python for a value with floats or Decimals.
 """
 
 from __future__ import annotations
@@ -190,68 +190,34 @@ _PLAIN_SCALARS = frozenset((str, int, bool, type(None)))
 _STR_ONLY = frozenset((str,))
 
 
-def _shared_uses(v: list | dict) -> tuple[dict[int, int], bool]:
-    """How often each list or dict in ``v`` is met, by ``id``, when each is
-    entered only the first time it is met; and whether ``v`` is plain:
-    every scalar exactly a str, int, bool or None, and every key a str.
-    Each distinct container is checked once, whether or not it repeats."""
-    met: dict[int, int] = {}
-    plain = True
+def _is_plain(v: list | dict) -> bool:
+    """Whether every scalar in ``v`` is exactly a str, int, bool or None
+    and every key a str.  Each distinct list or dict is checked once, so a
+    container shared at many places costs one visit."""
+    seen: set[int] = set()
     stack = [v]
-    pop, push = stack.pop, stack.append
+    pop, push, add = stack.pop, stack.append, seen.add
     while stack:
         x = pop()
         i = id(x)
-        if i in met:
-            met[i] += 1
+        if i in seen:
             continue
-        met[i] = 1
+        add(i)
         if type(x) is dict:
-            if plain and not _STR_ONLY.issuperset(map(type, x)):
-                plain = False
+            if not _STR_ONLY.issuperset(map(type, x)):
+                return False
             x = x.values()
         for c in x:
             t = type(c)
             if t is dict or t is list:
                 push(c)
-            elif plain and t not in _PLAIN_SCALARS:
-                plain = False
-    return met, plain
+            elif t not in _PLAIN_SCALARS:
+                return False
+    return True
 
 
-class _SharedWriter:
-    """Serializes a value whose lists and dicts may occur several times: a
-    shared one's text is built once and dropped after its last use."""
-
-    def __init__(self, uses: dict[int, int]):
-        self.uses = uses
-        self.texts: dict[int, str] = {}
-
-    def text(self, v: JsonValue) -> str:
-        t = type(v)
-        if t is not dict and t is not list:
-            return _canonical(v)
-        i = id(v)
-        left = self.uses.get(i)
-        if left is None:
-            return self.build(v, t)
-        text = self.texts.pop(i, None)
-        if text is None:
-            text = self.build(v, t)
-        if left > 1:
-            self.uses[i] = left - 1
-            self.texts[i] = text
-        return text
-
-    def build(self, v: list | dict, t: type) -> str:
-        text = self.text
-        if t is list:
-            return "[" + ",".join(map(text, v)) + "]"
-        return "{" + ",".join([string_text(k) + ":" + text(v[k]) for k in sorted(v)]) + "}"
-
-
-#: Writes plain values (see :func:`_shared_uses`) in C, with the same text
-#: as :func:`_canonical`: ints through ``int.__repr__``, strings through
+#: Writes plain values (see :func:`_is_plain`) in C, with the same text as
+#: :func:`_canonical`: ints through ``int.__repr__``, strings through
 #: :data:`string_text`, keys sorted.  A shared container is written at
 #: each of its occurrences.
 _PLAIN_ENCODER = json.JSONEncoder(
@@ -259,42 +225,20 @@ _PLAIN_ENCODER = json.JSONEncoder(
 )
 
 
-def _encode_plain(v: JsonValue, depth: int = 2) -> str:
-    """``_PLAIN_ENCODER.encode(v)``, with the members of the top ``depth``
-    levels encoded one by one.  The encoder holds every fragment of its
-    output until it joins them, about five times the text in memory; a
-    rewrite's text is spread over the members of its top two levels (the
-    branches of a top-level ``anyOf``, the definitions), so this bounds the
-    fragments held to those of one member."""
-    t = type(v)
-    if depth == 0 or (t is not list and t is not dict):
-        return _PLAIN_ENCODER.encode(v)
-    depth -= 1
-    if t is list:
-        return "[" + ",".join([_encode_plain(x, depth) for x in v]) + "]"
-    return "{" + ",".join([string_text(k) + ":" + _encode_plain(v[k], depth) for k in sorted(v)]) + "}"
-
-
 def serialize_json(v: JsonValue) -> str:
     """Canonical serialization: compact, object keys in lexicographic order.
 
     Deterministic by construction, so equal values always serialize to the
     same text; schema deduplication relies on this.  A plain value, one
-    without floats or Decimals, goes through the C encoder, which writes a
-    list or dict object that occurs at several places in ``v`` (as the JSON
-    form of a rewrite shares subschemas) once per occurrence.  Any other
-    value is joined in Python from its members' texts, so no per-token list
-    is built; there a shared container is serialized once per call, and
-    its text is kept only until its last occurrence.
+    without floats or Decimals, goes through the C encoder, any other
+    through :func:`_canonical`.  Both write a list or dict object that
+    occurs at several places in ``v`` (as the JSON form of a rewrite shares
+    subschemas) once per occurrence.
     """
     if type(v) is not dict and type(v) is not list:
         return _canonical(v)
-    met, plain = _shared_uses(v)
-    if plain:
-        return _encode_plain(v)
-    uses = {i: n for i, n in met.items() if n > 1}
-    if uses:
-        return _SharedWriter(uses).text(v)
+    if _is_plain(v):
+        return _PLAIN_ENCODER.encode(v)
     return _canonical(v)
 
 

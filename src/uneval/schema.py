@@ -66,7 +66,7 @@ CHILD_KIND = {
     **dict.fromkeys(MAP_VALUED, 2),
 }
 
-_PLAIN_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
+_PLAIN_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
 
 def keyword_rank(name: str) -> int:
@@ -392,7 +392,7 @@ class _Parser:
             raise SchemaParseError(
                 "$anchor is only supported at the top level of the root or of a named schema"
             )
-        if not isinstance(arg, str) or not _PLAIN_NAME_RE.match(arg):
+        if not isinstance(arg, str) or not _PLAIN_NAME_RE.fullmatch(arg):
             raise SchemaParseError("expected a plain-name anchor")
         return Keyword(name, arg)
 
@@ -403,7 +403,7 @@ class _Parser:
             arg.startswith("#/$defs/")
             and "/" not in arg[len("#/$defs/") :]
             and arg[len("#/$defs/") :]
-        ) and not (arg.startswith("#") and _PLAIN_NAME_RE.match(arg[1:] or " ")):
+        ) and not (arg.startswith("#") and _PLAIN_NAME_RE.fullmatch(arg[1:])):
             raise SchemaParseError(
                 f"only local references of shape '#/$defs/name' or "
                 f"'#anchor' are supported, got {arg!r}"

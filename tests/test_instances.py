@@ -1,3 +1,5 @@
+import pytest
+
 from uneval.instances import (
     ARRAY_KEYWORDS,
     OBJECT_KEYWORDS,
@@ -45,3 +47,18 @@ def test_universe_inputs_equal_the_walk_over_every_occurrence(corpus, rewrites):
         assert relevant_prefix_positions(doc) == longest
         for group, used in uses.items():
             assert _uses(doc, group) == used
+
+
+@pytest.mark.parametrize(
+    "pattern, literal",
+    [
+        ("^ab$", "ab"),
+        ("a_b-1", "a_b-1"),
+        ("^ab$\n", None),
+        ("ab\n", None),
+        ("^a.b$", None),
+        ("^ab", None),
+    ],
+)
+def test_pattern_literal(pattern, literal):
+    assert pattern_literal(pattern) == literal

@@ -160,28 +160,32 @@ def test_serialize_plain_trees_as_canonical():
 
 def test_serialize_dag_paths_as_canonical(monkeypatch):
     """A plain value goes through the C encoder whether it shares
-    containers or not; a shared value with a Decimal or a float goes
-    through the shared-text writer.  All agree with the canonical writer."""
-    written = []
+    containers or not; a value with a Decimal or a float, even one met
+    only below a shared container, goes through the canonical writer.  All
+    agree with the canonical writer."""
+    real = jsonvalue._PLAIN_ENCODER
+    encoded = []
 
-    class Recording(jsonvalue._SharedWriter):
-        def __init__(self, uses):
-            written.append(dict(uses))
-            super().__init__(uses)
+    class Recording:
+        def encode(self, o):
+            encoded.append(o)
+            return real.encode(o)
 
-    monkeypatch.setattr(jsonvalue, "_SharedWriter", Recording)
+    monkeypatch.setattr(jsonvalue, "_PLAIN_ENCODER", Recording())
     leaf = {"k": [1, "x", None], "é": True}
     pair = [leaf, leaf]
     plain_dag = {"p": pair, "q": [pair, {"r": leaf}], "s": leaf}
     plain_tree = {"a": [{"b": 1}, {"b": 1}], "c": "\u2028"}
-    for v in (plain_dag, plain_tree, [pair, pair]):
+    pairs = [pair, pair]
+    for v in (plain_dag, plain_tree, pairs):
         assert serialize_json(v) == _canonical(v), v
-    assert written == []
+    assert [id(v) for v in encoded] == [id(plain_dag), id(plain_tree), id(pairs)]
     number_leaf = {"d": Decimal("2.50"), "f": 1e20}
     numbers_dag = {"p": [number_leaf, number_leaf], "q": plain_dag, "r": number_leaf}
-    assert serialize_json(numbers_dag) == _canonical(numbers_dag)
-    assert len(written) == 1
-    assert written[0][id(number_leaf)] == 3 and written[0][id(leaf)] == 4
+    late = [plain_dag, plain_dag, [leaf, {"x": 0.5}]]
+    for v in (numbers_dag, late, {"k": [pair, pair, Decimal("1.5")]}):
+        assert serialize_json(v) == _canonical(v), v
+    assert len(encoded) == 3
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, [{"a": {None: 1}}], {"a": {(1,): 2}}, [(1, 2)], {"a": {1.5}}])

@@ -133,6 +133,9 @@ def test_unknown_keyword_preserved():
         {"$ref": "https://example.com/schema#/x"},
         {"properties": {"a": {"$defs": {"x": True}}}},
         {"properties": {"a": {"$anchor": "nested"}}},
+        {"$anchor": "a\n"},
+        {"$defs": {"a": {"$anchor": "a"}}, "$ref": "#a\n"},
+        {"$ref": "#"},
         {"exclusiveMinimum": 3},
         {"$dynamicRef": "#x"},
     ],
