@@ -13,6 +13,7 @@ from .errors import (
     EliminationError,
     GuardednessError,
     JsonParseError,
+    NestingDepthError,
     RefResolutionError,
     SchemaParseError,
     UnevalError,
@@ -50,6 +51,7 @@ __all__ = [
     "RefResolutionError",
     "GuardednessError",
     "EliminationError",
+    "NestingDepthError",
     "main",
 ]
 

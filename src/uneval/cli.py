@@ -153,6 +153,16 @@ def _cmd_gen_family(args) -> int:
     return 0
 
 
+def _family_size(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uneval",
@@ -190,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-family", help="emit an adversarial family schema")
     p.add_argument("--kind", choices=("sn", "san"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_family_size, required=True)
     p.set_defaults(func=_cmd_gen_family)
 
     return parser
@@ -204,13 +214,7 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UnevalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UnevalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

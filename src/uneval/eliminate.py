@@ -6,21 +6,25 @@ schema: the keywords before the ``unevaluated*`` are brought into
 evaluation normal form, and each branch is conjoined with an
 annotation-free re-statement of the constraint, built from the branch's
 exact evaluation sets (``patternProperties``+``additionalProperties`` on
-the property side, ``prefixItems``+``items`` on the item side).
+the property side, ``prefixItems``+``items`` on the item side).  A branch
+that evaluates only through its own keywords takes the constraint as an
+``additionalProperties``/``items`` keyword of its own instead.
+Conjunctions are flat, and a single branch is not wrapped in ``anyOf``.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Optional
+from typing import Iterable, Optional
 
 from .analysis import Analyzer, PatternSet
 from .enf import EnfBuilder
-from .errors import EliminationError, GuardednessError
+from .errors import EliminationError, GuardednessError, NestingDepthError
 from .schema import (
     ADK_NAMES,
     CHILD_KIND,
     INF,
+    SDK_NAMES,
     BoolSchema,
     Keyword,
     ObjSchema,
@@ -203,24 +207,89 @@ def _branches_of(enf_schema: Schema) -> tuple[Schema, ...]:
     raise EliminationError("expected a single-anyOf normalized schema")
 
 
+#: Keywords through which a node evaluates by way of other nodes, or beside
+#: which a second additionalProperties/items, or an $anchor, cannot go.
+_NOT_MERGED = frozenset(
+    ("allOf", "anyOf", "oneOf", "not", "$ref", "$anchor", *SDK_NAMES, *ADK_NAMES)
+)
+
+
+def _own_keywords(branch: Schema) -> tuple[Keyword, ...] | None:
+    """The keywords of a branch that evaluates only through them, or None.
+
+    Such a branch evaluates exactly the names of its own ``properties`` and
+    ``patternProperties`` and the items of its own ``prefixItems`` and
+    ``contains``, so an ``additionalProperties``/``items`` added beside them
+    checks exactly the complement that the push would otherwise restate.
+    """
+    if isinstance(branch, BoolSchema):
+        return () if branch.value else None
+    if any(kw.name in _NOT_MERGED for kw in branch.keywords):
+        return None
+    return branch.keywords
+
+
+def _is_false(s: Schema) -> bool:
+    return isinstance(s, BoolSchema) and not s.value
+
+
+def _add_conjuncts(s: Schema, out: dict[int, Schema]) -> None:
+    if isinstance(s, BoolSchema):
+        if not s.value:
+            out[id(s)] = s
+    elif s.keywords:
+        kw = s.single_keyword("allOf")
+        if kw is None:
+            out[id(s)] = s
+        else:
+            for child in kw.value:
+                _add_conjuncts(child, out)
+
+
+def conjunction(parts: Iterable[Schema]) -> Schema:
+    """allOf of ``parts``, flat: the children of a bare allOf are spliced
+    in, ``true``, ``{}`` and a second occurrence of a node are dropped, and
+    a lone conjunct is returned bare."""
+    # keyed by id, which stays unique while ``parts`` holds the nodes
+    out: dict[int, Schema] = {}
+    for s in parts:
+        _add_conjuncts(s, out)
+    if not out:
+        return TRUE_SCHEMA
+    conjuncts = tuple(out.values())
+    return conjuncts[0] if len(conjuncts) == 1 else all_of(conjuncts)
+
+
+def _disjunction(branches: list[Schema]) -> Schema:
+    return branches[0] if len(branches) == 1 else any_of(branches)
+
+
 def push_uneval_props(
     doc: SchemaDocument,
     s_u: Schema,
     enf_schema: Schema,
     analyzer: Optional[Analyzer] = None,
 ) -> Schema:
-    """Conjoin every branch with its property-evaluation complement check."""
+    """Conjoin every branch with its property-evaluation complement check.
+
+    A branch that evaluates only through its own keywords takes the check
+    as an ``additionalProperties`` of its own.
+    """
     an = analyzer or Analyzer(doc)
     out = []
     for branch in _branches_of(enf_schema):
+        own = _own_keywords(branch)
+        if own is not None:
+            out.append(make_obj(*own, Keyword("additionalProperties", s_u)))
+            continue
         pats = an.ex_ep(branch)
         if pats is None:
             raise EliminationError(
                 "normalized branch has no exact property characterization"
             )
         wrap = make_obj(p_props(pats), Keyword("additionalProperties", s_u))
-        out.append(all_of((branch, wrap)))
-    return any_of(out)
+        out.append(conjunction((branch, wrap)))
+    return _disjunction(out)
 
 
 def push_uneval_items(
@@ -231,7 +300,9 @@ def push_uneval_items(
 ) -> Schema:
     """Conjoin every branch with its item-evaluation complement check.
 
-    A branch that already evaluates every item is left unchanged.
+    A branch that already evaluates every item is left unchanged; one that
+    evaluates only through its own keywords takes the check as an
+    ``items`` of its own.
     """
     an = analyzer or Analyzer(doc)
     out = []
@@ -246,10 +317,19 @@ def push_uneval_items(
         ):
             out.append(branch)
             continue
-        tail = any_of((s_u, pair.guard))
+        if _is_false(pair.guard) or pair.guard == s_u:
+            tail = s_u
+        elif _is_false(s_u):
+            tail = pair.guard
+        else:
+            tail = any_of((s_u, pair.guard))
+        own = _own_keywords(branch)
+        if own is not None:
+            out.append(make_obj(*own, Keyword("items", tail)))
+            continue
         wrap = make_obj(pref_its(pair.h), Keyword("items", tail))
-        out.append(all_of((branch, wrap)))
-    return any_of(out)
+        out.append(conjunction((branch, wrap)))
+    return _disjunction(out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +391,7 @@ class _ElimRun:
         if stats_key is not None:
             self.enf_branches[stats_key] = len(_branches_of(normalized))
         if s_props is not None and s_items is not None:
-            result: Schema = all_of(
+            result: Schema = conjunction(
                 (
                     push_uneval_props(
                         self.doc, s_props.value, normalized, self.analyzer
@@ -330,10 +410,23 @@ class _ElimRun:
             result = push_uneval_items(
                 self.doc, s_items.value, normalized, self.analyzer
             )
-        if anchor is not None:
-            assert isinstance(result, ObjSchema)
-            result = ObjSchema((anchor,) + result.keywords)
+        return with_anchor(result, anchor)
+
+
+def with_anchor(result: Schema, anchor: Keyword | None) -> ObjSchema:
+    """The rewrite of a named schema, carrying the schema's own ``$anchor``
+    and no other.
+
+    A bare branch may be a boolean, which cannot carry an anchor (nor, at
+    the root, ``$defs``), or a named schema with an ``$anchor`` of its own,
+    which must not be declared a second time: either is wrapped in an
+    ``allOf``.
+    """
+    if not isinstance(result, ObjSchema) or result.get("$anchor") is not None:
+        result = all_of((result,))
+    if anchor is None:
         return result
+    return ObjSchema((anchor,) + result.keywords)
 
 
 def elim_document(doc: SchemaDocument) -> SchemaDocument:
@@ -347,7 +440,15 @@ def elim_document_with_stats(
 ) -> tuple[SchemaDocument, dict[str, int]]:
     """The rewrite of ``doc`` and the ENF branch count of each named schema
     that carried unevaluated*.  A document without unevaluated* comes back
-    as a new document over the same nodes, with no counts."""
+    as a new document over the same nodes, with no counts.  A schema that
+    nests beyond the recursion limit raises :class:`NestingDepthError`."""
+    try:
+        return _elim_with_stats(doc)
+    except RecursionError:
+        raise NestingDepthError("the schema nests too deeply to rewrite") from None
+
+
+def _elim_with_stats(doc: SchemaDocument) -> tuple[SchemaDocument, dict[str, int]]:
     cycle = find_unguarded_cycle(doc)
     if cycle is not None:
         raise GuardednessError(cycle)

@@ -164,13 +164,11 @@ class EnfBuilder:
         self._resolve_ref = resolve_ref or (lambda uri: deref(doc, uri))
         self._ref_memo: dict[str, list[Schema]] = {}
         self._ref_in_progress: set[str] = set()
-        self.max_depth = 0
 
     def enf(self, s: Schema) -> ObjSchema:
-        return any_of(self.branch_list(s, 0))
+        return any_of(self.branch_list(s))
 
-    def branch_list(self, s: Schema, depth: int) -> list[Schema]:
-        self.max_depth = max(self.max_depth, depth)
+    def branch_list(self, s: Schema) -> list[Schema]:
         if isinstance(s, ObjSchema):
             adk = [kw.name for kw in s.keywords if kw.name in ADK_NAMES]
             if adk:
@@ -189,7 +187,7 @@ class EnfBuilder:
         keywords = tuple(kw for kw in s.keywords if kw.name != "$anchor")
         groups = _dependency_groups(keywords)
         if len(groups) > 1:
-            parts = [self.branch_list(ObjSchema(g), depth + 1) for g in groups]
+            parts = [self.branch_list(ObjSchema(g)) for g in groups]
             return and_combine(parts).branches
         kw = groups[0][0] if len(groups) == 1 and len(groups[0]) == 1 else None
         if kw is None:
@@ -197,17 +195,17 @@ class EnfBuilder:
             # characterized, hence never reaches this point
             raise EliminationError("uncharacterized structural keyword group")
         if kw.name == "allOf":
-            parts = [self.branch_list(b, depth + 1) for b in kw.value]
+            parts = [self.branch_list(b) for b in kw.value]
             return and_combine(parts).branches
         if kw.name == "anyOf":
-            parts = [self.branch_list(b, depth + 1) for b in kw.value]
+            parts = [self.branch_list(b) for b in kw.value]
             return or_combine(self.doc, parts, self.analyzer).branches
         if kw.name == "oneOf":
             (products,) = boolean_one_of(kw.value).keywords
             return BranchList(
                 branch
                 for product in products.value
-                for branch in self.branch_list(product, depth + 1)
+                for branch in self.branch_list(product)
             ).branches
         if kw.name == "$ref":
             memo = self._ref_memo.get(kw.value)
@@ -218,7 +216,7 @@ class EnfBuilder:
             self._ref_in_progress.add(kw.value)
             try:
                 target = self._resolve_ref(kw.value)
-                result = self.branch_list(target, depth + 1)
+                result = self.branch_list(target)
             finally:
                 self._ref_in_progress.discard(kw.value)
             self._ref_memo[kw.value] = result

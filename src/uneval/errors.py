@@ -48,3 +48,8 @@ class GuardednessError(UnevalError):
 
 class EliminationError(UnevalError):
     """Internal invariant of the rewriting pipeline was violated."""
+
+
+class NestingDepthError(UnevalError):
+    """A schema or instance nests deeper than the interpreter's recursion
+    limit lets validation or rewriting follow."""

@@ -67,10 +67,14 @@ def parse_json(text: str | bytes) -> JsonValue:
     """Parse JSON text into a value tree.
 
     Floats are decoded as ``Decimal``; duplicate object keys are rejected,
-    and so is text that nests deeper than the decoder's recursion allows.
+    and so are bytes that are not UTF-8 and text that nests deeper than the
+    decoder's recursion allows.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise JsonParseError(f"invalid UTF-8: {exc.reason}", offset=exc.start) from None
     try:
         return json.loads(
             text,

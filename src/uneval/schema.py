@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .errors import GuardednessError, RefResolutionError, SchemaParseError
+from .errors import RefResolutionError, SchemaParseError
 from .jsonvalue import JsonValue, is_number, serialize_json, string_text
 
 INF = math.inf
@@ -725,47 +725,6 @@ def boolean_one_of(args: Iterable[Schema]) -> Schema:
         )
         branches.append(all_of(conj))
     return any_of(branches)
-
-
-def in_place_depth(doc: SchemaDocument, node: Schema | Keyword) -> int:
-    """Nesting measure through boolean keywords and references.
-
-    Well defined exactly when recursion is guarded; an unguarded cycle is
-    reported as :class:`GuardednessError`.
-    """
-    memo: dict[int, int] = {}
-    in_progress: set[int] = set()
-    pins: list = []  # keeps temporary schemas alive so ids stay unique
-
-    def depth_schema(s: Schema) -> int:
-        if isinstance(s, BoolSchema):
-            return 0
-        key = id(s)
-        if key in memo:
-            return memo[key]
-        if key in in_progress:
-            raise GuardednessError(["<cycle through in-place keywords>"])
-        in_progress.add(key)
-        pins.append(s)
-        result = max((depth_keyword(kw) for kw in s.keywords), default=0) + 1
-        in_progress.discard(key)
-        memo[key] = result
-        return result
-
-    def depth_keyword(kw: Keyword) -> int:
-        if kw.name in ("allOf", "anyOf"):
-            return max((depth_schema(s) for s in kw.value), default=0) + 1
-        if kw.name == "not":
-            return depth_schema(kw.value) + 1
-        if kw.name == "oneOf":
-            return depth_schema(boolean_one_of(kw.value)) + 1
-        if kw.name == "$ref":
-            return depth_schema(deref(doc, kw.value)) + 1
-        return 0
-
-    if isinstance(node, Keyword):
-        return depth_keyword(node)
-    return depth_schema(node)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Sequence
 
+from .errors import NestingDepthError
 from .jsonvalue import JsonValue, json_equal, unique_key
 from .schema import (
     ADK_NAMES,
@@ -81,7 +82,10 @@ class ValidationOutcome:
         if self._annotation is None:
             found = None
             if self.valid:
-                found = _compiled(self._doc, self._schema, ANNOT)(self._instance)
+                try:
+                    found = _compiled(self._doc, self._schema, ANNOT)(self._instance)
+                except RecursionError:
+                    raise NestingDepthError(_TOO_DEEP) from None
             self._annotation = _as_annotation(self._instance, found)
             self._doc = self._schema = self._instance = None
         return self._annotation
@@ -97,14 +101,25 @@ class ValidationOutcome:
         return f"ValidationOutcome(valid={self.valid})"
 
 
+_TOO_DEEP = "the schema or instance nests too deeply to validate"
+
+
 def validate(doc: SchemaDocument, schema: Schema, instance: JsonValue) -> ValidationOutcome:
-    """Apply a schema to an instance; a failing schema yields no annotation."""
+    """Apply a schema to an instance; a failing schema yields no annotation.
+
+    Nesting beyond the recursion limit raises :class:`NestingDepthError`;
+    a compile cut short by it leaves the document's cache as it was.
+    """
     entry = doc.compiled.get(id(schema))
-    if entry is not None and entry[0] is schema and entry[BOOL] is not None:
-        check = entry[BOOL]
-    else:
-        check = _compiled(doc, schema, BOOL)
-    return ValidationOutcome(check(instance), doc, schema, instance)
+    try:
+        if entry is not None and entry[0] is schema and entry[BOOL] is not None:
+            check = entry[BOOL]
+        else:
+            check = _compiled(doc, schema, BOOL)
+        valid = check(instance)
+    except RecursionError:
+        raise NestingDepthError(_TOO_DEEP) from None
+    return ValidationOutcome(valid, doc, schema, instance)
 
 
 def validate_keyword_list(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from uneval.cli import main
 from uneval.jsonvalue import serialize_json
@@ -226,3 +227,58 @@ def test_text_nested_too_deeply_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--schema", schema, "--instance", str(deep_instance))
     assert code == 2
     assert "nests too deeply" in err
+
+
+def test_difftest_skips_a_file_that_is_not_utf8(tmp_path, capsys):
+    schema = write(tmp_path, "s.json", SCHEMA)
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "a.json").write_text('{"a": 1}')
+    (inst_dir / "b.json").write_bytes(b"\xff\xfe{}")
+    code, out, err = run(
+        capsys, "difftest", "--schema", schema, "--instances", str(inst_dir)
+    )
+    assert code == 0
+    assert json.loads(out)["instances_total"] == 1
+    assert "skipping" in err and "b.json" in err and "UTF-8" in err
+
+
+def test_unreadable_files_exit_2(tmp_path, capsys, monkeypatch):
+    instance = write(tmp_path, "i.json", {"a": 1})
+    code, _, err = run(capsys, "validate", "--schema", str(tmp_path), "--instance", instance)
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+
+    schema = write(tmp_path, "s.json", SCHEMA)
+
+    def refuse(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    code, _, err = run(capsys, "validate", "--schema", schema, "--instance", instance)
+    assert code == 2
+    assert "Permission denied" in err
+
+
+def test_gen_family_rejects_sizes_below_1(capsys):
+    for n in ("0", "-3", "x"):
+        code, out, err = run(capsys, "gen-family", "--kind", "sn", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+
+
+def test_schema_too_deep_to_rewrite_exits_2(tmp_path, capsys):
+    """Deep enough to stop the rewrite, shallow enough to parse."""
+    depth = 300
+    deep_schema = tmp_path / "deep_schema.json"
+    deep_schema.write_text(
+        '{"unevaluatedProperties":false,"properties":{"a":'
+        + '{"properties":{"a":' * (depth - 1)
+        + '{"type":"integer"}'
+        + "}}" * depth
+    )
+    code, out, err = run(capsys, "eliminate", "--schema", str(deep_schema))
+    assert code == 2
+    assert out == ""
+    assert "nests too deeply to rewrite" in err

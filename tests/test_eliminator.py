@@ -1,7 +1,8 @@
 import pytest
 
-from uneval.analysis import PatternSet
+from uneval.analysis import Analyzer, PatternSet
 from uneval.eliminate import (
+    conjunction,
     count_uneval_keywords,
     elim_document,
     elim_document_with_stats,
@@ -11,9 +12,10 @@ from uneval.eliminate import (
     push_uneval_items,
     push_uneval_props,
     unnest,
+    with_anchor,
 )
 from uneval.enf import enf
-from uneval.errors import EliminationError
+from uneval.errors import EliminationError, NestingDepthError
 from uneval.instances import enumerate_instances
 from uneval.jsonvalue import serialize_json
 from uneval.schema import (
@@ -191,7 +193,7 @@ def test_push_uneval_props_worked_example():
             {"allOf": [{"$ref": "#car"},
                        {"patternProperties": {"^plate$": {}},
                         "additionalProperties": False}]},
-            {"allOf": [{"allOf": [{"$ref": "#sale"}, {"$ref": "#car"}]},
+            {"allOf": [{"$ref": "#sale"}, {"$ref": "#car"},
                        {"patternProperties": {"^plate$": {}, "^price$": {}},
                         "additionalProperties": False}]},
         ]
@@ -202,10 +204,7 @@ def test_push_uneval_props_single_true_branch():
     doc = parse_schema(True)
     normalized = enf(doc, doc.root)
     pushed = push_uneval_props(doc, TRUE_SCHEMA, normalized)
-    assert schema_to_json(pushed) == {
-        "anyOf": [{"allOf": [True, {"patternProperties": {},
-                                    "additionalProperties": True}]}]
-    }
+    assert schema_to_json(pushed) == {"additionalProperties": True}
     for instance in (None, {"a": 1}, [1], "x"):
         assert validate(doc, pushed, instance).valid
 
@@ -225,17 +224,13 @@ def test_push_uneval_items_all_evaluated_branch_unchanged():
     doc = parse_schema({"items": {"type": "string"}})
     normalized = enf(doc, doc.root)
     pushed = push_uneval_items(doc, FALSE_SCHEMA, normalized)
-    assert schema_to_json(pushed) == {"anyOf": [{"items": {"type": "string"}}]}
+    assert schema_to_json(pushed) == {"items": {"type": "string"}}
 
 
 def test_push_uneval_items_prefix_branch():
     doc = parse_schema({"prefixItems": [True]})
     pushed = push_uneval_items(doc, FALSE_SCHEMA, enf(doc, doc.root))
-    assert schema_to_json(pushed) == {
-        "anyOf": [{"allOf": [{"prefixItems": [True]},
-                             {"prefixItems": [True],
-                              "items": {"anyOf": [False, False]}}]}]
-    }
+    assert schema_to_json(pushed) == {"prefixItems": [True], "items": False}
     # arrays longer than the prefix are rejected, like the uneval original
     original = parse_schema({"prefixItems": [True], "unevaluatedItems": False})
     for instance in enumerate_instances(original, max_items=3):
@@ -248,10 +243,9 @@ def test_push_uneval_items_prefix_branch():
 def test_push_uneval_items_contains_branch():
     doc = parse_schema({"contains": {"type": "string"}})
     pushed = push_uneval_items(doc, FALSE_SCHEMA, enf(doc, doc.root))
-    got = schema_to_json(pushed)
-    assert got["anyOf"][0]["allOf"][1] == {
-        "prefixItems": [],
-        "items": {"anyOf": [False, {"type": "string"}]},
+    assert schema_to_json(pushed) == {
+        "contains": {"type": "string"},
+        "items": {"type": "string"},
     }
     original = parse_schema({"contains": {"type": "string"}, "unevaluatedItems": False})
     for instance in enumerate_instances(original, max_items=3):
@@ -354,3 +348,201 @@ def test_size_bound_sanity_on_family():
         out = elim_document(doc)
         nodes_out = sum(1 for _, top in out.named_schemas() for _ in walk(top))
         assert nodes_out <= (2**nodes_in) * nodes_in
+
+
+# ---------------------------------------------------------------------------
+# the shape of the push: merged branches, flat conjunctions, bare results
+
+
+def _agrees_with_uneval(doc, branch, keyword, s_u, pushed):
+    """``pushed`` judges like allOf[branch] closed by ``keyword: s_u``."""
+    original = ObjSchema((Keyword("allOf", (branch,)), Keyword(keyword, s_u)))
+    probe = build_document(original, dict(doc.defs))
+    instances = list(enumerate_instances(probe, max_fields=3, max_items=3))
+    assert len(instances) > 20
+    for instance in instances:
+        assert (
+            validate(doc, original, instance).valid == validate(doc, pushed, instance).valid
+        ), instance
+
+
+def test_push_props_merges_a_branch_that_evaluates_through_its_own_keywords():
+    doc = parse_schema(
+        {
+            "properties": {"a": {"type": "integer"}},
+            "patternProperties": {"^b": True},
+            "required": ["a"],
+            "contains": {"const": 0},
+        }
+    )
+    s_u = parse_schema({"type": "string"}).root
+    pushed = push_uneval_props(doc, s_u, enf(doc, doc.root))
+    assert schema_to_json(pushed) == {
+        "properties": {"a": {"type": "integer"}},
+        "patternProperties": {"^b": True},
+        "required": ["a"],
+        "contains": {"const": 0},
+        "additionalProperties": {"type": "string"},
+    }
+    _agrees_with_uneval(doc, doc.root, "unevaluatedProperties", s_u, pushed)
+
+
+def test_push_items_merges_a_branch_that_evaluates_through_its_own_keywords():
+    doc = parse_schema(
+        {"prefixItems": [{"type": "integer"}], "contains": {"type": "string"}, "minItems": 1}
+    )
+    s_u = parse_schema({"const": None}).root
+    pushed = push_uneval_items(doc, s_u, enf(doc, doc.root))
+    assert schema_to_json(pushed) == {
+        "prefixItems": [{"type": "integer"}],
+        "contains": {"type": "string"},
+        "minItems": 1,
+        "items": {"anyOf": [{"const": None}, {"type": "string"}]},
+    }
+    _agrees_with_uneval(doc, doc.root, "unevaluatedItems", s_u, pushed)
+
+
+def test_push_items_folds_false_and_repeated_tails():
+    cases = [
+        # (branch, U, the pushed items tail)
+        ({"prefixItems": [True]}, {"type": "string"}, {"type": "string"}),
+        ({"contains": {"type": "string"}}, False, {"type": "string"}),
+        ({"contains": {"type": "string"}}, {"type": "string"}, {"type": "string"}),
+        ({"contains": {"type": "string"}}, {"const": 0},
+         {"anyOf": [{"const": 0}, {"type": "string"}]}),
+    ]
+    for branch_json, u_json, tail in cases:
+        doc = parse_schema(branch_json)
+        s_u = parse_schema(u_json).root
+        pushed = push_uneval_items(doc, s_u, enf(doc, doc.root))
+        assert schema_to_json(pushed) == {**branch_json, "items": tail}
+        _agrees_with_uneval(doc, doc.root, "unevaluatedItems", s_u, pushed)
+
+
+NOT_MERGED = {
+    "$ref": {"$ref": "#/$defs/d"},
+    "allOf": {"allOf": [{"properties": {"a": True}}, {"prefixItems": [True]}]},
+    "anyOf": {"anyOf": [{"properties": {"a": True}}, {"properties": {"a": {"type": "string"}}}]},
+    "oneOf": {"oneOf": [{"properties": {"a": True}, "prefixItems": [True]}]},
+    "not": {"not": {"required": ["a"]}, "properties": {"b": True}},
+    "additionalProperties": {"properties": {"a": True}, "additionalProperties": {"type": "string"}},
+    "items": {"prefixItems": [{"const": 0}], "items": {"type": "string"}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_MERGED) + ["$anchor", "false"])
+@pytest.mark.parametrize(
+    "push, keyword", [(push_uneval_props, "unevaluatedProperties"), (push_uneval_items, "unevaluatedItems")]
+)
+def test_push_keeps_the_wrapper_beside_other_branches(name, push, keyword):
+    defs = {"d": {"$anchor": "d", "properties": {"a": True}, "prefixItems": [True]}}
+    if name == "false":
+        doc = parse_schema({"$defs": defs})
+        branch = FALSE_SCHEMA
+    elif name == "$anchor":
+        doc = parse_schema({"$defs": defs})
+        branch = doc.defs["d"]
+    else:
+        doc = parse_schema({**NOT_MERGED[name], "$defs": defs})
+        branch = doc.root
+    s_u = parse_schema({"type": "integer"}).root
+    pushed = push(doc, s_u, any_of((branch,)))
+    got = schema_to_json(pushed)
+    ex = Analyzer(doc).ex_ei(branch)
+    if keyword == "unevaluatedItems" and ex.h == float("inf"):
+        assert pushed is branch  # it evaluates every item already
+    else:
+        assert list(got) == ["allOf"]
+        *conjuncts, wrap = got["allOf"]
+        branch_json = schema_to_json(branch)
+        # a bare allOf branch is spliced in
+        assert conjuncts == (branch_json["allOf"] if name == "allOf" else [branch_json])
+        assert set(wrap) in ({"patternProperties", "additionalProperties"}, {"prefixItems", "items"})
+    _agrees_with_uneval(doc, branch, keyword, s_u, pushed)
+
+
+def test_conjunction_is_flat():
+    a, b, c = (parse_schema({"type": t}).root for t in ("string", "integer", "null"))
+    empty = ObjSchema(())
+    assert conjunction(()) is TRUE_SCHEMA
+    assert conjunction((TRUE_SCHEMA, empty)) is TRUE_SCHEMA
+    assert conjunction((a, empty, TRUE_SCHEMA)) is a
+    assert conjunction((all_of((a, empty)), TRUE_SCHEMA)) is a
+    assert schema_to_json(conjunction((all_of((a, all_of((b, TRUE_SCHEMA)))), c, a))) == {
+        "allOf": [{"type": "string"}, {"type": "integer"}, {"type": "null"}]
+    }
+    assert schema_to_json(conjunction((FALSE_SCHEMA, a))) == {"allOf": [False, {"type": "string"}]}
+    # an allOf beside other keywords is one conjunct
+    kept = ObjSchema((Keyword("allOf", (a, b)), Keyword("minimum", 0)))
+    assert conjunction((kept, c)).single_keyword("allOf").value == (kept, c)
+
+
+def test_both_keywords_make_one_flat_conjunction():
+    doc = parse_schema(
+        {
+            "$ref": "#/$defs/d",
+            "unevaluatedProperties": False,
+            "unevaluatedItems": False,
+            "$defs": {"d": {"properties": {"a": True}, "prefixItems": [True]}},
+        }
+    )
+    out = elim_document(doc)
+    assert schema_to_json(out.root) == {
+        "allOf": [
+            {"$ref": "#/$defs/d"},
+            {"patternProperties": {"^a$": {}}, "additionalProperties": False},
+            {"prefixItems": [True], "items": False},
+        ]
+    }
+    ok, witness = equivalent(doc, out)
+    assert ok, witness
+
+
+def test_a_single_branch_comes_back_bare_and_keeps_the_anchor():
+    doc = parse_schema(
+        {
+            "$ref": "#closed",
+            "$defs": {
+                "closed": {
+                    "$anchor": "closed",
+                    "properties": {"a": True},
+                    "unevaluatedProperties": False,
+                }
+            },
+        }
+    )
+    out = elim_document(doc)
+    assert schema_to_json(out.defs["closed"]) == {
+        "$anchor": "closed",
+        "properties": {"a": True},
+        "additionalProperties": False,
+    }
+    assert out.anchors == {"closed": out.defs["closed"]}
+    ok, witness = equivalent(doc, out)
+    assert ok, witness
+
+
+def test_a_bare_result_that_cannot_carry_the_anchor_is_wrapped():
+    anchor = Keyword("$anchor", "x")
+    other = ObjSchema((Keyword("$anchor", "y"), Keyword("minimum", 0)))
+    plain = ObjSchema((Keyword("minimum", 0),))
+    assert with_anchor(plain, None) is plain
+    assert with_anchor(plain, anchor).keywords == (anchor, *plain.keywords)
+    for result in (FALSE_SCHEMA, other):
+        for kw in (None, anchor):
+            got = with_anchor(result, kw)
+            assert isinstance(got, ObjSchema)
+            assert got.keywords[-1] == Keyword("allOf", (result,))
+            assert got.get("$anchor") == kw
+
+
+def test_over_deep_schema_is_a_clean_error_and_the_next_rewrite_runs():
+    depth = 1000
+    deep = parse_schema({"type": "integer"}).root
+    for _ in range(depth):
+        deep = ObjSchema((Keyword("properties", {"a": deep}),))
+    closed = ObjSchema((Keyword("properties", {"a": deep}), Keyword("unevaluatedProperties", FALSE_SCHEMA)))
+    with pytest.raises(NestingDepthError, match="nests too deeply to rewrite"):
+        elim_document_with_stats(build_document(closed, {}))
+    doc = parse_schema(WORKED)
+    assert count_uneval_keywords(elim_document(doc)) == 0

@@ -1,4 +1,5 @@
 from uneval.analysis import Analyzer
+from uneval.errors import GuardednessError
 from uneval.enf import (
     BranchList,
     EnfBuilder,
@@ -12,9 +13,13 @@ from uneval.instances import enumerate_instances
 from uneval.jsonvalue import parse_json
 from uneval.schema import (
     BoolSchema,
+    Keyword,
     ObjSchema,
+    Schema,
+    SchemaDocument,
+    boolean_one_of,
     canonical_text,
-    in_place_depth,
+    deref,
     parse_schema,
     schema_to_json,
     walk,
@@ -178,17 +183,116 @@ def test_enf_size_bound_on_family():
         assert len(result.single_keyword("anyOf").value) <= 2 ** len(subschemas)
 
 
+# ---------------------------------------------------------------------------
+# recursion depth of the normalization
+
+
+def in_place_depth(doc: SchemaDocument, node: Schema | Keyword) -> int:
+    """Nesting measure through boolean keywords and references.
+
+    Well defined exactly when recursion is guarded; an unguarded cycle is
+    reported as :class:`GuardednessError`.
+    """
+    memo: dict[int, int] = {}
+    in_progress: set[int] = set()
+    pins: list = []  # keeps temporary schemas alive so ids stay unique
+
+    def depth_schema(s: Schema) -> int:
+        if isinstance(s, BoolSchema):
+            return 0
+        key = id(s)
+        if key in memo:
+            return memo[key]
+        if key in in_progress:
+            raise GuardednessError(["<cycle through in-place keywords>"])
+        in_progress.add(key)
+        pins.append(s)
+        result = max((depth_keyword(kw) for kw in s.keywords), default=0) + 1
+        in_progress.discard(key)
+        memo[key] = result
+        return result
+
+    def depth_keyword(kw: Keyword) -> int:
+        if kw.name in ("allOf", "anyOf"):
+            return max((depth_schema(s) for s in kw.value), default=0) + 1
+        if kw.name == "not":
+            return depth_schema(kw.value) + 1
+        if kw.name == "oneOf":
+            return depth_schema(boolean_one_of(kw.value)) + 1
+        if kw.name == "$ref":
+            return depth_schema(deref(doc, kw.value)) + 1
+        return 0
+
+    if isinstance(node, Keyword):
+        return depth_keyword(node)
+    return depth_schema(node)
+
+
+class DepthRecordingBuilder(EnfBuilder):
+    """Records the deepest nesting of ``branch_list`` calls, the top call
+    being depth 0."""
+
+    def __init__(self, doc):
+        super().__init__(doc)
+        self.depth = self.max_depth = 0
+
+    def branch_list(self, s):
+        self.max_depth = max(self.max_depth, self.depth)
+        self.depth += 1
+        try:
+            return super().branch_list(s)
+        finally:
+            self.depth -= 1
+
+
+def test_in_place_depth_bool():
+    doc = parse_schema(True)
+    assert in_place_depth(doc, doc.root) == 0
+
+
+def test_in_place_depth_structural():
+    doc = parse_schema({"properties": {"a": True}})
+    assert in_place_depth(doc, doc.root) == 1
+
+
+def test_in_place_depth_ref():
+    doc = parse_schema({"$ref": "#/$defs/t", "$defs": {"t": True}})
+    # the reference keyword sits one level above its target, the schema one
+    # above the keyword
+    assert in_place_depth(doc, doc.root) == 2
+
+
+def test_depth_decreases_into_applicator_arguments():
+    for fixture in load_corpus():
+        doc = parse_schema(fixture.schema_json)
+        for name, top in doc.named_schemas():
+            for s in walk(top):
+                if not isinstance(s, ObjSchema):
+                    continue
+                for kw in s.keywords:
+                    if kw.name in ("anyOf", "allOf", "oneOf"):
+                        for arg in kw.value:
+                            assert in_place_depth(doc, kw) > in_place_depth(doc, arg)
+                    elif kw.name == "not":
+                        assert in_place_depth(doc, kw) > in_place_depth(doc, kw.value)
+                    elif kw.name == "$ref":
+                        assert in_place_depth(doc, kw) > in_place_depth(
+                            doc, deref(doc, kw.value)
+                        )
+
+
+
 def test_enf_recursion_depth_bounded():
     for n in (2, 3):
         doc, body = sn_body(n)
-        builder = EnfBuilder(doc)
+        builder = DepthRecordingBuilder(doc)
         builder.enf(body)
-        assert builder.max_depth <= in_place_depth(doc, body)
+        assert 0 < builder.max_depth <= in_place_depth(doc, body)
     doc = parse_schema(SALE_CAR)
     body = ObjSchema((doc.root.get("anyOf"),))
-    builder = EnfBuilder(doc)
+    builder = DepthRecordingBuilder(doc)
     builder.enf(body)
-    assert builder.max_depth <= in_place_depth(doc, body)
+    assert 0 < builder.max_depth <= in_place_depth(doc, body)
 
 
 def _enf_able_body(doc):

@@ -43,6 +43,16 @@ def test_parse_syntax_error_has_offset():
     assert exc.value.offset is not None
 
 
+def test_parse_invalid_utf8_has_byte_offset():
+    with pytest.raises(JsonParseError) as exc:
+        parse_json(b"\xff\xfe{}")
+    assert exc.value.offset == 0
+    with pytest.raises(JsonParseError) as exc:
+        parse_json(b'{"a": "\xc3"}')
+    assert exc.value.offset == 7
+    assert parse_json('{"é": 1}'.encode()) == {"é": 1}
+
+
 def test_parse_rejects_nan():
     with pytest.raises(JsonParseError):
         parse_json("NaN")

@@ -79,3 +79,35 @@ def test_random_elimination_equivalence():
             before = validate(doc, doc.root, instance).valid
             after = validate(rewritten, rewritten.root, instance).valid
             assert before == after, (schema_to_json(doc.root), instance)
+
+
+def test_random_rewrites_agree_on_every_universe_instance():
+    """300 seeded schemas carrying unevaluated*, some with both keywords:
+    the rewrite, merged branches and flat conjunctions included, judges
+    every instance of the bounded universe as the original does."""
+    from uneval.eliminate import count_uneval_keywords, elim_document
+    from uneval.instances import enumerate_instances
+    from uneval.schema import schema_to_json
+
+    rng = random.Random(SEED + 3)
+    produced = instances = 0
+    while produced < 300:
+        schema_json = gen_schema(rng, rng.randrange(1, 4))
+        if isinstance(schema_json, dict):
+            schema_json = dict(schema_json)
+            for adk in rng.sample(["unevaluatedProperties", "unevaluatedItems"], rng.randrange(1, 3)):
+                schema_json.setdefault(adk, gen_schema(rng, 1, False))
+        try:
+            doc = parse_schema(schema_json)
+        except Exception:
+            continue
+        if not count_uneval_keywords(doc):
+            continue
+        produced += 1
+        rewritten = elim_document(doc)
+        for instance in enumerate_instances(doc, max_fields=2, max_items=2):
+            instances += 1
+            before = validate(doc, doc.root, instance).valid
+            after = validate(rewritten, rewritten.root, instance).valid
+            assert before == after, (schema_to_json(doc.root), instance)
+    assert instances > 30_000

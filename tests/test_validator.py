@@ -352,3 +352,46 @@ def test_one_cache_entry_per_distinct_node(corpus, rewrites):
     # 264 and 663 entries when parsing kept every occurrence apart
     assert totals["original"] <= 251
     assert totals["rewrite"] <= 506
+
+
+# ---------------------------------------------------------------------------
+# over-deep input
+
+
+def _cache_shape(doc):
+    """Per cache entry, which of its two modes are compiled."""
+    return sorted((entry[1] is not None, entry[2] is not None) for entry in doc.compiled.values())
+
+
+def test_over_deep_instance_is_a_clean_error():
+    from conftest import CORPUS_DIR
+
+    from uneval.errors import NestingDepthError
+    from uneval.jsonvalue import parse_json
+
+    text = (CORPUS_DIR / "guarded_recursion_list" / "schema.json").read_bytes()
+    depth = 500
+    deep = parse_json('{"head":1,"tail":' * depth + "null" + "}" * depth)
+    shallow = {"head": 1, "tail": {"head": 2, "tail": None}}
+    doc, fresh = parse_schema(parse_json(text)), parse_schema(parse_json(text))
+    with pytest.raises(NestingDepthError, match="nests too deeply"):
+        validate(doc, doc.root, deep)
+    assert validate(doc, doc.root, shallow).valid
+    assert validate(fresh, fresh.root, shallow).valid
+    assert _cache_shape(doc) == _cache_shape(fresh)
+
+
+def test_compile_cut_short_by_depth_leaves_the_cache_as_it_was():
+    from uneval.errors import NestingDepthError
+
+    # built node by node: the JSON decoder and the parser refuse this depth
+    deep = parse_schema({"type": "integer"}).root
+    for _ in range(1000):
+        deep = ObjSchema((Keyword("properties", {"a": deep}),))
+    small = parse_schema({"type": "string"}).root
+    doc = build_document(deep, {"small": small})
+    with pytest.raises(NestingDepthError, match="nests too deeply"):
+        validate(doc, doc.root, {})
+    assert doc.compiled == {}
+    assert validate(doc, small, "x").valid
+    assert list(doc.compiled) == [id(small)]

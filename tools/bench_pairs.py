@@ -13,8 +13,9 @@ and runs already in the log are not repeated, so an interrupted series
 resumes; the log keeps each run's ``# key: value`` lines as ``info``.  The
 summary gives, per workload and end-to-end metric, each side's
 median and quartiles, the pairs the change won and lost, and whether the
-change stays within the metric's bound.  The tier-1 suite is timed once per
-checkout.
+change stays within the metric's bound.  Each run's ``peak_rss_mb`` is
+listed beside the oracle's repetitions per op, which set the size of its
+sample arrays.  The tier-1 suite is timed once per checkout.
 """
 
 from __future__ import annotations
@@ -142,6 +143,31 @@ def summarize(args, spec: dict) -> dict:
     return workloads
 
 
+def rss_beside_repetitions(args) -> dict:
+    """Per workload and side, each run's ``peak_rss_mb`` beside the oracle's
+    repetitions per op (validated pairs over sampled instances, from the
+    run's info lines), in the order of the repetitions."""
+    out: dict = {}
+    for line in args.log.read_text().splitlines():
+        r = json.loads(line)
+        if r["seed"] not in args.seeds or r["result"] is None:
+            continue
+        pairs = int(r["info"]["oracle_sweep: validated pairs"])
+        sampled = int(r["info"]["oracle_sweep: sampled instances"])
+        out.setdefault(r["workload"], {}).setdefault(r["side"], []).append(
+            {
+                "seed": r["seed"],
+                "validated_pairs": pairs,
+                "reps_per_oracle_op": round(pairs / sampled, 1),
+                "peak_rss_mb": round(r["result"]["metrics"]["peak_rss_mb"]["value"], 2),
+            }
+        )
+    for sides in out.values():
+        for rows in sides.values():
+            rows.sort(key=lambda row: row["validated_pairs"])
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -168,6 +194,7 @@ def main(argv=None) -> int:
         "order": "pair k runs the parent first when k is even, the change first when k is odd",
         "gain_rule": "change wins >= 9/10 of pairs and |median difference| > parent Q3 - Q1",
         "workloads": summarize(args, spec),
+        "peak_rss_vs_oracle_repetitions": rss_beside_repetitions(args),
         "tier1": {
             "command": "PYTHONPATH=src python3 " + " ".join(TIER1),
             "parent": time_tier1(args.parent),
