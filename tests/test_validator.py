@@ -395,3 +395,18 @@ def test_compile_cut_short_by_depth_leaves_the_cache_as_it_was():
     assert doc.compiled == {}
     assert validate(doc, small, "x").valid
     assert list(doc.compiled) == [id(small)]
+
+
+def test_annotation_too_deep_to_compute_is_a_clean_error(monkeypatch):
+    from uneval import validator
+    from uneval.errors import NestingDepthError
+
+    o = outcome({"properties": {"a": True}}, {"a": 1})
+    assert o.valid
+
+    def overflow(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(validator, "_compiled", overflow)
+    with pytest.raises(NestingDepthError, match="nests too deeply"):
+        o.annotation
