@@ -13,15 +13,13 @@ from pathlib import Path
 
 from .analysis import Analyzer, EvalPair
 from .difftest import difftest
-from .eliminate import elim_document_with_stats
-from .enf import EnfBuilder
-from .errors import UnevalError
+from .eliminate import elim_document_with_stats, is_uneval_schema
+from .enf import enf
+from .errors import NestingDepthError, UnevalError
 from .families import gen_family_san, gen_family_sn
 from .jsonvalue import dump_json, parse_json, serialize_json
 from .schema import (
     INF,
-    ADK_NAMES,
-    ObjSchema,
     SchemaDocument,
     deref,
     find_unguarded_cycle,
@@ -84,14 +82,11 @@ def _cmd_enf(args) -> int:
         if not pointer.startswith("/$defs/"):
             raise UnevalError(f"unsupported pointer {pointer!r}; use /$defs/<name>")
         target = deref(doc, "#" + pointer)
-    if isinstance(target, ObjSchema) and any(
-        kw.name in ADK_NAMES for kw in target.keywords
-    ):
+    if is_uneval_schema(target):
         raise UnevalError(
             "the selected schema carries unevaluated* keywords; run 'eliminate'"
         )
-    builder = EnfBuilder(doc)
-    normalized = builder.enf(target)
+    normalized = enf(doc, target)
     branches = normalized.single_keyword("anyOf")
     _print_json(
         {
@@ -113,17 +108,20 @@ def _cmd_analyze(args) -> int:
     doc = _load_document(args.schema)
     analyzer = Analyzer(doc)
     report = {}
-    for name, schema in doc.named_schemas():
-        ex_p = analyzer.ex_ep(schema)
-        ex_i = analyzer.ex_ei(schema)
-        report[name or "#"] = {
-            "minEP": sorted(analyzer.min_ep(schema).patterns),
-            "maxEP": sorted(analyzer.max_ep(schema).patterns),
-            "minEI": _pair_json(analyzer.min_ei(schema)),
-            "maxEI": _pair_json(analyzer.max_ei(schema)),
-            "exEP": sorted(ex_p.patterns) if ex_p is not None else "undefined",
-            "exEI": _pair_json(ex_i) if ex_i is not None else "undefined",
-        }
+    try:
+        for name, schema in doc.named_schemas():
+            ex_p = analyzer.ex_ep(schema)
+            ex_i = analyzer.ex_ei(schema)
+            report[name or "#"] = {
+                "minEP": sorted(analyzer.min_ep(schema).patterns),
+                "maxEP": sorted(analyzer.max_ep(schema).patterns),
+                "minEI": _pair_json(analyzer.min_ei(schema)),
+                "maxEI": _pair_json(analyzer.max_ei(schema)),
+                "exEP": sorted(ex_p.patterns) if ex_p is not None else "undefined",
+                "exEI": _pair_json(ex_i) if ex_i is not None else "undefined",
+            }
+    except RecursionError:
+        raise NestingDepthError("the schema nests too deeply to analyze") from None
     _print_json(report)
     return 0
 
@@ -206,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_cli(argv=None) -> int:
+def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -217,10 +215,6 @@ def run_cli(argv=None) -> int:
     except (UnevalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return run_cli(argv)
 
 
 if __name__ == "__main__":

@@ -3,13 +3,14 @@
 The driver hoists every nested schema carrying an ``unevaluated*``
 keyword into ``$defs`` (so rewrites never nest), then rewrites each named
 schema: the keywords before the ``unevaluated*`` are brought into
-evaluation normal form, and each branch is conjoined with an
-annotation-free re-statement of the constraint, built from the branch's
+evaluation normal form, and each branch is conjoined with one wrapper that
+re-states both constraints without annotations, built from the branch's
 exact evaluation sets (``patternProperties``+``additionalProperties`` on
-the property side, ``prefixItems``+``items`` on the item side).  A branch
-that evaluates only through its own keywords takes the constraint as an
-``additionalProperties``/``items`` keyword of its own instead.
-Conjunctions are flat, and a single branch is not wrapped in ``anyOf``.
+the property side, ``prefixItems``+``items`` on the item side, with no
+empty evaluation keyword).  A branch that evaluates only through its own
+keywords takes the checks as ``additionalProperties``/``items`` keywords
+of its own instead.  Conjunctions are flat, and a single branch is not
+wrapped in ``anyOf``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Optional
 
-from .analysis import Analyzer, PatternSet
+from .analysis import Analyzer, PatternSet, _guard_combine
 from .enf import EnfBuilder
 from .errors import EliminationError, GuardednessError, NestingDepthError
 from .schema import (
@@ -26,6 +27,7 @@ from .schema import (
     INF,
     SDK_NAMES,
     BoolSchema,
+    FALSE_SCHEMA,
     Keyword,
     ObjSchema,
     Schema,
@@ -229,10 +231,6 @@ def _own_keywords(branch: Schema) -> tuple[Keyword, ...] | None:
     return branch.keywords
 
 
-def _is_false(s: Schema) -> bool:
-    return isinstance(s, BoolSchema) and not s.value
-
-
 def _add_conjuncts(s: Schema, out: dict[int, Schema]) -> None:
     if isinstance(s, BoolSchema):
         if not s.value:
@@ -250,7 +248,9 @@ def conjunction(parts: Iterable[Schema]) -> Schema:
     """allOf of ``parts``, flat: the children of a bare allOf are spliced
     in, ``true``, ``{}`` and a second occurrence of a node are dropped, and
     a lone conjunct is returned bare."""
-    # keyed by id, which stays unique while ``parts`` holds the nodes
+    # keyed by id, which stays unique while ``parts`` holds the nodes; not
+    # by key, as ``enf.conjoin`` is: a key for every fresh wrapper made the
+    # family rewrites 18% slower
     out: dict[int, Schema] = {}
     for s in parts:
         _add_conjuncts(s, out)
@@ -260,76 +260,74 @@ def conjunction(parts: Iterable[Schema]) -> Schema:
     return conjuncts[0] if len(conjuncts) == 1 else all_of(conjuncts)
 
 
-def _disjunction(branches: list[Schema]) -> Schema:
-    return branches[0] if len(branches) == 1 else any_of(branches)
-
-
 def push_uneval_props(
-    doc: SchemaDocument,
-    s_u: Schema,
-    enf_schema: Schema,
-    analyzer: Optional[Analyzer] = None,
-) -> Schema:
-    """Conjoin every branch with its property-evaluation complement check.
-
-    A branch that evaluates only through its own keywords takes the check
-    as an ``additionalProperties`` of its own.
-    """
-    an = analyzer or Analyzer(doc)
-    out = []
-    for branch in _branches_of(enf_schema):
-        own = _own_keywords(branch)
-        if own is not None:
-            out.append(make_obj(*own, Keyword("additionalProperties", s_u)))
-            continue
-        pats = an.ex_ep(branch)
-        if pats is None:
-            raise EliminationError(
-                "normalized branch has no exact property characterization"
-            )
-        wrap = make_obj(p_props(pats), Keyword("additionalProperties", s_u))
-        out.append(conjunction((branch, wrap)))
-    return _disjunction(out)
+    an: Analyzer, branch: Schema, s_u: Schema | None, own: bool
+) -> tuple[Keyword, ...]:
+    """The property check of one branch: ``additionalProperties: s_u``,
+    after a ``patternProperties`` of the names the branch evaluates unless
+    it evaluates none or lists them itself (``own``).  Nothing without
+    ``s_u``."""
+    if s_u is None:
+        return ()
+    check = Keyword("additionalProperties", s_u)
+    if own:
+        return (check,)
+    pats = an.ex_ep(branch)
+    if pats is None:
+        raise EliminationError("normalized branch has no exact property characterization")
+    return (p_props(pats), check) if pats.patterns else (check,)
 
 
 def push_uneval_items(
+    an: Analyzer, branch: Schema, s_u: Schema | None, own: bool
+) -> tuple[Keyword, ...]:
+    """The item check of one branch: ``items`` of ``s_u`` or the branch's
+    item guard, after a ``prefixItems`` of the positions the branch
+    evaluates unless it evaluates none or lists them itself (``own``).
+    Nothing without ``s_u``, or for a branch that evaluates every item."""
+    if s_u is None:
+        return ()
+    pair = an.ex_ei(branch)
+    if pair is None:
+        raise EliminationError("normalized branch has no exact item characterization")
+    if pair.h == INF:  # pairs are normalized: (inf, true) covers every item
+        return ()
+    check = Keyword("items", _guard_combine([s_u, pair.guard], FALSE_SCHEMA))
+    return (check,) if own or not pair.h else (pref_its(pair.h), check)
+
+
+def push_uneval(
     doc: SchemaDocument,
-    s_u: Schema,
     enf_schema: Schema,
+    u_props: Schema | None = None,
+    u_items: Schema | None = None,
     analyzer: Optional[Analyzer] = None,
 ) -> Schema:
-    """Conjoin every branch with its item-evaluation complement check.
+    """Close every branch of a normal form with its complement checks:
+    ``u_props`` for the properties it leaves unevaluated, ``u_items`` for
+    the items (``None``: no such check).
 
-    A branch that already evaluates every item is left unchanged; one that
-    evaluates only through its own keywords takes the check as an
-    ``items`` of its own.
+    A branch that evaluates only through its own keywords takes the checks
+    as keywords of its own; any other is conjoined with one wrapper that
+    holds both.  One disjunction carries both checks because the normal
+    form is closed under cover, which ``covers`` proves for properties and
+    items together.
     """
     an = analyzer or Analyzer(doc)
     out = []
     for branch in _branches_of(enf_schema):
-        pair = an.ex_ei(branch)
-        if pair is None:
-            raise EliminationError(
-                "normalized branch has no exact item characterization"
-            )
-        if pair.h == INF or (
-            isinstance(pair.guard, BoolSchema) and pair.guard.value
-        ):
-            out.append(branch)
-            continue
-        if _is_false(pair.guard) or pair.guard == s_u:
-            tail = s_u
-        elif _is_false(s_u):
-            tail = pair.guard
-        else:
-            tail = any_of((s_u, pair.guard))
         own = _own_keywords(branch)
-        if own is not None:
-            out.append(make_obj(*own, Keyword("items", tail)))
-            continue
-        wrap = make_obj(pref_its(pair.h), Keyword("items", tail))
-        out.append(conjunction((branch, wrap)))
-    return _disjunction(out)
+        checks = (
+            *push_uneval_props(an, branch, u_props, own is not None),
+            *push_uneval_items(an, branch, u_items, own is not None),
+        )
+        if not checks:
+            out.append(branch)
+        elif own is not None:
+            out.append(make_obj(*own, *checks))
+        else:
+            out.append(conjunction((branch, make_obj(*checks))))
+    return out[0] if len(out) == 1 else any_of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -385,31 +383,17 @@ class _ElimRun:
             for kw in s.keywords
             if kw.name not in ADK_NAMES and kw.name != "$anchor"
         )
-        s_props = s.get("unevaluatedProperties")
-        s_items = s.get("unevaluatedItems")
+        u = {kw.name: kw.value for kw in s.keywords if kw.name in ADK_NAMES}
         normalized = self.enf_builder.enf(ObjSchema(body))
         if stats_key is not None:
             self.enf_branches[stats_key] = len(_branches_of(normalized))
-        if s_props is not None and s_items is not None:
-            result: Schema = conjunction(
-                (
-                    push_uneval_props(
-                        self.doc, s_props.value, normalized, self.analyzer
-                    ),
-                    push_uneval_items(
-                        self.doc, s_items.value, normalized, self.analyzer
-                    ),
-                )
-            )
-        elif s_props is not None:
-            result = push_uneval_props(
-                self.doc, s_props.value, normalized, self.analyzer
-            )
-        else:
-            assert s_items is not None
-            result = push_uneval_items(
-                self.doc, s_items.value, normalized, self.analyzer
-            )
+        result = push_uneval(
+            self.doc,
+            normalized,
+            u.get("unevaluatedProperties"),
+            u.get("unevaluatedItems"),
+            self.analyzer,
+        )
         return with_anchor(result, anchor)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from .analysis import Analyzer
-from .errors import EliminationError, GuardednessError
+from .errors import EliminationError, GuardednessError, NestingDepthError
 from .schema import (
     ADK_NAMES,
     Keyword,
@@ -254,5 +254,10 @@ def _dependency_groups(keywords: tuple[Keyword, ...]) -> list[tuple[Keyword, ...
 
 
 def enf(doc: SchemaDocument, s: Schema) -> ObjSchema:
-    """Rewrite a schema into an equivalent single-anyOf normal form."""
-    return EnfBuilder(doc).enf(s)
+    """Rewrite a schema into an equivalent single-anyOf normal form.  A
+    schema that nests beyond the recursion limit raises
+    :class:`NestingDepthError`."""
+    try:
+        return EnfBuilder(doc).enf(s)
+    except RecursionError:
+        raise NestingDepthError("the schema nests too deeply to normalize") from None

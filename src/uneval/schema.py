@@ -591,23 +591,16 @@ def child_schemas(s: Schema) -> Iterator[tuple[Keyword, Schema]]:
                 yield kw, sub
 
 
-def walk(s: Schema) -> Iterator[Schema]:
-    """The schema and all of its nested subschemas, pre-order."""
-    yield s
-    for _, child in child_schemas(s):
-        yield from walk(child)
-
-
 def distinct_nodes(tops: Iterable[Schema]) -> list[Schema]:
     """Every node reachable from ``tops``, each once however often it
     occurs, in the order first met: ``tops`` in turn, each pre-order, but
     with the children of a node taken last to first.
 
     Rewrites share subschemas, so this costs one visit per distinct node
-    where :func:`walk` costs one per occurrence.  Nodes are told apart by
-    ``id``, not by :attr:`Schema.key`, so no key is computed.  Children
-    are pushed as they come and popped last first; putting them in walk
-    order would cost a reversal per node.
+    where a recursive pre-order walk costs one per occurrence.  Nodes are
+    told apart by ``id``, not by :attr:`Schema.key`, so no key is
+    computed.  Children are pushed as they come and popped last first;
+    putting them in pre-order would cost a reversal per node.
     """
     order: list[Schema] = []
     seen: set[int] = set()
@@ -630,11 +623,6 @@ def distinct_nodes(tops: Iterable[Schema]) -> list[Schema]:
                 elif kind == 2:
                     stack.extend(kw.value.values())
     return order
-
-
-def document_schemas(doc: SchemaDocument) -> Iterator[Schema]:
-    for _, top in doc.named_schemas():
-        yield from walk(top)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +649,8 @@ def find_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
     """One cycle of the immediately-unguardedly-depends graph, or None.
 
     The cycle found by a depth-first search from each distinct node, in
-    the order :func:`walk` first meets them, named schema by named schema.
+    the order a pre-order walk (children first to last) first meets them,
+    named schema by named schema.
 
     Every cycle takes a reference, so it passes through a named or an
     anchored schema: a search from those alone tells whether there is one,

@@ -27,12 +27,12 @@ from uneval.schema import (
     deref,
     distinct_nodes,
     parse_schema,
-    walk,
 )
 from uneval.validator import validate
 
 from conftest import load_corpus
 from randgen import gen_schema
+from walking import walk
 
 
 def doc_of(schema_json):

@@ -282,3 +282,17 @@ def test_schema_too_deep_to_rewrite_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "nests too deeply to rewrite" in err
+
+
+def test_deep_allof_chain_exits_2_from_enf_and_analyze(tmp_path, capsys):
+    """Parses and passes the guard check, but is too deep to normalize or
+    analyze; a shallow chain is answered."""
+    for depth, expected in ((20, 0), (300, 2), (450, 2)):
+        chain = tmp_path / f"chain_{depth}.json"
+        chain.write_text('{"allOf":[' * depth + '{"type":"integer"}' + "]}" * depth)
+        for command in ("enf", "analyze"):
+            code, out, err = run(capsys, command, "--schema", str(chain))
+            assert code == expected, (depth, command)
+            if expected:
+                assert out == ""
+                assert "nests too deeply" in err and "Traceback" not in err

@@ -9,15 +9,13 @@ from uneval.eliminate import (
     is_uneval_schema,
     p_props,
     pref_its,
-    push_uneval_items,
-    push_uneval_props,
+    push_uneval,
     unnest,
     with_anchor,
 )
 from uneval.enf import enf
 from uneval.errors import EliminationError, NestingDepthError
 from uneval.instances import enumerate_instances
-from uneval.jsonvalue import serialize_json
 from uneval.schema import (
     ADK_NAMES,
     FALSE_SCHEMA,
@@ -33,12 +31,12 @@ from uneval.schema import (
     parse_schema,
     schema_to_json,
     serialize_schema,
-    walk,
 )
 from uneval.validator import validate
 
 from conftest import load_corpus
 from test_schema import SALE_CAR
+from walking import walk
 
 WORKED = {
     "items": {
@@ -183,7 +181,7 @@ def test_push_uneval_props_worked_example():
     doc = parse_schema(SALE_CAR)
     body = ObjSchema((doc.root.get("anyOf"),))
     normalized = enf(doc, body)
-    pushed = push_uneval_props(doc, FALSE_SCHEMA, normalized)
+    pushed = push_uneval(doc, normalized, FALSE_SCHEMA)
     got = schema_to_json(pushed)
     assert got == {
         "anyOf": [
@@ -203,7 +201,7 @@ def test_push_uneval_props_worked_example():
 def test_push_uneval_props_single_true_branch():
     doc = parse_schema(True)
     normalized = enf(doc, doc.root)
-    pushed = push_uneval_props(doc, TRUE_SCHEMA, normalized)
+    pushed = push_uneval(doc, normalized, TRUE_SCHEMA)
     assert schema_to_json(pushed) == {"additionalProperties": True}
     for instance in (None, {"a": 1}, [1], "x"):
         assert validate(doc, pushed, instance).valid
@@ -212,7 +210,7 @@ def test_push_uneval_props_single_true_branch():
 def test_push_props_dotstar_branch_is_noop():
     doc = parse_schema({"additionalProperties": {"type": "string"}})
     normalized = enf(doc, doc.root)
-    pushed = push_uneval_props(doc, FALSE_SCHEMA, normalized)
+    pushed = push_uneval(doc, normalized, FALSE_SCHEMA)
     for instance in enumerate_instances(doc, max_fields=2):
         assert (
             validate(doc, doc.root, instance).valid
@@ -223,13 +221,13 @@ def test_push_props_dotstar_branch_is_noop():
 def test_push_uneval_items_all_evaluated_branch_unchanged():
     doc = parse_schema({"items": {"type": "string"}})
     normalized = enf(doc, doc.root)
-    pushed = push_uneval_items(doc, FALSE_SCHEMA, normalized)
+    pushed = push_uneval(doc, normalized, u_items=FALSE_SCHEMA)
     assert schema_to_json(pushed) == {"items": {"type": "string"}}
 
 
 def test_push_uneval_items_prefix_branch():
     doc = parse_schema({"prefixItems": [True]})
-    pushed = push_uneval_items(doc, FALSE_SCHEMA, enf(doc, doc.root))
+    pushed = push_uneval(doc, enf(doc, doc.root), u_items=FALSE_SCHEMA)
     assert schema_to_json(pushed) == {"prefixItems": [True], "items": False}
     # arrays longer than the prefix are rejected, like the uneval original
     original = parse_schema({"prefixItems": [True], "unevaluatedItems": False})
@@ -242,7 +240,7 @@ def test_push_uneval_items_prefix_branch():
 
 def test_push_uneval_items_contains_branch():
     doc = parse_schema({"contains": {"type": "string"}})
-    pushed = push_uneval_items(doc, FALSE_SCHEMA, enf(doc, doc.root))
+    pushed = push_uneval(doc, enf(doc, doc.root), u_items=FALSE_SCHEMA)
     assert schema_to_json(pushed) == {
         "contains": {"type": "string"},
         "items": {"type": "string"},
@@ -263,7 +261,7 @@ def test_push_rejects_uncharacterized_branch():
         {"anyOf": [{"anyOf": [{"properties": {"a": True}}, {"properties": {"b": True}}]}]}
     ).root
     with pytest.raises(EliminationError):
-        push_uneval_props(doc, FALSE_SCHEMA, fake)
+        push_uneval(doc, fake, FALSE_SCHEMA)
 
 
 def test_elim_document_unchanged_without_adk():
@@ -279,11 +277,15 @@ def test_elim_document_both_adks_shares_enf():
             "unevaluatedItems": False,
         }
     )
-    got = schema_to_json(elim_document(doc).root)
-    assert list(got) == ["allOf"]
-    props_part, items_part = got["allOf"]
-    assert "additionalProperties" in serialize_json(props_part)
-    assert "items" in serialize_json(items_part)
+    out = elim_document(doc)
+    # one branch, which evaluates through its own keywords, takes both checks
+    assert schema_to_json(out.root) == {
+        "properties": {"a": True},
+        "additionalProperties": False,
+        "items": False,
+    }
+    ok, witness = equivalent(doc, out)
+    assert ok, witness
 
 
 def test_elim_document_worked_example():
@@ -376,7 +378,7 @@ def test_push_props_merges_a_branch_that_evaluates_through_its_own_keywords():
         }
     )
     s_u = parse_schema({"type": "string"}).root
-    pushed = push_uneval_props(doc, s_u, enf(doc, doc.root))
+    pushed = push_uneval(doc, enf(doc, doc.root), s_u)
     assert schema_to_json(pushed) == {
         "properties": {"a": {"type": "integer"}},
         "patternProperties": {"^b": True},
@@ -392,7 +394,7 @@ def test_push_items_merges_a_branch_that_evaluates_through_its_own_keywords():
         {"prefixItems": [{"type": "integer"}], "contains": {"type": "string"}, "minItems": 1}
     )
     s_u = parse_schema({"const": None}).root
-    pushed = push_uneval_items(doc, s_u, enf(doc, doc.root))
+    pushed = push_uneval(doc, enf(doc, doc.root), u_items=s_u)
     assert schema_to_json(pushed) == {
         "prefixItems": [{"type": "integer"}],
         "contains": {"type": "string"},
@@ -412,7 +414,7 @@ def test_push_items_folds_false_and_repeated_tails():
     for branch_json, u_json, tail in cases:
         doc = parse_schema(branch_json)
         s_u = parse_schema(u_json).root
-        pushed = push_uneval_items(doc, s_u, enf(doc, doc.root))
+        pushed = push_uneval(doc, enf(doc, doc.root), u_items=s_u)
         assert schema_to_json(pushed) == {**branch_json, "items": tail}
         _agrees_with_uneval(doc, doc.root, "unevaluatedItems", s_u, pushed)
 
@@ -428,9 +430,30 @@ NOT_MERGED = {
 }
 
 
+#: The non-merged branches above that evaluate no property (no item): their
+#: wrapper holds the check alone, without an empty patternProperties
+#: (prefixItems).
+EVALUATES_NONE = {
+    "unevaluatedProperties": {"items", "false"},
+    "unevaluatedItems": {"additionalProperties", "anyOf", "not", "false"},
+}
+
+
+def _push_props(doc, s_u, normalized):
+    return push_uneval(doc, normalized, u_props=s_u)
+
+
+def _push_items(doc, s_u, normalized):
+    return push_uneval(doc, normalized, u_items=s_u)
+
+
 @pytest.mark.parametrize("name", sorted(NOT_MERGED) + ["$anchor", "false"])
 @pytest.mark.parametrize(
-    "push, keyword", [(push_uneval_props, "unevaluatedProperties"), (push_uneval_items, "unevaluatedItems")]
+    "push, keyword",
+    [
+        pytest.param(_push_props, "unevaluatedProperties", id="push_uneval_props-unevaluatedProperties"),
+        pytest.param(_push_items, "unevaluatedItems", id="push_uneval_items-unevaluatedItems"),
+    ],
 )
 def test_push_keeps_the_wrapper_beside_other_branches(name, push, keyword):
     defs = {"d": {"$anchor": "d", "properties": {"a": True}, "prefixItems": [True]}}
@@ -455,7 +478,12 @@ def test_push_keeps_the_wrapper_beside_other_branches(name, push, keyword):
         branch_json = schema_to_json(branch)
         # a bare allOf branch is spliced in
         assert conjuncts == (branch_json["allOf"] if name == "allOf" else [branch_json])
-        assert set(wrap) in ({"patternProperties", "additionalProperties"}, {"prefixItems", "items"})
+        evaluated, check = (
+            ("patternProperties", "additionalProperties")
+            if keyword == "unevaluatedProperties"
+            else ("prefixItems", "items")
+        )
+        assert set(wrap) == ({check} if name in EVALUATES_NONE[keyword] else {evaluated, check})
     _agrees_with_uneval(doc, branch, keyword, s_u, pushed)
 
 
@@ -488,10 +516,79 @@ def test_both_keywords_make_one_flat_conjunction():
     assert schema_to_json(out.root) == {
         "allOf": [
             {"$ref": "#/$defs/d"},
-            {"patternProperties": {"^a$": {}}, "additionalProperties": False},
-            {"prefixItems": [True], "items": False},
+            {
+                "patternProperties": {"^a$": {}},
+                "additionalProperties": False,
+                "prefixItems": [True],
+                "items": False,
+            },
         ]
     }
+    ok, witness = equivalent(doc, out)
+    assert ok, witness
+
+
+def _disjuncts_by_branch(doc, rewritten):
+    """Pairs (ENF branch of ``doc``'s root body, the disjunct of
+    ``rewritten`` made from it); fails unless the rewrite is one disjunction
+    with one disjunct per branch."""
+    body = ObjSchema(tuple(kw for kw in doc.root.keywords if kw.name not in ADK_NAMES))
+    branches = enf(doc, body).single_keyword("anyOf").value
+    if len(branches) == 1:
+        disjuncts = (rewritten,)
+    else:
+        assert list(schema_to_json(rewritten)) == ["anyOf"]
+        disjuncts = rewritten.single_keyword("anyOf").value
+    assert len(disjuncts) == len(branches)
+    return zip(branches, disjuncts)
+
+
+@pytest.mark.parametrize("name", ["both_adks", "uneval_props_contains_interplay"])
+def test_each_branch_occurs_once_with_both_keywords(name):
+    (fixture,) = [f for f in load_corpus() if f.name == name]
+    doc = parse_schema(fixture.schema_json)
+    assert is_uneval_schema(doc.root)
+    assert {"unevaluatedProperties", "unevaluatedItems"} <= set(fixture.schema_json)
+    out = elim_document(doc)
+    for branch, disjunct in _disjuncts_by_branch(doc, out.root):
+        conj = disjunct.single_keyword("allOf")
+        if conj is None:
+            # merged: the branch's own keywords beside both checks
+            assert all(kw in disjunct.keywords for kw in branch.keywords)
+            assert {"additionalProperties", "items"} <= {kw.name for kw in disjunct.keywords}
+        else:
+            # the branch's conjuncts, then one wrapper with both checks
+            bare = branch.single_keyword("allOf")
+            assert conj.value[:-1] == (bare.value if bare else (branch,))
+            assert {"additionalProperties", "items"} <= {kw.name for kw in conj.value[-1].keywords}
+    instances = list(enumerate_instances(doc))
+    assert len(instances) > 20
+    for instance in instances:
+        assert validate(doc, doc.root, instance).valid == validate(out, out.root, instance).valid, instance
+
+
+@pytest.mark.parametrize(
+    "d, wrap",
+    [
+        # evaluates properties, no item
+        ({"properties": {"a": True}}, {"patternProperties": {"^a$": {}}, "additionalProperties": False, "items": False}),
+        # evaluates items, no property
+        ({"prefixItems": [True]}, {"additionalProperties": False, "prefixItems": [True], "items": False}),
+        # evaluates neither
+        ({"minProperties": 1}, {"additionalProperties": False, "items": False}),
+    ],
+)
+def test_a_wrapper_has_no_empty_evaluation_keyword(d, wrap):
+    doc = parse_schema(
+        {
+            "$ref": "#/$defs/d",
+            "unevaluatedProperties": False,
+            "unevaluatedItems": False,
+            "$defs": {"d": d},
+        }
+    )
+    out = elim_document(doc)
+    assert schema_to_json(out.root) == {"allOf": [{"$ref": "#/$defs/d"}, wrap]}
     ok, witness = equivalent(doc, out)
     assert ok, witness
 

@@ -22,12 +22,12 @@ from uneval.schema import (
     deref,
     parse_schema,
     schema_to_json,
-    walk,
 )
 from uneval.validator import validate
 
 from conftest import load_corpus
 from test_schema import SALE_CAR
+from walking import walk
 
 
 def branches_json(s):

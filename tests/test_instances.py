@@ -8,7 +8,9 @@ from uneval.instances import (
     relevant_prefix_positions,
     relevant_property_names,
 )
-from uneval.schema import ObjSchema, document_schemas, parse_schema
+from uneval.schema import ObjSchema, parse_schema
+
+from walking import document_schemas
 
 
 def _walked_keywords(doc):

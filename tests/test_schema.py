@@ -26,11 +26,11 @@ from uneval.schema import (
     _inplace_edges,
     schema_to_json,
     serialize_schema,
-    walk,
 )
 
 from conftest import load_corpus
 from randgen import gen_schema
+from walking import walk
 
 SALE_CAR = {
     "anyOf": [{"$ref": "#sale"}, {"$ref": "#car"}],

@@ -8,7 +8,6 @@ from uneval.schema import (
     ObjSchema,
     build_document,
     distinct_nodes,
-    document_schemas,
     not_,
     parse_schema,
     serialize_schema,
@@ -21,6 +20,7 @@ from uneval.validator import (
 )
 
 from test_schema import SALE_CAR
+from walking import document_schemas
 
 
 def outcome(schema_json, instance):
