@@ -23,7 +23,6 @@ from .instances import enumerate_instances
 from .jsonvalue import parse_json, serialize_json
 from .schema import SchemaDocument, find_unguarded_cycle, parse_schema, serialize_schema
 from .validator import ValidationOutcome, validate
-from .cli import main
 
 __all__ = [
     "parse_json",
@@ -56,3 +55,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``main`` is imported on first use, so that ``python -m uneval.cli``
+    # does not find ``uneval.cli`` already imported by its package
+    if name == "main":
+        from .cli import main
+
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

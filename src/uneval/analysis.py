@@ -27,8 +27,7 @@ from .schema import (
     SchemaDocument,
     TRUE_SCHEMA,
     FALSE_SCHEMA,
-    all_of,
-    any_of,
+    combine,
     compile_pattern,
     deref,
 )
@@ -95,20 +94,6 @@ def eq_pairs(a: EvalPair, b: EvalPair) -> bool:
     return a.h == b.h and a.guard == b.guard
 
 
-def _guard_combine(guards: list[Schema], unit: BoolSchema) -> Schema:
-    """Disjunction (unit ``false``) or conjunction (unit ``true``) of guards,
-    with constant folding and deduplication."""
-    kept = list(dict.fromkeys(g for g in guards if g != unit))
-    for g in kept:
-        if isinstance(g, BoolSchema):
-            return g  # the absorbing constant
-    if not kept:
-        return unit
-    if len(kept) == 1:
-        return kept[0]
-    return all_of(kept) if unit.value else any_of(kept)
-
-
 def _norm_pair(h: int | float, guard: Schema) -> EvalPair:
     # (inf, G) and (h, true) both cover every item of every array
     if h == INF or (isinstance(guard, BoolSchema) and guard.value):
@@ -126,7 +111,7 @@ def _combine_union(pairs: list[EvalPair]) -> EvalPair:
         return ZERO_PAIR
     if len(pairs) == 1:
         return pairs[0]
-    guard = _guard_combine([p.guard for p in pairs], FALSE_SCHEMA)
+    guard = combine([p.guard for p in pairs], FALSE_SCHEMA)
     return _norm_pair(max(p.h for p in pairs), guard)
 
 
@@ -136,7 +121,7 @@ def _combine_intersection(pairs: list[EvalPair]) -> EvalPair:
         return ZERO_PAIR
     if len(pairs) == 1:
         return pairs[0]
-    guard = _guard_combine([p.guard for p in pairs], TRUE_SCHEMA)
+    guard = combine([p.guard for p in pairs], TRUE_SCHEMA)
     return _norm_pair(min(p.h for p in pairs), guard)
 
 

@@ -15,7 +15,7 @@ from .analysis import Analyzer, EvalPair
 from .difftest import difftest
 from .eliminate import elim_document_with_stats, is_uneval_schema
 from .enf import enf
-from .errors import NestingDepthError, UnevalError
+from .errors import GuardednessError, NestingDepthError, UnevalError
 from .families import gen_family_san, gen_family_sn
 from .jsonvalue import dump_json, parse_json, serialize_json
 from .schema import (
@@ -34,7 +34,7 @@ def _load_document(path: str) -> SchemaDocument:
     doc = parse_schema(parse_json(Path(path).read_bytes()))
     cycle = find_unguarded_cycle(doc)
     if cycle is not None:
-        raise UnevalError("unguarded recursion through " + " -> ".join(cycle))
+        raise GuardednessError(cycle)
     return doc
 
 

@@ -9,17 +9,19 @@ exact evaluation sets (``patternProperties``+``additionalProperties`` on
 the property side, ``prefixItems``+``items`` on the item side, with no
 empty evaluation keyword).  A branch that evaluates only through its own
 keywords takes the checks as ``additionalProperties``/``items`` keywords
-of its own instead.  Conjunctions are flat, and a single branch is not
-wrapped in ``anyOf``.
+of its own instead.  The wrapper is appended to the branch's conjuncts,
+which normalization has already spliced and deduplicated, and a single
+branch is not wrapped in ``anyOf``.  The eliminator is a normalizer
+(:class:`EnfBuilder`) that resolves references to uneval-schemas to their
+rewrites.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Optional
 
-from .analysis import Analyzer, PatternSet, _guard_combine
-from .enf import EnfBuilder
+from .analysis import Analyzer, PatternSet
+from .enf import EnfBuilder, _conjunct_atoms
 from .errors import EliminationError, GuardednessError, NestingDepthError
 from .schema import (
     ADK_NAMES,
@@ -37,6 +39,7 @@ from .schema import (
     any_of,
     build_document,
     child_schemas,
+    combine,
     deref,
     distinct_nodes,
     find_unguarded_cycle,
@@ -231,35 +234,6 @@ def _own_keywords(branch: Schema) -> tuple[Keyword, ...] | None:
     return branch.keywords
 
 
-def _add_conjuncts(s: Schema, out: dict[int, Schema]) -> None:
-    if isinstance(s, BoolSchema):
-        if not s.value:
-            out[id(s)] = s
-    elif s.keywords:
-        kw = s.single_keyword("allOf")
-        if kw is None:
-            out[id(s)] = s
-        else:
-            for child in kw.value:
-                _add_conjuncts(child, out)
-
-
-def conjunction(parts: Iterable[Schema]) -> Schema:
-    """allOf of ``parts``, flat: the children of a bare allOf are spliced
-    in, ``true``, ``{}`` and a second occurrence of a node are dropped, and
-    a lone conjunct is returned bare."""
-    # keyed by id, which stays unique while ``parts`` holds the nodes; not
-    # by key, as ``enf.conjoin`` is: a key for every fresh wrapper made the
-    # family rewrites 18% slower
-    out: dict[int, Schema] = {}
-    for s in parts:
-        _add_conjuncts(s, out)
-    if not out:
-        return TRUE_SCHEMA
-    conjuncts = tuple(out.values())
-    return conjuncts[0] if len(conjuncts) == 1 else all_of(conjuncts)
-
-
 def push_uneval_props(
     an: Analyzer, branch: Schema, s_u: Schema | None, own: bool
 ) -> tuple[Keyword, ...]:
@@ -292,16 +266,15 @@ def push_uneval_items(
         raise EliminationError("normalized branch has no exact item characterization")
     if pair.h == INF:  # pairs are normalized: (inf, true) covers every item
         return ()
-    check = Keyword("items", _guard_combine([s_u, pair.guard], FALSE_SCHEMA))
+    check = Keyword("items", combine((s_u, pair.guard), FALSE_SCHEMA))
     return (check,) if own or not pair.h else (pref_its(pair.h), check)
 
 
 def push_uneval(
-    doc: SchemaDocument,
+    an: Analyzer,
     enf_schema: Schema,
     u_props: Schema | None = None,
     u_items: Schema | None = None,
-    analyzer: Optional[Analyzer] = None,
 ) -> Schema:
     """Close every branch of a normal form with its complement checks:
     ``u_props`` for the properties it leaves unevaluated, ``u_items`` for
@@ -309,11 +282,12 @@ def push_uneval(
 
     A branch that evaluates only through its own keywords takes the checks
     as keywords of its own; any other is conjoined with one wrapper that
-    holds both.  One disjunction carries both checks because the normal
-    form is closed under cover, which ``covers`` proves for properties and
-    items together.
+    holds both, appended to the branch's conjuncts.  Normalization has
+    spliced and deduplicated those, and the wrapper is a fresh node, so no
+    key is computed for it.  One disjunction carries both checks because
+    the normal form is closed under cover, which ``covers`` proves for
+    properties and items together.
     """
-    an = analyzer or Analyzer(doc)
     out = []
     for branch in _branches_of(enf_schema):
         own = _own_keywords(branch)
@@ -326,7 +300,7 @@ def push_uneval(
         elif own is not None:
             out.append(make_obj(*own, *checks))
         else:
-            out.append(conjunction((branch, make_obj(*checks))))
+            out.append(all_of((*_conjunct_atoms(branch), make_obj(*checks))))
     return out[0] if len(out) == 1 else any_of(out)
 
 
@@ -334,11 +308,10 @@ def push_uneval(
 # the eliminator
 
 
-class _ElimRun:
+class _ElimRun(EnfBuilder):
     def __init__(self, doc: SchemaDocument):
+        super().__init__(Analyzer(doc))
         self.doc = doc
-        self.analyzer = Analyzer(doc)
-        self.enf_builder = EnfBuilder(doc, self.analyzer, resolve_ref=self._resolve)
         self._by_id = {id(s): name for name, s in doc.defs.items()}
         self._by_id[id(doc.root)] = ""
         self._memo: dict[str, Schema] = {}
@@ -348,7 +321,7 @@ class _ElimRun:
     def _named(self, name: str) -> Schema:
         return self.doc.root if name == "" else self.doc.defs[name]
 
-    def _resolve(self, uri: str) -> Schema:
+    def resolve(self, uri: str) -> Schema:
         target = deref(self.doc, uri)
         if is_uneval_schema(target):
             name = self._by_id.get(id(target))
@@ -384,15 +357,14 @@ class _ElimRun:
             if kw.name not in ADK_NAMES and kw.name != "$anchor"
         )
         u = {kw.name: kw.value for kw in s.keywords if kw.name in ADK_NAMES}
-        normalized = self.enf_builder.enf(ObjSchema(body))
+        normalized = self.enf(ObjSchema(body))
         if stats_key is not None:
             self.enf_branches[stats_key] = len(_branches_of(normalized))
         result = push_uneval(
-            self.doc,
+            self.analyzer,
             normalized,
             u.get("unevaluatedProperties"),
             u.get("unevaluatedItems"),
-            self.analyzer,
         )
         return with_anchor(result, anchor)
 
@@ -442,13 +414,8 @@ def _elim_with_stats(doc: SchemaDocument) -> tuple[SchemaDocument, dict[str, int
         # is ``doc``, and no node of it has unevaluated*
         return SchemaDocument(doc.root, dict(doc.defs), dict(doc.anchors)), {}
     run = _ElimRun(unnested)
-    try:
-        new_defs = {name: run.elim_named(name) for name in sorted(unnested.defs)}
-        new_root = run.elim_named("")
-    finally:
-        # the builder calls back into the run: break that cycle so that the
-        # run's memos are freed now, not at the next full collection
-        run.enf_builder = None
+    new_defs = {name: run.elim_named(name) for name in sorted(unnested.defs)}
+    new_root = run.elim_named("")
     # each named schema keeps its name and its $anchor, and every reference
     # of a rewrite was one of the unnested document's
     out = build_document(new_root, new_defs)

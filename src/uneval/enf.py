@@ -7,15 +7,18 @@ branch is statically characterized.  Such a disjunction is the shape
 through which ``unevaluated*`` keywords can be pushed soundly.
 
 Normalization only ever expands boolean applicators and references, so
-guarded recursion makes it terminate; conjunctions are flattened and
-lists deduplicated, which keeps the output within a ``2^n`` envelope in
-the number of distinct subschemas.  Deduplication compares nodes by their
-identity, the cached canonical text (:attr:`Schema.key`).
+guarded recursion makes it terminate; conjunctions are built by
+:func:`schema.combine` (flat, deduplicated, ``false`` absorbing) and
+branch lists are deduplicated, which keeps the output within a ``2^n``
+envelope in the number of distinct subschemas.  Deduplication compares
+nodes by their identity, the cached canonical text (:attr:`Schema.key`).
+One :class:`Analyzer` answers every question about the document: the
+bounds, the cover proofs, and the document itself.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from .analysis import Analyzer
 from .errors import EliminationError, GuardednessError, NestingDepthError
@@ -26,9 +29,9 @@ from .schema import (
     Schema,
     SchemaDocument,
     TRUE_SCHEMA,
-    all_of,
     any_of,
     boolean_one_of,
+    combine,
     deref,
 )
 
@@ -43,23 +46,8 @@ def _conjunct_atoms(s: Schema) -> list[Schema]:
 
 
 def conjoin(s1: Schema, s2: Schema) -> Schema:
-    """allOf of two schemas, flattened and deduplicated.
-
-    ``true`` conjuncts are dropped; a conjunction that collapses to a
-    single atom is returned bare.
-    """
-    atoms = list(
-        dict.fromkeys(
-            s
-            for s in (*_conjunct_atoms(s1), *_conjunct_atoms(s2))
-            if s != TRUE_SCHEMA
-        )
-    )
-    if not atoms:
-        return TRUE_SCHEMA
-    if len(atoms) == 1:
-        return atoms[0]
-    return all_of(atoms)
+    """The conjunction of two branches (:func:`schema.combine`)."""
+    return combine((s1, s2), TRUE_SCHEMA)
 
 
 def branch_key(s: Schema) -> Schema | frozenset[Schema]:
@@ -105,18 +93,12 @@ def and_combine(lists: Iterable[Iterable[Schema]]) -> BranchList:
     return out
 
 
-def close(
-    doc: SchemaDocument,
-    l1: Iterable[Schema],
-    l2: Iterable[Schema],
-    analyzer: Optional[Analyzer] = None,
-) -> BranchList:
+def close(an: Analyzer, l1: Iterable[Schema], l2: Iterable[Schema]) -> BranchList:
     """Conjunctions needed so that l1 ++ l2 ++ close(l1, l2) is cover-closed.
 
     A cross pair is omitted when one of its two endpoints provably covers
     it; no third-schema search is attempted.
     """
-    an = analyzer or Analyzer(doc)
     out = BranchList()
     for s1 in l1:
         for s2 in l2:
@@ -126,44 +108,37 @@ def close(
     return out
 
 
-def or_combine(
-    doc: SchemaDocument,
-    lists: Iterable[Iterable[Schema]],
-    analyzer: Optional[Analyzer] = None,
-) -> BranchList:
+def or_combine(an: Analyzer, lists: Iterable[Iterable[Schema]]) -> BranchList:
     """Concatenation of branch lists, completed by close insertions."""
-    an = analyzer or Analyzer(doc)
     lists = [list(branches) for branches in lists]
     if not lists:
         return BranchList()
-    rest = or_combine(doc, lists[1:], an)
+    rest = or_combine(an, lists[1:])
     out = BranchList(lists[0])
     for s in rest:
         out.add(s)
-    for s in close(doc, lists[0], rest.branches, an):
+    for s in close(an, lists[0], rest.branches):
         out.add(s)
     return out
 
 
 class EnfBuilder:
-    """Normalization over one document.
+    """Normalization over the document of one analyzer.
 
-    ``resolve_ref`` lets the caller substitute a reference target before
-    recursion (the eliminator maps references to uneval-schemas onto their
-    rewritten form).  Reference normalizations are memoized per URI.
+    A reference is normalized through its target as :meth:`resolve` gives
+    it; a subclass may substitute another (the eliminator maps references
+    to uneval-schemas onto their rewritten form).  Reference
+    normalizations are memoized per URI.
     """
 
-    def __init__(
-        self,
-        doc: SchemaDocument,
-        analyzer: Optional[Analyzer] = None,
-        resolve_ref: Optional[Callable[[str], Schema]] = None,
-    ):
-        self.doc = doc
-        self.analyzer = analyzer or Analyzer(doc)
-        self._resolve_ref = resolve_ref or (lambda uri: deref(doc, uri))
+    def __init__(self, analyzer: Analyzer):
+        self.analyzer = analyzer
         self._ref_memo: dict[str, list[Schema]] = {}
         self._ref_in_progress: set[str] = set()
+
+    def resolve(self, uri: str) -> Schema:
+        """The schema a reference is normalized through: its target."""
+        return deref(self.analyzer.doc, uri)
 
     def enf(self, s: Schema) -> ObjSchema:
         return any_of(self.branch_list(s))
@@ -199,7 +174,7 @@ class EnfBuilder:
             return and_combine(parts).branches
         if kw.name == "anyOf":
             parts = [self.branch_list(b) for b in kw.value]
-            return or_combine(self.doc, parts, self.analyzer).branches
+            return or_combine(self.analyzer, parts).branches
         if kw.name == "oneOf":
             (products,) = boolean_one_of(kw.value).keywords
             return BranchList(
@@ -215,7 +190,7 @@ class EnfBuilder:
                 raise GuardednessError([kw.value, "..."])
             self._ref_in_progress.add(kw.value)
             try:
-                target = self._resolve_ref(kw.value)
+                target = self.resolve(kw.value)
                 result = self.branch_list(target)
             finally:
                 self._ref_in_progress.discard(kw.value)
@@ -258,6 +233,6 @@ def enf(doc: SchemaDocument, s: Schema) -> ObjSchema:
     schema that nests beyond the recursion limit raises
     :class:`NestingDepthError`."""
     try:
-        return EnfBuilder(doc).enf(s)
+        return EnfBuilder(Analyzer(doc)).enf(s)
     except RecursionError:
         raise NestingDepthError("the schema nests too deeply to normalize") from None

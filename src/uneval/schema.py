@@ -35,14 +35,23 @@ SDK_NAMES = ("additionalProperties", "items")
 ADK_NAMES = ("unevaluatedProperties", "unevaluatedItems")
 
 #: Keywords we recognise but deliberately do not support; silently treating
-#: them as inert unknowns would change validation outcomes.
+#: them as inert unknowns would change validation outcomes (and, for
+#: ``if``/``then``/``else``, drop the annotations they produce).
 UNSUPPORTED_NAMES = (
     "$id",
     "$dynamicRef",
     "$dynamicAnchor",
     "dependentSchemas",
+    "dependentRequired",
     "exclusiveMinimum",
     "exclusiveMaximum",
+    "multipleOf",
+    "minLength",
+    "maxLength",
+    "enum",
+    "if",
+    "then",
+    "else",
 )
 
 SCHEMA_VALUED = (
@@ -56,7 +65,6 @@ SCHEMA_VALUED = (
 )
 LIST_VALUED = ("anyOf", "allOf", "oneOf", "prefixItems")
 MAP_VALUED = ("properties", "patternProperties")
-BOOLEAN_APPLICATORS = ("anyOf", "allOf", "oneOf", "not")
 
 #: How a keyword holds subschemas: 0 one, 1 a list, 2 a name map.  Every
 #: traversal of a node's children dispatches on this table.
@@ -175,6 +183,38 @@ def any_of(branches: Iterable[Schema]) -> ObjSchema:
 
 def all_of(branches: Iterable[Schema]) -> ObjSchema:
     return ObjSchema((Keyword("allOf", tuple(branches)),))
+
+
+def combine(parts: Iterable[Schema], unit: BoolSchema) -> Schema:
+    """Conjunction (``unit`` true) or disjunction (``unit`` false) of ``parts``.
+
+    The children of a part that is a bare ``allOf`` (``anyOf``) are spliced
+    in, one level deep.  The unit is dropped, and so is ``{}`` in a
+    conjunction; the others are deduplicated by key.  An absorbing constant
+    (``false`` in a conjunction, ``true`` or ``{}`` in a disjunction) is
+    returned alone, a lone part bare, and the unit when no part is left.
+    Booleans are told by type, so that no key is computed for them.
+    """
+    conj = unit.value
+    name = "allOf" if conj else "anyOf"
+    kept = []
+    for part in parts:
+        kw = part.single_keyword(name) if isinstance(part, ObjSchema) else None
+        for s in (part,) if kw is None else kw.value:
+            if isinstance(s, BoolSchema):
+                if s.value is not conj:
+                    return s
+            elif s.keywords:
+                kept.append(s)
+            elif not conj:
+                return s
+    if len(kept) > 1:
+        kept = list(dict.fromkeys(kept))
+    if not kept:
+        return unit
+    if len(kept) == 1:
+        return kept[0]
+    return all_of(kept) if conj else any_of(kept)
 
 
 def not_(s: Schema) -> ObjSchema:

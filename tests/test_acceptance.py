@@ -128,7 +128,7 @@ def test_criterion_05_exponential_family():
     for n in (2, 3, 4):
         doc = gen_family_sn(n)
         body = ObjSchema((doc.root.get("anyOf"),))
-        normalized = EnfBuilder(doc).enf(body)
+        normalized = EnfBuilder(Analyzer(doc)).enf(body)
         assert len(normalized.single_keyword("anyOf").value) == 2**n - 1
         result = difftest(doc, schema_id=f"S{n}")
         assert result.disagree == 0, result.disagreements[:3]

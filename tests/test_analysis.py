@@ -288,7 +288,7 @@ def test_covers_oracle_on_normal_form_branches():
                 tuple(kw for kw in body.keywords if kw.name not in ADK_NAMES)
             )
         branches = list(
-            EnfBuilder(doc, an).enf(body).single_keyword("anyOf").value
+            EnfBuilder(an).enf(body).single_keyword("anyOf").value
         )
         if len(branches) < 2:
             continue

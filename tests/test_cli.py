@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from uneval.cli import main
 from uneval.jsonvalue import serialize_json
 from uneval.schema import parse_schema, serialize_schema
+
+from test_schema import UNIMPLEMENTED
 
 
 def run(capsys, *argv):
@@ -172,6 +179,30 @@ def test_schema_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--schema", schema, "--instance", schema)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("name", sorted(UNIMPLEMENTED))
+def test_unimplemented_keyword_exit_code(tmp_path, capsys, name):
+    schema = write(tmp_path, "s.json", {name: UNIMPLEMENTED[name]})
+    instance = write(tmp_path, "i.json", 2)
+    code, out, err = run(capsys, "validate", "--schema", schema, "--instance", instance)
+    assert code == 2
+    assert out == ""
+    assert f"/{name}: keyword {name!r} is not supported" in err
+
+
+def test_module_run_prints_no_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "uneval.cli", "gen-family", "--kind", "sn", "--n", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["unevaluatedProperties"] is False
 
 
 def test_unguarded_schema_rejected(tmp_path, capsys):

@@ -2,7 +2,6 @@ import pytest
 
 from uneval.analysis import Analyzer, PatternSet
 from uneval.eliminate import (
-    conjunction,
     count_uneval_keywords,
     elim_document,
     elim_document_with_stats,
@@ -181,7 +180,7 @@ def test_push_uneval_props_worked_example():
     doc = parse_schema(SALE_CAR)
     body = ObjSchema((doc.root.get("anyOf"),))
     normalized = enf(doc, body)
-    pushed = push_uneval(doc, normalized, FALSE_SCHEMA)
+    pushed = push_uneval(Analyzer(doc), normalized, FALSE_SCHEMA)
     got = schema_to_json(pushed)
     assert got == {
         "anyOf": [
@@ -201,7 +200,7 @@ def test_push_uneval_props_worked_example():
 def test_push_uneval_props_single_true_branch():
     doc = parse_schema(True)
     normalized = enf(doc, doc.root)
-    pushed = push_uneval(doc, normalized, TRUE_SCHEMA)
+    pushed = push_uneval(Analyzer(doc), normalized, TRUE_SCHEMA)
     assert schema_to_json(pushed) == {"additionalProperties": True}
     for instance in (None, {"a": 1}, [1], "x"):
         assert validate(doc, pushed, instance).valid
@@ -210,7 +209,7 @@ def test_push_uneval_props_single_true_branch():
 def test_push_props_dotstar_branch_is_noop():
     doc = parse_schema({"additionalProperties": {"type": "string"}})
     normalized = enf(doc, doc.root)
-    pushed = push_uneval(doc, normalized, FALSE_SCHEMA)
+    pushed = push_uneval(Analyzer(doc), normalized, FALSE_SCHEMA)
     for instance in enumerate_instances(doc, max_fields=2):
         assert (
             validate(doc, doc.root, instance).valid
@@ -221,13 +220,13 @@ def test_push_props_dotstar_branch_is_noop():
 def test_push_uneval_items_all_evaluated_branch_unchanged():
     doc = parse_schema({"items": {"type": "string"}})
     normalized = enf(doc, doc.root)
-    pushed = push_uneval(doc, normalized, u_items=FALSE_SCHEMA)
+    pushed = push_uneval(Analyzer(doc), normalized, u_items=FALSE_SCHEMA)
     assert schema_to_json(pushed) == {"items": {"type": "string"}}
 
 
 def test_push_uneval_items_prefix_branch():
     doc = parse_schema({"prefixItems": [True]})
-    pushed = push_uneval(doc, enf(doc, doc.root), u_items=FALSE_SCHEMA)
+    pushed = push_uneval(Analyzer(doc), enf(doc, doc.root), u_items=FALSE_SCHEMA)
     assert schema_to_json(pushed) == {"prefixItems": [True], "items": False}
     # arrays longer than the prefix are rejected, like the uneval original
     original = parse_schema({"prefixItems": [True], "unevaluatedItems": False})
@@ -240,7 +239,7 @@ def test_push_uneval_items_prefix_branch():
 
 def test_push_uneval_items_contains_branch():
     doc = parse_schema({"contains": {"type": "string"}})
-    pushed = push_uneval(doc, enf(doc, doc.root), u_items=FALSE_SCHEMA)
+    pushed = push_uneval(Analyzer(doc), enf(doc, doc.root), u_items=FALSE_SCHEMA)
     assert schema_to_json(pushed) == {
         "contains": {"type": "string"},
         "items": {"type": "string"},
@@ -261,7 +260,7 @@ def test_push_rejects_uncharacterized_branch():
         {"anyOf": [{"anyOf": [{"properties": {"a": True}}, {"properties": {"b": True}}]}]}
     ).root
     with pytest.raises(EliminationError):
-        push_uneval(doc, fake, FALSE_SCHEMA)
+        push_uneval(Analyzer(doc), fake, FALSE_SCHEMA)
 
 
 def test_elim_document_unchanged_without_adk():
@@ -378,7 +377,7 @@ def test_push_props_merges_a_branch_that_evaluates_through_its_own_keywords():
         }
     )
     s_u = parse_schema({"type": "string"}).root
-    pushed = push_uneval(doc, enf(doc, doc.root), s_u)
+    pushed = push_uneval(Analyzer(doc), enf(doc, doc.root), s_u)
     assert schema_to_json(pushed) == {
         "properties": {"a": {"type": "integer"}},
         "patternProperties": {"^b": True},
@@ -394,7 +393,7 @@ def test_push_items_merges_a_branch_that_evaluates_through_its_own_keywords():
         {"prefixItems": [{"type": "integer"}], "contains": {"type": "string"}, "minItems": 1}
     )
     s_u = parse_schema({"const": None}).root
-    pushed = push_uneval(doc, enf(doc, doc.root), u_items=s_u)
+    pushed = push_uneval(Analyzer(doc), enf(doc, doc.root), u_items=s_u)
     assert schema_to_json(pushed) == {
         "prefixItems": [{"type": "integer"}],
         "contains": {"type": "string"},
@@ -414,7 +413,7 @@ def test_push_items_folds_false_and_repeated_tails():
     for branch_json, u_json, tail in cases:
         doc = parse_schema(branch_json)
         s_u = parse_schema(u_json).root
-        pushed = push_uneval(doc, enf(doc, doc.root), u_items=s_u)
+        pushed = push_uneval(Analyzer(doc), enf(doc, doc.root), u_items=s_u)
         assert schema_to_json(pushed) == {**branch_json, "items": tail}
         _agrees_with_uneval(doc, doc.root, "unevaluatedItems", s_u, pushed)
 
@@ -440,11 +439,11 @@ EVALUATES_NONE = {
 
 
 def _push_props(doc, s_u, normalized):
-    return push_uneval(doc, normalized, u_props=s_u)
+    return push_uneval(Analyzer(doc), normalized, u_props=s_u)
 
 
 def _push_items(doc, s_u, normalized):
-    return push_uneval(doc, normalized, u_items=s_u)
+    return push_uneval(Analyzer(doc), normalized, u_items=s_u)
 
 
 @pytest.mark.parametrize("name", sorted(NOT_MERGED) + ["$anchor", "false"])
@@ -487,20 +486,25 @@ def test_push_keeps_the_wrapper_beside_other_branches(name, push, keyword):
     _agrees_with_uneval(doc, branch, keyword, s_u, pushed)
 
 
-def test_conjunction_is_flat():
-    a, b, c = (parse_schema({"type": t}).root for t in ("string", "integer", "null"))
-    empty = ObjSchema(())
-    assert conjunction(()) is TRUE_SCHEMA
-    assert conjunction((TRUE_SCHEMA, empty)) is TRUE_SCHEMA
-    assert conjunction((a, empty, TRUE_SCHEMA)) is a
-    assert conjunction((all_of((a, empty)), TRUE_SCHEMA)) is a
-    assert schema_to_json(conjunction((all_of((a, all_of((b, TRUE_SCHEMA)))), c, a))) == {
-        "allOf": [{"type": "string"}, {"type": "integer"}, {"type": "null"}]
+def test_push_appends_the_wrapper_to_a_bare_allof_branch():
+    doc = parse_schema(
+        {
+            "$defs": {"d": {"properties": {"a": True}}},
+            "allOf": [{"$ref": "#/$defs/d"}, {"not": {"required": ["b"]}}],
+        }
+    )
+    branch = doc.root
+    s_u = parse_schema({"type": "integer"}).root
+    pushed = push_uneval(Analyzer(doc), any_of((branch,)), u_props=s_u)
+    *conjuncts, wrap = pushed.single_keyword("allOf").value
+    assert tuple(conjuncts) == branch.single_keyword("allOf").value
+    # a fresh node: no canonical key was computed to deduplicate it
+    assert not hasattr(wrap, "_key")
+    assert schema_to_json(wrap) == {
+        "patternProperties": {"^a$": {}},
+        "additionalProperties": {"type": "integer"},
     }
-    assert schema_to_json(conjunction((FALSE_SCHEMA, a))) == {"allOf": [False, {"type": "string"}]}
-    # an allOf beside other keywords is one conjunct
-    kept = ObjSchema((Keyword("allOf", (a, b)), Keyword("minimum", 0)))
-    assert conjunction((kept, c)).single_keyword("allOf").value == (kept, c)
+    _agrees_with_uneval(doc, branch, "unevaluatedProperties", s_u, pushed)
 
 
 def test_both_keywords_make_one_flat_conjunction():

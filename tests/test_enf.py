@@ -1,4 +1,5 @@
 from uneval.analysis import Analyzer
+from uneval.eliminate import elim_document
 from uneval.errors import GuardednessError
 from uneval.enf import (
     BranchList,
@@ -61,6 +62,21 @@ def test_enf_sale_car_three_branches():
     ]
 
 
+def test_enf_false_conjunct_absorbs_the_branches():
+    x = {"anyOf": [{"properties": {"a": True}}, {"prefixItems": [True]}]}
+    doc = parse_schema({"allOf": [False, x]})
+    assert branches_json(enf(doc, doc.root)) == [False]
+    original = parse_schema({"allOf": [False, x], "unevaluatedProperties": False, "unevaluatedItems": False})
+    rewritten = elim_document(original)
+    # the one branch keeps its wrapper, as any false branch does
+    assert schema_to_json(rewritten.root)["allOf"][0] is False
+    instances = list(enumerate_instances(original))
+    assert len(instances) > 20
+    for instance in instances:
+        assert not validate(original, original.root, instance).valid
+        assert not validate(rewritten, rewritten.root, instance).valid
+
+
 def parsed(js):
     return parse_schema(js).root
 
@@ -89,15 +105,15 @@ def test_and_combine_product_order():
 
 def test_or_combine_empty_and_singleton():
     doc = parse_schema({})
-    assert len(or_combine(doc, [])) == 0
-    assert [schema_to_json(s) for s in or_combine(doc, [[A]])] == [schema_to_json(A)]
+    assert len(or_combine(Analyzer(doc), [])) == 0
+    assert [schema_to_json(s) for s in or_combine(Analyzer(doc), [[A]])] == [schema_to_json(A)]
 
 
 def test_or_combine_adds_conjunction():
     doc = parse_schema(SALE_CAR)
     sale = parse_schema({"$ref": "#sale", "$defs": SALE_CAR["$defs"]}).root
     car = parse_schema({"$ref": "#car", "$defs": SALE_CAR["$defs"]}).root
-    out = [schema_to_json(s) for s in or_combine(doc, [[sale], [car]])]
+    out = [schema_to_json(s) for s in or_combine(Analyzer(doc), [[sale], [car]])]
     assert out == [
         {"$ref": "#sale"},
         {"$ref": "#car"},
@@ -107,7 +123,7 @@ def test_or_combine_adds_conjunction():
 
 def test_close_no_cross_pairs():
     doc = parse_schema({})
-    assert len(close(doc, [A], [])) == 0
+    assert len(close(Analyzer(doc), [A], [])) == 0
 
 
 def test_close_covered_pair_omitted():
@@ -119,13 +135,13 @@ def test_close_covered_pair_omitted():
             }
         }
     )
-    out = close(doc, [doc.defs["all"]], [doc.defs["small"]])
+    out = close(Analyzer(doc), [doc.defs["all"]], [doc.defs["small"]])
     assert len(out) == 0
 
 
 def test_close_unprovable_pair_conjoined():
     doc = parse_schema({})
-    out = [schema_to_json(s) for s in close(doc, [A], [B])]
+    out = [schema_to_json(s) for s in close(Analyzer(doc), [A], [B])]
     assert out == [{"allOf": [schema_to_json(A), schema_to_json(B)]}]
 
 
@@ -233,7 +249,7 @@ class DepthRecordingBuilder(EnfBuilder):
     being depth 0."""
 
     def __init__(self, doc):
-        super().__init__(doc)
+        super().__init__(Analyzer(doc))
         self.depth = self.max_depth = 0
 
     def branch_list(self, s):
@@ -309,7 +325,7 @@ def test_enf_shape_and_cover_closure_on_corpus():
         doc = parse_schema(fixture.schema_json)
         an = Analyzer(doc)
         body = _enf_able_body(doc)
-        result = EnfBuilder(doc, an).enf(body)
+        result = EnfBuilder(an).enf(body)
         kw = result.single_keyword("anyOf")
         assert kw is not None, fixture.name
         branches = list(kw.value)

@@ -17,6 +17,7 @@ from uneval.schema import (
     SchemaDocument,
     boolean_one_of,
     child_schemas,
+    combine,
     compile_pattern,
     deref,
     distinct_nodes,
@@ -172,6 +173,29 @@ def test_parse_error_path(schema, path):
     assert str(info.value).startswith(f"{path or '<root>'}: ")
 
 
+#: Draft 2020-12 keywords outside the grammar, each with an argument that
+#: would change a verdict or an annotation if it were read as inert.
+UNIMPLEMENTED = {
+    "enum": [1],
+    "multipleOf": 2,
+    "minLength": 3,
+    "maxLength": 0,
+    "dependentRequired": {"a": ["b"]},
+    "if": {"properties": {"a": True}},
+    "then": False,
+    "else": False,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIMPLEMENTED))
+def test_unimplemented_keyword_is_rejected_where_it_stands(name):
+    schema = {"properties": {"p": {name: UNIMPLEMENTED[name]}}, "unevaluatedProperties": False}
+    with pytest.raises(SchemaParseError) as info:
+        parse_schema(schema)
+    assert info.value.path == f"/properties/p/{name}"
+    assert "not supported" in info.value.message
+
+
 def test_contains_normalization():
     doc = parse_schema({"contains": {"type": "string"}})
     names = [kw.name for kw in doc.root.keywords]
@@ -245,6 +269,69 @@ def test_boolean_one_of_shapes():
         ]
     }
     assert schema_to_json(boolean_one_of([])) == {"anyOf": []}
+
+
+def _part(text):
+    """One part, parsed on its own: equal parts are separate nodes."""
+    return parse_schema(parse_json(text)).root
+
+
+S, I, N = '{"type":"string"}', '{"type":"integer"}', '{"type":"null"}'
+
+#: (unit, parts as JSON texts, result): an int names the part returned
+#: itself, ``"unit"`` the unit, anything else the JSON of a fresh node.
+COMBINE = [
+    # conjunction
+    (True, [], "unit"),
+    (True, ["true", "{}"], "unit"),
+    (True, [S, "{}", "true"], 0),
+    (True, ['{"allOf":[{"type":"string"},{}]}', "true"], {"type": "string"}),
+    (True, ['{"allOf":[{"type":"string"},{"allOf":[{"type":"integer"},true]}]}', N, S],
+     {"allOf": [{"type": "string"}, {"allOf": [{"type": "integer"}, True]}, {"type": "null"}]}),
+    (True, [S, "false", I], 1),
+    (True, ['{"allOf":[{"type":"string"},false]}', I], False),
+    (True, ['{"anyOf":[{"type":"string"},{"type":"integer"}]}', N],
+     {"allOf": [{"anyOf": [{"type": "string"}, {"type": "integer"}]}, {"type": "null"}]}),
+    (True, ['{"const":1}', '{"const":1.0}'], 0),
+    (True, ['{"const":1}', '{"const":true}'], {"allOf": [{"const": 1}, {"const": True}]}),
+    (True, ['{"allOf":[{"type":"string"}],"minimum":0}', N],
+     {"allOf": [{"allOf": [{"type": "string"}], "minimum": 0}, {"type": "null"}]}),
+    # disjunction
+    (False, [], "unit"),
+    (False, ["false", "false"], "unit"),
+    (False, [S, "false"], 0),
+    (False, ['{"anyOf":[{"type":"string"},false]}', I], {"anyOf": [{"type": "string"}, {"type": "integer"}]}),
+    (False, [S, "true", I], 1),
+    (False, [S, "{}", I], 1),
+    (False, ['{"anyOf":[{"type":"string"},{}]}', I], {}),
+    (False, ['{"allOf":[{"type":"string"},{"type":"integer"}]}', N],
+     {"anyOf": [{"allOf": [{"type": "string"}, {"type": "integer"}]}, {"type": "null"}]}),
+    (False, ['{"const":1}', '{"const":1.0}', S], {"anyOf": [{"const": 1}, {"type": "string"}]}),
+    (False, ['{"anyOf":[{"type":"string"}],"minimum":0}', N],
+     {"anyOf": [{"anyOf": [{"type": "string"}], "minimum": 0}, {"type": "null"}]}),
+]
+
+
+@pytest.mark.parametrize("unit, texts, expected", COMBINE)
+def test_combine(unit, texts, expected):
+    parts = [_part(text) for text in texts]
+    unit = TRUE_SCHEMA if unit else FALSE_SCHEMA
+    got = combine(parts, unit)
+    if expected == "unit":
+        assert got is unit
+    elif isinstance(expected, int) and not isinstance(expected, bool):
+        assert got is parts[expected]
+    else:
+        assert schema_to_json(got) == expected
+
+
+@pytest.mark.parametrize("unit", [TRUE_SCHEMA, FALSE_SCHEMA])
+def test_combine_computes_no_key_for_a_boolean_or_a_lone_part(unit):
+    other = FALSE_SCHEMA if unit.value else TRUE_SCHEMA
+    a, b = _part(S), _part(I)
+    assert combine((unit, a, unit), unit) is a
+    assert combine((a, other, b), unit) is other
+    assert not hasattr(a, "_key") and not hasattr(b, "_key")
 
 
 def test_serialize_bool_and_empty():
