@@ -38,8 +38,8 @@ def _load_document(path: str) -> SchemaDocument:
     return doc
 
 
-def _print_json(value, pretty: bool = True) -> None:
-    print(dump_json(value) if pretty else serialize_json(value))
+def _print_json(value) -> None:
+    print(dump_json(value))
 
 
 def _cmd_validate(args) -> int:

@@ -311,18 +311,13 @@ def push_uneval(
 class _ElimRun(EnfBuilder):
     def __init__(self, doc: SchemaDocument):
         super().__init__(Analyzer(doc))
-        self.doc = doc
         self._by_id = {id(s): name for name, s in doc.defs.items()}
         self._by_id[id(doc.root)] = ""
         self._memo: dict[str, Schema] = {}
-        self._in_progress: set[str] = set()
         self.enf_branches: dict[str, int] = {}
 
-    def _named(self, name: str) -> Schema:
-        return self.doc.root if name == "" else self.doc.defs[name]
-
     def resolve(self, uri: str) -> Schema:
-        target = deref(self.doc, uri)
+        target = deref(self.analyzer.doc, uri)
         if is_uneval_schema(target):
             name = self._by_id.get(id(target))
             if name is None:
@@ -334,16 +329,11 @@ class _ElimRun(EnfBuilder):
         return target
 
     def elim_named(self, name: str) -> Schema:
-        if name in self._memo:
-            return self._memo[name]
-        if name in self._in_progress:
-            raise GuardednessError([f"#/$defs/{name}", "..."])
-        self._in_progress.add(name)
-        try:
-            result = self.elim(self._named(name), stats_key=name)
-        finally:
-            self._in_progress.discard(name)
-        self._memo[name] = result
+        result = self._memo.get(name)
+        if result is None:
+            doc = self.analyzer.doc
+            s = doc.root if name == "" else doc.defs[name]
+            result = self._memo[name] = self.elim(s, stats_key=name)
         return result
 
     def elim(self, s: Schema, stats_key: str | None = None) -> Schema:

@@ -33,6 +33,7 @@ from .schema import (
     boolean_one_of,
     combine,
     deref,
+    find_unguarded_cycle,
 )
 
 
@@ -128,13 +129,14 @@ class EnfBuilder:
     A reference is normalized through its target as :meth:`resolve` gives
     it; a subclass may substitute another (the eliminator maps references
     to uneval-schemas onto their rewritten form).  Reference
-    normalizations are memoized per URI.
+    normalizations are memoized per URI.  The caller vouches that the
+    document's recursion is guarded (:func:`schema.find_unguarded_cycle`
+    finds no cycle), as :func:`enf` and the eliminator check first.
     """
 
     def __init__(self, analyzer: Analyzer):
         self.analyzer = analyzer
         self._ref_memo: dict[str, list[Schema]] = {}
-        self._ref_in_progress: set[str] = set()
 
     def resolve(self, uri: str) -> Schema:
         """The schema a reference is normalized through: its target."""
@@ -184,18 +186,9 @@ class EnfBuilder:
             ).branches
         if kw.name == "$ref":
             memo = self._ref_memo.get(kw.value)
-            if memo is not None:
-                return memo
-            if kw.value in self._ref_in_progress:
-                raise GuardednessError([kw.value, "..."])
-            self._ref_in_progress.add(kw.value)
-            try:
-                target = self.resolve(kw.value)
-                result = self.branch_list(target)
-            finally:
-                self._ref_in_progress.discard(kw.value)
-            self._ref_memo[kw.value] = result
-            return result
+            if memo is None:
+                memo = self._ref_memo[kw.value] = self.branch_list(self.resolve(kw.value))
+            return memo
         raise EliminationError(
             f"schema with single keyword {kw.name!r} is unexpectedly uncharacterized"
         )
@@ -230,8 +223,12 @@ def _dependency_groups(keywords: tuple[Keyword, ...]) -> list[tuple[Keyword, ...
 
 def enf(doc: SchemaDocument, s: Schema) -> ObjSchema:
     """Rewrite a schema into an equivalent single-anyOf normal form.  A
-    schema that nests beyond the recursion limit raises
+    document with unguarded recursion raises :class:`GuardednessError`, and
+    a schema that nests beyond the recursion limit
     :class:`NestingDepthError`."""
+    cycle = find_unguarded_cycle(doc)
+    if cycle is not None:
+        raise GuardednessError(cycle)
     try:
         return EnfBuilder(Analyzer(doc)).enf(s)
     except RecursionError:

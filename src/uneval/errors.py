@@ -52,4 +52,4 @@ class EliminationError(UnevalError):
 
 class NestingDepthError(UnevalError):
     """A schema or instance nests deeper than the interpreter's recursion
-    limit lets validation or rewriting follow."""
+    limit lets parsing, validation or rewriting follow."""

@@ -138,11 +138,9 @@ def enumerate_instances(
     doc: SchemaDocument,
     max_fields: int = 3,
     max_items: int = 3,
-    names: list[str] | None = None,
 ) -> Iterator[JsonValue]:
     """Deterministic instance universe for the given document."""
-    if names is None:
-        names = oracle_names(doc)
+    names = oracle_names(doc)
     leaf_values: tuple[JsonValue, ...] = SCALAR_ALPHABET + ([],) + ({},)
 
     for v in leaf_values:

@@ -246,12 +246,12 @@ def serialize_json(v: JsonValue) -> str:
     return _canonical(v)
 
 
-def dump_json(v: JsonValue, indent: int = 2) -> str:
-    """Pretty writer that preserves dict insertion order (for schema output)."""
+def dump_json(v: JsonValue) -> str:
+    """Pretty writer, two spaces per level, keeping dict insertion order."""
 
     def rec(node: JsonValue, depth: int) -> str:
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        inner = "  " * (depth + 1)
         if isinstance(node, dict):
             if not node:
                 return "{}"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .errors import RefResolutionError, SchemaParseError
+from .errors import NestingDepthError, RefResolutionError, SchemaParseError
 from .jsonvalue import JsonValue, is_number, serialize_json, string_text
 
 INF = math.inf
@@ -540,8 +540,16 @@ def parse_schema(v: JsonValue) -> SchemaDocument:
     unresolved reference of the root is reported before those of the
     definitions, and within one named schema the first parsed: keywords in
     source order, map entries by name.  Equal inner subschemas with no
-    ``$ref`` below them become one shared node.
+    ``$ref`` below them become one shared node.  A schema that nests
+    beyond the recursion limit raises :class:`NestingDepthError`.
     """
+    try:
+        return _parse_document(v)
+    except RecursionError:
+        raise NestingDepthError("the schema nests too deeply to parse") from None
+
+
+def _parse_document(v: JsonValue) -> SchemaDocument:
     parser = _Parser()
     defs: dict[str, Schema] = {}
     def_refs: list[str] = []
@@ -728,19 +736,31 @@ _GREY, _BLACK = 1, 2
 def _unguarded_path(
     doc: SchemaDocument, color: dict[int, int], s: Schema, trail: list[str]
 ) -> Optional[list[str]]:
-    """Depth-first search for a cycle through ``s``; ``color`` marks the
-    nodes on the current path (grey) and those finished (black)."""
-    state = color.get(id(s))
-    if state == _GREY:
-        return trail
-    if state == _BLACK:
+    """Depth-first search for a cycle from ``s``: ``trail``, extended in
+    place by the edge labels up to the first node met again on the path,
+    or None.  ``color`` marks the nodes on the path (grey) and those
+    finished (black); a coloured ``s`` is finished.  The path is a stack of
+    ``(node, edges left)`` pairs, not of frames, so any chain length fits."""
+    if id(s) in color:
         return None
     color[id(s)] = _GREY
-    for label, nxt in _inplace_edges(doc, s):
-        found = _unguarded_path(doc, color, nxt, trail + [label])
-        if found is not None:
-            return found
-    color[id(s)] = _BLACK
+    stack = [(s, _inplace_edges(doc, s))]
+    while stack:
+        for label, nxt in stack[-1][1]:
+            state = color.get(id(nxt))
+            if state == _BLACK:
+                continue
+            trail.append(label)
+            if state == _GREY:
+                return trail
+            color[id(nxt)] = _GREY
+            stack.append((nxt, _inplace_edges(doc, nxt)))
+            break
+        else:
+            node, _ = stack.pop()
+            color[id(node)] = _BLACK
+            if stack:
+                trail.pop()
     return None
 
 

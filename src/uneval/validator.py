@@ -561,12 +561,12 @@ class _Compiler:
     def annotation_list(self, keywords: Sequence[Keyword], cached: bool):
         """Annotation of a valid instance, or ``None``; stops at the first
         failing keyword, whose annotation would be discarded anyway."""
-        plain = [kw for kw in keywords if kw.name not in _ANNOTATING]
+        plain = [kw for kw in keywords if kw.name not in _STEPS]
         check = self.bool_list(plain, keywords, cached)
         steps = tuple(
-            _STEPS[kw.name](self, kw.value, keywords, cached, False)
+            _STEPS[kw.name](self, kw.value, keywords, cached)
             for kw in keywords
-            if kw.name in _ANNOTATING
+            if kw.name in _STEPS
         )
         if check is _false:
             return _ann_false
@@ -589,18 +589,25 @@ class _Compiler:
 
     def exact_step(self, kw: Keyword, context: Sequence[Keyword]):
         """``step(x, acc) -> (holds, annotation)`` of one keyword, with the
-        annotation kept also when the keyword fails."""
-        make = _STEPS.get(kw.name)
+        annotation kept also when the keyword fails: ``allOf``, ``oneOf``
+        and ``not`` keep the union of their valid subschemas' annotations,
+        the other steps keep theirs on failure anyway."""
+        name = kw.name
+        if name in ("allOf", "oneOf", "not"):
+            check = self.bool_list((kw,), context, False)
+            union = self.any_of_step((kw.value,) if name == "not" else kw.value, context, False)
+            return lambda x, acc: (check(x), union(x, acc)[1])
+        make = _STEPS.get(name)
         if make is not None:
-            return make(self, kw.value, context, False, True)
+            return make(self, kw.value, context, False)
         check = self.bool_list((kw,), context, False)
         return lambda x, acc: (check(x), _EMPTY)
 
     # Each step below is ``step(x, acc) -> (holds, annotation)``, where
-    # ``acc`` is the annotation of the keywords before it.  Unless ``exact``,
-    # a step may stop once it fails, with an incomplete annotation.
+    # ``acc`` is the annotation of the keywords before it.  A step may stop
+    # once it fails, with an incomplete annotation.
 
-    def any_of_step(self, branches, context, cached, exact):
+    def any_of_step(self, branches, context, cached):
         fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
 
         def any_of(x, acc):
@@ -616,25 +623,22 @@ class _Compiler:
 
         return any_of
 
-    def all_of_step(self, branches, context, cached, exact):
+    def all_of_step(self, branches, context, cached):
         fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
 
         def all_of(x, acc):
-            ok = True
             union = _EMPTY
             for f in fs:
                 found = f(x)
                 if found is None:
-                    if not exact:
-                        return False, union
-                    ok = False
-                elif found:
+                    return False, union
+                if found:
                     union = union | found
-            return ok, union
+            return True, union
 
         return all_of
 
-    def one_of_step(self, branches, context, cached, exact):
+    def one_of_step(self, branches, context, cached):
         fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
 
         def one_of(x, acc):
@@ -644,7 +648,7 @@ class _Compiler:
                 found = f(x)
                 if found is not None:
                     valid += 1
-                    if valid == 2 and not exact:
+                    if valid == 2:
                         return False, union
                     if found:
                         union = union | found
@@ -652,7 +656,7 @@ class _Compiler:
 
         return one_of
 
-    def ref_step(self, uri, context, cached, exact):
+    def ref_step(self, uri, context, cached):
         f = self.schema(deref(self.doc, uri), ANNOT, True)
 
         def ref(x, acc):
@@ -661,32 +665,23 @@ class _Compiler:
 
         return ref
 
-    def not_step(self, sub, context, cached, exact):
-        f = self.schema(sub, ANNOT, cached)
-
-        def not_(x, acc):
-            found = f(x)
-            return found is None, found or _EMPTY
-
-        return not_
-
-    def properties_step(self, props, context, cached, exact):
+    def properties_step(self, props, context, cached):
         names = props.keys()
         check = self.bool_properties(props, None, cached)
         return _annotating(dict, check, lambda x: x.keys() & names)
 
-    def pattern_properties_step(self, props, context, cached, exact):
+    def pattern_properties_step(self, props, context, cached):
         searches = [compile_pattern(p).search for p in props]
         check = self.bool_pattern_properties(props, None, cached)
         return _annotating(
             dict, check, lambda x: {k for k in x if any(s(k) is not None for s in searches)}
         )
 
-    def additional_properties_step(self, sub, context, cached, exact):
+    def additional_properties_step(self, sub, context, cached):
         check = self.bool_additional_properties(sub, _siblings(context), cached)
         return _annotating(dict, check, dict.keys)
 
-    def unevaluated_properties_step(self, sub, context, cached, exact):
+    def unevaluated_properties_step(self, sub, context, cached):
         f = self.schema(sub, BOOL, cached)
 
         def unevaluated_properties(x, acc):
@@ -699,16 +694,16 @@ class _Compiler:
 
         return unevaluated_properties
 
-    def prefix_items_step(self, subs, context, cached, exact):
+    def prefix_items_step(self, subs, context, cached):
         n = len(subs)
         check = self.bool_prefix_items(subs, None, cached)
         return _annotating(list, check, lambda x: set(range(min(n, len(x)))))
 
-    def items_step(self, sub, context, cached, exact):
+    def items_step(self, sub, context, cached):
         check = self.bool_items(sub, _siblings(context), cached)
         return _annotating(list, check, lambda x: set(range(len(x))))
 
-    def contains_step(self, sub, context, cached, exact):
+    def contains_step(self, sub, context, cached):
         f = self.schema(sub, BOOL, cached)
         siblings = _siblings(context)
         lo = siblings.get("minContains", 1)
@@ -722,7 +717,7 @@ class _Compiler:
 
         return contains
 
-    def unevaluated_items_step(self, sub, context, cached, exact):
+    def unevaluated_items_step(self, sub, context, cached):
         f = self.schema(sub, BOOL, cached)
 
         def unevaluated_items(x, acc):
@@ -834,16 +829,13 @@ _BOOL_KEYWORDS = {
 #: Keywords whose check reads the syntax of their siblings.
 _CONTEXT_READERS = frozenset({"additionalProperties", "items", "contains"})
 
-#: Annotation-mode compilers.  ``not`` contributes only to the exact fold
-#: of :func:`validate_keyword_list`, since a failing keyword's annotation is
-#: otherwise discarded; the others are the keywords that can contribute to
-#: an annotation.
+#: Annotation-mode compilers: the keywords that can contribute to an
+#: annotation.
 _STEPS = {
     "anyOf": _Compiler.any_of_step,
     "allOf": _Compiler.all_of_step,
     "oneOf": _Compiler.one_of_step,
     "$ref": _Compiler.ref_step,
-    "not": _Compiler.not_step,
     "properties": _Compiler.properties_step,
     "patternProperties": _Compiler.pattern_properties_step,
     "additionalProperties": _Compiler.additional_properties_step,
@@ -853,7 +845,6 @@ _STEPS = {
     "contains": _Compiler.contains_step,
     "unevaluatedItems": _Compiler.unevaluated_items_step,
 }
-_ANNOTATING = frozenset(_STEPS) - {"not"}
 
 
 def _compiled(doc: SchemaDocument, schema: Schema, mode: int):

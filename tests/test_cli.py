@@ -327,3 +327,39 @@ def test_deep_allof_chain_exits_2_from_enf_and_analyze(tmp_path, capsys):
             if expected:
                 assert out == ""
                 assert "nests too deeply" in err and "Traceback" not in err
+
+
+def _reference_chain(n, **root):
+    """``n`` definitions, each an ``allOf`` of a reference to the next."""
+    defs = {f"D{i}": {"allOf": [{"$ref": f"#/$defs/D{i + 1}"}]} for i in range(n - 1)}
+    defs[f"D{n - 1}"] = {"type": "object"}
+    return {"$ref": "#/$defs/D0", **root, "$defs": defs}
+
+
+def test_long_reference_chain_is_answered_or_a_clean_error(tmp_path, capsys):
+    """The guard check follows a chain of any length; what cannot follow
+    it reports the depth."""
+    instance = write(tmp_path, "i.json", {"a": 1})
+    for closed in (False, True):
+        root = {"unevaluatedProperties": False} if closed else {}
+        schema = write(tmp_path, f"chain_{closed}.json", _reference_chain(1000, **root))
+        for command in ("validate", "eliminate", "enf", "analyze", "difftest"):
+            extra = ("--instance", instance) if command == "validate" else ()
+            code, _, err = run(capsys, command, "--schema", schema, *extra)
+            assert code in (0, 2), (closed, command, err)
+            assert "Traceback" not in err
+
+
+def test_schema_too_deep_to_parse_exits_2(tmp_path, capsys):
+    depth = 600
+    deep_schema = tmp_path / "deep_items.json"
+    deep_schema.write_text('{"items":' * depth + "true" + "}" * depth)
+    instance = write(tmp_path, "i.json", [[[]]])
+    for argv in (
+        ("validate", "--schema", str(deep_schema), "--instance", instance),
+        ("eliminate", "--schema", str(deep_schema)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "nests too deeply to parse" in err and "Traceback" not in err

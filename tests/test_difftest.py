@@ -1,4 +1,8 @@
+import pytest
+
+from uneval import eliminate
 from uneval.difftest import difftest
+from uneval.eliminate import elim_document
 from uneval.families import gen_family_sn
 from uneval.schema import parse_schema
 
@@ -58,3 +62,117 @@ def test_shared_nested_uneval_agrees():
     report = difftest(doc)
     assert report.instances_total > 0
     assert report.disagree == 0, report.disagreements
+
+
+A_CLOSED = {"properties": {"a": True}, "unevaluatedProperties": False}
+
+#: In-place references to uneval-schemas, with the size of each universe.
+REFERENCED_UNEVAL = [
+    (
+        {
+            "allOf": [{"$ref": "#/$defs/A"}],
+            "properties": {"b": True},
+            "unevaluatedProperties": False,
+            "$defs": {"A": A_CLOSED},
+        },
+        675,
+    ),
+    (
+        {
+            "anyOf": [{"$ref": "#/$defs/A"}, {"properties": {"b": True}}],
+            "unevaluatedProperties": False,
+            "$defs": {
+                "A": {
+                    "patternProperties": {"^x": True},
+                    "properties": {"a": {"type": "string"}},
+                    "unevaluatedProperties": {"type": "integer"},
+                }
+            },
+        },
+        675,
+    ),
+    (
+        {
+            "allOf": [{"$ref": "#A"}],
+            "prefixItems": [True],
+            "unevaluatedItems": False,
+            "$defs": {
+                "A": {
+                    "$anchor": "A",
+                    "anyOf": [
+                        {"prefixItems": [{"type": "integer"}, True]},
+                        {"contains": {"type": "string"}},
+                    ],
+                    "unevaluatedItems": {"type": "integer"},
+                }
+            },
+        },
+        311,
+    ),
+    (
+        {
+            "oneOf": [{"$ref": "#/$defs/A"}, {"$ref": "#/$defs/B"}],
+            "unevaluatedProperties": False,
+            "$defs": {
+                "A": A_CLOSED,
+                "B": {"allOf": [{"$ref": "#/$defs/A"}], "properties": {"b": True}},
+            },
+        },
+        675,
+    ),
+]
+
+#: References to uneval-schemas whose other side is not characterized, so
+#: that normalization goes through the rewritten target.
+THROUGH_REWRITTEN = [
+    (
+        {
+            "allOf": [{"$ref": "#/$defs/A"}],
+            "unevaluatedProperties": False,
+            "$defs": {
+                "A": {
+                    "anyOf": [{"properties": {"a": True}}, {"prefixItems": [True]}],
+                    "unevaluatedItems": False,
+                }
+            },
+        },
+        845,
+    ),
+    (
+        {
+            "allOf": [{"$ref": "#A"}],
+            "unevaluatedItems": False,
+            "$defs": {
+                "A": {
+                    "$anchor": "A",
+                    "anyOf": [{"prefixItems": [True]}, {"contains": {"type": "integer"}}],
+                    "unevaluatedProperties": False,
+                }
+            },
+        },
+        316,
+    ),
+]
+
+
+@pytest.mark.parametrize("schema,universe", REFERENCED_UNEVAL + THROUGH_REWRITTEN)
+def test_references_to_uneval_schemas_agree(schema, universe):
+    report = difftest(parse_schema(schema))
+    assert report.instances_total == universe
+    assert report.disagree == 0, report.disagreements
+
+
+@pytest.mark.parametrize("schema,universe", THROUGH_REWRITTEN)
+def test_reference_normalized_through_memoized_rewrite(monkeypatch, schema, universe):
+    """The definition is rewritten once, by the driver, and the root's
+    normalization resolves its reference to that memoized rewrite."""
+    requested = []
+    elim_named = eliminate._ElimRun.elim_named
+
+    def spy(run, name):
+        requested.append(name)
+        return elim_named(run, name)
+
+    monkeypatch.setattr(eliminate._ElimRun, "elim_named", spy)
+    elim_document(parse_schema(schema))
+    assert requested.count("A") > 1

@@ -1,3 +1,5 @@
+import pytest
+
 from uneval.analysis import Analyzer
 from uneval.eliminate import elim_document
 from uneval.errors import GuardednessError
@@ -43,6 +45,15 @@ def test_enf_characterized_schema_is_wrapped():
 def test_enf_true():
     doc = parse_schema(True)
     assert branches_json(enf(doc, doc.root)) == [True]
+
+
+def test_enf_rejects_unguarded_recursion():
+    doc = parse_schema(
+        {"$ref": "#/$defs/a", "$defs": {"a": {"anyOf": [{"$ref": "#/$defs/a"}]}}}
+    )
+    with pytest.raises(GuardednessError) as info:
+        enf(doc, doc.root)
+    assert info.value.cycle == ["#", "$ref:#/$defs/a", "anyOf[0]", "$ref:#/$defs/a"]
 
 
 def test_enf_characterized_anyof_unchanged():

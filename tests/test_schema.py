@@ -3,7 +3,12 @@ import random
 import pytest
 
 from uneval.eliminate import elim_document
-from uneval.errors import RefResolutionError, SchemaParseError, UnevalError
+from uneval.errors import (
+    NestingDepthError,
+    RefResolutionError,
+    SchemaParseError,
+    UnevalError,
+)
 from uneval.families import gen_family_san, gen_family_sn
 from uneval.jsonvalue import dump_json, parse_json, serialize_json
 from uneval.schema import (
@@ -657,3 +662,25 @@ def test_find_unguarded_cycle_returns_a_list_of_its_own():
     first[0] = "mutated"
     second = find_unguarded_cycle(doc)
     assert second == expected and second is not first
+
+
+def test_find_unguarded_cycle_follows_a_long_reference_chain():
+    n = 1000
+    defs = {f"d{i}": {"anyOf": [{"$ref": f"#/$defs/d{i + 1}"}]} for i in range(n - 1)}
+    defs[f"d{n - 1}"] = {"properties": {"x": {"$ref": "#/$defs/d0"}}}
+    assert find_unguarded_cycle(parse_schema({"$defs": defs})) is None
+    defs[f"d{n - 1}"] = {"not": {"$ref": "#/$defs/d0"}}
+    expected = ["#/$defs/d0"]
+    for i in range(1, n):
+        expected += ["anyOf[0]", f"$ref:#/$defs/d{i}"]
+    expected += ["not", "$ref:#/$defs/d0"]
+    assert find_unguarded_cycle(parse_schema({"$defs": defs})) == expected
+
+
+def test_schema_nested_too_deeply_to_parse_is_a_clean_error():
+    def chain(depth):
+        return parse_json('{"items":' * depth + "true" + "}" * depth)
+
+    with pytest.raises(NestingDepthError, match="nests too deeply to parse"):
+        parse_schema(chain(600))
+    assert schema_to_json(parse_schema(chain(50)).root) == chain(50)
