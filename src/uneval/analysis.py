@@ -22,7 +22,6 @@ from .schema import (
     INF,
     BoolSchema,
     Keyword,
-    ObjSchema,
     Schema,
     SchemaDocument,
     TRUE_SCHEMA,
@@ -30,6 +29,7 @@ from .schema import (
     combine,
     compile_pattern,
     deref,
+    operands,
 )
 
 
@@ -289,15 +289,6 @@ def patterns_dominate(lo: PatternSet, hi: PatternSet) -> bool:
     return lo.contains_dotstar or hi.patterns <= lo.patterns
 
 
-def _disjuncts(guard: Schema) -> frozenset[Schema]:
-    """A guard's disjuncts (a lone guard is one disjunct)."""
-    if isinstance(guard, ObjSchema):
-        kw = guard.single_keyword("anyOf")
-        if kw is not None:
-            return frozenset(kw.value)
-    return frozenset((guard,))
-
-
 def guard_implies(premise: Schema, conclusion: Schema) -> bool:
     """Sound syntactic implication between guard schemas."""
     if isinstance(conclusion, BoolSchema) and conclusion.value:
@@ -307,7 +298,7 @@ def guard_implies(premise: Schema, conclusion: Schema) -> bool:
     if premise == conclusion:
         return True
     # a disjunction follows from any sub-disjunction of its branches
-    return _disjuncts(premise) <= _disjuncts(conclusion)
+    return frozenset(operands(premise, "anyOf")) <= frozenset(operands(conclusion, "anyOf"))
 
 
 def pair_dominates(lo: EvalPair, hi: EvalPair) -> bool:

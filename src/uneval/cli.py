@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / instance valid / no disagreement; 1 instance
-invalid or differential disagreement; 2 usage or schema errors.
+invalid or differential disagreement; 2 usage or schema errors, input
+that nests too deeply among them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .analysis import Analyzer, EvalPair
 from .difftest import difftest
 from .eliminate import elim_document_with_stats, is_uneval_schema
 from .enf import enf
-from .errors import GuardednessError, NestingDepthError, UnevalError
+from .errors import GuardednessError, UnevalError
 from .families import gen_family_san, gen_family_sn
 from .jsonvalue import dump_json, parse_json, serialize_json
 from .schema import (
@@ -108,20 +109,17 @@ def _cmd_analyze(args) -> int:
     doc = _load_document(args.schema)
     analyzer = Analyzer(doc)
     report = {}
-    try:
-        for name, schema in doc.named_schemas():
-            ex_p = analyzer.ex_ep(schema)
-            ex_i = analyzer.ex_ei(schema)
-            report[name or "#"] = {
-                "minEP": sorted(analyzer.min_ep(schema).patterns),
-                "maxEP": sorted(analyzer.max_ep(schema).patterns),
-                "minEI": _pair_json(analyzer.min_ei(schema)),
-                "maxEI": _pair_json(analyzer.max_ei(schema)),
-                "exEP": sorted(ex_p.patterns) if ex_p is not None else "undefined",
-                "exEI": _pair_json(ex_i) if ex_i is not None else "undefined",
-            }
-    except RecursionError:
-        raise NestingDepthError("the schema nests too deeply to analyze") from None
+    for name, schema in doc.named_schemas():
+        ex_p = analyzer.ex_ep(schema)
+        ex_i = analyzer.ex_ei(schema)
+        report[name or "#"] = {
+            "minEP": sorted(analyzer.min_ep(schema).patterns),
+            "maxEP": sorted(analyzer.max_ep(schema).patterns),
+            "minEI": _pair_json(analyzer.min_ei(schema)),
+            "maxEI": _pair_json(analyzer.max_ei(schema)),
+            "exEP": sorted(ex_p.patterns) if ex_p is not None else "undefined",
+            "exEI": _pair_json(ex_i) if ex_i is not None else "undefined",
+        }
     _print_json(report)
     return 0
 
@@ -214,6 +212,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UnevalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the input nests too deeply to process", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 
 from .analysis import Analyzer, PatternSet
-from .enf import EnfBuilder, _conjunct_atoms
+from .enf import EnfBuilder
 from .errors import EliminationError, GuardednessError, NestingDepthError
 from .schema import (
     ADK_NAMES,
@@ -44,6 +44,7 @@ from .schema import (
     distinct_nodes,
     find_unguarded_cycle,
     make_obj,
+    operands,
     ref,
 )
 
@@ -300,7 +301,7 @@ def push_uneval(
         elif own is not None:
             out.append(make_obj(*own, *checks))
         else:
-            out.append(all_of((*_conjunct_atoms(branch), make_obj(*checks))))
+            out.append(all_of((*operands(branch, "allOf"), make_obj(*checks))))
     return out[0] if len(out) == 1 else any_of(out)
 
 

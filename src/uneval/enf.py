@@ -34,16 +34,8 @@ from .schema import (
     combine,
     deref,
     find_unguarded_cycle,
+    operands,
 )
-
-
-def _conjunct_atoms(s: Schema) -> list[Schema]:
-    """Splice single-keyword allOf schemas; anything else is an atom."""
-    if isinstance(s, ObjSchema):
-        kw = s.single_keyword("allOf")
-        if kw is not None:
-            return list(kw.value)
-    return [s]
 
 
 def conjoin(s1: Schema, s2: Schema) -> Schema:
@@ -53,7 +45,7 @@ def conjoin(s1: Schema, s2: Schema) -> Schema:
 
 def branch_key(s: Schema) -> Schema | frozenset[Schema]:
     """Identity of a branch; conjunctions compare order-insensitively."""
-    atoms = _conjunct_atoms(s)
+    atoms = operands(s, "allOf")
     return s if len(atoms) == 1 else frozenset(atoms)
 
 

@@ -22,9 +22,11 @@ from .errors import DuplicateKeyError, JsonParseError
 
 JsonValue = Union[None, bool, int, float, Decimal, str, list, dict]
 
+#: The JSON classes with their type names; ``bool`` comes before ``int``,
+#: its base, so that the first class a value is an instance of is its own.
 _TYPE_NAMES = {
-    type(None): "null",
     bool: "boolean",
+    type(None): "null",
     int: "number",
     float: "number",
     Decimal: "number",
@@ -34,15 +36,17 @@ _TYPE_NAMES = {
 }
 
 
+def json_class(v: JsonValue) -> type:
+    """The JSON class of a value, also of an instance of a subclass."""
+    for py_type in _TYPE_NAMES:
+        if isinstance(v, py_type):
+            return py_type
+    raise TypeError(f"not a JSON value: {v!r}")
+
+
 def type_of(v: JsonValue) -> str:
     """Return the JSON type name of a value ('null', 'boolean', ...)."""
-    # bool is a subclass of int, so it must win the dispatch
-    if isinstance(v, bool):
-        return "boolean"
-    for py_type, name in _TYPE_NAMES.items():
-        if isinstance(v, py_type):
-            return name
-    raise TypeError(f"not a JSON value: {v!r}")
+    return _TYPE_NAMES[json_class(v)]
 
 
 def is_number(v: JsonValue) -> bool:

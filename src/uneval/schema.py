@@ -21,11 +21,10 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import NestingDepthError, RefResolutionError, SchemaParseError
-from .jsonvalue import JsonValue, is_number, serialize_json, string_text
+from .jsonvalue import JsonValue, is_number, serialize_json, string_text, type_of
 
 INF = math.inf
 
@@ -217,6 +216,14 @@ def combine(parts: Iterable[Schema], unit: BoolSchema) -> Schema:
     return all_of(kept) if conj else any_of(kept)
 
 
+def operands(s: Schema, name: str) -> tuple[Schema, ...]:
+    """The operands of ``s`` if its only keyword is ``name`` (``allOf`` or
+    ``anyOf``), else ``(s,)``."""
+    if isinstance(s, ObjSchema) and len(s.keywords) == 1 and s.keywords[0].name == name:
+        return s.keywords[0].value
+    return (s,)
+
+
 def not_(s: Schema) -> ObjSchema:
     return ObjSchema((Keyword("not", s),))
 
@@ -304,8 +311,6 @@ def _pointer_segment(name: str) -> str:
 
 
 def type_name(v) -> str:
-    from .jsonvalue import type_of
-
     try:
         return type_of(v)
     except TypeError:
@@ -325,58 +330,27 @@ def _parse_pattern(v):
 #: Keywords that move to the end of a node's keyword list.
 _RANKED = frozenset(SDK_NAMES + ADK_NAMES)
 
-#: Keyword arguments that key by their text when a node is hash-consed.
-_BY_TEXT = frozenset((list, dict, Decimal))
-
-
-def _intern_key(keywords: tuple[Keyword, ...]) -> tuple:
-    """The hash-consing key of a node whose children are all interned.
-
-    Children key by ``id``; scalars with their type, so that ``1``, ``1.0``,
-    ``true`` and ``"1"`` stay apart; lists, dicts and Decimals by their
-    text.  Keywords keep their order, which the serialized form follows.
-    """
-    parts = []
-    for kw in keywords:
-        v = kw.value
-        kind = CHILD_KIND.get(kw.name)
-        if kind == 0:
-            parts.append((kw.name, id(v)))
-        elif kind == 1:
-            parts.append((kw.name, tuple(map(id, v))))
-        elif kind == 2:
-            parts.append((kw.name, tuple([(k, id(sub)) for k, sub in v.items()])))
-        else:
-            t = type(v)
-            parts.append((kw.name, t, serialize_json(v) if t in _BY_TEXT else v))
-    return tuple(parts)
-
-
-def _normalize_contains(keywords: list[Keyword]) -> list[Keyword]:
-    """Insert default minContains/maxContains next to contains; drop strays."""
-    has_contains = any(kw.name == "contains" for kw in keywords)
-    if not has_contains:
-        return [kw for kw in keywords if kw.name not in ("minContains", "maxContains")]
-    names = {kw.name for kw in keywords}
-    out: list[Keyword] = []
-    for kw in keywords:
-        out.append(kw)
-        if kw.name == "contains":
-            if "minContains" not in names:
-                out.append(Keyword("minContains", 1))
-            if "maxContains" not in names:
-                out.append(Keyword("maxContains", INF))
-    return out
+def _drop_contains_bounds(keywords: list[Keyword], has_contains: bool) -> list[Keyword]:
+    """``keywords`` without ``minContains``/``maxContains`` when no
+    ``contains`` stands beside them, and without a ``minContains: 1``,
+    the default, when one does."""
+    return [
+        kw
+        for kw in keywords
+        if kw.name not in ("minContains", "maxContains")
+        or (has_contains and (kw.name, kw.value) != ("minContains", 1))
+    ]
 
 
 class _Parser:
     """One parse of a document.
 
-    Inner nodes without a ``$ref`` below them are hash-consed: two equal
-    ones, keyword for keyword, are one object, so a re-parsed rewrite
-    shares its subschemas as the rewrite did.  Named tops and nodes that
-    reach a ``$ref`` are never shared, so every reference cycle runs
-    through nodes of its own.  The table lives as long as the parser.
+    Inner nodes without a ``$ref`` below them are hash-consed by their
+    identity, :attr:`Schema.key`: two equal ones are one object, the first
+    parsed, so a re-parsed rewrite shares its subschemas as the rewrite
+    did.  Named tops and nodes that reach a ``$ref`` are never shared, so
+    every reference cycle runs through nodes of its own.  The table lives
+    as long as the parser.
 
     A ``SchemaParseError`` is raised with the path below the keyword or
     node that detects it, and each enclosing level prepends its segment
@@ -386,7 +360,7 @@ class _Parser:
     def __init__(self):
         #: every ``$ref`` argument parsed so far, in the order parsed
         self.refs: list[str] = []
-        self.interned: dict[tuple, ObjSchema] = {}
+        self.interned: dict[ObjSchema, ObjSchema] = {}
 
     def parse_schema_node(self, v: JsonValue, named_top: bool) -> Schema:
         if isinstance(v, bool):
@@ -402,18 +376,14 @@ class _Parser:
         except SchemaParseError as exc:
             exc.path = f"/{_pointer_segment(name)}{exc.path}"
             raise
-        if "contains" in v or "minContains" in v or "maxContains" in v:
-            keywords = _normalize_contains(keywords)
+        if "minContains" in v or "maxContains" in v:
+            keywords = _drop_contains_bounds(keywords, "contains" in v)
         if not _RANKED.isdisjoint(v):
             keywords.sort(key=_rank)
-        node_keywords = tuple(keywords)
+        node = ObjSchema(tuple(keywords))
         if named_top or len(self.refs) != n_refs:
-            return ObjSchema(node_keywords)
-        key = _intern_key(node_keywords)
-        node = self.interned.get(key)
-        if node is None:
-            node = self.interned[key] = ObjSchema(node_keywords)
-        return node
+            return node
+        return self.interned.setdefault(node, node)
 
     # One method per keyword class: ``(name, arg, named_top) -> Keyword``.
 
@@ -535,7 +505,8 @@ def parse_schema(v: JsonValue) -> SchemaDocument:
     """Parse a JSON value into a schema document.
 
     Keywords are canonically reordered, ``$defs``/``$anchor`` are indexed,
-    ``minContains``/``maxContains`` defaults are materialized, and the
+    ``minContains``/``maxContains`` are dropped where no ``contains``
+    reads them and ``minContains: 1``, their default, everywhere, and the
     document is checked to be closed (every reference resolves).  An
     unresolved reference of the root is reported before those of the
     definitions, and within one named schema the first parsed: keywords in
@@ -815,17 +786,8 @@ def _schema_json(s: Schema, memo: dict) -> JsonValue:
         return out
     out = memo[id(s)] = {}
     for kw in s.keywords:
-        if not _is_materialized_default(kw):
-            out[kw.name] = _keyword_json(kw, memo)
+        out[kw.name] = _keyword_json(kw, memo)
     return out
-
-
-def _is_materialized_default(kw: Keyword) -> bool:
-    """The parser's ``minContains``/``maxContains`` defaults, which
-    disappear again on output."""
-    return (kw.name == "minContains" and kw.value == 1) or (
-        kw.name == "maxContains" and kw.value == INF
-    )
 
 
 def serialize_schema(doc: SchemaDocument) -> JsonValue:
@@ -854,7 +816,7 @@ def canonical_text(s: Schema) -> str:
     if isinstance(s, BoolSchema):
         return "true" if s.value else "false"
     # a dict, as in schema_to_json: a repeated name keeps its last keyword
-    by_name = {kw.name: kw.value for kw in s.keywords if not _is_materialized_default(kw)}
+    by_name = {kw.name: kw.value for kw in s.keywords}
     parts = []
     for name in sorted(by_name):
         value = by_name[name]

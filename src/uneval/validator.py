@@ -40,7 +40,7 @@ from decimal import Decimal
 from typing import Callable, Sequence
 
 from .errors import NestingDepthError
-from .jsonvalue import JsonValue, json_equal, unique_key
+from .jsonvalue import JsonValue, json_class, json_equal, unique_key
 from .schema import (
     ADK_NAMES,
     INF,
@@ -209,14 +209,6 @@ _TYPE_CLASSES = {
 }
 
 
-def _exact_type(x) -> type:
-    """The JSON type of an instance of a subclass, as its exact base."""
-    for t in _JSON_TYPES:
-        if isinstance(x, t):
-            return t
-    raise TypeError(f"not a JSON value: {x!r}")
-
-
 def _all(checks: Sequence[Check]) -> Check:
     if not checks:
         return _true
@@ -246,7 +238,7 @@ def _dispatch(table: dict) -> Check:
     def by_type(x):
         f = get(type(x))
         if f is None:
-            f = table[_exact_type(x)]
+            f = table[json_class(x)]
         return f(x)
 
     return by_type

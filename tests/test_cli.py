@@ -329,6 +329,18 @@ def test_deep_allof_chain_exits_2_from_enf_and_analyze(tmp_path, capsys):
                 assert "nests too deeply" in err and "Traceback" not in err
 
 
+def test_deep_normal_form_exits_2_from_enf(tmp_path, capsys):
+    """A deep properties chain is its own normal form; too deep to print,
+    it is a clean error."""
+    depth = 260
+    chain = tmp_path / "chain.json"
+    chain.write_text('{"properties":{"a":' * depth + "true" + "}}" * depth)
+    code, out, err = run(capsys, "enf", "--schema", str(chain))
+    assert code == 2
+    assert out == ""
+    assert "nests too deeply" in err and "Traceback" not in err
+
+
 def _reference_chain(n, **root):
     """``n`` definitions, each an ``allOf`` of a reference to the next."""
     defs = {f"D{i}": {"allOf": [{"$ref": f"#/$defs/D{i + 1}"}]} for i in range(n - 1)}

@@ -348,25 +348,26 @@ def test_enf_shape_and_cover_closure_on_corpus():
             assert an.ex_ei(b) is not None, (fixture.name, schema_to_json(b))
         # every pair is covered inside the list, or its conjunction is present
         from uneval.analysis import pair_dominates, patterns_dominate
-        from uneval.enf import _conjunct_atoms, conjoin
+        from uneval.enf import conjoin
+        from uneval.schema import operands
 
         def disjoint_by_negation(b1, b2):
             # branches from an exclusive-choice expansion contain an atom and
             # its negation; no instance satisfies both, so any schema covers
-            a1 = {canonical_text(a) for a in _conjunct_atoms(b1)}
-            a2 = {canonical_text(a) for a in _conjunct_atoms(b2)}
+            a1 = {canonical_text(a) for a in operands(b1, "allOf")}
+            a2 = {canonical_text(a) for a in operands(b2, "allOf")}
             from uneval.schema import not_
 
-            negated_1 = {canonical_text(not_(a)) for a in _conjunct_atoms(b1)}
-            negated_2 = {canonical_text(not_(a)) for a in _conjunct_atoms(b2)}
+            negated_1 = {canonical_text(not_(a)) for a in operands(b1, "allOf")}
+            negated_2 = {canonical_text(not_(a)) for a in operands(b2, "allOf")}
             return bool(a1 & negated_2) or bool(a2 & negated_1)
 
         def covers_pair(c, b1, b2):
             # satisfaction side: c is a conjunction of the pair's conjuncts
-            union_atoms = {canonical_text(a) for a in _conjunct_atoms(b1)} | {
-                canonical_text(a) for a in _conjunct_atoms(b2)
+            union_atoms = {canonical_text(a) for a in operands(b1, "allOf")} | {
+                canonical_text(a) for a in operands(b2, "allOf")
             }
-            if not {canonical_text(a) for a in _conjunct_atoms(c)} <= union_atoms:
+            if not {canonical_text(a) for a in operands(c, "allOf")} <= union_atoms:
                 return False
             # evaluation side: c evaluates at least what either one evaluates
             return all(
