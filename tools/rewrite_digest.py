@@ -20,8 +20,8 @@ sn n = 2..10, then san n = 2..10, then the non-adversarial corpus fixtures
   ``serialize_json`` sorts keys, so keyword order shows only here.
 
 Two checkouts rewrite byte-identically, with the same branch counts,
-exactly when the first two lines agree, and print the same ``uneval``
-CLI output for these schemas when the third does too.
+exactly when the first two lines agree; the third also compares the
+pretty text, keyword order included, of the inputs and the rewrites.
 """
 
 from __future__ import annotations
