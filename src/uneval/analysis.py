@@ -128,13 +128,11 @@ def _combine_intersection(pairs: list[EvalPair]) -> EvalPair:
 def _union_patterns(bounds) -> tuple[PatternSet, PatternSet]:
     """Pattern bounds of a conjunction: the union of its parts' bounds,
     built once when every part's two bounds are one object."""
-    lo = hi = EMPTY_PATTERNS
-    for klo, khi in bounds:
-        if klo is khi and lo is hi:
-            lo = hi = lo.union(klo)
-        else:
-            lo, hi = lo.union(klo), hi.union(khi)
-    return lo, hi
+    bounds = list(bounds)
+    lo = PatternSet(frozenset().union(*[klo.patterns for klo, _ in bounds]))
+    if all(klo is khi for klo, khi in bounds):
+        return lo, lo
+    return lo, PatternSet(frozenset().union(*[khi.patterns for _, khi in bounds]))
 
 
 def _union_pairs(bounds: list[tuple[EvalPair, EvalPair]]) -> tuple[EvalPair, EvalPair]:

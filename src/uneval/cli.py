@@ -128,7 +128,10 @@ def _cmd_difftest(args) -> int:
     doc = _load_document(args.schema)
     instances = None
     if args.instances:
-        files = sorted(Path(args.instances).glob("*.json"))
+        directory = Path(args.instances)
+        if not directory.is_dir():
+            raise NotADirectoryError(f"--instances {directory} is not a directory")
+        files = sorted(directory.glob("*.json"))
         loaded = []
         for f in files:
             try:

@@ -50,7 +50,11 @@ def branch_key(s: Schema) -> Schema | frozenset[Schema]:
 
 
 class BranchList:
-    """Ordered list of branches without duplicates (first one wins)."""
+    """Ordered list of branches without duplicates (first one wins).
+
+    Each branch is keyed once, when it is added; a merged list brings
+    its stored keys along.
+    """
 
     __slots__ = ("_by_key",)
 
@@ -61,6 +65,12 @@ class BranchList:
 
     def add(self, s: Schema) -> None:
         self._by_key.setdefault(branch_key(s), s)
+
+    def merge(self, other: BranchList) -> None:
+        """Add the branches of ``other`` by the keys it has stored."""
+        merged = self._by_key | other._by_key
+        merged.update(self._by_key)  # first occurrence wins, as in add
+        self._by_key = merged
 
     @property
     def branches(self) -> list[Schema]:
@@ -108,10 +118,8 @@ def or_combine(an: Analyzer, lists: Iterable[Iterable[Schema]]) -> BranchList:
         return BranchList()
     rest = or_combine(an, lists[1:])
     out = BranchList(lists[0])
-    for s in rest:
-        out.add(s)
-    for s in close(an, lists[0], rest.branches):
-        out.add(s)
+    out.merge(rest)
+    out.merge(close(an, lists[0], rest.branches))
     return out
 
 

@@ -57,35 +57,40 @@ def _reject_constant(name: str):
     raise JsonParseError(f"non-finite number literal {name!r} is not allowed")
 
 
-class _DuplicateCheckingPairs:
-    def __call__(self, pairs):
-        obj: dict = {}
-        for key, value in pairs:
-            if key in obj:
-                raise DuplicateKeyError(f"duplicate object key {key!r}")
-            obj[key] = value
-        return obj
+def _object_from_pairs(pairs):
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DuplicateKeyError(f"duplicate object key {key!r}")
+        obj[key] = value
+    return obj
+
+
+#: One decoder for every call, as ``json.loads`` shares its default one.
+_DECODER = json.JSONDecoder(
+    parse_float=Decimal,
+    parse_constant=_reject_constant,
+    object_pairs_hook=_object_from_pairs,
+)
 
 
 def parse_json(text: str | bytes) -> JsonValue:
     """Parse JSON text into a value tree.
 
     Floats are decoded as ``Decimal``; duplicate object keys are rejected,
-    and so are bytes that are not UTF-8 and text that nests deeper than the
-    decoder's recursion allows.
+    and so are a leading byte order mark, bytes that are not UTF-8 and text
+    that nests deeper than the decoder's recursion allows.
     """
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise JsonParseError(f"invalid UTF-8: {exc.reason}", offset=exc.start) from None
+    if text.startswith("\ufeff"):
+        # json.loads rejects it too; JSONDecoder.decode would not
+        raise JsonParseError("Unexpected UTF-8 BOM (decode using utf-8-sig)", offset=0)
     try:
-        return json.loads(
-            text,
-            parse_float=Decimal,
-            parse_constant=_reject_constant,
-            object_pairs_hook=_DuplicateCheckingPairs(),
-        )
+        return _DECODER.decode(text)
     except DuplicateKeyError:
         raise
     except json.JSONDecodeError as exc:

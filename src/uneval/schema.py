@@ -135,7 +135,10 @@ class Schema:
         return self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        try:
+            return hash(self._key)
+        except AttributeError:
+            return hash(self.key)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

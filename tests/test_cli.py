@@ -170,6 +170,24 @@ def test_difftest_empty_directory_warns(tmp_path, capsys):
     assert "warning" in err
 
 
+def test_difftest_missing_instances_directory_exits_2(tmp_path, capsys):
+    schema = write(tmp_path, "s.json", SCHEMA)
+    missing = tmp_path / "no-such-dir"
+    code, out, err = run(capsys, "difftest", "--schema", schema, "--instances", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_difftest_instances_path_that_is_a_file_exits_2(tmp_path, capsys):
+    schema = write(tmp_path, "s.json", SCHEMA)
+    instance = write(tmp_path, "a.json", {"a": 1})
+    code, out, err = run(capsys, "difftest", "--schema", schema, "--instances", instance)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and instance in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from uneval.analysis import Analyzer
@@ -200,6 +202,41 @@ def test_sn_branch_counts():
         doc, body = sn_body(n)
         result = enf(doc, body)
         assert len(result.single_keyword("anyOf").value) == 2**n - 1
+
+
+@pytest.mark.parametrize("kind", ["sn", "san"])
+def test_family_rewrite_keys_each_branch_once(kind, monkeypatch):
+    from uneval.eliminate import elim_document_with_stats
+    from uneval.families import gen_family_san, gen_family_sn
+
+    gen = gen_family_sn if kind == "sn" else gen_family_san
+    calls = []
+    enf_module = importlib.import_module("uneval.enf")
+    real = enf_module.branch_key
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(enf_module, "branch_key", counting)
+    for n in range(2, 9):
+        doc = gen(n)
+        calls.clear()
+        _, stats = elim_document_with_stats(doc)
+        assert sum(stats.values()) == 2**n - 1
+        assert len(calls) == 2**n - 1, (kind, n)
+
+
+def test_branchlist_merge_keeps_first_occurrence_and_order():
+    ab = parsed({"allOf": [{"properties": {"a": True}}, {"properties": {"b": True}}]})
+    ba = parsed({"allOf": [{"properties": {"b": True}}, {"properties": {"a": True}}]})
+    left = BranchList([A, ab])
+    left.merge(BranchList([C, ba, A, B]))
+    assert left.branches == [A, ab, C, B]
+    assert left.branches[1] is ab
+    empty = BranchList()
+    empty.merge(left)
+    assert empty.branches == [A, ab, C, B]
 
 
 def test_enf_size_bound_on_family():

@@ -58,6 +58,30 @@ def test_parse_rejects_nan():
         parse_json("NaN")
 
 
+@pytest.mark.parametrize("text", ["\ufeff{\"a\": 1}", "\ufeff{\"a\": 1}".encode()])
+def test_parse_rejects_leading_bom(text):
+    with pytest.raises(JsonParseError) as exc:
+        parse_json(text)
+    assert exc.value.offset == 0
+    assert str(exc.value).startswith("Unexpected UTF-8 BOM")
+
+
+def test_parse_duplicate_key_in_nested_object_rejected():
+    with pytest.raises(DuplicateKeyError):
+        parse_json('{"a": [{"b": 1, "c": {"d": 2, "d": 3}}]}')
+
+
+@pytest.mark.parametrize("text", ["[NaN]", "[Infinity]", "[-Infinity]"])
+def test_parse_rejects_non_finite_literals_inside_values(text):
+    with pytest.raises(JsonParseError, match="non-finite"):
+        parse_json(text)
+
+
+def test_parse_too_deep_text_is_a_parse_error():
+    with pytest.raises(JsonParseError, match="the text nests too deeply to decode"):
+        parse_json("[" * 100000)
+
+
 def test_numbers_parsed_exactly():
     v = parse_json("[1.0, 0.1, 100]")
     assert v[0] == Decimal("1.0")

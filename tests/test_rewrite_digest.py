@@ -1,0 +1,31 @@
+"""Byte identity of the rewrites, pinned by ``tools/rewrite_digest.py``.
+
+A change that means to alter the rewrites, their ENF branch counts or the
+pretty text of the inputs and outputs updates these digests and says so
+in CHANGES.md.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+REWRITE = "a115f5618a31c54971fa3e2d0889a45cc7730e47e9289b0fa877ef5a3fb4a588"
+ENF_STATS = "1d9f08b300825d7e2f1c44175faa08eb96db41f8ac1909e52f6a21f43b383085"
+PRETTY = "d0e36a350dcd7ae72e8abe7e4d9c2f7741eb4ff3d48cf7ca85a9ca81322afb69"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("rewrite_digest", REPO / "tools" / "rewrite_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rewrites_are_byte_identical_to_the_pinned_digests(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
+    rewrite, enf_stats, pretty = load_tool().digests(REPO)
+    assert rewrite == REWRITE
+    assert enf_stats == ENF_STATS
+    assert pretty == PRETTY
