@@ -125,23 +125,19 @@ def _combine_intersection(pairs: list[EvalPair]) -> EvalPair:
     return _norm_pair(min(p.h for p in pairs), guard)
 
 
-def _union_patterns(bounds) -> tuple[PatternSet, PatternSet]:
-    """Pattern bounds of a conjunction: the union of its parts' bounds,
-    built once when every part's two bounds are one object."""
-    bounds = list(bounds)
-    lo = PatternSet(frozenset().union(*[klo.patterns for klo, _ in bounds]))
-    if all(klo is khi for klo, khi in bounds):
-        return lo, lo
-    return lo, PatternSet(frozenset().union(*[khi.patterns for _, khi in bounds]))
+def _combine_patterns(sets: list[PatternSet]) -> PatternSet:
+    """Bound for 'evaluated by some conjunct': one union of the parts."""
+    return PatternSet(frozenset().union(*[p.patterns for p in sets]))
 
 
-def _union_pairs(bounds: list[tuple[EvalPair, EvalPair]]) -> tuple[EvalPair, EvalPair]:
-    """Item bounds of a conjunction: :func:`_combine_union` of its parts'
-    bounds, built once when every part's two bounds are one object."""
-    lo = _combine_union([klo for klo, _ in bounds])
+def _union_bounds(bounds: list[tuple], combine_parts) -> tuple:
+    """Bounds of a conjunction: ``combine_parts`` of its parts' lower and
+    of their upper bounds, built once when every part's two bounds are one
+    object."""
+    lo = combine_parts([klo for klo, _ in bounds])
     if all(klo is khi for klo, khi in bounds):
         return lo, lo
-    return lo, _combine_union([khi for _, khi in bounds])
+    return lo, combine_parts([khi for _, khi in bounds])
 
 
 class Analyzer:
@@ -172,7 +168,8 @@ class Analyzer:
             if isinstance(s, BoolSchema):
                 hit = (s, EMPTY_PATTERNS, EMPTY_PATTERNS)
             else:
-                hit = (s, *_union_patterns(map(self._ep_keyword, s.keywords)))
+                parts = [self._ep_keyword(kw) for kw in s.keywords]
+                hit = (s, *_union_bounds(parts, _combine_patterns))
             self._ep[id(s)] = hit
         return hit
 
@@ -195,7 +192,7 @@ class Analyzer:
         if name == "$ref":
             return self._ep_of(deref(self.doc, kw.value))[1:]
         if name == "allOf":
-            return _union_patterns(self._ep_of(b)[1:] for b in kw.value)
+            return _union_bounds([self._ep_of(b)[1:] for b in kw.value], _combine_patterns)
         if name in ("anyOf", "oneOf"):
             entries = [self._ep_of(b) for b in kw.value]
             if not entries:
@@ -203,10 +200,10 @@ class Analyzer:
             lo = entries[0][1]
             if all(blo is lo and bhi is lo for _, blo, bhi in entries):
                 return lo, lo
-            hi = EMPTY_PATTERNS
-            for _, blo, bhi in entries:
-                lo, hi = lo.intersection(blo), hi.union(bhi)
-            return lo, hi
+            return (
+                PatternSet(frozenset.intersection(*[blo.patterns for _, blo, _ in entries])),
+                _combine_patterns([bhi for _, _, bhi in entries]),
+            )
         return EMPTY_PATTERNS, EMPTY_PATTERNS
 
     # -- item bounds
@@ -218,7 +215,8 @@ class Analyzer:
                 hit = (s, ZERO_PAIR, ZERO_PAIR)
             else:
                 # adjacent keywords conjoin, so their evaluations accumulate
-                hit = (s, *_union_pairs([self._ei_keyword(kw) for kw in s.keywords]))
+                parts = [self._ei_keyword(kw) for kw in s.keywords]
+                hit = (s, *_union_bounds(parts, _combine_union))
             self._ei[id(s)] = hit
         return hit
 
@@ -241,7 +239,7 @@ class Analyzer:
         if name == "$ref":
             return self._ei_of(deref(self.doc, kw.value))[1:]
         if name == "allOf":
-            return _union_pairs([self._ei_of(b)[1:] for b in kw.value])
+            return _union_bounds([self._ei_of(b)[1:] for b in kw.value], _combine_union)
         if name in ("anyOf", "oneOf"):
             entries = [self._ei_of(b) for b in kw.value]
             if not entries:

@@ -119,7 +119,7 @@ def or_combine(an: Analyzer, lists: Iterable[Iterable[Schema]]) -> BranchList:
     rest = or_combine(an, lists[1:])
     out = BranchList(lists[0])
     out.merge(rest)
-    out.merge(close(an, lists[0], rest.branches))
+    out.merge(close(an, lists[0], rest))
     return out
 
 
