@@ -9,9 +9,15 @@ exact evaluation sets (``patternProperties``+``additionalProperties`` on
 the property side, ``prefixItems``+``items`` on the item side, with no
 empty evaluation keyword).  A branch that evaluates only through its own
 keywords takes the checks as ``additionalProperties``/``items`` keywords
-of its own instead.  The wrapper is appended to the branch's conjuncts,
-which normalization has already spliced and deduplicated, and a single
-branch is not wrapped in ``anyOf``.  The eliminator is a normalizer
+of its own instead, and so does a conjunction of such atoms, merged into
+one node first.  A wrapper is written only for a branch with an atom that
+evaluates through other nodes (``allOf``, ``anyOf``, ``oneOf``, ``not``,
+``$ref``), or carries an ``$anchor``, ``additionalProperties`` or
+``items``, and for a conjunction whose atoms give some keyword other than
+``properties``, ``patternProperties`` and ``required`` two different
+arguments.  The wrapper is appended to the branch's conjuncts, which
+normalization has already spliced and deduplicated, and a single branch
+is not wrapped in ``anyOf``.  The eliminator is a normalizer
 (:class:`EnfBuilder`) that resolves references to uneval-schemas to their
 rewrites.
 """
@@ -27,6 +33,7 @@ from .schema import (
     ADK_NAMES,
     CHILD_KIND,
     INF,
+    MAP_VALUED,
     SDK_NAMES,
     BoolSchema,
     FALSE_SCHEMA,
@@ -271,6 +278,93 @@ def push_uneval_items(
     return (check,) if own or not pair.h else (pref_its(pair.h), check)
 
 
+#: The contains triple: the bounds count the items of their own contains,
+#: so one atom contributes the three as one entry.
+_CONTAINS_GROUP = ("contains", "minContains", "maxContains")
+
+
+def _split_atom(atom: Schema):
+    """The parts an own-keyword atom brings to a merged conjunction, or
+    None when ``_own_keywords`` rejects it: its ``properties`` and
+    ``patternProperties`` keywords, its ``required`` names as a dict, and
+    each other keyword as ``(name, identity, keywords)``, where the
+    identity is the canonical text and the contains triple is one entry
+    under ``contains``."""
+    own = _own_keywords(atom)
+    if own is None:
+        return None
+    maps, required, others = [], {}, []
+    group = tuple(kw for kw in own if kw.name in _CONTAINS_GROUP)
+    if group:
+        others.append(("contains", ObjSchema(group).key, group))
+    for kw in own:
+        if kw.name in MAP_VALUED:
+            maps.append(kw)
+        elif kw.name == "required":
+            required = dict.fromkeys(kw.value)
+        elif kw.name not in _CONTAINS_GROUP:
+            others.append((kw.name, ObjSchema((kw,)).key, (kw,)))
+    return maps, required, others
+
+
+def _merge_atoms(atoms: tuple[Schema, ...], splits: dict) -> list[Keyword] | None:
+    """The keywords of one node that evaluates and asserts exactly what
+    the conjunction of ``atoms`` does, or None: some atom is not an
+    own-keyword one, or two atoms give one other keyword two arguments.
+
+    The ``properties`` and ``patternProperties`` maps are united
+    (:func:`_unite_maps`), and so are the ``required`` names, in
+    first-seen order.  Every other keyword, ``prefixItems`` and the
+    contains triple included, comes from one atom or has one canonical
+    text in all that carry it.  So the node evaluates exactly the names
+    and items its atoms evaluate together, and an ``additionalProperties``
+    or ``items`` added to it checks the same complement as beside the
+    conjunction.  ``splits`` memoizes :func:`_split_atom` by node id for
+    the caller, whose normal form keeps the atoms alive.
+    """
+    maps: dict[str, list[dict[str, Schema]]] = {}
+    required: dict[str, None] = {}
+    others: dict[str, tuple[str, tuple[Keyword, ...]]] = {}
+    for atom in atoms:
+        try:
+            split = splits[id(atom)]
+        except KeyError:
+            split = splits[id(atom)] = _split_atom(atom)
+        if split is None:
+            return None
+        atom_maps, atom_required, atom_others = split
+        for name, identity, kws in atom_others:
+            if others.setdefault(name, (identity, kws))[0] != identity:
+                return None
+        for kw in atom_maps:
+            parts = maps.get(kw.name)
+            if parts is None:
+                maps[kw.name] = [kw.value]
+            else:
+                parts.append(kw.value)
+        required.update(atom_required)
+    keywords = [Keyword(name, _unite_maps(parts)) for name, parts in maps.items()]
+    if required:
+        keywords.append(Keyword("required", tuple(required)))
+    for _, kws in others.values():
+        keywords.extend(kws)
+    return keywords
+
+
+def _unite_maps(parts: list[dict[str, Schema]]) -> dict[str, Schema]:
+    """One name map holding every entry of ``parts``, a name of two parts
+    mapping to the conjunction of their subschemas, in name order as the
+    parser keeps it."""
+    if len(parts) == 1:
+        return parts[0]
+    merged: dict[str, Schema] = {}
+    for part in parts:
+        for name, s in part.items():
+            t = merged.get(name)
+            merged[name] = s if t is None else combine((t, s), TRUE_SCHEMA)
+    return dict(sorted(merged.items()))
+
+
 def push_uneval(
     an: Analyzer,
     enf_schema: Schema,
@@ -282,16 +376,24 @@ def push_uneval(
     the items (``None``: no such check).
 
     A branch that evaluates only through its own keywords takes the checks
-    as keywords of its own; any other is conjoined with one wrapper that
-    holds both, appended to the branch's conjuncts.  Normalization has
-    spliced and deduplicated those, and the wrapper is a fresh node, so no
-    key is computed for it.  One disjunction carries both checks because
-    the normal form is closed under cover, which ``covers`` proves for
-    properties and items together.
+    as keywords of its own, and so does a conjunction of such atoms, which
+    becomes one node (:func:`_merge_atoms`) that evaluates what they
+    evaluate together.  A wrapper is still written for a branch with an
+    atom that evaluates through other nodes or carries an ``$anchor``,
+    ``additionalProperties`` or ``items`` (``_own_keywords``), and for a
+    conjunction whose atoms give one other keyword two arguments: the
+    branch is conjoined with one wrapper that holds both checks, appended
+    to its conjuncts.  Normalization has spliced and deduplicated those,
+    and the wrapper is a fresh node, so no key is computed for it.  One
+    disjunction carries both checks because the normal form is closed
+    under cover, which ``covers`` proves for properties and items
+    together.
     """
+    splits: dict = {}
     out = []
     for branch in _branches_of(enf_schema):
-        own = _own_keywords(branch)
+        atoms = operands(branch, "allOf")
+        own = _own_keywords(branch) if len(atoms) == 1 else _merge_atoms(atoms, splits)
         checks = (
             *push_uneval_props(an, branch, u_props, own is not None),
             *push_uneval_items(an, branch, u_items, own is not None),
@@ -301,7 +403,7 @@ def push_uneval(
         elif own is not None:
             out.append(make_obj(*own, *checks))
         else:
-            out.append(all_of((*operands(branch, "allOf"), make_obj(*checks))))
+            out.append(all_of((*atoms, make_obj(*checks))))
     return out[0] if len(out) == 1 else any_of(out)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from uneval import eliminate
 from uneval.analysis import Analyzer, PatternSet
 from uneval.eliminate import (
     count_uneval_keywords,
@@ -27,6 +28,8 @@ from uneval.schema import (
     distinct_nodes,
     not_,
     keyword_to_json,
+    make_obj,
+    operands,
     parse_schema,
     schema_to_json,
     serialize_schema,
@@ -418,6 +421,8 @@ def test_push_items_folds_false_and_repeated_tails():
         _agrees_with_uneval(doc, doc.root, "unevaluatedItems", s_u, pushed)
 
 
+#: Branches that keep their wrapper, and one that does not: the allOf of
+#: two own-keyword atoms is merged into one node.
 NOT_MERGED = {
     "$ref": {"$ref": "#/$defs/d"},
     "allOf": {"allOf": [{"properties": {"a": True}}, {"prefixItems": [True]}]},
@@ -471,12 +476,14 @@ def test_push_keeps_the_wrapper_beside_other_branches(name, push, keyword):
     ex = Analyzer(doc).ex_ei(branch)
     if keyword == "unevaluatedItems" and ex.h == float("inf"):
         assert pushed is branch  # it evaluates every item already
+    elif name == "allOf":
+        # a conjunction of own-keyword atoms is merged into one node
+        check = "additionalProperties" if keyword == "unevaluatedProperties" else "items"
+        assert got == {"properties": {"a": True}, "prefixItems": [True], check: {"type": "integer"}}
     else:
         assert list(got) == ["allOf"]
         *conjuncts, wrap = got["allOf"]
-        branch_json = schema_to_json(branch)
-        # a bare allOf branch is spliced in
-        assert conjuncts == (branch_json["allOf"] if name == "allOf" else [branch_json])
+        assert conjuncts == [schema_to_json(branch)]
         evaluated, check = (
             ("patternProperties", "additionalProperties")
             if keyword == "unevaluatedProperties"
@@ -557,9 +564,15 @@ def test_each_branch_occurs_once_with_both_keywords(name):
     for branch, disjunct in _disjuncts_by_branch(doc, out.root):
         conj = disjunct.single_keyword("allOf")
         if conj is None:
-            # merged: the branch's own keywords beside both checks
-            assert all(kw in disjunct.keywords for kw in branch.keywords)
-            assert {"additionalProperties", "items"} <= {kw.name for kw in disjunct.keywords}
+            # merged: the keywords of the branch's atoms, which share no
+            # name here, beside both checks
+            own = [kw for atom in operands(branch, "allOf") for kw in atom.keywords]
+            assert all(kw in disjunct.keywords for kw in own)
+            assert {kw.name for kw in disjunct.keywords} == {
+                *(kw.name for kw in own),
+                "additionalProperties",
+                "items",
+            }
         else:
             # the branch's conjuncts, then one wrapper with both checks
             bare = branch.single_keyword("allOf")
@@ -569,6 +582,148 @@ def test_each_branch_occurs_once_with_both_keywords(name):
     assert len(instances) > 20
     for instance in instances:
         assert validate(doc, doc.root, instance).valid == validate(out, out.root, instance).valid, instance
+
+
+# ---------------------------------------------------------------------------
+# merged conjunctions
+
+
+def test_push_merges_a_conjunction_of_own_keyword_atoms():
+    doc = parse_schema(
+        {
+            "allOf": [
+                {
+                    "type": "object",
+                    "properties": {"a": {"type": "integer"}},
+                    "required": ["a"],
+                    "contains": {"const": 0},
+                },
+                {
+                    "type": "object",
+                    "properties": {"a": {"minimum": 0}, "b": True},
+                    "patternProperties": {"^c": True},
+                    "required": ["b", "a"],
+                    "contains": {"const": 0},
+                },
+            ]
+        }
+    )
+    branch = doc.root
+    s_u = parse_schema({"type": "string"}).root
+    pushed = push_uneval(Analyzer(doc), any_of((branch,)), u_props=s_u)
+    # maps and required united, a shared name conjoined; equal keywords once
+    assert schema_to_json(pushed) == {
+        "properties": {"a": {"allOf": [{"type": "integer"}, {"minimum": 0}]}, "b": True},
+        "patternProperties": {"^c": True},
+        "required": ["a", "b"],
+        "type": "object",
+        "contains": {"const": 0},
+        "additionalProperties": {"type": "string"},
+    }
+    _agrees_with_uneval(doc, branch, "unevaluatedProperties", s_u, pushed)
+
+
+class _MergeSpy:
+    """Records, while installed, every conjunction that the push merges
+    (its atoms and merged keywords) and the analyzer of the rewrite."""
+
+    def __init__(self, monkeypatch):
+        self.merges = []
+        self.analyzer = None
+        merge, push = eliminate._merge_atoms, eliminate.push_uneval
+
+        def spy_merge(atoms, splits):
+            merged = merge(atoms, splits)
+            if merged is not None:
+                self.merges.append((atoms, merged))
+            return merged
+
+        def spy_push(an, *args):
+            self.analyzer = an
+            return push(an, *args)
+
+        monkeypatch.setattr(eliminate, "_merge_atoms", spy_merge)
+        monkeypatch.setattr(eliminate, "push_uneval", spy_push)
+
+
+def _merge_soundness_cases():
+    from uneval.families import gen_family_san, gen_family_sn
+
+    for fixture in load_corpus():
+        yield fixture.name, parse_schema(fixture.schema_json)
+    for n in range(2, 9):
+        yield f"sn_{n}", gen_family_sn(n)
+        yield f"san_{n}", gen_family_san(n)
+
+
+def test_a_merged_conjunction_evaluates_what_its_atoms_evaluate(monkeypatch):
+    """Every branch that the push merges, in the corpus and sn/san
+    n = 2..8: the merged node without the checks has the exact bounds of
+    the conjunction it replaces, and the rewrite agrees with its original
+    on the whole universe."""
+    merged_in = {}
+    for name, doc in _merge_soundness_cases():
+        spy = _MergeSpy(monkeypatch)
+        out = elim_document(doc)
+        monkeypatch.undo()
+        for atoms, merged in spy.merges:
+            node, conj = make_obj(*merged), all_of(atoms)
+            assert spy.analyzer.ex_ep(node) == spy.analyzer.ex_ep(conj), name
+            assert spy.analyzer.ex_ei(node) == spy.analyzer.ex_ei(conj), name
+        if spy.merges:
+            merged_in[name] = len(spy.merges)
+            for instance in enumerate_instances(doc):
+                assert validate(doc, doc.root, instance).valid == validate(out, out.root, instance).valid, (
+                    name,
+                    instance,
+                )
+    # every conjunction branch of sn merges; san's atoms differ in prefixItems
+    assert {n: merged_in.get(f"sn_{n}") for n in range(2, 9)} == {n: 2**n - 1 - n for n in range(2, 9)}
+    assert not any(name.startswith("san_") for name in merged_in)
+    assert "both_adks" in merged_in
+
+
+#: Two atoms of a conjunction that keeps its wrapper, by the keyword that
+#: stops the merge: an argument that differs, or an atom that
+#: ``_own_keywords`` rejects.
+KEEPS_THE_WRAPPER = {
+    "contains": ({"contains": {"const": 0}}, {"contains": {"const": 1}}),
+    "minContains": ({"contains": {"const": 0}, "minContains": 0}, {"contains": {"const": 0}}),
+    "type": ({"type": "integer"}, {"type": "number", "properties": {"a": True}}),
+    "minItems": ({"minItems": 1, "prefixItems": [True]}, {"minItems": 2}),
+    "const": ({"const": True, "properties": {"a": True}}, {"const": 1}),
+    "$ref": ({"$ref": "#/$defs/d"}, {"properties": {"b": True}}),
+    "not": ({"not": {"required": ["a"]}}, {"properties": {"b": True}}),
+    "additionalProperties": (
+        {"properties": {"a": True}, "additionalProperties": {"type": "string"}},
+        {"prefixItems": [True]},
+    ),
+    "items": ({"prefixItems": [{"const": 0}], "items": {"type": "string"}}, {"properties": {"a": True}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEEPS_THE_WRAPPER) + ["$anchor"])
+@pytest.mark.parametrize("keyword", ["unevaluatedProperties", "unevaluatedItems"])
+def test_a_conjunction_that_cannot_merge_keeps_its_wrapper(name, keyword):
+    defs = {"d": {"$anchor": "d", "properties": {"a": True}, "prefixItems": [True]}}
+    if name == "$anchor":
+        doc = parse_schema({"$defs": defs, "allOf": [{"properties": {"b": True}}]})
+        branch = all_of((doc.defs["d"], doc.root.single_keyword("allOf").value[0]))
+    else:
+        doc = parse_schema({"allOf": list(KEEPS_THE_WRAPPER[name]), "$defs": defs})
+        branch = doc.root
+    atoms = branch.single_keyword("allOf").value
+    assert len(atoms) == 2
+    s_u = parse_schema({"type": "integer"}).root
+    push = _push_props if keyword == "unevaluatedProperties" else _push_items
+    pushed = push(doc, s_u, any_of((branch,)))
+    if pushed is not branch:  # not a branch that evaluates every item
+        *conjuncts, wrap = pushed.single_keyword("allOf").value
+        assert tuple(conjuncts) == atoms
+        assert ("additionalProperties" if keyword == "unevaluatedProperties" else "items") in {
+            kw.name for kw in wrap.keywords
+        }
+    _agrees_with_uneval(doc, branch, keyword, s_u, pushed)
 
 
 @pytest.mark.parametrize(

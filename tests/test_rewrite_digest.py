@@ -11,9 +11,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-REWRITE = "a115f5618a31c54971fa3e2d0889a45cc7730e47e9289b0fa877ef5a3fb4a588"
+REWRITE = "b15bee43bf91b4567d3a3c07545159e012dfbd8fd40d45599dc58fa530333b52"
 ENF_STATS = "1d9f08b300825d7e2f1c44175faa08eb96db41f8ac1909e52f6a21f43b383085"
-PRETTY = "d0e36a350dcd7ae72e8abe7e4d9c2f7741eb4ff3d48cf7ca85a9ca81322afb69"
+PRETTY = "68cd8d9bdcf3fb25e33a4a265e2cf85350c7331291e21c38273b9bd5216509b9"
 
 
 def load_tool():

@@ -15,12 +15,15 @@ summary gives, per workload and end-to-end metric, each side's
 median and quartiles, the pairs the change won and lost, and whether the
 change stays within the metric's bound.  Each run's ``peak_rss_mb`` is
 listed beside the oracle's repetitions per op, which set the size of its
-sample arrays.  The tier-1 suite is timed once per checkout.
+sample arrays.  The tier-1 suite is timed once per checkout.  Each
+checkout is named by its commit or, outside a git repository, by a
+sha256 over its ``src/`` files (:func:`identify`).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -168,6 +171,36 @@ def rss_beside_repetitions(args) -> dict:
     return out
 
 
+def identify(checkout: Path) -> dict[str, str]:
+    """``{"commit": short sha}`` of a checkout that is the top of a git
+    repository and whose ``src/`` matches that commit, else, as for a
+    ``git archive`` copy, ``{"src_sha256": ...}`` over its ``src/`` files
+    (each relative path, a NUL, its bytes, in path order; ``__pycache__``
+    and ``*.egg-info`` left out)."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+
+    done = git("rev-parse", "--show-toplevel", "--short", "HEAD")
+    lines = done.stdout.split()
+    if (
+        done.returncode == 0
+        and len(lines) == 2
+        and Path(lines[0]).resolve() == checkout
+        and not git("status", "--porcelain", "--untracked-files=all", "--", "src").stdout
+    ):
+        return {"commit": lines[1]}
+    digest = hashlib.sha256()
+    src = checkout / "src"
+    for path in sorted(src.rglob("*")):
+        rel = path.relative_to(src)
+        if path.is_file() and not any(
+            part == "__pycache__" or part.endswith(".egg-info") for part in rel.parts
+        ):
+            digest.update(rel.as_posix().encode() + b"\0" + path.read_bytes())
+    return {"src_sha256": digest.hexdigest()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -180,15 +213,10 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     collect(args, spec)
 
-    def head(checkout: Path) -> str:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=checkout, capture_output=True, text=True
-        ).stdout.strip()
-
     report = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "commits": {"parent": head(args.parent), "change": head(args.change)},
+        "checkouts": {"parent": identify(args.parent), "change": identify(args.change)},
         "seeds": args.seeds,
         "command": "python3 " + " ".join(BENCH) + " --workload W --seed S  (from each checkout's root)",
         "order": "pair k runs the parent first when k is even, the change first when k is odd",
