@@ -178,8 +178,11 @@ def unnest(doc: SchemaDocument) -> SchemaDocument:
     Afterwards every unevaluated* keyword sits at the top level of a named
     schema, and uneval-schemas reach each other only through references.
     Subtrees without unevaluated* are kept as they are, and a document
-    with nothing to hoist is returned itself.
+    with nothing to hoist is returned itself, without a walk when its
+    parse recorded that nothing is nested (``doc.nested_uneval``).
     """
+    if doc.nested_uneval is False:
+        return doc
     hoister = _Hoister(set(doc.defs))
     defs = {name: hoister.rewrite_children(s) for name, s in doc.defs.items()}
     root = hoister.rewrite_children(doc.root)

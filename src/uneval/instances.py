@@ -68,21 +68,6 @@ def relevant_property_names(doc: SchemaDocument) -> list[str]:
     return sorted(names)
 
 
-def relevant_prefix_positions(doc: SchemaDocument) -> int:
-    longest = 0
-    for s in _document_nodes(doc):
-        if isinstance(s, ObjSchema):
-            kw = s.get("prefixItems")
-            if kw is not None:
-                longest = max(longest, len(kw.value))
-    return longest
-
-
-def relevant_size(doc: SchemaDocument) -> int:
-    """Distinct relevant names plus prefix positions (oracle feasibility)."""
-    return len(relevant_property_names(doc)) + relevant_prefix_positions(doc)
-
-
 def oracle_names(doc: SchemaDocument) -> list[str]:
     """Base names, a few pairwise concatenations, and one fresh name."""
     base = relevant_property_names(doc)[:MAX_NAMES]

@@ -255,28 +255,60 @@ def serialize_json(v: JsonValue) -> str:
     return _canonical(v)
 
 
+def _leaf_text(v: JsonValue) -> str:
+    """The text of a scalar or of an empty container."""
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if is_number(v):
+        return format_number(v)
+    if isinstance(v, dict):
+        return "{}"
+    if isinstance(v, list):
+        return "[]"
+    return string_text(v)
+
+
 def dump_json(v: JsonValue) -> str:
-    """Pretty writer, two spaces per level, keeping dict insertion order."""
+    """Pretty writer, two spaces per level, keeping dict insertion order.
 
-    def rec(node: JsonValue, depth: int) -> str:
-        pad = "  " * depth
-        inner = "  " * (depth + 1)
+    The open containers are kept on a stack of ``(rows left, indent of
+    the rows, closing bracket, rows are key-value pairs)`` entries, not
+    of frames, so any nesting depth fits.  Each row is written with the
+    separator after it; a container's last separator is replaced by its
+    closing line.
+    """
+    if not (isinstance(v, (dict, list)) and v):
+        return _leaf_text(v)
+    parts: list[str] = []
+    stack: list[tuple] = []
+    node = v
+    while True:
+        pad = "  " * (len(stack) + 1)
         if isinstance(node, dict):
-            if not node:
-                return "{}"
-            rows = [f"{inner}{string_text(k)}: {rec(val, depth + 1)}" for k, val in node.items()]
-            return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-        if isinstance(node, list):
-            if not node:
-                return "[]"
-            rows = [f"{inner}{rec(item, depth + 1)}" for item in node]
-            return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-        if node is None:
-            return "null"
-        if isinstance(node, bool):
-            return "true" if node else "false"
-        if is_number(node):
-            return format_number(node)
-        return string_text(node)
-
-    return rec(v, 0)
+            parts.append("{\n" + pad)
+            stack.append((iter(node.items()), pad, "}", True))
+        else:
+            parts.append("[\n" + pad)
+            stack.append((iter(node), pad, "]", False))
+        while stack:
+            rows, pad, close, pairs = stack[-1]
+            for row in rows:
+                if pairs:
+                    key, row = row
+                    parts.append(string_text(key) + ": ")
+                if isinstance(row, (dict, list)) and row:
+                    node = row
+                    break
+                parts.append(_leaf_text(row))
+                parts.append(",\n" + pad)
+            else:
+                stack.pop()
+                parts[-1] = "\n" + pad[2:] + close
+                if stack:
+                    parts.append(",\n" + stack[-1][1])
+                continue
+            break
+        else:
+            return "".join(parts)

@@ -245,6 +245,14 @@ class SchemaDocument:
     #: The validator's closures, per node of this document, keyed by the
     #: node's ``id``; filled on first validation (see :mod:`uneval.validator`).
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: :func:`find_unguarded_cycle`'s answer, ``()`` for none; filled on
+    #: first call.  Like ``compiled``, it relies on the document not
+    #: changing after construction.
+    cycle: Optional[tuple[str, ...]] = field(default=None, init=False, repr=False, compare=False)
+    #: Whether a node below the root or a definition carries
+    #: ``unevaluated*``: recorded by :func:`parse_schema`, None (unknown)
+    #: for a document assembled by :func:`build_document`.
+    nested_uneval: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
     def named_schemas(self) -> Iterator[tuple[str, Schema]]:
         """Root first (name ``""``), then definitions in name order."""
@@ -332,6 +340,7 @@ def _parse_pattern(v):
 
 #: Keywords that move to the end of a node's keyword list.
 _RANKED = frozenset(SDK_NAMES + ADK_NAMES)
+_ADK = frozenset(ADK_NAMES)
 
 def _drop_contains_bounds(keywords: list[Keyword], has_contains: bool) -> list[Keyword]:
     """``keywords`` without ``minContains``/``maxContains`` when no
@@ -364,6 +373,8 @@ class _Parser:
         #: every ``$ref`` argument parsed so far, in the order parsed
         self.refs: list[str] = []
         self.interned: dict[ObjSchema, ObjSchema] = {}
+        #: whether a node that is not a named top carries unevaluated*
+        self.nested_uneval = False
 
     def parse_schema_node(self, v: JsonValue, named_top: bool) -> Schema:
         if isinstance(v, bool):
@@ -383,6 +394,8 @@ class _Parser:
             keywords = _drop_contains_bounds(keywords, "contains" in v)
         if not _RANKED.isdisjoint(v):
             keywords.sort(key=_rank)
+            if not named_top and not _ADK.isdisjoint(v):
+                self.nested_uneval = True
         node = ObjSchema(tuple(keywords))
         if named_top or len(self.refs) != n_refs:
             return node
@@ -514,8 +527,10 @@ def parse_schema(v: JsonValue) -> SchemaDocument:
     unresolved reference of the root is reported before those of the
     definitions, and within one named schema the first parsed: keywords in
     source order, map entries by name.  Equal inner subschemas with no
-    ``$ref`` below them become one shared node.  A schema that nests
-    beyond the recursion limit raises :class:`NestingDepthError`.
+    ``$ref`` below them become one shared node.  The document records
+    whether a node below its root or a definition carries ``unevaluated*``
+    (``nested_uneval``).  A schema that nests beyond the recursion limit
+    raises :class:`NestingDepthError`.
     """
     try:
         return _parse_document(v)
@@ -543,6 +558,7 @@ def _parse_document(v: JsonValue) -> SchemaDocument:
     doc = build_document(root, defs)
     for uri in dict.fromkeys(parser.refs + def_refs):
         deref(doc, uri)  # raises if unresolved
+    doc.nested_uneval = parser.nested_uneval
     return doc
 
 
@@ -670,7 +686,16 @@ def _inplace_edges(
 def find_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
     """One cycle of the immediately-unguardedly-depends graph, or None.
 
-    The cycle found by a depth-first search from each distinct node, in
+    Searched once per document and kept in ``doc.cycle``; each call
+    returns a list of its own.
+    """
+    if doc.cycle is None:
+        doc.cycle = tuple(_first_unguarded_cycle(doc) or ())
+    return list(doc.cycle) or None
+
+
+def _first_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
+    """The cycle found by a depth-first search from each distinct node, in
     the order a pre-order walk (children first to last) first meets them,
     named schema by named schema.
 
@@ -752,10 +777,6 @@ def boolean_one_of(args: Iterable[Schema]) -> Schema:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def keyword_to_json(kw: Keyword) -> JsonValue:
-    return _keyword_json(kw, {})
 
 
 def schema_to_json(s: Schema) -> JsonValue:

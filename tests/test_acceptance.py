@@ -12,13 +12,14 @@ from uneval.difftest import difftest
 from uneval.eliminate import count_uneval_keywords, elim_document
 from uneval.enf import EnfBuilder
 from uneval.families import gen_family_san, gen_family_sn
-from uneval.instances import enumerate_instances, relevant_size
+from uneval.instances import enumerate_instances
 from uneval.jsonvalue import serialize_json
 from uneval.schema import ObjSchema, parse_schema, serialize_schema
 from uneval.validator import EMPTY_ANNOTATION, validate
 
 from conftest import load_corpus, load_suite
 from randgen import gen_instance, gen_schema
+from test_instances import relevant_size
 
 CORPUS = load_corpus()
 

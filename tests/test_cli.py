@@ -317,20 +317,36 @@ def test_gen_family_rejects_sizes_below_1(capsys):
         assert "--n" in err
 
 
+def _uneval_chain(depth, deepest):
+    """``depth`` levels of ``properties`` under a root that carries
+    ``unevaluatedProperties``, ending in ``deepest``."""
+    return (
+        '{"unevaluatedProperties":false,"properties":{"a":'
+        + '{"properties":{"a":' * (depth - 1)
+        + deepest
+        + "}}" * depth
+    )
+
+
 def test_schema_too_deep_to_rewrite_exits_2(tmp_path, capsys):
-    """Deep enough to stop the rewrite, shallow enough to parse."""
+    """Deep enough to stop the rewrite, shallow enough to parse: the
+    ``unevaluatedProperties`` at the deepest node must be hoisted.  With
+    ``unevaluated*`` at the root alone, the same depth is answered or a
+    clean error."""
     depth = 300
     deep_schema = tmp_path / "deep_schema.json"
     deep_schema.write_text(
-        '{"unevaluatedProperties":false,"properties":{"a":'
-        + '{"properties":{"a":' * (depth - 1)
-        + '{"type":"integer"}'
-        + "}}" * depth
+        _uneval_chain(depth, '{"type":"integer","unevaluatedProperties":false}')
     )
     code, out, err = run(capsys, "eliminate", "--schema", str(deep_schema))
     assert code == 2
     assert out == ""
     assert "nests too deeply to rewrite" in err
+    root_only = tmp_path / "root_only.json"
+    root_only.write_text(_uneval_chain(depth, '{"type":"integer"}'))
+    code, _, err = run(capsys, "eliminate", "--schema", str(root_only))
+    assert code in (0, 2)
+    assert "Traceback" not in err
 
 
 def test_deep_allof_chain_exits_2_from_enf_and_analyze(tmp_path, capsys):
@@ -347,10 +363,26 @@ def test_deep_allof_chain_exits_2_from_enf_and_analyze(tmp_path, capsys):
                 assert "nests too deeply" in err and "Traceback" not in err
 
 
-def test_deep_normal_form_exits_2_from_enf(tmp_path, capsys):
-    """A deep properties chain is its own normal form; too deep to print,
-    it is a clean error."""
+def test_deep_normal_form_is_printed_by_enf(tmp_path, capsys):
+    """A deep properties chain is its own normal form, and the pretty
+    writer prints it at any depth."""
     depth = 260
+    chain = tmp_path / "chain.json"
+    chain.write_text('{"properties":{"a":' * depth + "true" + "}}" * depth)
+    code, out, err = run(capsys, "enf", "--schema", str(chain))
+    assert code == 0, err
+    printed = json.loads(out)
+    assert printed["branches"] == 1
+    (node,) = printed["schema"]["anyOf"]
+    for _ in range(depth):
+        node = node["properties"]["a"]
+    assert node is True
+
+
+def test_deep_normal_form_exits_2_from_enf(tmp_path, capsys):
+    """A properties chain deeper than the normal form's conversion to JSON
+    reaches is a clean error."""
+    depth = 400
     chain = tmp_path / "chain.json"
     chain.write_text('{"properties":{"a":' * depth + "true" + "}}" * depth)
     code, out, err = run(capsys, "enf", "--schema", str(chain))

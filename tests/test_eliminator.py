@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from uneval import eliminate
+from uneval import eliminate, schema
 from uneval.analysis import Analyzer, PatternSet
 from uneval.eliminate import (
     count_uneval_keywords,
@@ -14,7 +16,8 @@ from uneval.eliminate import (
     with_anchor,
 )
 from uneval.enf import enf
-from uneval.errors import EliminationError, NestingDepthError
+from uneval.errors import EliminationError, GuardednessError, NestingDepthError, SchemaParseError
+from uneval.families import gen_family_san, gen_family_sn
 from uneval.instances import enumerate_instances
 from uneval.schema import (
     ADK_NAMES,
@@ -26,8 +29,8 @@ from uneval.schema import (
     any_of,
     build_document,
     distinct_nodes,
+    find_unguarded_cycle,
     not_,
-    keyword_to_json,
     make_obj,
     operands,
     parse_schema,
@@ -37,7 +40,8 @@ from uneval.schema import (
 from uneval.validator import validate
 
 from conftest import load_corpus
-from test_schema import SALE_CAR
+from randgen import gen_schema
+from test_schema import COLOURED_PARENT, SALE_CAR
 from walking import walk
 
 WORKED = {
@@ -149,6 +153,64 @@ def test_document_without_uneval_comes_back_over_the_same_nodes():
     assert plain >= 30
 
 
+def _parsed_documents():
+    """Every corpus fixture, sn/san n = 2..6, and seeded randgen schemas,
+    each also one level down, where its own unevaluated* is nested."""
+    for fixture in load_corpus():
+        yield parse_schema(fixture.schema_json)
+    for n in range(2, 7):
+        yield gen_family_sn(n)
+        yield gen_family_san(n)
+    rng = random.Random(1601)
+    for _ in range(200):
+        generated = gen_schema(rng, rng.randrange(1, 4))
+        for v in (generated, {"anyOf": [generated]}):
+            try:
+                yield parse_schema(v)
+            except SchemaParseError:
+                pass
+
+
+def test_parse_records_exactly_when_there_is_something_to_hoist():
+    """``nested_uneval`` is False exactly when unnesting a copy that does
+    not know the record hands that copy back."""
+    seen = {True: 0, False: 0}
+    for doc in _parsed_documents():
+        copy = build_document(doc.root, doc.defs)
+        assert copy.nested_uneval is None
+        assert doc.nested_uneval is (unnest(copy) is not copy)
+        if not doc.nested_uneval:
+            assert unnest(doc) is doc
+        seen[doc.nested_uneval] += 1
+    assert seen[True] >= 20 and seen[False] >= 400
+
+
+def test_guard_search_runs_once_per_document(monkeypatch):
+    """The caller's check, the rewrite's and the normalizer's share one
+    search; an unguarded document is still refused by each."""
+    calls = []
+    search = schema._first_unguarded_cycle
+
+    def counting(doc):
+        calls.append(doc)
+        return search(doc)
+
+    monkeypatch.setattr(schema, "_first_unguarded_cycle", counting)
+    doc = parse_schema(WORKED)
+    assert find_unguarded_cycle(doc) is None
+    elim_document_with_stats(doc)
+    enf(doc, doc.defs["sale"])
+    assert calls == [doc]
+    cyclic = parse_schema(COLOURED_PARENT)
+    cycle = find_unguarded_cycle(cyclic)
+    assert cycle is not None
+    for rewrite in (elim_document, lambda d: enf(d, d.root)):
+        with pytest.raises(GuardednessError) as info:
+            rewrite(cyclic)
+        assert info.value.cycle == cycle
+    assert calls == [doc, cyclic]
+
+
 def test_unnest_keeps_subtrees_without_uneval():
     kept = 0
     for fixture in load_corpus():
@@ -161,6 +223,10 @@ def test_unnest_keeps_subtrees_without_uneval():
                 assert id(s) in after, fixture.name
                 kept += 1
     assert kept > 100
+
+
+def keyword_to_json(kw):
+    return schema_to_json(make_obj(kw))[kw.name]
 
 
 def test_p_props():

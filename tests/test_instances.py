@@ -5,12 +5,27 @@ from uneval.instances import (
     OBJECT_KEYWORDS,
     _uses,
     pattern_literal,
-    relevant_prefix_positions,
     relevant_property_names,
 )
-from uneval.schema import ObjSchema, parse_schema
+from uneval.schema import ObjSchema, SchemaDocument, distinct_nodes, parse_schema
 
 from walking import document_schemas
+
+
+def relevant_prefix_positions(doc: SchemaDocument) -> int:
+    """The longest ``prefixItems`` of the document, over distinct nodes."""
+    longest = 0
+    for s in distinct_nodes((doc.root, *doc.defs.values())):
+        if isinstance(s, ObjSchema):
+            kw = s.get("prefixItems")
+            if kw is not None:
+                longest = max(longest, len(kw.value))
+    return longest
+
+
+def relevant_size(doc: SchemaDocument) -> int:
+    """Distinct relevant names plus prefix positions (oracle feasibility)."""
+    return len(relevant_property_names(doc)) + relevant_prefix_positions(doc)
 
 
 def _walked_keywords(doc):

@@ -250,6 +250,18 @@ def test_dump_json_matches_json_dumps(rewrites):
     assert dump_json(v) == '{\n  "é": [\n    2.5,\n    100,\n    3\n  ],\n  "b": {}\n}'
 
 
+def test_dump_json_writes_any_depth():
+    depth = 5000
+    v = {"k": 1}
+    for _ in range(depth):
+        v = [v]
+    opening = "".join("[\n" + "  " * (i + 1) for i in range(depth))
+    closing = "".join("\n" + "  " * i + "]" for i in reversed(range(depth)))
+    inner = "  " * (depth + 1)
+    pad = "  " * depth
+    assert dump_json(v) == opening + "{\n" + inner + '"k": 1\n' + pad + "}" + closing
+
+
 @pytest.mark.parametrize(
     "value,expected",
     [

@@ -21,7 +21,8 @@ The report gives, per op, the median time of each side and their relative
 difference; then the corpus p50/p90 over per-fixture medians (the shape of
 ``rewrite_ms_p50``/``_p90``) and the family total of medians (the shape of
 ``family_rewrite_s``).  Times are raw ``perf_counter_ns`` readings, not
-scaled to a reference machine as the benchmark's are.
+scaled to a reference machine as the benchmark's are.  Each checkout is
+named as ``tools/bench_pairs.py`` names it (``identify``).
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ import json
 import platform
 import random
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from bench_pairs import identify
 
 SIDES = ("a", "b")
 ROUNDS = 40
@@ -91,13 +93,6 @@ def build_ops(pkgs: dict, corpus_dir: Path) -> list[tuple[str, str, dict]]:
         for kind in ("sn", "san"):
             ops.append(("family", f"{kind}_{n}", {s: family_op(pkgs[s], kind, n) for s in SIDES}))
     return ops
-
-
-def head(checkout: Path) -> str:
-    done = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], cwd=checkout, capture_output=True, text=True
-    )
-    return done.stdout.strip()
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -162,7 +157,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "rounds": ROUNDS,
             "seed": SEED,
-            "commits": {s: head(getattr(args, s)) for s in SIDES},
+            "checkouts": {s: identify(getattr(args, s).resolve()) for s in SIDES},
             "summary": summary,
             "per_op": per_op,
         }

@@ -35,7 +35,8 @@ import sys
 import time
 from pathlib import Path
 
-from ab_rewrite import SIDES, head, load_package, percentile, rel
+from ab_rewrite import SIDES, load_package, percentile, rel
+from bench_pairs import identify
 
 ROUNDS = 40
 SEED = 11
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
             "rounds": ROUNDS,
             "seed": SEED,
             "slots": len(medians),
-            "commits": {s: head(getattr(args, s)) for s in SIDES},
+            "checkouts": {s: identify(getattr(args, s).resolve()) for s in SIDES},
             "summary": rows,
         }
         args.json.write_text(json.dumps(report, indent=1) + "\n")
