@@ -27,7 +27,6 @@ from .schema import (
     TRUE_SCHEMA,
     FALSE_SCHEMA,
     combine,
-    compile_pattern,
     deref,
     operands,
 )
@@ -48,15 +47,6 @@ class PatternSet:
     def contains_dotstar(self) -> bool:
         return ".*" in self.patterns
 
-    def matches(self, name: str) -> bool:
-        return any(compile_pattern(p).search(name) for p in self.patterns)
-
-    def union(self, other: "PatternSet") -> "PatternSet":
-        return PatternSet(self.patterns | other.patterns)
-
-    def intersection(self, other: "PatternSet") -> "PatternSet":
-        return PatternSet(self.patterns & other.patterns)
-
 
 EMPTY_PATTERNS = PatternSet(frozenset())
 DOTSTAR_PATTERNS = PatternSet(frozenset({".*"}))
@@ -68,14 +58,6 @@ class EvalPair:
 
     h: int | float
     guard: Schema
-
-    def satisfied_by(self, doc: SchemaDocument, position: int, item) -> bool:
-        """0-based position; defers to the validator for the guard."""
-        from .validator import validate
-
-        if position < self.h:
-            return True
-        return validate(doc, self.guard, item).valid
 
 
 def eq_patterns(a: PatternSet, b: PatternSet) -> bool:

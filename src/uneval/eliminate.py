@@ -34,6 +34,7 @@ from .schema import (
     CHILD_KIND,
     INF,
     MAP_VALUED,
+    READS,
     SDK_NAMES,
     BoolSchema,
     FALSE_SCHEMA,
@@ -67,34 +68,28 @@ def count_uneval_keywords(doc: SchemaDocument) -> int:
     """Residual unevaluated* occurrences in a whole document.
 
     A node that occurs several times counts each time, but its subtree is
-    counted once: the count below each node is memoized by ``id``.  A
-    document with none, as every rewrite is, is answered by one plain
-    visit per distinct node, which costs about half of the memoized count.
+    counted once: one bottom-up pass over the distinct nodes, on a stack
+    of its own rather than of frames, keeps the count below each node by
+    ``id``.  A node is pushed back with its children above it, and counted
+    when it is popped again, its children done.
     """
     tops = (doc.root, *doc.defs.values())
-    if not any(
-        kw.name in ADK_NAMES
-        for s in distinct_nodes(tops)
-        if isinstance(s, ObjSchema)
-        for kw in s.keywords
-    ):
-        return 0
     below: dict[int, int] = {}
-    return sum(_uneval_below(top, below) for top in tops)
-
-
-def _uneval_below(s: Schema, below: dict[int, int]) -> int:
-    """unevaluated* occurrences in the subtree of ``s``; recurses as deep as
-    the schema nests, like the parser."""
-    n = below.get(id(s))
-    if n is None:
-        n = below[id(s)] = (
-            sum(kw.name in ADK_NAMES for kw in s.keywords)
-            + sum([_uneval_below(child, below) for _, child in child_schemas(s)])
-            if isinstance(s, ObjSchema)
-            else 0
-        )
-    return n
+    stack: list = [(top, None) for top in tops]
+    while stack:
+        s, children = stack.pop()
+        if children is not None:
+            below[id(s)] = sum([kw.name in ADK_NAMES for kw in s.keywords]) + sum(
+                [below[id(child)] for child in children]
+            )
+        elif id(s) not in below:
+            if isinstance(s, ObjSchema):
+                children = [child for _, child in child_schemas(s)]
+                stack.append((s, children))
+                stack.extend([(child, None) for child in children])
+            else:
+                below[id(s)] = 0
+    return sum([below[id(top)] for top in tops])
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +278,7 @@ def push_uneval_items(
 
 #: The contains triple: the bounds count the items of their own contains,
 #: so one atom contributes the three as one entry.
-_CONTAINS_GROUP = ("contains", "minContains", "maxContains")
+_CONTAINS_GROUP = ("contains", *READS["contains"])
 
 
 def _split_atom(atom: Schema):

@@ -24,6 +24,7 @@ from .analysis import Analyzer
 from .errors import EliminationError, GuardednessError, NestingDepthError
 from .schema import (
     ADK_NAMES,
+    READS,
     Keyword,
     ObjSchema,
     Schema,
@@ -195,13 +196,7 @@ class EnfBuilder:
 
 
 #: Keywords read by a neighbour, each mapped to the neighbour that reads it.
-_READ_BY = {
-    "properties": "additionalProperties",
-    "patternProperties": "additionalProperties",
-    "prefixItems": "items",
-    "minContains": "contains",
-    "maxContains": "contains",
-}
+_READ_BY = {read: reader for reader, reads in READS.items() for read in reads}
 
 
 def _dependency_groups(keywords: tuple[Keyword, ...]) -> list[tuple[Keyword, ...]]:

@@ -255,21 +255,6 @@ def serialize_json(v: JsonValue) -> str:
     return _canonical(v)
 
 
-def _leaf_text(v: JsonValue) -> str:
-    """The text of a scalar or of an empty container."""
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if is_number(v):
-        return format_number(v)
-    if isinstance(v, dict):
-        return "{}"
-    if isinstance(v, list):
-        return "[]"
-    return string_text(v)
-
-
 def dump_json(v: JsonValue) -> str:
     """Pretty writer, two spaces per level, keeping dict insertion order.
 
@@ -277,10 +262,11 @@ def dump_json(v: JsonValue) -> str:
     the rows, closing bracket, rows are key-value pairs)`` entries, not
     of frames, so any nesting depth fits.  Each row is written with the
     separator after it; a container's last separator is replaced by its
-    closing line.
+    closing line.  Scalars and empty containers are written as
+    :func:`_canonical` writes them.
     """
     if not (isinstance(v, (dict, list)) and v):
-        return _leaf_text(v)
+        return _canonical(v)
     parts: list[str] = []
     stack: list[tuple] = []
     node = v
@@ -301,7 +287,7 @@ def dump_json(v: JsonValue) -> str:
                 if isinstance(row, (dict, list)) and row:
                     node = row
                     break
-                parts.append(_leaf_text(row))
+                parts.append(_canonical(row))
                 parts.append(",\n" + pad)
             else:
                 stack.pop()

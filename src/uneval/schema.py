@@ -73,6 +73,15 @@ CHILD_KIND = {
     **dict.fromkeys(MAP_VALUED, 2),
 }
 
+#: The keywords whose check reads the syntax of sibling keywords, each
+#: with the siblings it reads.  The validator, normalization and the push
+#: take every such fact from this table.
+READS = {
+    "additionalProperties": ("properties", "patternProperties"),
+    "items": ("prefixItems",),
+    "contains": ("minContains", "maxContains"),
+}
+
 _PLAIN_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
 

@@ -44,6 +44,7 @@ from .jsonvalue import JsonValue, json_class, json_equal, unique_key
 from .schema import (
     ADK_NAMES,
     INF,
+    READS,
     BoolSchema,
     Keyword,
     Schema,
@@ -143,17 +144,6 @@ def validate_keyword_list(
         if found:
             acc = acc | found
     return ok, _as_annotation(instance, acc)
-
-
-def validate_keyword(
-    doc: SchemaDocument, kw: Keyword, instance: JsonValue
-) -> tuple[bool, Annotation]:
-    """Judgment for one keyword on its own, as a one-keyword list.
-
-    Typed keywords accept trivially on instances of other types; a bare
-    ``contains`` uses the default occurrence bounds.
-    """
-    return validate_keyword_list(doc, (kw,), instance)
 
 
 def _as_annotation(instance: JsonValue, found) -> Annotation:
@@ -323,8 +313,8 @@ class _Compiler:
     def bool_list(self, keywords: Sequence[Keyword], context: Sequence[Keyword], cached: bool) -> Check:
         """Verdict of a keyword list without ``unevaluated*``.
 
-        ``context`` is the whole list, whose syntax ``additionalProperties``,
-        ``items`` and ``contains`` read.
+        ``context`` is the whole list, whose syntax the keywords of
+        :data:`~uneval.schema.READS` read.
         """
         general: list[Check] = []
         typed: dict[type, list[Check]] = {}
@@ -819,7 +809,7 @@ _BOOL_KEYWORDS = {
 }
 
 #: Keywords whose check reads the syntax of their siblings.
-_CONTEXT_READERS = frozenset({"additionalProperties", "items", "contains"})
+_CONTEXT_READERS = frozenset(READS)
 
 #: Annotation-mode compilers: the keywords that can contribute to an
 #: annotation.

@@ -30,6 +30,7 @@ from uneval.schema import (
 )
 from uneval.validator import validate
 
+from bounds import matches, satisfied_by
 from conftest import load_corpus
 from randgen import gen_schema
 from walking import walk
@@ -212,18 +213,18 @@ def _bounds_hold(doc, an, instance) -> bool:
     lo_p, hi_p = an.min_ep(doc.root), an.max_ep(doc.root)
     if isinstance(instance, dict):
         for name in instance:
-            if lo_p.matches(name) and name not in o.annotation.props:
+            if matches(lo_p, name) and name not in o.annotation.props:
                 return False
         for name in o.annotation.props:
-            if not hi_p.matches(name):
+            if not matches(hi_p, name):
                 return False
     if isinstance(instance, list):
         lo_i, hi_i = an.min_ei(doc.root), an.max_ei(doc.root)
         for pos, item in enumerate(instance):
-            if lo_i.satisfied_by(doc, pos, item) and pos not in o.annotation.items:
+            if satisfied_by(doc, lo_i, pos, item) and pos not in o.annotation.items:
                 return False
         for pos in o.annotation.items:
-            if not hi_i.satisfied_by(doc, pos, instance[pos]):
+            if not satisfied_by(doc, hi_i, pos, instance[pos]):
                 return False
     return True
 
@@ -248,7 +249,7 @@ def test_characterization_exactness():
         for instance in fixture.valid:
             o = validate(doc, doc.root, instance)
             if o.valid and isinstance(instance, dict):
-                expected = {name for name in instance if pats.matches(name)}
+                expected = {name for name in instance if matches(pats, name)}
                 assert o.annotation.props == expected, fixture.name
 
 
@@ -266,7 +267,7 @@ def test_characterization_exactness_items():
                 expected = {
                     pos
                     for pos, item in enumerate(instance)
-                    if pair.satisfied_by(doc, pos, item)
+                    if satisfied_by(doc, pair, pos, item)
                 }
                 assert o.annotation.items == expected, (fixture.name, instance)
 
@@ -362,7 +363,7 @@ class _FourWalkAnalyzer:
             return EMPTY_PATTERNS
         result = EMPTY_PATTERNS
         for kw in s.keywords:
-            result = result.union(self._ep_keyword(kw, lower))
+            result = PatternSet(result.patterns | self._ep_keyword(kw, lower).patterns)
         return result
 
     def _ep_keyword(self, kw, lower):
@@ -381,12 +382,12 @@ class _FourWalkAnalyzer:
                 return EMPTY_PATTERNS
             out = branches[0] if lower else EMPTY_PATTERNS
             for b in branches:
-                out = out.intersection(b) if lower else out.union(b)
+                out = PatternSet(out.patterns & b.patterns if lower else out.patterns | b.patterns)
             return out
         if kw.name == "allOf":
             out = EMPTY_PATTERNS
             for b in kw.value:
-                out = out.union(bound(b))
+                out = PatternSet(out.patterns | bound(b).patterns)
             return out
         return EMPTY_PATTERNS
 
