@@ -95,6 +95,8 @@ def parse_json(text: str | bytes) -> JsonValue:
         raise
     except json.JSONDecodeError as exc:
         raise JsonParseError(exc.msg, offset=exc.pos) from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise JsonParseError(f"number literal cannot be decoded: {exc}") from None
     except RecursionError:
         raise JsonParseError("the text nests too deeply to decode") from None
 
@@ -105,23 +107,7 @@ def json_equal(a: JsonValue, b: JsonValue) -> bool:
     Booleans are never equal to numbers (``true != 1``), unlike Python's
     native ``==``.
     """
-    a_bool = isinstance(a, bool)
-    b_bool = isinstance(b, bool)
-    if a_bool or b_bool:
-        return a_bool and b_bool and a == b
-    if is_number(a) and is_number(b):
-        return a == b
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(json_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        if set(a.keys()) != set(b.keys()):
-            return False
-        return all(json_equal(a[k], b[k]) for k in a)
-    return False
+    return unique_key(a) == unique_key(b)
 
 
 #: Keys of the two booleans, unequal to every other key (``True == 1``).
@@ -130,8 +116,9 @@ _FALSE_KEY = object()
 
 
 def unique_key(v: JsonValue):
-    """A hashable key that is equal for two values exactly when
-    :func:`json_equal` holds.
+    """A hashable key that is equal for two values exactly when they are
+    equal as JSON: objects order-insensitive, numbers by value, booleans
+    unequal to numbers.
 
     Numbers key as themselves: ``int``, ``float`` and ``Decimal`` compare
     and hash by exact value across the three types.  Booleans get keys of

@@ -23,10 +23,14 @@ Annotations are tracked only where an ``unevaluated*`` keyword can observe
 them: a keyword list holding one compiles its in-place applicators
 (``allOf``/``anyOf``/``oneOf``/``$ref``) in annotation mode, transitively;
 ``not`` and every subschema applied to a child instance are in bool mode.
-A schema without ``unevaluated*`` keywords, such as a rewrite, therefore
-runs in bool mode throughout.  :func:`validate` returns the bool-mode
-verdict; :attr:`ValidationOutcome.annotation` is computed on first read, in
-annotation mode.
+In annotation mode the four in-place applicators are one step,
+``choice_step``: it holds when ``lo`` to ``hi`` of its subschemas are
+valid (``anyOf`` one or more, ``allOf`` all, ``oneOf`` and ``$ref``
+exactly one) and passes up the union of the valid subschemas'
+annotations.  A schema without ``unevaluated*`` keywords, such as a
+rewrite, therefore runs in bool mode throughout.  :func:`validate`
+returns the bool-mode verdict; :attr:`ValidationOutcome.annotation` is
+computed on first read, in annotation mode.
 
 Only nodes reachable from the document's root and definitions are cached,
 so validating ad hoc schema objects against a document does not grow its
@@ -40,7 +44,7 @@ from decimal import Decimal
 from typing import Callable, Sequence
 
 from .errors import NestingDepthError
-from .jsonvalue import JsonValue, json_class, json_equal, unique_key
+from .jsonvalue import JsonValue, json_class, json_equal, type_of, unique_key
 from .schema import (
     ADK_NAMES,
     INF,
@@ -330,7 +334,7 @@ class _Compiler:
                     typed.setdefault(Decimal, []).insert(0, _is_integral)
                 continue
             if name == "const":
-                accepted = _restrict(accepted, _const_types(kw.value))
+                accepted = _restrict(accepted, _TYPE_CLASSES[type_of(kw.value)])
                 general.append(_const_check(kw.value))
                 continue
             compile_kw = _BOOL_KEYWORDS.get(name)
@@ -577,7 +581,7 @@ class _Compiler:
         name = kw.name
         if name in ("allOf", "oneOf", "not"):
             check = self.bool_list((kw,), context, False)
-            union = self.any_of_step((kw.value,) if name == "not" else kw.value, context, False)
+            union = self.choice_step((kw.value,) if name == "not" else kw.value, 0, INF, False)
             return lambda x, acc: (check(x), union(x, acc)[1])
         make = _STEPS.get(name)
         if make is not None:
@@ -589,63 +593,32 @@ class _Compiler:
     # ``acc`` is the annotation of the keywords before it.  A step may stop
     # once it fails, with an incomplete annotation.
 
-    def any_of_step(self, branches, context, cached):
+    def choice_step(self, branches, lo, hi, cached):
+        """Holds when ``lo`` to ``hi`` branches are valid; the annotation
+        is the union of the valid branches' annotations.  It stops once
+        more than ``len(branches) - lo`` branches have failed or more than
+        ``hi`` have held."""
         fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
+        most_failed = len(fs) - lo
 
-        def any_of(x, acc):
-            ok = False
-            union = _EMPTY
-            for f in fs:
-                found = f(x)
-                if found is not None:
-                    ok = True
-                    if found:
-                        union = union | found
-            return ok, union
-
-        return any_of
-
-    def all_of_step(self, branches, context, cached):
-        fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
-
-        def all_of(x, acc):
+        def choice(x, acc):
+            valid = failed = 0
             union = _EMPTY
             for f in fs:
                 found = f(x)
                 if found is None:
-                    return False, union
-                if found:
-                    union = union | found
-            return True, union
-
-        return all_of
-
-    def one_of_step(self, branches, context, cached):
-        fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
-
-        def one_of(x, acc):
-            valid = 0
-            union = _EMPTY
-            for f in fs:
-                found = f(x)
-                if found is not None:
+                    failed += 1
+                    if failed > most_failed:
+                        return False, union
+                else:
                     valid += 1
-                    if valid == 2:
+                    if valid > hi:
                         return False, union
                     if found:
                         union = union | found
-            return valid == 1, union
+            return valid >= lo, union
 
-        return one_of
-
-    def ref_step(self, uri, context, cached):
-        f = self.schema(deref(self.doc, uri), ANNOT, True)
-
-        def ref(x, acc):
-            found = f(x)
-            return found is not None, found or _EMPTY
-
-        return ref
+        return choice
 
     def properties_step(self, props, context, cached):
         names = props.keys()
@@ -726,20 +699,6 @@ def _annotating(kind: type, check: Check, annotate):
     return step
 
 
-def _const_types(value) -> tuple:
-    """The instance types that can equal a ``const`` value."""
-    if isinstance(value, bool):
-        return (bool,)
-    if value is None:
-        return (_NULL,)
-    if isinstance(value, _NUMBERS):
-        return _NUMBERS
-    for t in (str, list, dict):
-        if isinstance(value, t):
-            return (t,)
-    return ()
-
-
 def _const_check(value) -> Check:
     if isinstance(value, bool) or value is None:
         return lambda x: x is value
@@ -814,10 +773,10 @@ _CONTEXT_READERS = frozenset(READS)
 #: Annotation-mode compilers: the keywords that can contribute to an
 #: annotation.
 _STEPS = {
-    "anyOf": _Compiler.any_of_step,
-    "allOf": _Compiler.all_of_step,
-    "oneOf": _Compiler.one_of_step,
-    "$ref": _Compiler.ref_step,
+    "anyOf": lambda c, subs, context, cached: c.choice_step(subs, 1, INF, cached),
+    "allOf": lambda c, subs, context, cached: c.choice_step(subs, len(subs), INF, cached),
+    "oneOf": lambda c, subs, context, cached: c.choice_step(subs, 1, 1, cached),
+    "$ref": lambda c, uri, context, cached: c.choice_step((deref(c.doc, uri),), 1, 1, True),
     "properties": _Compiler.properties_step,
     "patternProperties": _Compiler.pattern_properties_step,
     "additionalProperties": _Compiler.additional_properties_step,

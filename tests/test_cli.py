@@ -309,6 +309,28 @@ def test_unreadable_files_exit_2(tmp_path, capsys, monkeypatch):
     assert "Permission denied" in err
 
 
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    """A too-long integer literal, in the schema or in the instance, is a
+    parse error, not an invalid instance."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    digits = "1" * (limit + 1)
+    long_schema = tmp_path / "long_schema.json"
+    long_schema.write_text('{"minimum": ' + digits + "}")
+    long_instance = tmp_path / "long_instance.json"
+    long_instance.write_text(digits)
+    schema = write(tmp_path, "s.json", {"minimum": 0})
+    instance = write(tmp_path, "i.json", 1)
+    for schema_path, instance_path in ((long_schema, instance), (schema, long_instance)):
+        code, out, err = run(
+            capsys, "validate", "--schema", str(schema_path), "--instance", str(instance_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_gen_family_rejects_sizes_below_1(capsys):
     for n in ("0", "-3", "x"):
         code, out, err = run(capsys, "gen-family", "--kind", "sn", "--n", n)

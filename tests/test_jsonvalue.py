@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import sys
 from decimal import Decimal
 
 import pytest
@@ -80,6 +81,16 @@ def test_parse_rejects_non_finite_literals_inside_values(text):
 def test_parse_too_deep_text_is_a_parse_error():
     with pytest.raises(JsonParseError, match="the text nests too deeply to decode"):
         parse_json("[" * 100000)
+
+
+def test_parse_integer_past_the_digit_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    digits = "1" * (limit + 1)
+    for text in (digits, '{"minimum": ' + digits + "}"):
+        with pytest.raises(JsonParseError, match="number literal"):
+            parse_json(text)
 
 
 def test_numbers_parsed_exactly():

@@ -271,13 +271,36 @@ def test_unique_items_by_value():
 # bool mode (validate) against the exact annotation fold
 
 
+#: Branch lists of the in-place applicator grid, empty ones among them,
+#: which random schemas never hold.
+_GRID_BRANCHES = (
+    [],
+    [True],
+    [False],
+    [True, True],
+    [True, False],
+    [False, False],
+    [{"properties": {"a": True}}, {"required": ["a"]}],
+)
+_GRID_INSTANCES = ({}, {"a": 1}, {"b": 1}, [], 0)
+
+
 def _object_root_pairs():
     """(schema JSON, document, instance) triples whose root is an object
-    schema: random schemas, half with an ``unevaluated*`` keyword added,
-    then the corpus with its witnesses."""
+    schema: a fixed grid of ``anyOf``/``allOf``/``oneOf`` schemas, bare
+    and beside ``"unevaluatedProperties": false``, then random schemas,
+    half with an ``unevaluated*`` keyword added, then the corpus with its
+    witnesses."""
     from conftest import load_corpus
     from randgen import gen_instance, gen_schema
 
+    for name in ("anyOf", "allOf", "oneOf"):
+        for branches in _GRID_BRANCHES:
+            for closed in ({}, {"unevaluatedProperties": False}):
+                schema_json = {name: branches, **closed}
+                doc = parse_schema(schema_json)
+                for instance in _GRID_INSTANCES:
+                    yield schema_json, doc, instance
     rng = random.Random(4242)
     produced = 0
     while produced < 1000:
@@ -309,9 +332,12 @@ def test_bool_mode_verdict_equals_exact_fold():
         jsonschema = None
     checked = 0
     for schema_json, doc, instance in _object_root_pairs():
-        ok, _ = validate_keyword_list(doc, doc.root.keywords, instance)
-        valid = validate(doc, doc.root, instance).valid
+        ok, annotation = validate_keyword_list(doc, doc.root.keywords, instance)
+        outcome = validate(doc, doc.root, instance)
+        valid = outcome.valid
         assert valid == ok
+        if valid:
+            assert outcome.annotation == annotation, (schema_json, instance)
         if jsonschema is not None:
             reference = jsonschema.Draft202012Validator(schema_json)
             assert reference.is_valid(instance) == valid, (schema_json, instance)
