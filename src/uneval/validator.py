@@ -44,7 +44,7 @@ from decimal import Decimal
 from typing import Callable, Sequence
 
 from .errors import NestingDepthError
-from .jsonvalue import JsonValue, json_class, json_equal, type_of, unique_key
+from .jsonvalue import JsonValue, json_class, type_of, unique_key
 from .schema import (
     ADK_NAMES,
     INF,
@@ -703,7 +703,8 @@ def _const_check(value) -> Check:
     if isinstance(value, bool) or value is None:
         return lambda x: x is value
     if isinstance(value, (list, dict)):
-        return lambda x: json_equal(x, value)
+        key = unique_key(value)
+        return lambda x: unique_key(x) == key
     return lambda x: x == value
 
 

@@ -14,6 +14,7 @@ from uneval.jsonvalue import (
     _canonical,
     dump_json,
     format_number,
+    is_number,
     json_equal,
     parse_json,
     serialize_json,
@@ -332,6 +333,24 @@ def test_equal_agrees_with_canonical_text(a, b):
     assert json_equal(a, b) == (serialize_json(a) == serialize_json(b))
 
 
+def _reference_equal(a, b) -> bool:
+    """JSON equality by structural recursion, independent of ``unique_key``:
+    objects order-insensitive, numbers by value, booleans unequal to numbers."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a == b
+    if is_number(a) and is_number(b):
+        return a == b
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, str) and isinstance(b, str):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_reference_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_reference_equal(a[k], b[k]) for k in a)
+    return False
+
+
 def test_unique_key_cases():
     assert unique_key(1) == unique_key(1.0) == unique_key(Decimal("1.0"))
     assert unique_key(True) != unique_key(1)
@@ -340,7 +359,7 @@ def test_unique_key_cases():
     assert unique_key({"a": 1, "b": [2]}) == unique_key({"b": [2.0], "a": 1})
     assert unique_key([1, True]) != unique_key([True, 1])
     assert unique_key(["a"]) != unique_key({"a": None})
-    # a float keys by its exact binary value, as json_equal compares it
+    # a float keys by its exact binary value, as Python compares it
     assert unique_key(0.1) != unique_key(Decimal("0.1"))
     assert unique_key(0.5) == unique_key(Decimal("0.5"))
 
@@ -364,7 +383,9 @@ def test_unique_key_agrees_with_json_equal_on_random_arrays():
     for arr in _random_arrays():
         for i, a in enumerate(arr):
             for b in arr[i + 1 :]:
-                assert (unique_key(a) == unique_key(b)) == json_equal(a, b), (a, b)
+                expected = _reference_equal(a, b)
+                assert (unique_key(a) == unique_key(b)) == expected, (a, b)
+                assert json_equal(a, b) == expected, (a, b)
                 pairs += 1
     assert pairs > 1000
 
@@ -372,4 +393,6 @@ def test_unique_key_agrees_with_json_equal_on_random_arrays():
 @given(json_values, json_values)
 @settings(max_examples=100)
 def test_unique_key_agrees_with_json_equal(a, b):
-    assert (unique_key(a) == unique_key(b)) == json_equal(a, b)
+    expected = _reference_equal(a, b)
+    assert (unique_key(a) == unique_key(b)) == expected
+    assert json_equal(a, b) == expected
