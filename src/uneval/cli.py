@@ -113,11 +113,11 @@ def _cmd_analyze(args) -> int:
         ex_p = analyzer.ex_ep(schema)
         ex_i = analyzer.ex_ei(schema)
         report[name or "#"] = {
-            "minEP": sorted(analyzer.min_ep(schema).patterns),
-            "maxEP": sorted(analyzer.max_ep(schema).patterns),
+            "minEP": sorted(analyzer.min_ep(schema)),
+            "maxEP": sorted(analyzer.max_ep(schema)),
             "minEI": _pair_json(analyzer.min_ei(schema)),
             "maxEI": _pair_json(analyzer.max_ei(schema)),
-            "exEP": sorted(ex_p.patterns) if ex_p is not None else "undefined",
+            "exEP": sorted(ex_p) if ex_p is not None else "undefined",
             "exEI": _pair_json(ex_i) if ex_i is not None else "undefined",
         }
     _print_json(report)

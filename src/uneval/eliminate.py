@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 
-from .analysis import Analyzer, PatternSet
+from .analysis import Analyzer
 from .enf import EnfBuilder
 from .errors import EliminationError, GuardednessError, NestingDepthError
 from .schema import (
@@ -196,11 +196,9 @@ def unnest(doc: SchemaDocument) -> SchemaDocument:
 EMPTY_OBJ_SCHEMA = ObjSchema(())
 
 
-def p_props(patterns: PatternSet) -> Keyword:
+def p_props(patterns: frozenset[str]) -> Keyword:
     """patternProperties listing the given patterns, each mapped to {}."""
-    return Keyword(
-        "patternProperties", {p: EMPTY_OBJ_SCHEMA for p in sorted(patterns.patterns)}
-    )
+    return Keyword("patternProperties", {p: EMPTY_OBJ_SCHEMA for p in sorted(patterns)})
 
 
 def pref_its(h: int) -> Keyword:
@@ -255,7 +253,7 @@ def push_uneval_props(
     pats = an.ex_ep(branch)
     if pats is None:
         raise EliminationError("normalized branch has no exact property characterization")
-    return (p_props(pats), check) if pats.patterns else (check,)
+    return (p_props(pats), check) if pats else (check,)
 
 
 def push_uneval_items(

@@ -603,9 +603,11 @@ def _index_anchors(doc: SchemaDocument) -> None:
 
 
 def deref(doc: SchemaDocument, uri: str) -> Schema:
-    """Resolve ``#/$defs/name`` or ``#anchor`` inside the document."""
+    """Resolve ``#/$defs/name`` (RFC 6901 escapes decoded) or ``#anchor``."""
     if uri.startswith("#/$defs/"):
         name = uri[len("#/$defs/") :]
+        if "~" in name:
+            name = name.replace("~1", "/").replace("~0", "~")
         try:
             return doc.defs[name]
         except KeyError:
@@ -723,7 +725,7 @@ def _first_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
     color.clear()
     seen: set[int] = set()
     for name, top in doc.named_schemas():
-        start = f"#/$defs/{name}" if name else "#"
+        start = f"#/$defs/{_pointer_segment(name)}" if name else "#"
         stack = [top]
         while stack:
             s = stack.pop()

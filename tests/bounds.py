@@ -5,14 +5,14 @@ a bound against the validator's annotation decide, per property name or
 array item, whether the bound holds it.
 """
 
-from uneval.analysis import EvalPair, PatternSet
+from uneval.analysis import EvalPair
 from uneval.schema import SchemaDocument, pattern_matches
 from uneval.validator import validate
 
 
-def matches(patterns: PatternSet, name: str) -> bool:
+def matches(patterns: frozenset[str], name: str) -> bool:
     """Whether some pattern of the set matches ``name``, unanchored."""
-    return any(pattern_matches(p, name) for p in patterns.patterns)
+    return any(pattern_matches(p, name) for p in patterns)
 
 
 def satisfied_by(doc: SchemaDocument, pair: EvalPair, position: int, item) -> bool:

@@ -1,19 +1,13 @@
 import random
 
 from uneval.analysis import (
-    ALL_PAIR,
-    DOTSTAR_PATTERNS,
-    EMPTY_PATTERNS,
-    ZERO_PAIR,
     Analyzer,
     EvalPair,
-    PatternSet,
-    _combine_intersection,
-    _combine_union,
-    _norm_pair,
     eq_pairs,
     eq_patterns,
     exact_pattern,
+    pair_dominates,
+    patterns_dominate,
 )
 from uneval.errors import SchemaParseError
 from uneval.families import gen_family_san, gen_family_sn
@@ -24,6 +18,7 @@ from uneval.schema import (
     BoolSchema,
     ObjSchema,
     TRUE_SCHEMA,
+    combine,
     deref,
     distinct_nodes,
     parse_schema,
@@ -43,8 +38,8 @@ def doc_of(schema_json):
 def test_min_ep_properties_row():
     doc = doc_of({"properties": {"k1": {"type": "string"}}})
     an = Analyzer(doc)
-    assert an.min_ep(doc.root).patterns == {exact_pattern("k1")}
-    assert an.max_ep(doc.root).patterns == {exact_pattern("k1")}
+    assert an.min_ep(doc.root) == {exact_pattern("k1")}
+    assert an.max_ep(doc.root) == {exact_pattern("k1")}
 
 
 ANYOF_CLOSED = {
@@ -58,13 +53,13 @@ ANYOF_CLOSED = {
 def test_min_ep_anyof_intersection_keeps_dotstar():
     doc = doc_of(ANYOF_CLOSED)
     an = Analyzer(doc)
-    assert an.min_ep(doc.root).patterns == {".*"}
-    assert an.max_ep(doc.root).patterns == {".*", exact_pattern("a"), exact_pattern("b")}
+    assert an.min_ep(doc.root) == {".*"}
+    assert an.max_ep(doc.root) == {".*", exact_pattern("a"), exact_pattern("b")}
 
 
 def test_min_ep_empty_schema():
     doc = doc_of({})
-    assert Analyzer(doc).min_ep(doc.root).patterns == set()
+    assert Analyzer(doc).min_ep(doc.root) == set()
 
 
 def test_min_ei_prefix_items():
@@ -92,16 +87,16 @@ def test_min_ei_items_row():
 
 
 def test_eq_patterns_dotstar_absorption():
-    a = PatternSet(frozenset({exact_pattern("a"), ".*"}))
-    b = PatternSet(frozenset({exact_pattern("b"), ".*"}))
+    a = frozenset({exact_pattern("a"), ".*"})
+    b = frozenset({exact_pattern("b"), ".*"})
     assert eq_patterns(a, b)
     assert eq_patterns(
-        PatternSet(frozenset({exact_pattern("a")})),
-        PatternSet(frozenset({exact_pattern("a")})),
+        frozenset({exact_pattern("a")}),
+        frozenset({exact_pattern("a")}),
     )
     assert not eq_patterns(
-        PatternSet(frozenset({exact_pattern("a")})),
-        PatternSet(frozenset({exact_pattern("b")})),
+        frozenset({exact_pattern("a")}),
+        frozenset({exact_pattern("b")}),
     )
 
 
@@ -115,12 +110,12 @@ def test_eq_pairs():
 
 def test_ex_ep_pattern_properties():
     doc = doc_of({"patternProperties": {"^p": {}}})
-    assert Analyzer(doc).ex_ep(doc.root).patterns == {"^p"}
+    assert Analyzer(doc).ex_ep(doc.root) == {"^p"}
 
 
 def test_ex_ep_anyof_defined_under_plus_eq():
     doc = doc_of(ANYOF_CLOSED)
-    assert Analyzer(doc).ex_ep(doc.root).patterns == {".*"}
+    assert Analyzer(doc).ex_ep(doc.root) == {".*"}
 
 
 def test_ex_ep_undefined_for_differing_branches():
@@ -328,10 +323,32 @@ def test_covers_implies_annotation_containment():
             assert o2.annotation.items <= o1.annotation.items
 
 
+def _ref_pair(h, guard):
+    if h == INF or (isinstance(guard, BoolSchema) and guard.value):
+        return EvalPair(INF, TRUE_SCHEMA)
+    return EvalPair(h, guard)
+
+
+def _ref_union(pairs):
+    """Item bound of 'evaluated by some part': max h, disjoined guards."""
+    if not pairs:
+        return EvalPair(0, FALSE_SCHEMA)
+    if len(pairs) == 1:
+        return pairs[0]
+    return _ref_pair(max(p.h for p in pairs), combine([p.guard for p in pairs], FALSE_SCHEMA))
+
+
+def _ref_meet(pairs):
+    """Item bound of 'evaluated whichever part holds': min h, conjoined guards."""
+    if len(pairs) == 1:
+        return pairs[0]
+    return _ref_pair(min(p.h for p in pairs), combine([p.guard for p in pairs], TRUE_SCHEMA))
+
+
 class _FourWalkAnalyzer:
     """Reference bounds: each of the four computed by a walk of its own,
-    with its own memo, as the analysis did before it computed both bounds
-    of a family in one walk."""
+    with its own memo and its own set and pair operations, folding every
+    part in (none dropped as a unit)."""
 
     def __init__(self, doc):
         self.doc = doc
@@ -360,58 +377,60 @@ class _FourWalkAnalyzer:
 
     def _ep(self, s, lower):
         if isinstance(s, BoolSchema):
-            return EMPTY_PATTERNS
-        result = EMPTY_PATTERNS
+            return frozenset()
+        result = frozenset()
         for kw in s.keywords:
-            result = PatternSet(result.patterns | self._ep_keyword(kw, lower).patterns)
+            result = result | self._ep_keyword(kw, lower)
         return result
 
     def _ep_keyword(self, kw, lower):
         bound = self.min_ep if lower else self.max_ep
         if kw.name == "properties":
-            return PatternSet(frozenset(exact_pattern(k) for k in kw.value))
+            return frozenset(exact_pattern(k) for k in kw.value)
         if kw.name == "patternProperties":
-            return PatternSet(frozenset(kw.value.keys()))
+            return frozenset(kw.value.keys())
         if kw.name in ("additionalProperties", "unevaluatedProperties"):
-            return DOTSTAR_PATTERNS
+            return frozenset({".*"})
         if kw.name == "$ref":
             return bound(deref(self.doc, kw.value))
         if kw.name in ("anyOf", "oneOf"):
             branches = [bound(b) for b in kw.value]
             if not branches:
-                return EMPTY_PATTERNS
-            out = branches[0] if lower else EMPTY_PATTERNS
+                return frozenset()
+            out = branches[0] if lower else frozenset()
             for b in branches:
-                out = PatternSet(out.patterns & b.patterns if lower else out.patterns | b.patterns)
+                out = out & b if lower else out | b
             return out
         if kw.name == "allOf":
-            out = EMPTY_PATTERNS
+            out = frozenset()
             for b in kw.value:
-                out = PatternSet(out.patterns | bound(b).patterns)
+                out = out | bound(b)
             return out
-        return EMPTY_PATTERNS
+        return frozenset()
 
     def _ei(self, s, lower):
         if isinstance(s, BoolSchema):
-            return ZERO_PAIR
-        return _combine_union([self._ei_keyword(kw, lower) for kw in s.keywords])
+            return EvalPair(0, FALSE_SCHEMA)
+        return _ref_union([self._ei_keyword(kw, lower) for kw in s.keywords])
 
     def _ei_keyword(self, kw, lower):
         bound = self.min_ei if lower else self.max_ei
         if kw.name == "prefixItems":
             return EvalPair(len(kw.value), FALSE_SCHEMA)
         if kw.name == "contains":
-            return _norm_pair(0, kw.value)
+            return _ref_pair(0, kw.value)
         if kw.name in ("items", "unevaluatedItems"):
-            return ALL_PAIR
+            return EvalPair(INF, TRUE_SCHEMA)
         if kw.name == "$ref":
             return bound(deref(self.doc, kw.value))
         if kw.name in ("anyOf", "oneOf"):
             branches = [bound(b) for b in kw.value]
-            return (_combine_intersection if lower else _combine_union)(branches)
+            if not branches:
+                return EvalPair(0, FALSE_SCHEMA)
+            return (_ref_meet if lower else _ref_union)(branches)
         if kw.name == "allOf":
-            return _combine_union([bound(b) for b in kw.value])
-        return ZERO_PAIR
+            return _ref_union([bound(b) for b in kw.value])
+        return EvalPair(0, FALSE_SCHEMA)
 
     def ex_ep(self, s):
         lo, hi = self.min_ep(s), self.max_ep(s)
@@ -485,6 +504,26 @@ def test_bounds_equal_the_four_walk_reference(rewrites):
                 assert an.min_ei(s) is an.max_ei(s)
                 shared += 1
     assert nodes > 10000 and shared > 8000, (nodes, shared)
+
+
+def test_covers_equals_the_four_walk_reference(rewrites):
+    """``covers`` reads both families' bounds out of one memo entry per
+    node; on a seeded sample of node pairs it equals dominance over the
+    reference's bounds."""
+    rng = random.Random(37)
+    pairs = proven = 0
+    for doc in _bound_documents(rewrites):
+        an, ref_an = Analyzer(doc), _FourWalkAnalyzer(doc)
+        nodes = list(distinct_nodes([top for _, top in doc.named_schemas()]))
+        for _ in range(10):
+            a, b = rng.choice(nodes), rng.choice(nodes)
+            expected = patterns_dominate(ref_an.min_ep(a), ref_an.max_ep(b)) and pair_dominates(
+                ref_an.min_ei(a), ref_an.max_ei(b)
+            )
+            assert an.covers(a, b) == expected
+            pairs += 1
+            proven += expected
+    assert pairs >= 20000 and 1000 < proven < pairs - 1000, (pairs, proven)
 
 
 def test_bounds_are_one_object_for_a_single_or_repeated_choice():

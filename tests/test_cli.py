@@ -122,6 +122,28 @@ def test_enf_reports_branches(tmp_path, capsys):
     assert payload["branches"] == 3
 
 
+def test_escaped_definition_names_resolve(tmp_path, capsys):
+    schema = write(
+        tmp_path,
+        "s.json",
+        {
+            "$defs": {
+                "a~b": {
+                    "anyOf": [{"type": "object", "properties": {"a": True}}, {"type": "string"}]
+                }
+            },
+            "$ref": "#/$defs/a~0b",
+        },
+    )
+    code, out, _ = run(capsys, "enf", "--schema", schema, "--pointer", "/$defs/a~0b")
+    assert code == 0
+    assert json.loads(out)["branches"] == 2
+    for instance, expected in ((1, 1), ("x", 0)):
+        path = write(tmp_path, "i.json", instance)
+        code, _, _ = run(capsys, "validate", "--schema", schema, "--instance", path)
+        assert code == expected
+
+
 def test_enf_rejects_uneval_target(tmp_path, capsys):
     schema = write(tmp_path, "s.json", SCHEMA)
     code, _, err = run(capsys, "enf", "--schema", schema)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from uneval import eliminate, schema
-from uneval.analysis import Analyzer, PatternSet
+from uneval.analysis import Analyzer
 from uneval.eliminate import (
     count_uneval_keywords,
     elim_document,
@@ -230,10 +230,10 @@ def keyword_to_json(kw):
 
 
 def test_p_props():
-    kw = p_props(PatternSet(frozenset({"^price$"})))
+    kw = p_props(frozenset({"^price$"}))
     assert keyword_to_json(kw) == {"^price$": {}}
-    assert keyword_to_json(p_props(PatternSet(frozenset()))) == {}
-    assert sorted(keyword_to_json(p_props(PatternSet(frozenset({"^a$", "^b$"}))))) == [
+    assert keyword_to_json(p_props(frozenset())) == {}
+    assert sorted(keyword_to_json(p_props(frozenset({"^a$", "^b$"})))) == [
         "^a$",
         "^b$",
     ]

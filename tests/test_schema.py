@@ -250,6 +250,30 @@ def test_anchor_defs_collision():
     assert deref(doc, "#a") is doc.defs["a"]
 
 
+def test_ref_pointer_escapes_are_decoded():
+    """A definition name in a reference reads ``~1`` as ``/`` and ``~0`` as
+    ``~`` (RFC 6901), and the verdicts equal ``jsonschema``'s."""
+    import jsonschema
+
+    from uneval.validator import validate
+
+    for name, ref in (("a~b", "a~0b"), ("a/b", "a~1b"), ("~1", "~01")):
+        schema = {"$defs": {name: {"type": "string"}}, "$ref": f"#/$defs/{ref}"}
+        doc = parse_schema(schema)
+        assert deref(doc, f"#/$defs/{ref}") is doc.defs[name]
+        reference = jsonschema.Draft202012Validator(schema)
+        for instance in (1, "x"):
+            assert validate(doc, doc.root, instance).valid == reference.is_valid(instance)
+        assert not validate(doc, doc.root, 1).valid
+        assert validate(doc, doc.root, "x").valid
+        assert serialize_schema(elim_document(doc)) == schema
+
+
+def test_unguarded_cycle_starts_at_the_escaped_definition_name():
+    doc = parse_schema({"$defs": {"a/b": {"anyOf": [{"$ref": "#/$defs/a~1b"}]}}})
+    assert find_unguarded_cycle(doc)[0] == "#/$defs/a~1b"
+
+
 def test_guarded_self_loop_through_anyof():
     doc = parse_schema({"$defs": {"r": {"anyOf": [{"$ref": "#/$defs/r"}]}}})
     assert find_unguarded_cycle(doc) is not None
