@@ -80,7 +80,7 @@ def _cmd_enf(args) -> int:
     target = doc.root
     if args.pointer:
         pointer = args.pointer
-        if not pointer.startswith("/$defs/"):
+        if not pointer.startswith("/$defs/") or "/" in pointer[len("/$defs/") :]:
             raise UnevalError(f"unsupported pointer {pointer!r}; use /$defs/<name>")
         target = deref(doc, "#" + pointer)
     if is_uneval_schema(target):

@@ -85,15 +85,16 @@ class BranchList:
 
 
 def and_combine(lists: Iterable[Iterable[Schema]]) -> BranchList:
-    """Cartesian conjunction of branch lists; the empty product is [true]."""
-    lists = [list(branches) for branches in lists]
-    if not lists:
-        return BranchList([TRUE_SCHEMA])
-    rest = and_combine(lists[1:])
-    out = BranchList()
-    for left in lists[0]:
-        for right in rest:
-            out.add(conjoin(left, right))
+    """Cartesian conjunction of branch lists; the empty product is [true].
+
+    The lists are folded from the right in a loop, so a wide conjunction
+    costs no recursion."""
+    out = BranchList([TRUE_SCHEMA])
+    for branches in reversed([list(b) for b in lists]):
+        rest, out = out, BranchList()
+        for left in branches:
+            for right in rest:
+                out.add(conjoin(left, right))
     return out
 
 
@@ -113,14 +114,13 @@ def close(an: Analyzer, l1: Iterable[Schema], l2: Iterable[Schema]) -> BranchLis
 
 
 def or_combine(an: Analyzer, lists: Iterable[Iterable[Schema]]) -> BranchList:
-    """Concatenation of branch lists, completed by close insertions."""
-    lists = [list(branches) for branches in lists]
-    if not lists:
-        return BranchList()
-    rest = or_combine(an, lists[1:])
-    out = BranchList(lists[0])
-    out.merge(rest)
-    out.merge(close(an, lists[0], rest))
+    """Concatenation of branch lists, completed by close insertions,
+    folded from the right in a loop like :func:`and_combine`."""
+    out = BranchList()
+    for branches in reversed([list(b) for b in lists]):
+        rest, out = out, BranchList(branches)
+        out.merge(rest)
+        out.merge(close(an, branches, rest))
     return out
 
 

@@ -23,14 +23,17 @@ Annotations are tracked only where an ``unevaluated*`` keyword can observe
 them: a keyword list holding one compiles its in-place applicators
 (``allOf``/``anyOf``/``oneOf``/``$ref``) in annotation mode, transitively;
 ``not`` and every subschema applied to a child instance are in bool mode.
-In annotation mode the four in-place applicators are one step,
-``choice_step``: it holds when ``lo`` to ``hi`` of its subschemas are
-valid (``anyOf`` one or more, ``allOf`` all, ``oneOf`` and ``$ref``
-exactly one) and passes up the union of the valid subschemas'
-annotations.  A schema without ``unevaluated*`` keywords, such as a
-rewrite, therefore runs in bool mode throughout.  :func:`validate`
-returns the bool-mode verdict; :attr:`ValidationOutcome.annotation` is
-computed on first read, in annotation mode.
+Annotation mode is the bool-mode check plus ``_EVALUATES``, a table of
+what ``properties``, ``patternProperties``, ``additionalProperties``,
+``prefixItems`` and ``items`` evaluate, which depends only on the instance
+and the keyword's syntax.  Steps exist only where the annotation reads
+subschema verdicts or the annotation before it: ``contains``, the two
+``unevaluated*`` keywords, and ``choice_step``, which passes up the union
+of the valid subschemas' annotations for the four in-place applicators.
+A schema without ``unevaluated*`` keywords, such as a rewrite, runs in
+bool mode throughout.  :func:`validate` returns the bool-mode verdict;
+:attr:`ValidationOutcome.annotation` is computed on first read, in
+annotation mode.
 
 Only nodes reachable from the document's root and definitions are cached,
 so validating ad hoc schema objects against a document does not grow its
@@ -545,14 +548,15 @@ class _Compiler:
     # -- annotation mode
 
     def annotation_list(self, keywords: Sequence[Keyword], cached: bool):
-        """Annotation of a valid instance, or ``None``; stops at the first
-        failing keyword, whose annotation would be discarded anyway."""
-        plain = [kw for kw in keywords if kw.name not in _STEPS]
-        check = self.bool_list(plain, keywords, cached)
+        """Annotation of a valid instance, or ``None``: the bool check of
+        the keywords without a step, plus what they evaluate by
+        :data:`_EVALUATES`, then the steps, which read verdicts or the
+        annotation before them and stop at the first failing one."""
+        check = self.bool_list([kw for kw in keywords if kw.name not in _STEPS], keywords, cached)
+        evaluates = [_EVALUATES[kw.name](kw.value) for kw in keywords if kw.name in _EVALUATES]
         steps = tuple(
             _STEPS[kw.name](self, kw.value, keywords, cached)
-            for kw in keywords
-            if kw.name in _STEPS
+            for kw in keywords if kw.name in _STEPS
         )
         if check is _false:
             return _ann_false
@@ -563,6 +567,9 @@ class _Compiler:
             if check is not None and not check(x):
                 return None
             acc = _EMPTY
+            for kind, evaluated in evaluates:
+                if isinstance(x, kind):
+                    acc = acc | evaluated(x)
             for step in steps:
                 ok, found = step(x, acc)
                 if not ok:
@@ -577,17 +584,19 @@ class _Compiler:
         """``step(x, acc) -> (holds, annotation)`` of one keyword, with the
         annotation kept also when the keyword fails: ``allOf``, ``oneOf``
         and ``not`` keep the union of their valid subschemas' annotations,
-        the other steps keep theirs on failure anyway."""
+        the other keywords keep theirs on failure anyway."""
         name = kw.name
+        if name in _STEPS and name not in ("allOf", "oneOf"):
+            return _STEPS[name](self, kw.value, context, False)
+        check = self.bool_list((kw,), context, False)
         if name in ("allOf", "oneOf", "not"):
-            check = self.bool_list((kw,), context, False)
             union = self.choice_step((kw.value,) if name == "not" else kw.value, 0, INF, False)
             return lambda x, acc: (check(x), union(x, acc)[1])
-        make = _STEPS.get(name)
-        if make is not None:
-            return make(self, kw.value, context, False)
-        check = self.bool_list((kw,), context, False)
-        return lambda x, acc: (check(x), _EMPTY)
+        evaluates = _EVALUATES.get(name)
+        if evaluates is None:
+            return lambda x, acc: (check(x), _EMPTY)
+        kind, evaluated = evaluates(kw.value)
+        return lambda x, acc: (check(x), evaluated(x) if isinstance(x, kind) else _EMPTY)
 
     # Each step below is ``step(x, acc) -> (holds, annotation)``, where
     # ``acc`` is the annotation of the keywords before it.  A step may stop
@@ -620,22 +629,6 @@ class _Compiler:
 
         return choice
 
-    def properties_step(self, props, context, cached):
-        names = props.keys()
-        check = self.bool_properties(props, None, cached)
-        return _annotating(dict, check, lambda x: x.keys() & names)
-
-    def pattern_properties_step(self, props, context, cached):
-        searches = [compile_pattern(p).search for p in props]
-        check = self.bool_pattern_properties(props, None, cached)
-        return _annotating(
-            dict, check, lambda x: {k for k in x if any(s(k) is not None for s in searches)}
-        )
-
-    def additional_properties_step(self, sub, context, cached):
-        check = self.bool_additional_properties(sub, _siblings(context), cached)
-        return _annotating(dict, check, dict.keys)
-
     def unevaluated_properties_step(self, sub, context, cached):
         f = self.schema(sub, BOOL, cached)
 
@@ -648,15 +641,6 @@ class _Compiler:
             return True, x.keys()
 
         return unevaluated_properties
-
-    def prefix_items_step(self, subs, context, cached):
-        n = len(subs)
-        check = self.bool_prefix_items(subs, None, cached)
-        return _annotating(list, check, lambda x: set(range(min(n, len(x)))))
-
-    def items_step(self, sub, context, cached):
-        check = self.bool_items(sub, _siblings(context), cached)
-        return _annotating(list, check, lambda x: set(range(len(x))))
 
     def contains_step(self, sub, context, cached):
         f = self.schema(sub, BOOL, cached)
@@ -685,18 +669,6 @@ class _Compiler:
             return True, every
 
         return unevaluated_items
-
-
-def _annotating(kind: type, check: Check, annotate):
-    """Step of a keyword on instances of ``kind`` whose annotation does not
-    depend on its verdict."""
-
-    def step(x, acc):
-        if not isinstance(x, kind):
-            return _OK
-        return check(x), annotate(x)
-
-    return step
 
 
 def _const_check(value) -> Check:
@@ -771,19 +743,31 @@ _BOOL_KEYWORDS = {
 #: Keywords whose check reads the syntax of their siblings.
 _CONTEXT_READERS = frozenset(READS)
 
-#: Annotation-mode compilers: the keywords that can contribute to an
-#: annotation.
+
+def _matching_names(patterns):
+    searches = [compile_pattern(p).search for p in patterns]
+    return dict, lambda x: {k for k in x if any(s(k) is not None for s in searches)}
+
+
+#: What a keyword evaluates, given its value: the instance kind it applies
+#: to and the names or positions it evaluates in such an instance.  This
+#: depends only on the instance and the keyword's syntax.
+_EVALUATES = {
+    "properties": lambda props: (dict, lambda x: x.keys() & props.keys()),
+    "patternProperties": _matching_names,
+    "additionalProperties": lambda sub: (dict, dict.keys),
+    "prefixItems": lambda subs: (list, lambda x: set(range(min(len(subs), len(x))))),
+    "items": lambda sub: (list, lambda x: set(range(len(x)))),
+}
+
+#: Annotation-mode compilers of the keywords whose annotation reads their
+#: subschemas' verdicts or the annotation of the keywords before them.
 _STEPS = {
     "anyOf": lambda c, subs, context, cached: c.choice_step(subs, 1, INF, cached),
     "allOf": lambda c, subs, context, cached: c.choice_step(subs, len(subs), INF, cached),
     "oneOf": lambda c, subs, context, cached: c.choice_step(subs, 1, 1, cached),
     "$ref": lambda c, uri, context, cached: c.choice_step((deref(c.doc, uri),), 1, 1, True),
-    "properties": _Compiler.properties_step,
-    "patternProperties": _Compiler.pattern_properties_step,
-    "additionalProperties": _Compiler.additional_properties_step,
     "unevaluatedProperties": _Compiler.unevaluated_properties_step,
-    "prefixItems": _Compiler.prefix_items_step,
-    "items": _Compiler.items_step,
     "contains": _Compiler.contains_step,
     "unevaluatedItems": _Compiler.unevaluated_items_step,
 }

@@ -144,6 +144,30 @@ def test_escaped_definition_names_resolve(tmp_path, capsys):
         assert code == expected
 
 
+@pytest.mark.parametrize(
+    "pointer, selected",
+    [
+        ("/$defs/a~1b", {"type": "string"}),
+        ("/$defs/a", {"properties": {"b": {"type": "integer"}}}),
+        ("/$defs/a/b", None),
+    ],
+)
+def test_enf_pointer_selects_one_definition(tmp_path, capsys, pointer, selected):
+    # RFC 6901: an unescaped "/" ends the definition name
+    schema = write(
+        tmp_path,
+        "s.json",
+        {"$defs": {"a/b": {"type": "string"}, "a": {"properties": {"b": {"type": "integer"}}}}},
+    )
+    code, out, err = run(capsys, "enf", "--schema", schema, "--pointer", pointer)
+    if selected is None:
+        assert code == 2
+        assert "unsupported pointer" in err
+    else:
+        assert code == 0
+        assert json.loads(out)["schema"] == {"anyOf": [selected]}
+
+
 def test_enf_rejects_uneval_target(tmp_path, capsys):
     schema = write(tmp_path, "s.json", SCHEMA)
     code, _, err = run(capsys, "enf", "--schema", schema)

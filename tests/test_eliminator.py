@@ -866,3 +866,33 @@ def test_over_deep_schema_is_a_clean_error_and_the_next_rewrite_runs():
         elim_document_with_stats(build_document(closed, {}))
     doc = parse_schema(WORKED)
     assert count_uneval_keywords(elim_document(doc)) == 0
+
+
+@pytest.mark.parametrize(
+    "schema_json",
+    [
+        {
+            "anyOf": [*({"minimum": i} for i in range(1199)), {"properties": {"a": True}}],
+            "unevaluatedProperties": False,
+        },
+        {
+            "allOf": [{"anyOf": [{"minimum": 0}, {"properties": {"a": True}}]}] * 1200,
+            "unevaluatedProperties": False,
+        },
+    ],
+    ids=["anyOf", "allOf"],
+)
+def test_a_wide_applicator_is_not_too_deep_to_rewrite(schema_json):
+    doc = parse_schema(schema_json)
+    out = elim_document(doc)
+    assert count_uneval_keywords(out) == 0
+    for instance, valid in (
+        ({"a": 1}, True),
+        ({"b": 1}, False),
+        ({}, True),
+        ({"a": 1, "b": 2}, False),
+        (-5, True),
+        (3, True),
+    ):
+        assert validate(doc, doc.root, instance).valid is valid, instance
+        assert validate(out, out.root, instance).valid is valid, instance

@@ -20,8 +20,11 @@ every verdict must equal the witness's label on both sides.
 
 The report gives each side's p50 and p99 over per-slot medians (the shape
 of ``witness_validate_us_p50``/``_p99``), and the medians of the cold and
-of the warm slots.  Times are raw ``perf_counter_ns`` readings, not scaled
-to a reference machine as the benchmark's are.
+of the warm slots.  The warm median is also given for the originals (slots
+``2j``) and the rewrites (slots ``2j + 1``) apart: an original that carries
+``unevaluated*`` runs in annotation mode, a rewrite in bool mode.  Times
+are raw ``perf_counter_ns`` readings, not scaled to a reference machine as
+the benchmark's are.
 """
 
 from __future__ import annotations
@@ -78,6 +81,11 @@ class FixtureOps:
                     raise SystemExit(f"{self.name}: side {side} judged witness {j} {verdict}")
 
 
+def pooled(per_fixture: list[list[float]], part: slice) -> list[float]:
+    """The slot medians in ``part`` of every fixture's slots."""
+    return [m for medians in per_fixture for m in medians[part]]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", type=Path, required=True, help="checkout A (the parent)")
@@ -105,21 +113,22 @@ def main(argv=None) -> int:
 
     summary = {}
     for s in SIDES:
-        medians = [statistics.median(slot) / 1e3 for slots in times[s] for slot in slots]
-        cold = [statistics.median(slot) / 1e3 for slots in times[s] for slot in slots[:2]]
-        warm = [statistics.median(slot) / 1e3 for slots in times[s] for slot in slots[2:]]
+        per_fixture = [[statistics.median(slot) / 1e3 for slot in slots] for slots in times[s]]
+        medians = pooled(per_fixture, slice(None))
         summary[s] = {
             "slot_p50_us": percentile(medians, 0.5),
             "slot_p99_us": percentile(medians, 0.99),
-            "cold_p50_us": statistics.median(cold),
-            "warm_p50_us": statistics.median(warm),
+            "cold_p50_us": statistics.median(pooled(per_fixture, slice(2))),
+            "warm_p50_us": statistics.median(pooled(per_fixture, slice(2, None))),
+            "warm_original_p50_us": statistics.median(pooled(per_fixture, slice(2, None, 2))),
+            "warm_rewrite_p50_us": statistics.median(pooled(per_fixture, slice(3, None, 2))),
         }
     rows = {
         label: {"a": summary["a"][label], "b": summary["b"][label]} for label in summary["a"]
     }
     for label, row in rows.items():
         row["delta"] = rel(row["a"], row["b"])
-        print(f"{label:12} A {row['a']:9.2f} us  B {row['b']:9.2f} us  {100 * row['delta']:+7.1f}%")
+        print(f"{label:20} A {row['a']:9.2f} us  B {row['b']:9.2f} us  {100 * row['delta']:+7.1f}%")
     if args.json:
         report = {
             "python": platform.python_version(),
