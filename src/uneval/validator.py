@@ -35,6 +35,16 @@ bool mode throughout.  :func:`validate` returns the bool-mode verdict;
 :attr:`ValidationOutcome.annotation` is computed on first read, in
 annotation mode.
 
+A node's bool-mode check dispatches once on the instance's class, over a
+table of only the JSON classes its keywords constrain plus one default
+(``False`` where ``type`` or ``const`` narrow the classes); a one-class
+table tests ``type(x) is T``, and a value of another Python class, such as
+an ``OrderedDict``, is looked up by its JSON class.  Only a named node
+(the root, a definition, an anchor) can be re-entered by a ``$ref``, so
+only these get a late-bound trampoline while under way.  Compiled checks
+bind what they read as default arguments, not as closure cells, each one
+more object to allocate and keep.
+
 Only nodes reachable from the document's root and definitions are cached,
 so validating ad hoc schema objects against a document does not grow its
 cache; such nodes are compiled afresh on each call.
@@ -189,18 +199,26 @@ def _ann_false(x):
     return None
 
 
+def _late(cell: list) -> Check:
+    return lambda x, cell=cell: cell[0](x)
+
+
+def _verdict(annotated) -> Check:
+    return lambda x, annotated=annotated: annotated(x) is not None
+
+
 _CONSTANT = {(True, BOOL): _true, (False, BOOL): _false, (True, ANNOT): _ann_true, (False, ANNOT): _ann_false}
 
 _NULL = type(None)
 _NUMBERS = (int, float, Decimal)
-#: The exact Python types of JSON values; bool before int for isinstance.
-_JSON_TYPES = (bool, dict, list, str, int, float, Decimal, _NULL)
+#: The exact Python classes of JSON values.
+_EXACT = frozenset((bool, dict, list, str, int, float, Decimal, _NULL))
 _TYPE_CLASSES = {
     "object": (dict,),
     "array": (list,),
     "string": (str,),
     "number": _NUMBERS,
-    "integer": _NUMBERS,
+    "integer": _NUMBERS,  # with the checks of _INTEGRAL
     "boolean": (bool,),
     "null": (_NULL,),
 }
@@ -213,10 +231,9 @@ def _all(checks: Sequence[Check]) -> Check:
         return checks[0]
     if len(checks) == 2:
         a, b = checks
-        return lambda x: a(x) and b(x)
-    checks = tuple(checks)
+        return lambda x, a=a, b=b: a(x) and b(x)
 
-    def all_(x):
+    def all_(x, checks=tuple(checks)):
         for c in checks:
             if not c(x):
                 return False
@@ -225,25 +242,27 @@ def _all(checks: Sequence[Check]) -> Check:
     return all_
 
 
-def _dispatch(table: dict) -> Check:
-    """One check per exact instance type, as a single closure."""
-    first = table[dict]
-    if all(f is first for f in table.values()):
-        return first
-    get = table.get
+def _dispatch(table: dict, default: Check) -> Check:
+    """One check per instance type, as a single closure: ``table`` maps the
+    JSON classes a node constrains, ``default`` serves the others.  A value
+    of another Python class is looked up by its JSON class."""
+    if len(table) == 1:
+        ((only, f),) = table.items()
 
-    def by_type(x):
-        f = get(type(x))
+        def one_type(x, only=only, f=f, default=default):
+            t = type(x)
+            return (f if t is only or t not in _EXACT and json_class(x) is only else default)(x)
+
+        return one_type
+
+    def by_type(x, get=table.get, default=default):
+        t = type(x)
+        f = get(t)
         if f is None:
-            f = table[json_class(x)]
+            f = default if t in _EXACT else get(json_class(x), default)
         return f(x)
 
     return by_type
-
-
-def _restrict(accepted, types) -> set:
-    """The accepted instance types narrowed to ``types``; ``None`` is all."""
-    return set(types) if accepted is None else accepted.intersection(types)
 
 
 def _siblings(context: Sequence[Keyword]) -> dict:
@@ -263,7 +282,8 @@ class _Compiler:
         self.new: dict[int, list] = {}
         #: named schemas whose compilation is under way, for recursive $ref
         self.pending: dict[tuple[int, int], list] = {}
-        self.named = {id(doc.root), *map(id, doc.defs.values())}
+        #: the nodes a ``$ref`` can reach
+        self.named = {id(doc.root), *map(id, doc.defs.values()), *map(id, doc.anchors.values())}
 
     def commit(self) -> None:
         cache = self.doc.compiled
@@ -280,8 +300,8 @@ class _Compiler:
     def schema(self, node: Schema, mode: int, cached: bool):
         """Compile a node; ``cached`` marks a node of the document.
 
-        A reference back to a node whose compilation is under way gets a
-        late-bound trampoline.
+        A reference back to a named node whose compilation is under way
+        gets a late-bound trampoline.
         """
         if isinstance(node, BoolSchema):
             return _CONSTANT[node.value, mode]
@@ -292,22 +312,24 @@ class _Compiler:
         old = self.doc.compiled.get(i)
         if old is not None and old[0] is node and old[mode] is not None:
             return old[mode]
-        cached = cached or i in self.named
-        key = (i, mode)
-        cell = self.pending.get(key)
-        if cell is not None:
-            return lambda x: cell[0](x)
-        cell = self.pending[key] = [None]
+        named = i in self.named
+        if named:
+            cached = True
+            key = (i, mode)
+            cell = self.pending.get(key)
+            if cell is not None:
+                return _late(cell)
+            cell = self.pending[key] = [None]
         keywords = node.keywords
         if mode == ANNOT:
             fn = self.annotation_list(keywords, cached)
         elif keywords and keywords[-1].name in ADK_NAMES:  # rank order: ADKs last
-            annotated = self.schema(node, ANNOT, cached)
-            fn = lambda x: annotated(x) is not None
+            fn = _verdict(self.schema(node, ANNOT, cached))
         else:
             fn = self.bool_list(keywords, keywords, cached)
-        cell[0] = fn
-        del self.pending[key]
+        if named:
+            cell[0] = fn
+            del self.pending[key]
         if cached:
             entry = self.new.get(i)  # compiling the other mode may have made it
             if entry is None:
@@ -324,21 +346,22 @@ class _Compiler:
         :data:`~uneval.schema.READS` read.
         """
         general: list[Check] = []
-        typed: dict[type, list[Check]] = {}
+        # the checks of the keywords that constrain some instance types only
+        typed: dict[tuple, list[Check]] = {}
         # the instance types left by ``type`` and ``const``; None: all
         accepted = None
+        integer = False
         siblings = None
         for kw in keywords:
             name = kw.name
-            if name == "type":
-                accepted = _restrict(accepted, _TYPE_CLASSES[kw.value])
-                if kw.value == "integer":
-                    typed.setdefault(float, []).insert(0, float.is_integer)
-                    typed.setdefault(Decimal, []).insert(0, _is_integral)
-                continue
-            if name == "const":
-                accepted = _restrict(accepted, _TYPE_CLASSES[type_of(kw.value)])
-                general.append(_const_check(kw.value))
+            if name == "type" or name == "const":
+                if name == "type":
+                    classes = _TYPE_CLASSES[kw.value]
+                    integer = kw.value == "integer"
+                else:
+                    classes = _TYPE_CLASSES[type_of(kw.value)]
+                    general.append(_const_check(kw.value))
+                accepted = classes if accepted is None else [t for t in accepted if t in classes]
                 continue
             compile_kw = _BOOL_KEYWORDS.get(name)
             if compile_kw is None:
@@ -349,32 +372,29 @@ class _Compiler:
             check = compile_kw(self, kw.value, siblings, cached)
             if check is _true:
                 continue
-            if check is _false and types is None:
+            if types is not None:
+                typed.setdefault(types, []).append(check)
+            elif check is _false:
                 return _false
-            if types is None:
-                general.append(check)
             else:
-                for t in types:
-                    typed.setdefault(t, []).append(check)
-        if accepted is None and not typed:
-            return _all(general)
+                general.append(check)
         if accepted is not None and not accepted:
             return _false
         every = _all(general)
-        combined: dict[tuple, Check] = {}
-        table = {}
-        for t in _JSON_TYPES:
-            if accepted is not None and t not in accepted:
-                table[t] = _false
-            elif t not in typed:
-                table[t] = every
-            else:
-                checks = (*typed[t], *general)
-                fn = combined.get(checks)
-                if fn is None:
-                    fn = combined[checks] = _all(checks)
-                table[t] = fn
-        return _dispatch(table)
+        if accepted is None and not typed:
+            return every
+        table = dict.fromkeys(accepted or (), every)
+        default = every if accepted is None else _false
+        for types, checks in typed.items():
+            fn = _all(checks + general)
+            for t in types:
+                if accepted is None or t in accepted:
+                    table[t] = fn
+        if integer:
+            for t, is_integral in _INTEGRAL:
+                fn = table[t]
+                table[t] = is_integral if fn is _true else _all((is_integral, fn))
+        return _dispatch(table, default)
 
     def bool_any_of(self, branches, siblings, cached) -> Check:
         fs = [self.schema(s, BOOL, cached) for s in branches]
@@ -386,7 +406,7 @@ class _Compiler:
         if len(fs) == 1:
             return fs[0]
 
-        def any_of(x):
+        def any_of(x, fs=fs):
             for f in fs:
                 if f(x):
                     return True
@@ -403,7 +423,7 @@ class _Compiler:
     def bool_one_of(self, branches, siblings, cached) -> Check:
         fs = tuple(self.schema(s, BOOL, cached) for s in branches)
 
-        def one_of(x):
+        def one_of(x, fs=fs):
             found = False
             for f in fs:
                 if f(x):
@@ -420,7 +440,7 @@ class _Compiler:
             return _false
         if f is _false:
             return _true
-        return lambda x: not f(x)
+        return lambda x, f=f: not f(x)
 
     def bool_ref(self, uri, siblings, cached) -> Check:
         return self.schema(deref(self.doc, uri), BOOL, True)
@@ -433,9 +453,8 @@ class _Compiler:
                 subs[name] = f
         if not subs:
             return _true
-        get = subs.get
 
-        def properties(x):
+        def properties(x, get=subs.get):
             for k, v in x.items():
                 f = get(k)
                 if f is not None and not f(v):
@@ -453,7 +472,7 @@ class _Compiler:
         if not pairs:
             return _true
 
-        def pattern_properties(x):
+        def pattern_properties(x, pairs=tuple(pairs)):
             for k, v in x.items():
                 for search, f in pairs:
                     if search(k) is not None and not f(v):
@@ -469,7 +488,7 @@ class _Compiler:
         names = frozenset(siblings.get("properties", ()))
         searches = tuple(compile_pattern(p).search for p in siblings.get("patternProperties", ()))
 
-        def additional_properties(x):
+        def additional_properties(x, names=names, searches=searches, f=f):
             for k, v in x.items():
                 if k in names:
                     continue
@@ -488,7 +507,7 @@ class _Compiler:
         if f is _true:
             return _true
 
-        def property_names(x):
+        def property_names(x, f=f):
             for k in x:
                 if not f(k):
                     return False
@@ -501,7 +520,7 @@ class _Compiler:
         if all(f is _true for f in fs):
             return _true
 
-        def prefix_items(x):
+        def prefix_items(x, fs=fs):
             for f, v in zip(fs, x):
                 if not f(v):
                     return False
@@ -515,9 +534,9 @@ class _Compiler:
         if f is _true:
             return _true
         if f is _false:
-            return lambda x: len(x) <= start
+            return lambda x, start=start: len(x) <= start
 
-        def items(x):
+        def items(x, f=f, start=start):
             for i in range(start, len(x)):
                 if not f(x[i]):
                     return False
@@ -532,7 +551,7 @@ class _Compiler:
         if lo == 0 and hi == INF:
             return _true
 
-        def contains(x):
+        def contains(x, f=f, lo=lo, hi=hi):
             n = 0
             for v in x:
                 if f(v):
@@ -563,7 +582,7 @@ class _Compiler:
         if check is _true:
             check = None
 
-        def annotated(x):
+        def annotated(x, check=check, evaluates=tuple(evaluates), steps=steps):
             if check is not None and not check(x):
                 return None
             acc = _EMPTY
@@ -608,9 +627,8 @@ class _Compiler:
         more than ``len(branches) - lo`` branches have failed or more than
         ``hi`` have held."""
         fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
-        most_failed = len(fs) - lo
 
-        def choice(x, acc):
+        def choice(x, acc, fs=fs, most_failed=len(fs) - lo, hi=hi, lo=lo):
             valid = failed = 0
             union = _EMPTY
             for f in fs:
@@ -632,7 +650,7 @@ class _Compiler:
     def unevaluated_properties_step(self, sub, context, cached):
         f = self.schema(sub, BOOL, cached)
 
-        def unevaluated_properties(x, acc):
+        def unevaluated_properties(x, acc, f=f):
             if not isinstance(x, dict):
                 return _OK
             for k, v in x.items():
@@ -648,7 +666,7 @@ class _Compiler:
         lo = siblings.get("minContains", 1)
         hi = siblings.get("maxContains", INF)
 
-        def contains(x, acc):
+        def contains(x, acc, f=f, lo=lo, hi=hi):
             if not isinstance(x, list):
                 return _OK
             hits = {i for i, v in enumerate(x) if f(v)}
@@ -659,7 +677,7 @@ class _Compiler:
     def unevaluated_items_step(self, sub, context, cached):
         f = self.schema(sub, BOOL, cached)
 
-        def unevaluated_items(x, acc):
+        def unevaluated_items(x, acc, f=f):
             if not isinstance(x, list):
                 return _OK
             every = set(range(len(x)))
@@ -673,20 +691,22 @@ class _Compiler:
 
 def _const_check(value) -> Check:
     if isinstance(value, bool) or value is None:
-        return lambda x: x is value
+        return lambda x, value=value: x is value
     if isinstance(value, (list, dict)):
-        key = unique_key(value)
-        return lambda x: unique_key(x) == key
-    return lambda x: x == value
+        return lambda x, key=unique_key(value): unique_key(x) == key
+    return lambda x, value=value: x == value
 
 
 def _is_integral(x: Decimal) -> bool:
     return x == x.to_integral_value()
 
 
+#: The checks ``"type": "integer"`` adds to the number classes it accepts.
+_INTEGRAL = ((float, float.is_integer), (Decimal, _is_integral))
+
+
 def _pattern(source: str) -> Check:
-    search = compile_pattern(source).search
-    return lambda x: search(x) is not None
+    return lambda x, search=compile_pattern(source).search: search(x) is not None
 
 
 def _required(names) -> Check:
@@ -695,8 +715,8 @@ def _required(names) -> Check:
         return _true
     if len(need) == 1:
         (name,) = need
-        return lambda x: name in x
-    return lambda x: x.keys() >= need
+        return lambda x, name=name: name in x
+    return lambda x, need=need: x.keys() >= need
 
 
 def _unique_items(x) -> bool:
@@ -722,21 +742,21 @@ _BOOL_KEYWORDS = {
     "oneOf": (None, _Compiler.bool_one_of),
     "not": (None, _Compiler.bool_not),
     "$ref": (None, _Compiler.bool_ref),
-    "minimum": _leaf(_NUMBERS, lambda m: lambda x: x >= m),
-    "maximum": _leaf(_NUMBERS, lambda m: lambda x: x <= m),
+    "minimum": _leaf(_NUMBERS, lambda m: lambda x, m=m: x >= m),
+    "maximum": _leaf(_NUMBERS, lambda m: lambda x, m=m: x <= m),
     "pattern": _leaf((str,), _pattern),
     "properties": ((dict,), _Compiler.bool_properties),
     "patternProperties": ((dict,), _Compiler.bool_pattern_properties),
     "additionalProperties": ((dict,), _Compiler.bool_additional_properties),
     "required": _leaf((dict,), _required),
     "propertyNames": ((dict,), _Compiler.bool_property_names),
-    "minProperties": _leaf((dict,), lambda n: lambda x: len(x) >= n),
-    "maxProperties": _leaf((dict,), lambda n: lambda x: len(x) <= n),
+    "minProperties": _leaf((dict,), lambda n: lambda x, n=n: len(x) >= n),
+    "maxProperties": _leaf((dict,), lambda n: lambda x, n=n: len(x) <= n),
     "prefixItems": ((list,), _Compiler.bool_prefix_items),
     "items": ((list,), _Compiler.bool_items),
     "contains": ((list,), _Compiler.bool_contains),
-    "minItems": _leaf((list,), lambda n: lambda x: len(x) >= n),
-    "maxItems": _leaf((list,), lambda n: lambda x: len(x) <= n),
+    "minItems": _leaf((list,), lambda n: lambda x, n=n: len(x) >= n),
+    "maxItems": _leaf((list,), lambda n: lambda x, n=n: len(x) <= n),
     "uniqueItems": _leaf((list,), lambda on: _unique_items if on else _true),
 }
 
@@ -745,18 +765,18 @@ _CONTEXT_READERS = frozenset(READS)
 
 
 def _matching_names(patterns):
-    searches = [compile_pattern(p).search for p in patterns]
-    return dict, lambda x: {k for k in x if any(s(k) is not None for s in searches)}
+    searches = tuple(compile_pattern(p).search for p in patterns)
+    return dict, lambda x, searches=searches: {k for k in x if any(s(k) is not None for s in searches)}
 
 
 #: What a keyword evaluates, given its value: the instance kind it applies
 #: to and the names or positions it evaluates in such an instance.  This
 #: depends only on the instance and the keyword's syntax.
 _EVALUATES = {
-    "properties": lambda props: (dict, lambda x: x.keys() & props.keys()),
+    "properties": lambda props: (dict, lambda x, names=props.keys(): x.keys() & names),
     "patternProperties": _matching_names,
     "additionalProperties": lambda sub: (dict, dict.keys),
-    "prefixItems": lambda subs: (list, lambda x: set(range(min(len(subs), len(x))))),
+    "prefixItems": lambda subs: (list, lambda x, n=len(subs): set(range(min(n, len(x))))),
     "items": lambda sub: (list, lambda x: set(range(len(x)))),
 }
 

@@ -100,6 +100,13 @@ def test_eq_patterns_dotstar_absorption():
     )
 
 
+def test_eq_patterns_keeps_a_set_with_dotstar_apart_from_one_without():
+    with_dotstar = frozenset({exact_pattern("a"), ".*"})
+    for without in (frozenset(), frozenset({exact_pattern("a")}), frozenset({"^b"})):
+        assert not eq_patterns(with_dotstar, without)
+        assert not eq_patterns(without, with_dotstar)
+
+
 def test_eq_pairs():
     s = parse_schema({"type": "string"}).root
     t = parse_schema({"type": "string"}).root
@@ -345,6 +352,12 @@ def _ref_meet(pairs):
     return _ref_pair(min(p.h for p in pairs), combine([p.guard for p in pairs], TRUE_SCHEMA))
 
 
+def _ref_same_names(patterns):
+    """A pattern set up to what it tells apart: every set holding ``.*``
+    matches every name."""
+    return frozenset({".*"}) if ".*" in patterns else patterns
+
+
 class _FourWalkAnalyzer:
     """Reference bounds: each of the four computed by a walk of its own,
     with its own memo and its own set and pair operations, folding every
@@ -434,7 +447,7 @@ class _FourWalkAnalyzer:
 
     def ex_ep(self, s):
         lo, hi = self.min_ep(s), self.max_ep(s)
-        return lo if eq_patterns(lo, hi) else None
+        return lo if _ref_same_names(lo) == _ref_same_names(hi) else None
 
     def ex_ei(self, s):
         lo, hi = self.min_ei(s), self.max_ei(s)

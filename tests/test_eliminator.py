@@ -370,6 +370,31 @@ def test_elim_document_worked_example():
     assert ok, witness
 
 
+CHOICE_OF_NAMES_OR_ANY = {
+    "oneOf": [
+        {"properties": {"a": True}, "required": ["a"]},
+        {"additionalProperties": {"type": "integer"}, "required": ["b"]},
+    ],
+    "unevaluatedProperties": False,
+}
+
+
+def test_rewrite_of_a_choice_between_named_and_any_properties():
+    """One branch evaluates ``a``, the other every name (``.*``): the
+    rewrite must not take the two sets as one."""
+    doc = parse_schema(CHOICE_OF_NAMES_OR_ANY)
+    out = elim_document(doc)
+    instances = [{"a": 1}, {"b": 1}, {"a": 1, "b": 1}, {"b": "x"}, {"a": 1, "c": 2}, {}]
+    for instance in instances:
+        assert validate(out, out.root, instance).valid is validate(doc, doc.root, instance).valid
+    assert validate(out, out.root, {"a": 1}).valid
+    assert validate(out, out.root, {"b": 1}).valid
+    jsonschema = pytest.importorskip("jsonschema")
+    reference = jsonschema.Draft202012Validator(CHOICE_OF_NAMES_OR_ANY)
+    for instance in instances:
+        assert validate(out, out.root, instance).valid is reference.is_valid(instance), instance
+
+
 def test_elim_document_classical_unchanged():
     doc = parse_schema(
         {"properties": {"a": {"type": "integer"}}, "additionalProperties": False}

@@ -1,9 +1,15 @@
-"""How the measuring tools in ``tools/`` name the checkouts they compare."""
+"""How the measuring tools in ``tools/`` name the checkouts they compare,
+and how they stop."""
 
 import importlib
+import json
+import os
 import re
 import shutil
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -48,3 +54,52 @@ def test_the_ab_tools_name_checkouts_as_bench_pairs_does(tools):
         module = tools.import_module(tool)
         assert module.identify is identify
         assert not hasattr(module, "head")
+
+
+_SLEEPING_BENCH = """\
+import os, sys, time
+from pathlib import Path
+Path(sys.argv[0]).with_name("pid").write_text(str(os.getpid()))
+time.sleep(60)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_bench_pairs_stops_its_running_child_on_sigterm(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "bench").mkdir(parents=True)
+    (checkout / "bench" / "run.py").write_text(_SLEEPING_BENCH)
+    (checkout / "BENCHMARK.json").write_text(
+        json.dumps({"workloads": [{"name": "w"}], "end_to_end": []})
+    )
+    pid_file = checkout / "bench" / "pid"
+    tool = subprocess.Popen(
+        [sys.executable, str(REPO / "tools" / "bench_pairs.py"), "--parent", str(checkout),
+         "--change", str(checkout), "--seeds", "1", "--log", str(tmp_path / "log"),
+         "--out", str(tmp_path / "out.json")],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    child = None
+    try:
+        deadline = time.monotonic() + 10
+        while not pid_file.exists() or not pid_file.read_text():
+            assert tool.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        child = int(pid_file.read_text())
+        tool.send_signal(signal.SIGTERM)
+        code = tool.wait(10)
+        assert not _alive(child)
+        assert code == 128 + signal.SIGTERM
+    finally:
+        tool.kill()
+        tool.wait()
+        if child is not None and _alive(child):
+            os.kill(child, signal.SIGKILL)

@@ -1,10 +1,11 @@
 import json
 import random
+from collections import OrderedDict
 
 import pytest
 
 from uneval.eliminate import elim_document
-from uneval.jsonvalue import json_equal, parse_json
+from uneval.jsonvalue import json_class, json_equal, parse_json
 from uneval.schema import (
     Keyword,
     ObjSchema,
@@ -105,6 +106,101 @@ def test_integer_type_accepts_integral_decimals_and_floats(text, valid):
     # the reference reads the text as Python's json module does: a float
     jsonschema = pytest.importorskip("jsonschema")
     assert jsonschema.Draft202012Validator({"type": "integer"}).is_valid(json.loads(text)) is valid
+
+
+AT_MOST_ONE_1 = {"contains": {"const": 1}, "minContains": 0, "maxContains": 1}
+
+
+@pytest.mark.parametrize(
+    "instance, valid, evaluated",
+    [([], True, set()), ([1], True, {0}), ([2, 2], True, set()), ([1, 1], False, None)],
+)
+def test_min_contains_zero_still_bounds_the_matches(instance, valid, evaluated):
+    """``minContains: 0`` drops only the lower bound: ``maxContains`` still
+    holds, in bool mode, in annotation mode and beside ``unevaluatedItems``."""
+    o = outcome(AT_MOST_ONE_1, instance)
+    assert o.valid is valid
+    if valid:
+        assert o.annotation.items == evaluated
+    closed = {**AT_MOST_ONE_1, "unevaluatedItems": False}
+    closed_valid = valid and evaluated == set(range(len(instance)))
+    assert outcome(closed, instance).valid is closed_valid
+    assert outcome({"allOf": [closed]}, instance).valid is closed_valid
+    jsonschema = pytest.importorskip("jsonschema")
+    assert jsonschema.Draft202012Validator(AT_MOST_ONE_1).is_valid(instance) is valid
+    assert jsonschema.Draft202012Validator(closed).is_valid(instance) is closed_valid
+
+
+class _Dict(dict):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def _disguised(value, dict_class):
+    """``value`` with its objects, integers and strings of other classes."""
+    if isinstance(value, dict):
+        return dict_class((_Str(k), _disguised(v, dict_class)) for k, v in value.items())
+    if isinstance(value, list):
+        return [_disguised(v, dict_class) for v in value]
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return _Int(value)
+    if isinstance(value, str):
+        return _Str(value)
+    return value
+
+
+NON_EXACT_SCHEMAS = [
+    {"type": "object", "properties": {"a": {"type": "integer", "minimum": 1}}},
+    {"properties": {"a": {"minimum": 1}, "b": {"type": "string", "const": "x"}}},
+    {"type": "integer", "minimum": 2},
+    {"minimum": 2},
+    {"type": "string", "const": "x"},
+    {"const": {"a": 1}},
+    {"type": "array", "prefixItems": [{"type": "object"}], "items": {"type": "integer"}},
+    {"properties": {"a": {"const": 1}}, "unevaluatedProperties": {"type": "string"}},
+    {"anyOf": [{"type": "integer"}, {"properties": {"a": True}}], "unevaluatedProperties": False},
+]
+NON_EXACT_INSTANCES = [
+    {"a": 1}, {"a": 0}, {"a": 1, "b": "x"}, {"b": "y"}, {"a": 1, "c": "z"}, {"c": 2},
+    2, 1, "x", "y", [{"a": 1}, 3], [{"a": 1}, "x"], [1],
+]
+
+
+@pytest.mark.parametrize("dict_class", [OrderedDict, _Dict])
+def test_values_of_other_classes_get_their_json_classs_verdict(monkeypatch, dict_class):
+    """An ``OrderedDict``, a ``dict``, ``int`` or ``str`` subclass is judged
+    and annotated as the exact value it equals, in both modes."""
+    from uneval import validator
+
+    seen = []
+    monkeypatch.setattr(validator, "json_class", lambda x: seen.append(x) or json_class(x))
+    verdicts = set()
+    for schema_json in NON_EXACT_SCHEMAS:
+        for instance in NON_EXACT_INSTANCES:
+            expected = outcome(schema_json, instance)
+            got = outcome(schema_json, _disguised(instance, dict_class))
+            assert got.valid is expected.valid, (schema_json, instance)
+            assert got.annotation == expected.annotation, (schema_json, instance)
+            verdicts.add(expected.valid)
+    assert verdicts == {True, False}
+    assert {type(x) for x in seen} == {dict_class, _Int, _Str}
+
+
+@pytest.mark.parametrize("schema_json", [{"type": "integer"}, {"type": "number"}])
+@pytest.mark.parametrize("instance", [True, False])
+def test_booleans_are_not_numbers(schema_json, instance):
+    assert not outcome(schema_json, instance).valid
+    assert not outcome({"allOf": [schema_json], "unevaluatedItems": False}, instance).valid
+    assert outcome({"minimum": 5}, instance).valid
 
 
 FIRST_ARRAY = {
@@ -476,6 +572,70 @@ def test_compile_cut_short_by_depth_leaves_the_cache_as_it_was():
     assert doc.compiled == {}
     assert validate(doc, small, "x").valid
     assert list(doc.compiled) == [id(small)]
+
+
+_CEILING_PROBE = """
+import json, sys
+from uneval import parse_schema, validate
+from uneval.errors import NestingDepthError
+
+def answers(kind, depth, annotation):
+    s = {}
+    for _ in range(depth):
+        s = {"allOf": [s]} if kind == "allOf" else {"properties": {"a": s}}
+    doc = parse_schema(s)
+    try:
+        outcome = validate(doc, doc.root, {})
+        if annotation:
+            outcome.annotation
+    except NestingDepthError as e:
+        assert "nests too deeply" in str(e), e
+        return False
+    return True
+
+found = []
+for kind, annotation, depth in json.loads(sys.argv[1]):
+    while answers(kind, depth, annotation):
+        depth += 1
+    found.append(depth - 1)
+print(json.dumps(found))
+"""
+
+#: Per chain of ``allOf`` or ``properties`` wrappers around ``{}`` applied
+#: to ``{}``: the deepest chain whose verdict (``valid``) or annotation
+#: the validator computed at the default recursion limit, measured at
+#: fa2d3d3.
+DEPTH_CEILINGS = [
+    ("allOf", False, 248),
+    ("allOf", True, 165),
+    ("properties", False, 331),
+    ("properties", True, 331),
+]
+
+
+def test_the_depth_ceilings_do_not_fall():
+    """In a fresh interpreter, each chain answers 5 levels short of its
+    ceiling, and the first chain too deep to answer is a clean
+    ``NestingDepthError``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import uneval
+
+    pinned = [(kind, annotation, ceiling - 5) for kind, annotation, ceiling in DEPTH_CEILINGS]
+    done = subprocess.run(
+        [sys.executable, "-c", _CEILING_PROBE, json.dumps(pinned)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(uneval.__file__).parent.parent)),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)
+    for (kind, annotation, floor), deepest in zip(pinned, found):
+        assert deepest >= floor, (kind, annotation, deepest)
 
 
 def test_annotation_too_deep_to_compute_is_a_clean_error(monkeypatch):

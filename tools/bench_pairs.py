@@ -17,7 +17,8 @@ change stays within the metric's bound.  Each run's ``peak_rss_mb`` is
 listed beside the oracle's repetitions per op, which set the size of its
 sample arrays.  The tier-1 suite is timed once per checkout.  Each
 checkout is named by its commit or, outside a git repository, by a
-sha256 over its ``src/`` files (:func:`identify`).
+sha256 over its ``src/`` files (:func:`identify`).  Stopped with SIGTERM
+or SIGINT, the tool stops its running child first.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import hashlib
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import time
@@ -35,6 +37,11 @@ from pathlib import Path
 SECONDS = 20
 BENCH = ["bench/run.py", "--seconds", str(SECONDS), "--trace", "0"]
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+#: Seconds a child stopped with SIGTERM gets before it is killed.
+GRACE_S = 2.0
+
+#: The child process running now, stopped with the tool on SIGTERM/SIGINT.
+_child: subprocess.Popen | None = None
 
 
 def seeds_arg(text: str) -> list[int]:
@@ -55,30 +62,52 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return at(0.25), at(0.5), at(0.75)
 
 
-def run_bench(checkout: Path, workload: str, seed: int) -> dict:
-    t0 = time.time()
-    done = subprocess.run(
-        [sys.executable, *BENCH, "--workload", workload, "--seed", str(seed)],
+def run_child(args: list[str], checkout: Path, env=None) -> tuple[int, str]:
+    """Exit code and standard output of ``python args`` run in ``checkout``."""
+    global _child
+    _child = subprocess.Popen(
+        [sys.executable, *args],
         cwd=checkout,
-        capture_output=True,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
     )
-    lines = done.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
+    stdout, _ = _child.communicate()
+    code, _child = _child.returncode, None
+    return code, stdout
+
+
+def stop(signum, frame) -> None:
+    """Terminate the running child, kill it after ``GRACE_S``, and exit."""
+    child = _child
+    if child is not None and child.poll() is None:
+        child.terminate()
+        try:
+            child.wait(GRACE_S)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
+    sys.exit(128 + signum)
+
+
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
+    t0 = time.time()
+    code, stdout = run_child([*BENCH, "--workload", workload, "--seed", str(seed)], checkout)
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if code == 0 and lines else None
     # the run's "# key: value" lines, such as the oracle's validated pairs
     info = dict(line[2:].rpartition(": ")[::2] for line in lines if line.startswith("# "))
-    return {"exit": done.returncode, "wall_s": time.time() - t0, "result": result, "info": info}
+    return {"exit": code, "wall_s": time.time() - t0, "result": result, "info": info}
 
 
 def time_tier1(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     t0 = time.time()
-    done = subprocess.run(
-        [sys.executable, *TIER1], cwd=checkout, env=env, capture_output=True, text=True
-    )
+    _, stdout = run_child(TIER1, checkout, env)
     return {
         "wall_s": round(time.time() - t0, 1),
-        "summary": done.stdout.strip().splitlines()[-1] if done.stdout.strip() else "",
+        "summary": stdout.strip().splitlines()[-1] if stdout.strip() else "",
     }
 
 
@@ -210,6 +239,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, stop)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     collect(args, spec)
 
