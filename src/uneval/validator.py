@@ -346,7 +346,7 @@ class _Compiler:
         :data:`~uneval.schema.READS` read.
         """
         general: list[Check] = []
-        # the checks of the keywords that constrain some instance types only
+        # the checks of the keywords that constrain some types, by those types
         typed: dict[tuple, list[Check]] = {}
         # the instance types left by ``type`` and ``const``; None: all
         accepted = None
@@ -735,7 +735,7 @@ def _leaf(types, make):
 
 
 #: Bool-mode compilers of the keywords other than ``type``/``const``, with
-#: the instance types they constrain (``None``: every type).
+#: the disjoint groups of instance types they constrain (``None``: all).
 _BOOL_KEYWORDS = {
     "anyOf": (None, _Compiler.bool_any_of),
     "allOf": (None, _Compiler.bool_all_of),

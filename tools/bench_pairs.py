@@ -40,9 +40,6 @@ TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collecti
 #: Seconds a child stopped with SIGTERM gets before it is killed.
 GRACE_S = 2.0
 
-#: The child process running now, stopped with the tool on SIGTERM/SIGINT.
-_child: subprocess.Popen | None = None
-
 
 def seeds_arg(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
@@ -63,9 +60,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def run_child(args: list[str], checkout: Path, env=None) -> tuple[int, str]:
-    """Exit code and standard output of ``python args`` run in ``checkout``."""
-    global _child
-    _child = subprocess.Popen(
+    """Exit code and standard output of ``python args`` run in ``checkout``.
+    If the tool stops first, the child is terminated, and killed after
+    ``GRACE_S``."""
+    child = subprocess.Popen(
         [sys.executable, *args],
         cwd=checkout,
         env=env,
@@ -73,21 +71,20 @@ def run_child(args: list[str], checkout: Path, env=None) -> tuple[int, str]:
         stderr=subprocess.PIPE,
         text=True,
     )
-    stdout, _ = _child.communicate()
-    code, _child = _child.returncode, None
-    return code, stdout
+    try:
+        stdout, _ = child.communicate()
+    finally:
+        if child.poll() is None:
+            child.terminate()
+            try:
+                child.wait(GRACE_S)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                child.wait()
+    return child.returncode, stdout
 
 
-def stop(signum, frame) -> None:
-    """Terminate the running child, kill it after ``GRACE_S``, and exit."""
-    child = _child
-    if child is not None and child.poll() is None:
-        child.terminate()
-        try:
-            child.wait(GRACE_S)
-        except subprocess.TimeoutExpired:
-            child.kill()
-            child.wait()
+def exit_on_signal(signum, frame) -> None:
     sys.exit(128 + signum)
 
 
@@ -240,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
     for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, stop)
+        signal.signal(signum, exit_on_signal)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     collect(args, spec)
 
