@@ -153,9 +153,7 @@ def _disguised(value, dict_class):
         return value
     if isinstance(value, int):
         return _Int(value)
-    if isinstance(value, str):
-        return _Str(value)
-    return value
+    return _Str(value) if isinstance(value, str) else value
 
 
 NON_EXACT_SCHEMAS = [
@@ -176,7 +174,7 @@ NON_EXACT_INSTANCES = [
 
 
 @pytest.mark.parametrize("dict_class", [OrderedDict, _Dict])
-def test_values_of_other_classes_get_their_json_classs_verdict(monkeypatch, dict_class):
+def test_values_of_other_classes_are_judged_by_their_json_class(monkeypatch, dict_class):
     """An ``OrderedDict``, a ``dict``, ``int`` or ``str`` subclass is judged
     and annotated as the exact value it equals, in both modes."""
     from uneval import validator
