@@ -168,7 +168,7 @@ class Analyzer:
 
     def _of(self, s: Schema) -> tuple:
         hit = self._bounds.get(id(s))
-        if hit is None or hit[0] is not s:
+        if hit is None:
             if isinstance(s, BoolSchema):
                 hit = (s, *_NOTHING)
             else:

@@ -147,7 +147,7 @@ class _Hoister:
     def hoist(self, s: Schema) -> Schema:
         """Rewrite children post-order; replace uneval occurrences by refs."""
         hit = self._done.get(id(s))
-        if hit is not None and hit[0] is s:
+        if hit is not None:
             return hit[1]
         rebuilt = self.rewrite_children(s)
         if is_uneval_schema(rebuilt):

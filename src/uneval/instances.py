@@ -31,6 +31,9 @@ _ANCHORED_RE = re.compile(r"\^([A-Za-z0-9_][A-Za-z0-9_-]*)\$")
 
 MAX_NAMES = 12
 MAX_CONCATS = 3
+#: the most members of an object, and the most items of an array
+MAX_FIELDS = 3
+MAX_ITEMS = 3
 
 
 def pattern_literal(pattern: str) -> str | None:
@@ -119,11 +122,7 @@ ARRAY_KEYWORDS = (
 )
 
 
-def enumerate_instances(
-    doc: SchemaDocument,
-    max_fields: int = 3,
-    max_items: int = 3,
-) -> Iterator[JsonValue]:
+def enumerate_instances(doc: SchemaDocument) -> Iterator[JsonValue]:
     """Deterministic instance universe for the given document."""
     names = oracle_names(doc)
     leaf_values: tuple[JsonValue, ...] = SCALAR_ALPHABET + ([],) + ({},)
@@ -132,7 +131,7 @@ def enumerate_instances(
         yield v
 
     if _uses(doc, OBJECT_KEYWORDS):
-        for k in range(1, max_fields + 1):
+        for k in range(1, MAX_FIELDS + 1):
             for keys in combinations(names, k):
                 for values in product(leaf_values, repeat=k):
                     yield {key: val for key, val in zip(keys, values)}
@@ -148,7 +147,7 @@ def enumerate_instances(
         reduced_pool: list[JsonValue] = list(leaf_values) + [
             {name: None} for name in names[: min(len(names), 4)]
         ]
-        for length in range(1, max_items + 1):
+        for length in range(1, MAX_ITEMS + 1):
             pool = full_pool if length <= 2 else reduced_pool
             for items in product(pool, repeat=length):
                 yield list(items)

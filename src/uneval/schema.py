@@ -253,6 +253,7 @@ class SchemaDocument:
     anchors: dict[str, Schema] = field(default_factory=dict)
     #: The validator's closures, per node of this document, keyed by the
     #: node's ``id``; filled on first validation (see :mod:`uneval.validator`).
+    #: Each entry holds its node, which keeps the id from being reused.
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     #: :func:`find_unguarded_cycle`'s answer, ``()`` for none; filled on
     #: first call.  Like ``compiled``, it relies on the document not
@@ -697,80 +698,55 @@ def _inplace_edges(
 def find_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
     """One cycle of the immediately-unguardedly-depends graph, or None.
 
-    Searched once per document and kept in ``doc.cycle``; each call
-    returns a list of its own.
+    The cycle is the first that a depth-first search meets, searching from
+    the root and then from each definition in name order.  It is a path
+    from the named schema whose search found it: its start label (``#`` or
+    ``#/$defs/name``), then the edge labels up to the first node met again
+    on the path.  Searched once per document and kept in ``doc.cycle``;
+    each call returns a list of its own.
     """
     if doc.cycle is None:
         doc.cycle = tuple(_first_unguarded_cycle(doc) or ())
     return list(doc.cycle) or None
 
 
-def _first_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
-    """The cycle found by a depth-first search from each distinct node, in
-    the order a pre-order walk (children first to last) first meets them,
-    named schema by named schema.
-
-    Every cycle takes a reference, so it passes through a named or an
-    anchored schema: a search from those alone tells whether there is one,
-    and only then are all nodes searched.  The nodes to start from are told
-    apart by a set of their own, not by the search's colours: a node the
-    search has finished may still have children (under ``properties``, say)
-    that no search has reached, and skipping them would change which cycle
-    is found first.
-    """
-    color: dict[int, int] = {}
-    targets = (doc.root, *doc.defs.values(), *doc.anchors.values())
-    if all(_unguarded_path(doc, color, s, []) is None for s in targets):
-        return None
-    color.clear()
-    seen: set[int] = set()
-    for name, top in doc.named_schemas():
-        start = f"#/$defs/{_pointer_segment(name)}" if name else "#"
-        stack = [top]
-        while stack:
-            s = stack.pop()
-            if id(s) in seen:
-                continue
-            seen.add(id(s))
-            if id(s) not in color:
-                found = _unguarded_path(doc, color, s, [start])
-                if found is not None:
-                    return found
-            stack.extend(reversed([child for _, child in child_schemas(s)]))
-    return None
-
-
 _GREY, _BLACK = 1, 2
 
 
-def _unguarded_path(
-    doc: SchemaDocument, color: dict[int, int], s: Schema, trail: list[str]
-) -> Optional[list[str]]:
-    """Depth-first search for a cycle from ``s``: ``trail``, extended in
-    place by the edge labels up to the first node met again on the path,
-    or None.  ``color`` marks the nodes on the path (grey) and those
-    finished (black); a coloured ``s`` is finished.  The path is a stack of
-    ``(node, edges left)`` pairs, not of frames, so any chain length fits."""
-    if id(s) in color:
-        return None
-    color[id(s)] = _GREY
-    stack = [(s, _inplace_edges(doc, s))]
-    while stack:
-        for label, nxt in stack[-1][1]:
-            state = color.get(id(nxt))
-            if state == _BLACK:
-                continue
-            trail.append(label)
-            if state == _GREY:
-                return trail
-            color[id(nxt)] = _GREY
-            stack.append((nxt, _inplace_edges(doc, nxt)))
-            break
-        else:
-            node, _ = stack.pop()
-            color[id(node)] = _BLACK
-            if stack:
-                trail.pop()
+def _first_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
+    """One depth-first search from each named schema in turn, colours
+    shared.  Every cycle takes a reference, so it passes through a named
+    schema; an anchor designates one of them, as the parser allows
+    ``$anchor`` only at the top of one.
+
+    ``color`` marks the nodes on the path (grey) and those finished
+    (black).  The path is a stack of ``(node, edges left)`` pairs, not of
+    frames, so any chain length fits; ``trail`` holds the labels of the
+    edges along it."""
+    color: dict[int, int] = {}
+    for name, top in doc.named_schemas():
+        if id(top) in color:
+            continue
+        color[id(top)] = _GREY
+        trail: list[str] = []
+        stack = [(top, _inplace_edges(doc, top))]
+        while stack:
+            for label, nxt in stack[-1][1]:
+                state = color.get(id(nxt))
+                if state == _BLACK:
+                    continue
+                trail.append(label)
+                if state == _GREY:
+                    trail.insert(0, f"#/$defs/{_pointer_segment(name)}" if name else "#")
+                    return trail
+                color[id(nxt)] = _GREY
+                stack.append((nxt, _inplace_edges(doc, nxt)))
+                break
+            else:
+                node, _ = stack.pop()
+                color[id(node)] = _BLACK
+                if stack:
+                    trail.pop()
     return None
 
 

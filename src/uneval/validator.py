@@ -130,7 +130,7 @@ def validate(doc: SchemaDocument, schema: Schema, instance: JsonValue) -> Valida
     """
     entry = doc.compiled.get(id(schema))
     try:
-        if entry is not None and entry[0] is schema and entry[BOOL] is not None:
+        if entry is not None and entry[BOOL] is not None:
             check = entry[BOOL]
         else:
             check = _compiled(doc, schema, BOOL)
@@ -279,6 +279,8 @@ class _Compiler:
 
     def __init__(self, doc: SchemaDocument):
         self.doc = doc
+        #: id -> [node, bool closure, annotation closure]; the node keeps
+        #: the id from being reused
         self.new: dict[int, list] = {}
         #: named schemas whose compilation is under way, for recursive $ref
         self.pending: dict[tuple[int, int], list] = {}
@@ -307,10 +309,10 @@ class _Compiler:
             return _CONSTANT[node.value, mode]
         i = id(node)
         entry = self.new.get(i)
-        if entry is not None and entry[0] is node and entry[mode] is not None:
+        if entry is not None and entry[mode] is not None:
             return entry[mode]
         old = self.doc.compiled.get(i)
-        if old is not None and old[0] is node and old[mode] is not None:
+        if old is not None and old[mode] is not None:
             return old[mode]
         named = i in self.named
         if named:
@@ -794,6 +796,9 @@ _STEPS = {
 
 
 def _compiled(doc: SchemaDocument, schema: Schema, mode: int):
+    entry = doc.compiled.get(id(schema))
+    if entry is not None and entry[mode] is not None:
+        return entry[mode]
     compiler = _Compiler(doc)
     fn = compiler.schema(schema, mode, False)
     compiler.commit()

@@ -41,6 +41,17 @@ def load_suite() -> list[tuple[str, dict]]:
     return out
 
 
+def small_universe(doc):
+    """The instances of ``doc``'s universe with at most two members:
+    objects of up to two fields and arrays of up to two items, in the
+    universe's order."""
+    from uneval.instances import enumerate_instances
+
+    for x in enumerate_instances(doc):
+        if not isinstance(x, (dict, list)) or len(x) <= 2:
+            yield x
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return load_corpus()

@@ -459,6 +459,72 @@ def test_deep_normal_form_exits_2_from_enf(tmp_path, capsys):
     assert "nests too deeply" in err and "Traceback" not in err
 
 
+_CLI_CEILING_PROBE = """
+import contextlib, io, json, os, sys, tempfile
+from uneval.cli import main
+
+def answers(command, kind, depth, folder):
+    text = "{}"
+    for _ in range(depth):
+        text = ('{"allOf":[' + text + "]}") if kind == "allOf" else ('{"properties":{"a":' + text + "}}")
+    if command == "eliminate":
+        text = '{"allOf":[' + text + '],"unevaluatedProperties":false}'
+    path = os.path.join(folder, f"{command}-{kind}-{depth}.json")
+    with open(path, "w") as f:
+        f.write(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--schema", path])
+    if code == 0:
+        return True
+    assert code == 2 and out.getvalue() == "", (command, kind, depth, code)
+    assert "nests too deeply" in err.getvalue(), err.getvalue()
+    assert "Traceback" not in err.getvalue(), err.getvalue()
+    return False
+
+found = []
+with tempfile.TemporaryDirectory() as folder:
+    for command, kind, depth in json.loads(sys.argv[1]):
+        while answers(command, kind, depth, folder):
+            depth += 1
+        found.append(depth - 1)
+print(json.dumps(found))
+"""
+
+#: Per command and chain of ``properties`` or ``allOf`` wrappers around
+#: ``{}``: the deepest chain the command answered with exit 0 at the
+#: default recursion limit, measured at 0eb1d8e.  For ``eliminate`` the
+#: chain sits under ``{"allOf": [chain], "unevaluatedProperties": false}``.
+CLI_DEPTH_CEILINGS = [
+    ("eliminate", "properties", 330),
+    ("eliminate", "allOf", 245),
+    ("enf", "properties", 330),
+    ("enf", "allOf", 247),
+    ("analyze", "properties", 494),
+    ("analyze", "allOf", 248),
+]
+
+
+def test_the_rewrite_commands_depth_ceilings_do_not_fall():
+    """In a fresh interpreter, each command answers a chain 5 levels short
+    of its ceiling, and the first chain too deep to answer exits 2 with
+    "nests too deeply" and no traceback."""
+    import uneval
+
+    pinned = [(command, kind, ceiling - 5) for command, kind, ceiling in CLI_DEPTH_CEILINGS]
+    done = subprocess.run(
+        [sys.executable, "-c", _CLI_CEILING_PROBE, json.dumps(pinned)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(uneval.__file__).parent.parent)),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)
+    for (command, kind, floor), deepest in zip(pinned, found):
+        assert deepest >= floor, (command, kind, deepest)
+
+
 def _reference_chain(n, **root):
     """``n`` definitions, each an ``allOf`` of a reference to the next."""
     defs = {f"D{i}": {"allOf": [{"$ref": f"#/$defs/D{i + 1}"}]} for i in range(n - 1)}

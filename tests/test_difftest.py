@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from uneval import eliminate
@@ -43,6 +45,36 @@ def test_deterministic():
 def test_report_counts_consistent():
     report = difftest(gen_family_sn(2))
     assert report.agree + report.disagree == report.instances_total
+
+
+def test_disagreements_are_counted_and_at_most_25_recorded(monkeypatch, tmp_path, capsys):
+    """A rewrite that accepts everything disagrees with a closed schema on
+    every instance the original rejects; the CLI then exits 1."""
+    import sys
+
+    from uneval.cli import main
+
+    # the package's name ``difftest`` is the function, so take the module
+    module = sys.modules["uneval.difftest"]
+    monkeypatch.setattr(module, "elim_document", lambda doc: parse_schema(True))
+    closed = {"properties": {"a": {"type": "integer"}}, "unevaluatedProperties": False}
+    report = difftest(parse_schema(closed))
+    assert report.disagree > 25
+    assert report.agree + report.disagree == report.instances_total
+    assert len(report.disagreements) == 25
+    for record in report.disagreements:
+        assert record.keys() == {"instance", "valid_under_original", "valid_under_rewritten"}
+        assert record["valid_under_original"] is False
+        assert record["valid_under_rewritten"] is True
+    few = difftest(parse_schema(closed), instances=[{"a": 1}, {"a": "x"}, {"b": 1}])
+    assert (few.agree, few.disagree) == (1, 2)
+    assert [r["instance"] for r in few.disagreements] == [{"a": "x"}, {"b": 1}]
+    schema = tmp_path / "s.json"
+    schema.write_text(json.dumps(closed))
+    assert main(["difftest", "--schema", str(schema)]) == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["disagree"] == report.disagree
+    assert printed["disagreements"] == report.disagreements
 
 
 def test_trailing_newline_names_agree():

@@ -56,8 +56,8 @@ WORKED = {
 }
 
 
-def equivalent(doc, other, max_fields=3, max_items=3):
-    for instance in enumerate_instances(doc, max_fields=max_fields, max_items=max_items):
+def equivalent(doc, other):
+    for instance in enumerate_instances(doc):
         if validate(doc, doc.root, instance).valid != validate(
             other, other.root, instance
         ).valid:
@@ -279,7 +279,7 @@ def test_push_props_dotstar_branch_is_noop():
     doc = parse_schema({"additionalProperties": {"type": "string"}})
     normalized = enf(doc, doc.root)
     pushed = push_uneval(Analyzer(doc), normalized, FALSE_SCHEMA)
-    for instance in enumerate_instances(doc, max_fields=2):
+    for instance in enumerate_instances(doc):
         assert (
             validate(doc, doc.root, instance).valid
             == validate(doc, pushed, instance).valid
@@ -299,7 +299,7 @@ def test_push_uneval_items_prefix_branch():
     assert schema_to_json(pushed) == {"prefixItems": [True], "items": False}
     # arrays longer than the prefix are rejected, like the uneval original
     original = parse_schema({"prefixItems": [True], "unevaluatedItems": False})
-    for instance in enumerate_instances(original, max_items=3):
+    for instance in enumerate_instances(original):
         assert (
             validate(original, original.root, instance).valid
             == validate(doc, pushed, instance).valid
@@ -314,7 +314,7 @@ def test_push_uneval_items_contains_branch():
         "items": {"type": "string"},
     }
     original = parse_schema({"contains": {"type": "string"}, "unevaluatedItems": False})
-    for instance in enumerate_instances(original, max_items=3):
+    for instance in enumerate_instances(original):
         assert (
             validate(original, original.root, instance).valid
             == validate(doc, pushed, instance).valid
@@ -453,7 +453,7 @@ def _agrees_with_uneval(doc, branch, keyword, s_u, pushed):
     """``pushed`` judges like allOf[branch] closed by ``keyword: s_u``."""
     original = ObjSchema((Keyword("allOf", (branch,)), Keyword(keyword, s_u)))
     probe = build_document(original, dict(doc.defs))
-    instances = list(enumerate_instances(probe, max_fields=3, max_items=3))
+    instances = list(enumerate_instances(probe))
     assert len(instances) > 20
     for instance in instances:
         assert (

@@ -30,7 +30,7 @@ from uneval.schema import (
 )
 from uneval.validator import validate
 
-from conftest import load_corpus
+from conftest import load_corpus, small_universe
 from test_schema import SALE_CAR
 from walking import walk
 
@@ -429,7 +429,7 @@ def test_enf_equivalence_on_corpus_sample():
         doc = parse_schema(fixture.schema_json)
         body = _enf_able_body(doc)
         result = enf(doc, body)
-        for instance in list(enumerate_instances(doc, max_fields=2, max_items=2))[:300]:
+        for instance in list(small_universe(doc))[:300]:
             assert (
                 validate(doc, body, instance).valid
                 == validate(doc, result, instance).valid

@@ -166,6 +166,11 @@ def test_parse_errors(schema):
         ({"$defs": {"m~n": {"minimum": "x"}}}, "/$defs/m~0n/minimum"),
         ({"patternProperties": {"~/": {"type": "frob"}}}, "/patternProperties/~0~1/type"),
         ({"properties": {"~1": {"not": {"minimum": "x"}}}}, "/properties/~01/not/minimum"),
+        ({"properties": {"a": {"$ref": 5}}}, "/properties/a/$ref"),
+        ({"items": {"uniqueItems": 1}}, "/items/uniqueItems"),
+        ({"not": {"properties": []}}, "/not/properties"),
+        ({"allOf": [{"patternProperties": "a"}]}, "/allOf/0/patternProperties"),
+        ({"$defs": {"a": {"$anchor": "x"}, "b": {"$anchor": "x"}}}, "/$defs"),
     ],
 )
 def test_parse_error_path(schema, path):
@@ -609,9 +614,9 @@ def test_unresolved_references_within_one_schema_in_parse_order():
         parse_schema(doc)
 
 
-def _walk_order_cycle(doc):
-    """Reference for find_unguarded_cycle: a depth-first search from every
-    occurrence of every node, in walk order, colours shared."""
+def _named_order_cycle(doc):
+    """Reference for find_unguarded_cycle: a recursive depth-first search
+    from each named schema in turn, colours shared."""
     color = {}
 
     def path(s, trail):
@@ -629,18 +634,16 @@ def _walk_order_cycle(doc):
         return None
 
     for name, top in doc.named_schemas():
-        start = f"#/$defs/{name}" if name else "#"
-        for s in walk(top):
-            found = path(s, [start])
-            if found is not None:
-                return found
+        segment = name.replace("~", "~0").replace("/", "~1")
+        found = path(top, ["#/$defs/" + segment if name else "#"])
+        if found is not None:
+            return found
     return None
 
 
-#: A node coloured by its parent's search (``middle``, reached through
-#: ``anyOf``) has a ``properties`` child that reaches a cycle; a search
-#: that skipped the children of coloured nodes would first find the cycle
-#: of the definition ``a`` instead.
+#: The root reaches the cycle through ``b`` only below ``properties``, a
+#: guarded place, so the root's search finds none; the first cycle found
+#: is the definition ``a``'s.
 COLOURED_PARENT = {
     "anyOf": [{"properties": {"p": {"$ref": "#/$defs/b"}}}],
     "$defs": {
@@ -677,25 +680,42 @@ def _random_ref_document(rng):
     return {"allOf": [part(3)], "$defs": {name: part(3) for name in names}}
 
 
-def test_find_unguarded_cycle_follows_walk_order():
+def _guard_search_documents():
     docs = [parse_schema(COLOURED_PARENT)]
     docs += [parse_schema(f.schema_json) for f in load_corpus()]
     rng = random.Random(41)
     docs += [parse_schema(_random_ref_document(rng)) for _ in range(400)]
+    return docs
+
+
+def test_find_unguarded_cycle_follows_named_schema_order():
+    docs = _guard_search_documents()
     cyclic = 0
     for doc in docs:
-        expected = _walk_order_cycle(doc)
+        expected = _named_order_cycle(doc)
         assert find_unguarded_cycle(doc) == expected
         cyclic += expected is not None
     assert 50 < cyclic < len(docs) - 50
-    # found from the root's properties child, before the definitions
-    assert find_unguarded_cycle(docs[0]) == [
-        "#",
-        "$ref:#/$defs/b",
-        "allOf[1]",
-        "not",
-        "$ref:#/$defs/b",
-    ]
+    assert find_unguarded_cycle(docs[0]) == ["#/$defs/a", "anyOf[0]", "$ref:#/$defs/a"]
+
+
+def test_every_reported_cycle_is_a_path_from_its_start():
+    """Following the labels from the named start meets no node twice until
+    the last label, which leads back to a node on the path."""
+    cyclic = 0
+    for doc in _guard_search_documents():
+        cycle = find_unguarded_cycle(doc)
+        if cycle is None:
+            continue
+        cyclic += 1
+        start, *labels = cycle
+        node = doc.root if start == "#" else deref(doc, start)
+        on_path = [id(node)]
+        for label in labels:
+            node = dict(_inplace_edges(doc, node))[label]
+            assert (id(node) in on_path) == (len(on_path) == len(labels)), cycle
+            on_path.append(id(node))
+    assert cyclic > 50
 
 
 def test_find_unguarded_cycle_returns_a_list_of_its_own():

@@ -253,17 +253,50 @@ def test_additional_properties_rejects_unlisted():
         ("[$]", ["$", "x$y"], ["x"]),
         ("[]$]$", ["]", "$"], ["]\n", "$\n"]),
         ("^(a|b$)", ["a\n", "b"], ["b\n"]),
+        ("[^$]$", ["a", "$a"], ["$", "a$", ""]),
+        ("^[^a]$", ["b", "$"], ["a", "bb", "b\n"]),
     ],
 )
 def test_dollar_is_the_end_of_input(pattern, matched, unmatched):
     """As in ECMA-262, an end anchor does not match before a final newline;
-    an escaped ``$`` and one in a class stay literal."""
+    an escaped ``$`` and one in a class stay literal.  Without a newline,
+    the verdicts equal ``jsonschema``'s."""
+    import jsonschema
+
+    reference = jsonschema.Draft202012Validator({"pattern": pattern})
     for name in matched:
         assert outcome({"pattern": pattern}, name).valid, (pattern, name)
         assert outcome({"patternProperties": {pattern: False}}, {name: 1}).valid is False
     for name in unmatched:
         assert not outcome({"pattern": pattern}, name).valid, (pattern, name)
         assert outcome({"patternProperties": {pattern: False}}, {name: 1}).valid
+    for name in matched + unmatched:
+        if "\n" not in name:
+            assert reference.is_valid(name) is (name in matched), (pattern, name)
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "string", "const": 1},
+        {"type": "integer", "const": "a"},
+        {"required": []},
+    ],
+)
+def test_type_const_clash_and_empty_required(schema):
+    """``type`` and ``const`` with no class in common reject everything,
+    and ``required: []`` accepts everything, in both modes and as
+    ``jsonschema`` does."""
+    import jsonschema
+
+    annotated = {**schema, "unevaluatedItems": True}  # compiled in annotation mode
+    for schema_json in (schema, annotated):
+        reference = jsonschema.Draft202012Validator(schema_json)
+        for instance in (None, 0, 1, 1.5, "a", "x", True, [], [1], {}, {"a": 1}):
+            o = outcome(schema_json, instance)
+            assert o.valid is reference.is_valid(instance), (schema_json, instance)
+            assert o.valid is ("required" in schema), (schema_json, instance)
+        assert outcome(schema, {"a": 1}).annotation == EMPTY_ANNOTATION
 
 
 def test_closed_properties_reject_a_name_with_a_trailing_newline():
@@ -503,6 +536,33 @@ def test_ad_hoc_schemas_do_not_grow_the_cache():
         sizes.add(len(doc.compiled))
     assert max(sizes) <= node_count
     assert len(sizes) == 1
+
+
+def test_warm_annotation_builds_no_compiler(monkeypatch):
+    """Once the document holds a node's annotation closure, reading
+    ``.annotation`` again builds no compiler."""
+    from uneval import validator
+
+    built = []
+
+    class Counting(validator._Compiler):
+        def __init__(self, doc):
+            built.append(doc)
+            super().__init__(doc)
+
+    monkeypatch.setattr(validator, "_Compiler", Counting)
+    defs = {f"d{i}": {"type": "integer"} for i in range(100)}
+    for closed in (False, True):
+        schema = {"properties": {"a": {"$ref": "#/$defs/d0"}}, "$defs": defs}
+        if closed:
+            schema["unevaluatedProperties"] = False
+        doc = parse_schema(schema)
+        first = validate(doc, doc.root, {"a": 5}).annotation
+        assert built
+        built.clear()
+        second = validate(doc, doc.root, {"a": 5}).annotation
+        assert built == []
+        assert second == first and second.props == {"a"}
 
 
 def test_one_cache_entry_per_distinct_node(corpus, rewrites):
