@@ -20,12 +20,13 @@ return the exact set/pair; otherwise they return ``None``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .schema import (
     INF,
     BoolSchema,
     Keyword,
+    ObjSchema,
     Schema,
     SchemaDocument,
     TRUE_SCHEMA,
@@ -47,10 +48,17 @@ DOTSTAR_PATTERNS = frozenset({".*"})
 
 @dataclass(frozen=True, slots=True)
 class EvalPair:
-    """Item-evaluation bound: positions <= h (1-based) or values in guard."""
+    """Item-evaluation bound: positions <= h (1-based) or values in guard.
+
+    ``normal`` tells that ``combine((false, guard), false)`` gives the guard
+    back, equal, as it does for every guard ``combine`` built; it is false
+    where the guard may be a raw ``contains`` subschema that is a bare
+    ``anyOf``, which ``combine`` would rebuild.  It takes no part in
+    equality."""
 
     h: int | float
     guard: Schema
+    normal: bool = field(default=True, compare=False, repr=False)
 
 
 def eq_patterns(a: frozenset[str], b: frozenset[str]) -> bool:
@@ -67,11 +75,11 @@ def eq_pairs(a: EvalPair, b: EvalPair) -> bool:
     return a.h == b.h and a.guard == b.guard
 
 
-def _norm_pair(h: int | float, guard: Schema) -> EvalPair:
+def _norm_pair(h: int | float, guard: Schema, normal: bool = True) -> EvalPair:
     # (inf, G) and (h, true) both cover every item of every array
     if h == INF or (isinstance(guard, BoolSchema) and guard.value):
         return EvalPair(INF, TRUE_SCHEMA)
-    return EvalPair(h, guard)
+    return EvalPair(h, guard, normal)
 
 
 ZERO_PAIR = EvalPair(0, FALSE_SCHEMA)
@@ -79,30 +87,42 @@ ALL_PAIR = EvalPair(INF, TRUE_SCHEMA)
 _NOTHING = (EMPTY_PATTERNS, EMPTY_PATTERNS, ZERO_PAIR, ZERO_PAIR)
 
 
+def _union_pairs(kept: list) -> EvalPair:
+    """Max h and disjoined guards of pairs other than ``ZERO_PAIR``; a lone
+    pair too goes through ``combine``, which may rebuild its guard."""
+    if not kept:
+        return ZERO_PAIR
+    return _norm_pair(max([p.h for p in kept]), combine([p.guard for p in kept], FALSE_SCHEMA))
+
+
 def _combine_union(*pairs: EvalPair) -> EvalPair:
     """Bound for 'evaluated by some conjunct': max h, disjoined guards.
     A lone part is returned itself; ``ZERO_PAIR`` parts, which add nothing, are dropped."""
     if len(pairs) == 1:
         return pairs[0]
-    kept = [p for p in pairs if p is not ZERO_PAIR]
-    if not kept:
-        return ZERO_PAIR
-    return _norm_pair(max(p.h for p in kept), combine([p.guard for p in kept], FALSE_SCHEMA))
+    return _union_pairs([p for p in pairs if p is not ZERO_PAIR])
 
 
 def _combine_intersection(*pairs: EvalPair) -> EvalPair:
-    """Bound for 'evaluated whichever branch holds': min h, conjoined guards."""
+    """Bound for 'evaluated whichever branch holds': min h, conjoined guards.
+    The conjunction may be one part's guard itself, so it is ``normal``
+    only when every part's is."""
     if len(pairs) == 1:
         return pairs[0]
-    return _norm_pair(min(p.h for p in pairs), combine([p.guard for p in pairs], TRUE_SCHEMA))
+    guard = combine([p.guard for p in pairs], TRUE_SCHEMA)
+    return _norm_pair(min(p.h for p in pairs), guard, all([p.normal for p in pairs]))
+
+
+def _union_patterns(kept: list) -> frozenset[str]:
+    """The union of nonempty pattern sets; a lone set is returned itself."""
+    if len(kept) < 2:
+        return kept[0] if kept else EMPTY_PATTERNS
+    return frozenset().union(*kept)
 
 
 def _combine_patterns(*sets: frozenset[str]) -> frozenset[str]:
     """Bound for 'evaluated by some conjunct': the union of the nonempty parts."""
-    kept = [p for p in sets if p]
-    if len(kept) < 2:
-        return kept[0] if kept else EMPTY_PATTERNS
-    return frozenset().union(*kept)
+    return _union_patterns([p for p in sets if p])
 
 
 def _leaf_bounds(kw: Keyword) -> tuple:
@@ -120,26 +140,43 @@ def _leaf_bounds(kw: Keyword) -> tuple:
         p = EvalPair(len(kw.value), FALSE_SCHEMA)
         return EMPTY_PATTERNS, EMPTY_PATTERNS, p, p
     if name == "contains":
-        p = _norm_pair(0, kw.value)
+        # the parsed subschema, kept raw: combine may rebuild a bare anyOf
+        guard = kw.value
+        raw = isinstance(guard, ObjSchema) and guard.single_keyword("anyOf") is not None
+        p = _norm_pair(0, guard, not raw)
         return EMPTY_PATTERNS, EMPTY_PATTERNS, p, p
     if name in ("items", "unevaluatedItems"):
         return EMPTY_PATTERNS, EMPTY_PATTERNS, ALL_PAIR, ALL_PAIR
     return _NOTHING
 
 
-def _union_family(los: tuple, his: tuple, join) -> tuple:
-    lo = join(*los)
-    return (lo, lo) if all([a is b for a, b in zip(los, his)]) else (lo, join(*his))
-
-
 def _union_bounds(parts: list[tuple]) -> tuple:
     """Bounds of a conjunction: per family, the union of its parts' lower
-    and of their upper bounds, one object when each part's two are one."""
+    and of their upper bounds, one object when each part's two are one.
+
+    One pass over the parts collects the nonempty pattern sets and the
+    lower item pairs other than ``ZERO_PAIR``, and notes whether each
+    part's two bounds are one object; the upper bounds are collected
+    only where some part's are not."""
     if len(parts) < 2:
         return parts[0] if parts else _NOTHING
-    ep_lo, ep_hi, ei_lo, ei_hi = zip(*parts)
-    ep = _union_family(ep_lo, ep_hi, _combine_patterns)
-    return (*ep, *_union_family(ei_lo, ei_hi, _combine_union))
+    ep_lo: list = []
+    ei_lo: list = []
+    ep_one = ei_one = True
+    for lo, hi, ilo, ihi in parts:
+        if lo:
+            ep_lo.append(lo)
+        if hi is not lo:
+            ep_one = False
+        if ilo is not ZERO_PAIR:
+            ei_lo.append(ilo)
+        if ihi is not ilo:
+            ei_one = False
+    lo = _union_patterns(ep_lo)
+    hi = lo if ep_one else _union_patterns([p[1] for p in parts if p[1]])
+    ilo = _union_pairs(ei_lo)
+    ihi = ilo if ei_one else _union_pairs([p[3] for p in parts if p[3] is not ZERO_PAIR])
+    return lo, hi, ilo, ihi
 
 
 def _choice_family(los: tuple, his: tuple, meet, join) -> tuple:

@@ -270,7 +270,12 @@ def push_uneval_items(
         raise EliminationError("normalized branch has no exact item characterization")
     if pair.h == INF:  # pairs are normalized: (inf, true) covers every item
         return ()
-    check = Keyword("items", combine((s_u, pair.guard), FALSE_SCHEMA))
+    guard = pair.guard
+    # disjoined with false, a normal guard would come back from combine
+    # equal, but rebuilt
+    if not (pair.normal and isinstance(s_u, BoolSchema) and not s_u.value):
+        guard = combine((s_u, guard), FALSE_SCHEMA)
+    check = Keyword("items", guard)
     return (check,) if own or not pair.h else (pref_its(pair.h), check)
 
 
@@ -512,13 +517,18 @@ def _elim_with_stats(doc: SchemaDocument) -> tuple[SchemaDocument, dict[str, int
     return out, dict(run.enf_branches)
 
 
+def _left_behind(kw: Keyword) -> None:
+    raise EliminationError("rewriting left unevaluated* keywords behind")
+
+
+#: How :func:`_check_rewrite`'s walk treats each keyword: children as
+#: :data:`CHILD_KIND` has them, an unevaluated* keyword as an error.
+_CHECKED_KINDS = {**CHILD_KIND, **dict.fromkeys(ADK_NAMES, _left_behind)}
+
+
 def _check_rewrite(doc: SchemaDocument) -> None:
     """Every reference resolves and no unevaluated* is left: one visit per
-    distinct node."""
-    for s in distinct_nodes((doc.root, *doc.defs.values())):
-        if isinstance(s, ObjSchema):
-            for kw in s.keywords:
-                if kw.name == "$ref":
-                    deref(doc, kw.value)  # raises if unresolved
-                elif kw.name in ADK_NAMES:
-                    raise EliminationError("rewriting left unevaluated* keywords behind")
+    distinct node, each keyword checked on the walk's own loop."""
+    kinds = _CHECKED_KINDS.copy()
+    kinds["$ref"] = lambda kw: deref(doc, kw.value)  # raises if unresolved
+    distinct_nodes((doc.root, *doc.defs.values()), kinds)

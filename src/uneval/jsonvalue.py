@@ -14,7 +14,8 @@ Python for a value with floats or Decimals.
 from __future__ import annotations
 
 import json
-from decimal import Decimal
+import sys
+from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring
 from typing import Union
 
@@ -66,9 +67,32 @@ def _object_from_pairs(pairs):
     return obj
 
 
+#: The interpreter's limit on the digits of an integer literal, 0 for none.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _decimal(text: str) -> Decimal:
+    """A non-integer literal, held to the limit that integers have: its
+    digits plus the size of its exponent, which bound the length of its
+    plain-decimal text, read from the ``Decimal`` without writing it."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:  # an exponent past what a Decimal can hold
+        raise JsonParseError(f"number literal {text[:20]!r} has an exponent out of range") from None
+    limit = _digit_limit()
+    if limit:
+        _, digits, exp = value.as_tuple()
+        if len(digits) + abs(exp) > limit:
+            raise JsonParseError(
+                f"number literal {text[:20]!r} spans more than {limit} digits written out "
+                "(the limit of sys.set_int_max_str_digits)"
+            )
+    return value
+
+
 #: One decoder for every call, as ``json.loads`` shares its default one.
 _DECODER = json.JSONDecoder(
-    parse_float=Decimal,
+    parse_float=_decimal,
     parse_constant=_reject_constant,
     object_pairs_hook=_object_from_pairs,
 )
@@ -78,8 +102,10 @@ def parse_json(text: str | bytes) -> JsonValue:
     """Parse JSON text into a value tree.
 
     Floats are decoded as ``Decimal``; duplicate object keys are rejected,
-    and so are a leading byte order mark, bytes that are not UTF-8 and text
-    that nests deeper than the decoder's recursion allows.
+    and so are a leading byte order mark, bytes that are not UTF-8, text
+    that nests deeper than the decoder's recursion allows and a number
+    literal longer than the interpreter's integer digit limit
+    (:func:`_decimal`).
     """
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -91,7 +117,7 @@ def parse_json(text: str | bytes) -> JsonValue:
         raise JsonParseError("Unexpected UTF-8 BOM (decode using utf-8-sig)", offset=0)
     try:
         return _DECODER.decode(text)
-    except DuplicateKeyError:
+    except JsonParseError:  # a repeated key or a number literal too long
         raise
     except json.JSONDecodeError as exc:
         raise JsonParseError(exc.msg, offset=exc.pos) from None

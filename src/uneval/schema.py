@@ -641,7 +641,7 @@ def child_schemas(s: Schema) -> Iterator[tuple[Keyword, Schema]]:
                 yield kw, sub
 
 
-def distinct_nodes(tops: Iterable[Schema]) -> list[Schema]:
+def distinct_nodes(tops: Iterable[Schema], kinds: dict = CHILD_KIND) -> list[Schema]:
     """Every node reachable from ``tops``, each once however often it
     occurs, in the order first met: ``tops`` in turn, each pre-order, but
     with the children of a node taken last to first.
@@ -651,12 +651,16 @@ def distinct_nodes(tops: Iterable[Schema]) -> list[Schema]:
     told apart by ``id``, not by :attr:`Schema.key`, so no key is
     computed.  Children are pushed as they come and popped last first;
     putting them in pre-order would cost a reversal per node.
+
+    ``kinds`` tells how each keyword holds subschemas, as
+    :data:`CHILD_KIND` does.  A keyword whose entry is a function is
+    passed to it instead, and what it holds is not walked: a caller
+    checks keywords on the walk's own loop, with no second pass.
     """
     order: list[Schema] = []
     seen: set[int] = set()
     stack: list = list(tops)
     stack.reverse()
-    kinds = CHILD_KIND
     while stack:
         s = stack.pop()
         if id(s) in seen:
@@ -672,6 +676,8 @@ def distinct_nodes(tops: Iterable[Schema]) -> list[Schema]:
                     stack.extend(kw.value)
                 elif kind == 2:
                     stack.extend(kw.value.values())
+                elif kind is not None:
+                    kind(kw)
     return order
 
 
@@ -775,21 +781,11 @@ def schema_to_json(s: Schema) -> JsonValue:
     return _schema_json(s, {})
 
 
-def _keyword_json(kw: Keyword, memo: dict) -> JsonValue:
-    kind = CHILD_KIND.get(kw.name)
-    if kind == 0:
-        return _schema_json(kw.value, memo)
-    if kind == 1:
-        return [_schema_json(s, memo) for s in kw.value]
-    if kind == 2:
-        return {k: _schema_json(s, memo) for k, s in kw.value.items()}
-    if kw.name == "required":
-        return list(kw.value)
-    return kw.value
-
-
 def _schema_json(s: Schema, memo: dict) -> JsonValue:
-    """``memo`` maps the ids of the nodes converted so far to their values."""
+    """``memo`` maps the ids of the nodes converted so far to their values.
+
+    One frame per nesting level: the keywords are converted here, with
+    plain loops, since a comprehension would take a frame of its own."""
     if isinstance(s, BoolSchema):
         return s.value
     out = memo.get(id(s))
@@ -797,7 +793,21 @@ def _schema_json(s: Schema, memo: dict) -> JsonValue:
         return out
     out = memo[id(s)] = {}
     for kw in s.keywords:
-        out[kw.name] = _keyword_json(kw, memo)
+        kind = CHILD_KIND.get(kw.name)
+        value = kw.value
+        if kind == 0:
+            value = _schema_json(value, memo)
+        elif kind == 1:
+            value = []
+            for sub in kw.value:
+                value.append(_schema_json(sub, memo))
+        elif kind == 2:
+            value = {}
+            for name, sub in kw.value.items():
+                value[name] = _schema_json(sub, memo)
+        elif kw.name == "required":
+            value = list(value)
+        out[kw.name] = value
     return out
 
 

@@ -377,6 +377,20 @@ def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_a_long_exponent_exits_2(tmp_path, capsys):
+    """A short literal whose plain-decimal text would be long, or whose
+    exponent a Decimal cannot hold, is a parse error, not a process that
+    grows or a traceback."""
+    instance = write(tmp_path, "i.json", 1)
+    for literal in ("1e10000000", "1e9999999999999999999"):
+        schema = tmp_path / "s.json"
+        schema.write_text('{"properties":{"a":{"minimum":' + literal + "}}}")
+        code, out, err = run(capsys, "validate", "--schema", str(schema), "--instance", instance)
+        assert code == 2, literal
+        assert out == ""
+        assert err.startswith("error:") and "number literal" in err and "Traceback" not in err
+
+
 def test_gen_family_rejects_sizes_below_1(capsys):
     for n in ("0", "-3", "x"):
         code, out, err = run(capsys, "gen-family", "--kind", "sn", "--n", n)
@@ -448,9 +462,10 @@ def test_deep_normal_form_is_printed_by_enf(tmp_path, capsys):
 
 
 def test_deep_normal_form_exits_2_from_enf(tmp_path, capsys):
-    """A properties chain deeper than the normal form's conversion to JSON
-    reaches is a clean error."""
-    depth = 400
+    """A properties chain deeper than ``enf`` can follow is a clean error.
+    The conversion to JSON takes one frame per level, so the depth sits
+    past the parser's ceiling."""
+    depth = 600
     chain = tmp_path / "chain.json"
     chain.write_text('{"properties":{"a":' * depth + "true" + "}}" * depth)
     code, out, err = run(capsys, "enf", "--schema", str(chain))
@@ -493,12 +508,14 @@ print(json.dumps(found))
 
 #: Per command and chain of ``properties`` or ``allOf`` wrappers around
 #: ``{}``: the deepest chain the command answered with exit 0 at the
-#: default recursion limit, measured at 0eb1d8e.  For ``eliminate`` the
-#: chain sits under ``{"allOf": [chain], "unevaluatedProperties": false}``.
+#: default recursion limit, measured at 0eb1d8e, and for the ``properties``
+#: chains of ``eliminate`` and ``enf`` since the JSON writer takes one
+#: frame per level.  For ``eliminate`` the chain sits under
+#: ``{"allOf": [chain], "unevaluatedProperties": false}``.
 CLI_DEPTH_CEILINGS = [
-    ("eliminate", "properties", 330),
+    ("eliminate", "properties", 493),
     ("eliminate", "allOf", 245),
-    ("enf", "properties", 330),
+    ("enf", "properties", 494),
     ("enf", "allOf", 247),
     ("analyze", "properties", 494),
     ("analyze", "allOf", 248),

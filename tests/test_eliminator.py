@@ -1,4 +1,6 @@
+import json
 import random
+import sys
 
 import pytest
 
@@ -16,7 +18,14 @@ from uneval.eliminate import (
     with_anchor,
 )
 from uneval.enf import enf
-from uneval.errors import EliminationError, GuardednessError, NestingDepthError, SchemaParseError
+from uneval.errors import (
+    EliminationError,
+    GuardednessError,
+    NestingDepthError,
+    RefResolutionError,
+    SchemaParseError,
+)
+from uneval.jsonvalue import parse_json, serialize_json
 from uneval.families import gen_family_san, gen_family_sn
 from uneval.instances import enumerate_instances
 from uneval.schema import (
@@ -921,3 +930,68 @@ def test_a_wide_applicator_is_not_too_deep_to_rewrite(schema_json):
     ):
         assert validate(doc, doc.root, instance).valid is valid, instance
         assert validate(out, out.root, instance).valid is valid, instance
+
+
+#: Rewrites whose item guard is a parsed ``contains`` subschema that is a
+#: bare ``anyOf``: with ``unevaluatedItems: false`` the item check is that
+#: guard as ``combine`` writes it (one branch bare, a repeated branch
+#: once, a ``true`` branch absorbing), not the subschema as parsed.
+RAW_CONTAINS_REWRITES = [
+    (
+        '{"contains":{"anyOf":[{"const":null}]},"unevaluatedItems":false}',
+        '{"contains":{"anyOf":[{"const":null}]},"items":{"const":null}}',
+    ),
+    (
+        '{"contains":{"anyOf":[{"const":1},{"const":1}]},"unevaluatedItems":false}',
+        '{"contains":{"anyOf":[{"const":1},{"const":1}]},"items":{"const":1}}',
+    ),
+    (
+        '{"contains":{"anyOf":[true,{"const":1}]},"unevaluatedItems":false}',
+        '{"contains":{"anyOf":[true,{"const":1}]},"items":true}',
+    ),
+    (
+        '{"anyOf":[{"contains":{"anyOf":[{"const":null}]}},{"prefixItems":[true]}],'
+        '"unevaluatedItems":false}',
+        '{"anyOf":[{"contains":{"anyOf":[{"const":null}]},"items":{"const":null}},'
+        '{"items":false,"prefixItems":[true]},'
+        '{"contains":{"anyOf":[{"const":null}]},"items":{"const":null},"prefixItems":[true]}]}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    RAW_CONTAINS_REWRITES,
+    ids=["one-branch", "repeated-branch", "true-branch", "in-a-choice"],
+)
+def test_the_push_normalizes_a_raw_contains_guard(text, expected):
+    doc = parse_schema(parse_json(text))
+    out = elim_document(doc)
+    assert serialize_json(serialize_schema(out)) == expected
+    rewritten = parse_schema(parse_json(expected))
+    jsonschema = pytest.importorskip("jsonschema")
+    references = [jsonschema.Draft202012Validator(json.loads(t)) for t in (text, expected)]
+    for instance_text in ("[]", "[null]", "[1]", "[1,1]", "[null,1]", '["x"]'):
+        instance = parse_json(instance_text)
+        want = references[0].is_valid(json.loads(instance_text))
+        assert references[1].is_valid(json.loads(instance_text)) is want, instance_text
+        assert validate(doc, doc.root, instance).valid is want, instance_text
+        assert validate(rewritten, rewritten.root, instance).valid is want, instance_text
+
+
+def _rewrite_with_push(monkeypatch, pushed):
+    """The rewrite of a small uneval-schema whose push gives ``pushed``."""
+    monkeypatch.setattr(sys.modules["uneval.eliminate"], "push_uneval", lambda *args: pushed)
+    return elim_document(parse_schema({"properties": {"a": True}, "unevaluatedProperties": False}))
+
+
+def test_the_rewrite_check_finds_unevaluated_below_a_name_map(monkeypatch):
+    pushed = parse_schema({"properties": {"a": {"properties": {"b": {"unevaluatedProperties": False}}}}})
+    with pytest.raises(EliminationError, match="rewriting left unevaluated"):
+        _rewrite_with_push(monkeypatch, pushed.root)
+
+
+def test_the_rewrite_check_resolves_a_reference_in_a_list(monkeypatch):
+    pushed = make_obj(Keyword("prefixItems", (TRUE_SCHEMA, schema.ref("#/$defs/missing"))))
+    with pytest.raises(RefResolutionError, match="unresolved reference"):
+        _rewrite_with_push(monkeypatch, pushed)

@@ -94,6 +94,27 @@ def test_parse_integer_past_the_digit_limit_is_a_parse_error():
             parse_json(text)
 
 
+def test_parse_holds_a_non_integer_to_the_digit_limit():
+    """Digits plus the size of the exponent may reach the integer digit
+    limit, not pass it; small and large exponents within it still parse."""
+    assert parse_json("1e-400") == Decimal("1e-400")
+    assert parse_json("2.5e300") == Decimal("2.5e300")
+    assert parse_json("-0.0") == 0 and parse_json("-0.0").is_signed()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    assert parse_json(f"1e{limit - 1}") == Decimal(f"1e{limit - 1}")
+    assert parse_json("0." + "1" * (limit // 2)) == Decimal("0." + "1" * (limit // 2))
+    for text in (f"1e{limit}", f"1e-{limit}", "0." + "1" * (limit // 2 + 1), "[1e10000000]"):
+        with pytest.raises(JsonParseError, match=f"number literal .* more than {limit} digits"):
+            parse_json(text)
+
+
+def test_parse_rejects_an_exponent_a_decimal_cannot_hold():
+    with pytest.raises(JsonParseError, match="exponent out of range"):
+        parse_json('{"minimum": 1e9999999999999999999}')
+
+
 def test_numbers_parsed_exactly():
     v = parse_json("[1.0, 0.1, 100]")
     assert v[0] == Decimal("1.0")

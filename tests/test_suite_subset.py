@@ -1,8 +1,12 @@
 """Runner for the bundled subset of the community schema test suite."""
 
+import json
+
 import pytest
 
-from uneval.schema import parse_schema
+from uneval.eliminate import elim_document
+from uneval.jsonvalue import parse_json, serialize_json
+from uneval.schema import parse_schema, serialize_schema
 from uneval.validator import validate
 
 from conftest import load_suite
@@ -43,5 +47,20 @@ def test_third_party_agrees_on_suite(suite_group):
     jsonschema = pytest.importorskip("jsonschema")
     _, group = suite_group
     checker = jsonschema.Draft202012Validator(group["schema"])
+    for test in group["tests"]:
+        assert checker.is_valid(test["data"]) == test["valid"], test["description"]
+
+
+def test_rewrite_keeps_the_suite_verdicts(suite_group):
+    """The rewrite of each suite schema, written out and parsed again,
+    gives the suite's verdict on every case, under uneval and under
+    jsonschema."""
+    _, group = suite_group
+    text = serialize_json(serialize_schema(elim_document(parse_schema(group["schema"]))))
+    doc = parse_schema(parse_json(text))
+    for test in group["tests"]:
+        assert validate(doc, doc.root, test["data"]).valid == test["valid"], test["description"]
+    jsonschema = pytest.importorskip("jsonschema")
+    checker = jsonschema.Draft202012Validator(json.loads(text))
     for test in group["tests"]:
         assert checker.is_valid(test["data"]) == test["valid"], test["description"]
