@@ -848,8 +848,8 @@ def canonical_text(s: Schema) -> str:
             text = "[" + ",".join([sub.key for sub in value]) + "]"
         elif kind == 2:
             text = "{" + ",".join([string_text(k) + ":" + value[k].key for k in sorted(value)]) + "}"
-        elif name == "required":
-            text = serialize_json(list(value))
+        elif name == "required":  # the parser admits only strings
+            text = "[" + ",".join(map(string_text, value)) + "]"
         else:
             text = serialize_json(value)
         parts.append(string_text(name) + ":" + text)

@@ -39,7 +39,11 @@ A node's bool-mode check dispatches once on the instance's class, over a
 table of only the JSON classes its keywords constrain plus one default
 (``False`` where ``type`` or ``const`` narrow the classes); a one-class
 table tests ``type(x) is T``, and a value of another Python class, such as
-an ``OrderedDict``, is looked up by its JSON class.  Only a named node
+an ``OrderedDict``, is looked up by its JSON class.  A constant default
+(``False`` after narrowing, ``True`` when no keyword checks every class)
+is answered without a call.  Every failing verdict is one shared
+:class:`ValidationOutcome`, which holds no document, schema or instance
+and cannot be changed; only a passing verdict builds one.  Only a named node
 (the root, a definition, an anchor) can be re-entered by a ``$ref``, so
 only these get a late-bound trampoline while under way.  Compiled checks
 bind what they read as default arguments, not as closure cells, each one
@@ -119,6 +123,28 @@ class ValidationOutcome:
         return f"ValidationOutcome(valid={self.valid})"
 
 
+class _Failed(ValidationOutcome):
+    """The outcome of every failing validation: one shared instance that
+    holds nothing and cannot be changed."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        empty = {"valid": False, "_doc": None, "_schema": None, "_instance": None,
+                 "_annotation": EMPTY_ANNOTATION}
+        for name, value in empty.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("the failing outcome is shared and cannot be changed")
+
+    def __delattr__(self, name):
+        raise AttributeError("the failing outcome is shared and cannot be changed")
+
+
+_FAILED = _Failed()
+
+
 _TOO_DEEP = "the schema or instance nests too deeply to validate"
 
 
@@ -137,7 +163,9 @@ def validate(doc: SchemaDocument, schema: Schema, instance: JsonValue) -> Valida
         valid = check(instance)
     except RecursionError:
         raise NestingDepthError(_TOO_DEEP) from None
-    return ValidationOutcome(valid, doc, schema, instance)
+    if not valid:
+        return _FAILED
+    return ValidationOutcome(True, doc, schema, instance)
 
 
 def validate_keyword_list(
@@ -245,15 +273,40 @@ def _all(checks: Sequence[Check]) -> Check:
 def _dispatch(table: dict, default: Check) -> Check:
     """One check per instance type, as a single closure: ``table`` maps the
     JSON classes a node constrains, ``default`` serves the others.  A value
-    of another Python class is looked up by its JSON class."""
+    of another Python class is looked up by its JSON class.  A constant
+    default is answered without a call."""
+    constant = default is _true or default is _false
     if len(table) == 1:
         ((only, f),) = table.items()
+        if constant:
+
+            def one_type_or(x, only=only, f=f, answer=default is _true):
+                t = type(x)
+                if t is only or t not in _EXACT and json_class(x) is only:
+                    return f(x)
+                return answer
+
+            return one_type_or
 
         def one_type(x, only=only, f=f, default=default):
             t = type(x)
             return (f if t is only or t not in _EXACT and json_class(x) is only else default)(x)
 
         return one_type
+    if constant:
+
+        def by_type_or(x, get=table.get, answer=default is _true):
+            t = type(x)
+            f = get(t)
+            if f is None:
+                if t in _EXACT:
+                    return answer
+                f = get(json_class(x))
+                if f is None:
+                    return answer
+            return f(x)
+
+        return by_type_or
 
     def by_type(x, get=table.get, default=default):
         t = type(x)

@@ -1,9 +1,11 @@
 """How the measuring tools in ``tools/`` name the checkouts they compare,
 and how they stop."""
 
+import ast
 import importlib
 import json
 import os
+import random
 import re
 import shutil
 import signal
@@ -21,7 +23,7 @@ REPO = Path(__file__).resolve().parent.parent
 def tools(monkeypatch):
     """``tools/`` importable as the scripts import each other."""
     monkeypatch.setattr(sys, "path", [str(REPO / "tools"), *sys.path])
-    for name in ("bench_pairs", "ab_rewrite", "ab_validate"):
+    for name in ("bench_pairs", "ab_rewrite", "ab_validate", "mutants"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     return importlib
 
@@ -103,3 +105,45 @@ def test_bench_pairs_stops_its_running_child_on_sigterm(tmp_path):
         tool.wait()
         if child is not None and _alive(child):
             os.kill(child, signal.SIGKILL)
+
+
+_MUTABLE = """\
+def f(a, b):
+    if a < b <= 3 and (a is None or b in (1, 2)):
+        return True
+    return a != b
+"""
+
+
+def test_mutants_flips_one_point_at_a_time(tools):
+    mutants = tools.import_module("mutants")
+    cases = mutants.mutants("m.py", _MUTABLE)
+    assert [(i, d) for i, d, _ in cases] == [
+        ("m.py:2:7", "a < b <= 3 and (a is None or b in (1, 2)): and -> or"),
+        ("m.py:2:7/0", "a < b: < -> >="),
+        ("m.py:2:7/1", "b <= 3: <= -> >"),
+        ("m.py:2:23", "a is None or b in (1, 2): or -> and"),
+        ("m.py:2:23", "a is None: is -> is not"),
+        ("m.py:2:36", "b in (1, 2): in -> not in"),
+        ("m.py:3:15", "True -> False"),
+        ("m.py:4:11", "a != b: != -> =="),
+    ]
+    untouched = list(ast.walk(ast.parse(_MUTABLE)))
+    for _, _, text in cases:
+        mutated = list(ast.walk(ast.parse(text)))
+        assert len(mutated) == len(untouched)
+        changed = [
+            (a, b) for a, b in zip(untouched, mutated)
+            if type(a) is not type(b) or isinstance(a, ast.Constant) and a.value != b.value
+        ]
+        assert len(changed) == 1, text
+
+
+def test_the_oracle_rows_sample_as_the_benchmark_does(tools, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    bench_sample = tools.import_module("workloads").systematic_sample
+    ours = tools.import_module("ab_validate").systematic_sample
+    for n, k in ((0, 4), (3, 4), (4, 4), (10, 4), (1001, 400)):
+        seed = f"{n}:{k}"
+        assert ours(n, k, random.Random(seed)) == bench_sample(n, k, random.Random(seed))

@@ -1,5 +1,6 @@
 import json
 import random
+import weakref
 from collections import OrderedDict
 
 import pytest
@@ -16,6 +17,7 @@ from uneval.schema import (
     serialize_schema,
 )
 from uneval.validator import (
+    BOOL,
     EMPTY_ANNOTATION,
     validate,
     validate_keyword_list,
@@ -191,6 +193,85 @@ def test_values_of_other_classes_are_judged_by_their_json_class(monkeypatch, dic
             verdicts.add(expected.valid)
     assert verdicts == {True, False}
     assert {type(x) for x in seen} == {dict_class, _Int, _Str}
+
+
+#: Schemas whose root check dispatches on the instance's class, and the
+#: name of the dispatch closure: a ``*_or`` closure answers the classes
+#: outside its table with a constant, the others call the default check.
+DISPATCH_SCHEMAS = [
+    # one class; False for the others
+    ({"type": "object", "properties": {"a": {"minimum": 1}}, "required": ["a"]}, "one_type_or"),
+    # one class; True for the others
+    ({"properties": {"a": {"minimum": 1}}, "required": ["a"]}, "one_type_or"),
+    # one class; a check for the others
+    ({"required": ["a"], "not": {"const": 5}}, "one_type"),
+    # several classes; False for the others
+    ({"type": "integer", "minimum": 2}, "by_type_or"),
+    ({"type": "number"}, "by_type_or"),
+    # several classes; True for the others
+    ({"minimum": 2, "pattern": "^x"}, "by_type_or"),
+    # several classes; a check for the others
+    ({"minimum": 2, "pattern": "^x", "not": {"const": 5}}, "by_type"),
+]
+DISPATCH_INSTANCES = [
+    OrderedDict(a=1), OrderedDict(a=0), OrderedDict(b=1), _Dict(a=2),
+    _Int(3), _Int(1), _Int(5), _Str("x"), _Str("y"),
+    True, False, None, 3, 5, 1, 1.0, 2.0, 2.5, 3.0, "x", "y", [1], {"a": 2}, {},
+]
+
+
+@pytest.mark.parametrize("schema_json, check_name", DISPATCH_SCHEMAS)
+def test_each_dispatch_judges_every_class(schema_json, check_name):
+    """A node's check answers an exact value of a class outside its table
+    by its default, a ``bool`` against ``integer``/``number`` among them,
+    and looks up a value of another Python class by its JSON class: in
+    bool mode, in annotation mode and as ``jsonschema`` does."""
+    jsonschema = pytest.importorskip("jsonschema")
+    reference = jsonschema.Draft202012Validator(schema_json)
+    doc = parse_schema(schema_json)
+    verdicts = set()
+    for instance in DISPATCH_INSTANCES:
+        exact = json.loads(json.dumps(instance))
+        expected = outcome(schema_json, exact)
+        got = validate(doc, doc.root, instance)
+        assert got.valid is expected.valid is reference.is_valid(instance), (schema_json, instance)
+        assert got.annotation == expected.annotation, (schema_json, instance)
+        verdicts.add(got.valid)
+    assert verdicts == {True, False}
+    assert doc.compiled[id(doc.root)][BOOL].__name__ == check_name
+
+
+def test_every_failing_validation_shares_one_outcome():
+    """A failing verdict is one shared outcome with an empty annotation;
+    it cannot be changed, and a passing verdict gets an outcome of its
+    own."""
+    doc = parse_schema({"properties": {"a": {"type": "integer"}}, "unevaluatedProperties": False})
+    failed = validate(doc, doc.root, {"a": "x"})
+    assert failed is validate(doc, doc.root, {"b": 1}) is outcome(False, 3)
+    assert failed.valid is False
+    assert failed.annotation is EMPTY_ANNOTATION
+    assert failed.to_json() == {"valid": False, "evaluatedProperties": [], "evaluatedItems": []}
+    with pytest.raises(AttributeError):
+        failed.valid = True
+    with pytest.raises(AttributeError):
+        del failed.valid
+    with pytest.raises(AttributeError):  # nor through its annotation
+        failed.annotation.props = frozenset({"a"})
+    assert validate(doc, doc.root, {"a": "x"}).valid is False
+    assert outcome(False, 3).valid is False
+    passed = validate(doc, doc.root, {"a": 1})
+    assert passed is not validate(doc, doc.root, {"a": 1})
+    assert passed.to_json() == {"valid": True, "evaluatedProperties": ["a"], "evaluatedItems": []}
+
+
+def test_a_failing_outcome_keeps_no_instance_alive():
+    doc = parse_schema({"required": ["a"], "unevaluatedProperties": False})
+    instance = _Dict(b=1)
+    alive = weakref.ref(instance)
+    failed = validate(doc, doc.root, instance)
+    del instance
+    assert alive() is None
+    assert failed.valid is False and failed.annotation == EMPTY_ANNOTATION
 
 
 @pytest.mark.parametrize("schema_json", [{"type": "integer"}, {"type": "number"}])
@@ -536,6 +617,23 @@ def test_ad_hoc_schemas_do_not_grow_the_cache():
         sizes.add(len(doc.compiled))
     assert max(sizes) <= node_count
     assert len(sizes) == 1
+
+
+def test_the_exact_fold_does_not_grow_the_cache():
+    """The fold compiles the subschemas of its keywords for the call
+    only, as ``validate`` compiles ad hoc nodes."""
+    doc = parse_schema(SALE_CAR)
+    assert validate(doc, doc.root, {"price": 100, "plate": "x111"}).valid
+    size = len(doc.compiled)
+    ad_hoc = [parse_schema({"type": "integer", "minimum": i}).root for i in range(3)]
+    keywords = (
+        Keyword("allOf", (ad_hoc[0],)),
+        Keyword("anyOf", (ad_hoc[1],)),
+        Keyword("properties", {"price": ad_hoc[2]}),
+    )
+    for instance in ({"price": 100}, 5):
+        validate_keyword_list(doc, keywords, instance)
+        assert len(doc.compiled) == size
 
 
 def test_warm_annotation_builds_no_compiler(monkeypatch):

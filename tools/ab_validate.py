@@ -1,4 +1,4 @@
-"""In-process A/B timing of witness validation for two checkouts of the package.
+"""In-process A/B timing of witness and oracle validation for two checkouts.
 
 Run from anywhere, with two checkouts of the repository::
 
@@ -22,9 +22,22 @@ The report gives each side's p50 and p99 over per-slot medians (the shape
 of ``witness_validate_us_p50``/``_p99``), and the medians of the cold and
 of the warm slots.  The warm median is also given for the originals (slots
 ``2j``) and the rewrites (slots ``2j + 1``) apart: an original that carries
-``unevaluated*`` runs in annotation mode, a rewrite in bool mode.  Times
-are raw ``perf_counter_ns`` readings, not scaled to a reference machine as
-the benchmark's are.
+``unevaluated*`` runs in annotation mode, a rewrite in bool mode.
+
+The oracle rows have the shape of ``bench/run.py``'s ``oracle_sweep``.
+For every corpus fixture, a seeded systematic sample of at most
+``ORACLE_PER_FIXTURE`` instances of its ``enumerate_instances`` universe
+is drawn as ``OraclePhase`` draws it, and each side parses the original
+and rewrites it once.  After one untimed warm-up pass, each of
+``ORACLE_ROUNDS`` rounds visits the pairs in a fresh seeded order and
+validates each sampled instance warm under the original and then under
+the rewrite, on A and on B, the side that goes first alternating per pair
+and round.  The two verdicts must agree on both sides, and both sides
+must rewrite each fixture to the same text.  The rows give each side's
+p50 and p99 over per-pair medians (the shape of
+``validate_original_us_*``/``validate_rewritten_us_*``) and the sum of
+the per-pair medians.  Times are raw ``perf_counter_ns`` readings, not
+scaled to a reference machine as the benchmark's are.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ import random
 import statistics
 import sys
 import time
+from array import array
 from pathlib import Path
 
 from ab_rewrite import SIDES, load_package, percentile, rel
@@ -43,6 +57,9 @@ from bench_pairs import identify
 
 ROUNDS = 40
 SEED = 11
+#: ``oracle_per_fixture`` of the benchmark's full-size runs.
+ORACLE_PER_FIXTURE = 400
+ORACLE_ROUNDS = 15
 
 
 class FixtureOps:
@@ -81,6 +98,80 @@ class FixtureOps:
                     raise SystemExit(f"{self.name}: side {side} judged witness {j} {verdict}")
 
 
+def systematic_sample(n: int, k: int, rng: random.Random) -> list[int]:
+    """``k`` indices spread evenly over ``range(n)`` from a seeded start, or
+    all of them if ``n <= k``, as ``bench/workloads.py`` samples them."""
+    if n <= k:
+        return list(range(n))
+    step = n / k
+    start = rng.random() * step
+    return [int(start + j * step) for j in range(k)]
+
+
+class OracleOps:
+    """The sampled instances of every fixture's universe, and each side's
+    original and rewritten document for each of them."""
+
+    def __init__(self, pkgs: dict, paths: list[Path]):
+        rng = random.Random(f"{SEED}:oracle_sweep")
+        pairs = []
+        for path in paths:
+            schema_bytes = (path / "schema.json").read_bytes()
+            docs = {}
+            texts = set()
+            for side, pkg in pkgs.items():
+                doc = pkg.parse_schema(pkg.parse_json(schema_bytes))
+                rewritten = pkg.elim_document(doc)
+                texts.add(pkg.serialize_json(pkg.serialize_schema(rewritten)))
+                docs[side] = (doc, rewritten)
+            if len(texts) != 1:
+                raise SystemExit(f"{path.name}: A and B rewrite to different texts")
+            universe = list(pkgs["b"].enumerate_instances(docs["b"][0]))
+            picked = systematic_sample(len(universe), ORACLE_PER_FIXTURE, rng)
+            pairs.extend((path.name, docs, universe[i]) for i in picked)
+        rng.shuffle(pairs)
+        self.pairs = pairs
+
+    def run(self, pkg, side: str, i: int) -> tuple[int, int]:
+        """Validate pair ``i`` under the original and the rewrite; return
+        the two times."""
+        name, docs, instance = self.pairs[i]
+        doc, rewritten = docs[side]
+        t0 = time.perf_counter_ns()
+        before = pkg.validate(doc, doc.root, instance).valid
+        t1 = time.perf_counter_ns()
+        after = pkg.validate(rewritten, rewritten.root, instance).valid
+        t2 = time.perf_counter_ns()
+        if before != after:
+            raise SystemExit(f"{name}: side {side} judged {instance!r} {before}, rewritten {after}")
+        return t1 - t0, t2 - t1
+
+
+def oracle_summary(oracle: OracleOps, pkgs: dict) -> dict:
+    """Per side, the p50/p99 of the per-pair medians and their sums."""
+    n = len(oracle.pairs)
+    times = {s: tuple(array("q", bytes(8 * n * ORACLE_ROUNDS)) for _ in range(2)) for s in SIDES}
+    for i in range(n):  # warm-up: compile every document
+        for side in SIDES:
+            oracle.run(pkgs[side], side, i)
+    rng = random.Random(SEED)
+    for r in range(ORACLE_ROUNDS):
+        order = list(range(n))
+        rng.shuffle(order)
+        for k, i in enumerate(order):
+            for side in SIDES if (r + k) % 2 == 0 else SIDES[::-1]:
+                original, rewritten = times[side]
+                original[r * n + i], rewritten[r * n + i] = oracle.run(pkgs[side], side, i)
+    summary = {s: {} for s in SIDES}
+    for s in SIDES:
+        for kind, samples in zip(("original", "rewrite"), times[s]):
+            medians = [statistics.median(samples[i::n]) / 1e3 for i in range(n)]
+            summary[s][f"oracle_{kind}_p50_us"] = percentile(medians, 0.5)
+            summary[s][f"oracle_{kind}_p99_us"] = percentile(medians, 0.99)
+            summary[s][f"oracle_{kind}_sum_ms"] = sum(medians) / 1e3
+    return summary
+
+
 def pooled(per_fixture: list[list[float]], part: slice) -> list[float]:
     """The slot medians in ``part`` of every fixture's slots."""
     return [m for medians in per_fixture for m in medians[part]]
@@ -94,11 +185,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     pkgs = {s: load_package(f"uneval_{s}", getattr(args, s).resolve()) for s in SIDES}
     corpus = args.b / "tests" / "corpus"
-    fixtures = [
-        FixtureOps(pkgs, path)
-        for path in sorted(p for p in corpus.iterdir() if p.is_dir())
-        if not path.name.startswith("adv_")
-    ]
+    paths = sorted(p for p in corpus.iterdir() if p.is_dir())
+    fixtures = [FixtureOps(pkgs, path) for path in paths if not path.name.startswith("adv_")]
+    oracle = OracleOps(pkgs, paths)
 
     times = {
         s: [[[] for _ in range(2 * len(fx.witnesses[s]))] for fx in fixtures] for s in SIDES
@@ -123,18 +212,22 @@ def main(argv=None) -> int:
             "warm_original_p50_us": statistics.median(pooled(per_fixture, slice(2, None, 2))),
             "warm_rewrite_p50_us": statistics.median(pooled(per_fixture, slice(3, None, 2))),
         }
+    for s, rows in oracle_summary(oracle, pkgs).items():
+        summary[s].update(rows)
     rows = {
         label: {"a": summary["a"][label], "b": summary["b"][label]} for label in summary["a"]
     }
     for label, row in rows.items():
         row["delta"] = rel(row["a"], row["b"])
-        print(f"{label:20} A {row['a']:9.2f} us  B {row['b']:9.2f} us  {100 * row['delta']:+7.1f}%")
+        print(f"{label:22} A {row['a']:9.2f}  B {row['b']:9.2f}  {100 * row['delta']:+7.1f}%")
     if args.json:
         report = {
             "python": platform.python_version(),
             "rounds": ROUNDS,
             "seed": SEED,
             "slots": len(medians),
+            "oracle_rounds": ORACLE_ROUNDS,
+            "oracle_pairs": len(oracle.pairs),
             "checkouts": {s: identify(getattr(args, s).resolve()) for s in SIDES},
             "summary": rows,
         }
