@@ -141,6 +141,9 @@ class _Failed(ValidationOutcome):
     def __delattr__(self, name):
         raise AttributeError("the failing outcome is shared and cannot be changed")
 
+    def __reduce__(self):  # copy and pickle give back the shared instance
+        return "_FAILED"
+
 
 _FAILED = _Failed()
 
@@ -273,40 +276,15 @@ def _all(checks: Sequence[Check]) -> Check:
 def _dispatch(table: dict, default: Check) -> Check:
     """One check per instance type, as a single closure: ``table`` maps the
     JSON classes a node constrains, ``default`` serves the others.  A value
-    of another Python class is looked up by its JSON class.  A constant
-    default is answered without a call."""
-    constant = default is _true or default is _false
+    of another Python class is looked up by its JSON class."""
     if len(table) == 1:
         ((only, f),) = table.items()
-        if constant:
-
-            def one_type_or(x, only=only, f=f, answer=default is _true):
-                t = type(x)
-                if t is only or t not in _EXACT and json_class(x) is only:
-                    return f(x)
-                return answer
-
-            return one_type_or
 
         def one_type(x, only=only, f=f, default=default):
             t = type(x)
             return (f if t is only or t not in _EXACT and json_class(x) is only else default)(x)
 
         return one_type
-    if constant:
-
-        def by_type_or(x, get=table.get, answer=default is _true):
-            t = type(x)
-            f = get(t)
-            if f is None:
-                if t in _EXACT:
-                    return answer
-                f = get(json_class(x))
-                if f is None:
-                    return answer
-            return f(x)
-
-        return by_type_or
 
     def by_type(x, get=table.get, default=default):
         t = type(x)
@@ -316,6 +294,34 @@ def _dispatch(table: dict, default: Check) -> Check:
         return f(x)
 
     return by_type
+
+
+def _dispatch_or(table: dict, answer: bool) -> Check:
+    """:func:`_dispatch` with a constant default: the others get ``answer``
+    without a call."""
+    if len(table) == 1:
+        ((only, f),) = table.items()
+
+        def one_type_or(x, only=only, f=f, answer=answer):
+            t = type(x)
+            if t is only or t not in _EXACT and json_class(x) is only:
+                return f(x)
+            return answer
+
+        return one_type_or
+
+    def by_type_or(x, get=table.get, answer=answer):
+        t = type(x)
+        f = get(t)
+        if f is None:
+            if t in _EXACT:
+                return answer
+            f = get(json_class(x))
+            if f is None:
+                return answer
+        return f(x)
+
+    return by_type_or
 
 
 def _siblings(context: Sequence[Keyword]) -> dict:
@@ -439,7 +445,6 @@ class _Compiler:
         if accepted is None and not typed:
             return every
         table = dict.fromkeys(accepted or (), every)
-        default = every if accepted is None else _false
         for types, checks in typed.items():
             fn = _all(checks + general)
             for t in types:
@@ -449,7 +454,11 @@ class _Compiler:
             for t, is_integral in _INTEGRAL:
                 fn = table[t]
                 table[t] = is_integral if fn is _true else _all((is_integral, fn))
-        return _dispatch(table, default)
+        if accepted is not None:
+            return _dispatch_or(table, False)
+        if every is _true:
+            return _dispatch_or(table, True)
+        return _dispatch(table, every)
 
     def bool_any_of(self, branches, siblings, cached) -> Check:
         fs = [self.schema(s, BOOL, cached) for s in branches]

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import weakref
 from collections import OrderedDict
@@ -259,6 +261,7 @@ def test_every_failing_validation_shares_one_outcome():
         failed.annotation.props = frozenset({"a"})
     assert validate(doc, doc.root, {"a": "x"}).valid is False
     assert outcome(False, 3).valid is False
+    assert copy.copy(failed) is copy.deepcopy(failed) is pickle.loads(pickle.dumps(failed)) is failed
     passed = validate(doc, doc.root, {"a": 1})
     assert passed is not validate(doc, doc.root, {"a": 1})
     assert passed.to_json() == {"valid": True, "evaluatedProperties": ["a"], "evaluatedItems": []}

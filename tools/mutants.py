@@ -2,7 +2,7 @@
 
 Run from anywhere::
 
-    python3 tools/mutants.py validator.py [--timeout 120] [--json OUT]
+    python3 tools/mutants.py validator.py
 
 A *mutation point* is one comparison operator (``==``/``!=``, ``<``/``>=``,
 ``>``/``<=``, ``is``/``is not``, ``in``/``not in``), one ``and``/``or`` or
@@ -16,7 +16,8 @@ Every run happens in a temporary directory that holds a copy of
 ``pyproject.toml``; nothing is written into the checkout.  The untouched
 re-written module is run first and must pass.  Then each mutant runs the
 tier-1 suite with ``-x``, the module's own test file
-(``tests/test_<module>.py``) first, under a per-mutant timeout.
+(``tests/test_<module>.py``) first, under a per-mutant timeout of
+``TIMEOUT_S`` seconds.
 A mutant is *killed* when the suite fails, *hangs* when the timeout ends
 it, and *survives* otherwise.  Survivors listed in
 ``tools/equivalent_mutants.txt`` are reported as equivalent; each line
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import os
 import shutil
 import signal
@@ -175,8 +175,6 @@ def run_suite(work: Path, command: list[str], timeout: float) -> tuple[str, floa
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="a module of src/uneval, such as validator.py")
-    parser.add_argument("--timeout", type=float, default=TIMEOUT_S, help="seconds per mutant")
-    parser.add_argument("--json", type=Path, help="also write the report here")
     args = parser.parse_args(argv)
     module = Path(args.module).name
     target = REPO / "src" / "uneval" / module
@@ -186,7 +184,8 @@ def main(argv=None) -> int:
     cases = mutants(module, source)
     listed = read_equivalent(EQUIVALENT)
 
-    results = []
+    counts = {"killed": 0, "survived": 0, "hung": 0}
+    unexplained = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
         for name in COPIED:
@@ -196,37 +195,29 @@ def main(argv=None) -> int:
         copy = work / "src" / "uneval" / module
         command = tier1_command(work, module)
         copy.write_text(ast.unparse(ast.parse(source)))
-        status, seconds = run_suite(work, command, args.timeout)
+        status, seconds = run_suite(work, command, TIMEOUT_S)
         if status != "survived":
             raise SystemExit(f"the untouched re-written {module} does not pass tier-1 ({status})")
         print(f"{module}: {len(cases)} mutants; the untouched module passed in {seconds:.1f} s")
         for mutant_id, description, text in cases:
             copy.write_text(text)
-            status, seconds = run_suite(work, command, args.timeout)
-            reason = listed.get((mutant_id, description)) if status != "killed" else None
-            results.append({
-                "id": mutant_id, "description": description, "status": status,
-                "seconds": round(seconds, 1), "equivalent": reason,
-            })
+            status, _ = run_suite(work, command, TIMEOUT_S)
+            counts[status] += 1
             if status != "killed":
+                reason = listed.get((mutant_id, description))
+                unexplained += reason is None
                 note = f"  (equivalent: {reason})" if reason else ""
                 print(f"{status:8} {mutant_id} {description}{note}", flush=True)
 
-    counts = {s: sum(r["status"] == s for r in results) for s in ("killed", "survived", "hung")}
-    unexplained = [r for r in results if r["status"] != "killed" and not r["equivalent"]]
-    seen = {(r["id"], r["description"]) for r in results}
+    seen = {(i, d) for i, d, _ in cases}
     stale = sorted(f"{i} {d}" for i, d in listed if i.startswith(module + ":") and (i, d) not in seen)
     print(
-        f"{module}: {len(results)} mutants, {counts['killed']} killed, "
+        f"{module}: {len(cases)} mutants, {counts['killed']} killed, "
         f"{counts['survived']} survived, {counts['hung']} hung; "
-        f"{len(unexplained)} not on the equivalent list"
+        f"{unexplained} not on the equivalent list"
     )
     for line in stale:
         print(f"stale entry in {EQUIVALENT.name}: {line}")
-    if args.json:
-        report = {"module": module, "python": sys.version.split()[0], "timeout_s": args.timeout,
-                  "counts": counts, "mutants": results, "stale": stale}
-        args.json.write_text(json.dumps(report, indent=1) + "\n")
     return 1 if unexplained else 0
 
 
