@@ -167,11 +167,10 @@ class EnfBuilder:
         if len(groups) > 1:
             parts = [self.branch_list(ObjSchema(g)) for g in groups]
             return and_combine(parts).branches
-        kw = groups[0][0] if len(groups) == 1 and len(groups[0]) == 1 else None
-        if kw is None:
-            # a single multi-keyword dependency group is structural, hence
-            # characterized, hence never reaches this point
-            raise EliminationError("uncharacterized structural keyword group")
+        # a single multi-keyword dependency group is structural, hence
+        # characterized, hence never reaches this point
+        assert len(groups) == 1 == len(groups[0]), groups
+        kw = groups[0][0]
         if kw.name == "allOf":
             parts = [self.branch_list(b) for b in kw.value]
             return and_combine(parts).branches

@@ -36,21 +36,22 @@ bool mode throughout.  :func:`validate` returns the bool-mode verdict;
 annotation mode.
 
 A node's bool-mode check dispatches once on the instance's class, over a
-table of only the JSON classes its keywords constrain plus one default
-(``False`` where ``type`` or ``const`` narrow the classes); a one-class
+table of the JSON classes its keywords constrain; the other classes get a
+constant answer without a call: ``False`` where ``type`` or ``const``
+narrow the classes, ``True`` otherwise.  A node with a keyword that checks
+every class, such as ``not``, has every class in its table.  A one-class
 table tests ``type(x) is T``, and a value of another Python class, such as
-an ``OrderedDict``, is looked up by its JSON class.  A constant default
-(``False`` after narrowing, ``True`` when no keyword checks every class)
-is answered without a call.  Every failing verdict is one shared
-:class:`ValidationOutcome`, which holds no document, schema or instance
-and cannot be changed; only a passing verdict builds one.  Only a named node
-(the root, a definition, an anchor) can be re-entered by a ``$ref``, so
-only these get a late-bound trampoline while under way.  Compiled checks
-bind what they read as default arguments, not as closure cells, each one
-more object to allocate and keep.
+an ``OrderedDict``, is looked up by its JSON class.  Every failing verdict
+is one shared :class:`ValidationOutcome`, which holds no document, schema
+or instance and cannot be changed; only a passing verdict builds one.  Only
+a named node (the root, a definition, an anchor) can be re-entered by a
+``$ref``, so only these get a late-bound trampoline while under way.
+Compiled checks bind what they read as default arguments, not as closure
+cells, each one more object to allocate and keep.
 
-Only nodes reachable from the document's root and definitions are cached,
-so validating ad hoc schema objects against a document does not grow its
+A compile session compiles each node once, and stores what it compiled in
+the cache only when it was entered at a named node.  So validating ad hoc
+schema objects against a document, or the exact fold, does not grow its
 cache; such nodes are compiled afresh on each call.
 """
 
@@ -183,7 +184,6 @@ def validate_keyword_list(
     """
     compiler = _Compiler(doc)
     steps = [compiler.exact_step(kw, keywords) for kw in keywords]
-    compiler.commit()
     ok = True
     acc = _EMPTY
     for step in steps:
@@ -273,32 +273,11 @@ def _all(checks: Sequence[Check]) -> Check:
     return all_
 
 
-def _dispatch(table: dict, default: Check) -> Check:
-    """One check per instance type, as a single closure: ``table`` maps the
-    JSON classes a node constrains, ``default`` serves the others.  A value
-    of another Python class is looked up by its JSON class."""
-    if len(table) == 1:
-        ((only, f),) = table.items()
-
-        def one_type(x, only=only, f=f, default=default):
-            t = type(x)
-            return (f if t is only or t not in _EXACT and json_class(x) is only else default)(x)
-
-        return one_type
-
-    def by_type(x, get=table.get, default=default):
-        t = type(x)
-        f = get(t)
-        if f is None:
-            f = default if t in _EXACT else get(json_class(x), default)
-        return f(x)
-
-    return by_type
-
-
 def _dispatch_or(table: dict, answer: bool) -> Check:
-    """:func:`_dispatch` with a constant default: the others get ``answer``
-    without a call."""
+    """One check per instance type, as a single closure: ``table`` maps the
+    JSON classes a node constrains, and the other classes get ``answer``
+    without a call.  A value of another Python class is looked up by its
+    JSON class."""
     if len(table) == 1:
         ((only, f),) = table.items()
 
@@ -331,9 +310,9 @@ def _siblings(context: Sequence[Keyword]) -> dict:
 class _Compiler:
     """One compile session against one document.
 
-    Closures of nodes reachable from the document's root and definitions
-    are stored in ``doc.compiled`` when the session commits; other nodes are
-    compiled for the session only.
+    Every node compiled is kept in ``new`` for the session; :meth:`commit`
+    stores them in ``doc.compiled``, which :func:`_compiled` does only for
+    a session entered at a named node.
     """
 
     def __init__(self, doc: SchemaDocument):
@@ -358,12 +337,9 @@ class _Compiler:
 
     # -- schemas
 
-    def schema(self, node: Schema, mode: int, cached: bool):
-        """Compile a node; ``cached`` marks a node of the document.
-
-        A reference back to a named node whose compilation is under way
-        gets a late-bound trampoline.
-        """
+    def schema(self, node: Schema, mode: int):
+        """Compile a node, once per session; a reference back to a named
+        node whose compilation is under way gets a late-bound trampoline."""
         if isinstance(node, BoolSchema):
             return _CONSTANT[node.value, mode]
         i = id(node)
@@ -375,7 +351,6 @@ class _Compiler:
             return old[mode]
         named = i in self.named
         if named:
-            cached = True
             key = (i, mode)
             cell = self.pending.get(key)
             if cell is not None:
@@ -383,24 +358,23 @@ class _Compiler:
             cell = self.pending[key] = [None]
         keywords = node.keywords
         if mode == ANNOT:
-            fn = self.annotation_list(keywords, cached)
+            fn = self.annotation_list(keywords)
         elif keywords and keywords[-1].name in ADK_NAMES:  # rank order: ADKs last
-            fn = _verdict(self.schema(node, ANNOT, cached))
+            fn = _verdict(self.schema(node, ANNOT))
         else:
-            fn = self.bool_list(keywords, keywords, cached)
+            fn = self.bool_list(keywords, keywords)
         if named:
             cell[0] = fn
             del self.pending[key]
-        if cached:
-            entry = self.new.get(i)  # compiling the other mode may have made it
-            if entry is None:
-                entry = self.new[i] = [node, None, None]
-            entry[mode] = fn
+        entry = self.new.get(i)  # compiling the other mode may have made it
+        if entry is None:
+            entry = self.new[i] = [node, None, None]
+        entry[mode] = fn
         return fn
 
     # -- bool mode
 
-    def bool_list(self, keywords: Sequence[Keyword], context: Sequence[Keyword], cached: bool) -> Check:
+    def bool_list(self, keywords: Sequence[Keyword], context: Sequence[Keyword]) -> Check:
         """Verdict of a keyword list without ``unevaluated*``.
 
         ``context`` is the whole list, whose syntax the keywords of
@@ -430,7 +404,7 @@ class _Compiler:
             types, compile_kw = compile_kw
             if name in _CONTEXT_READERS and siblings is None:
                 siblings = _siblings(context)
-            check = compile_kw(self, kw.value, siblings, cached)
+            check = compile_kw(self, kw.value, siblings)
             if check is _true:
                 continue
             if types is not None:
@@ -456,12 +430,13 @@ class _Compiler:
                 table[t] = is_integral if fn is _true else _all((is_integral, fn))
         if accepted is not None:
             return _dispatch_or(table, False)
-        if every is _true:
-            return _dispatch_or(table, True)
-        return _dispatch(table, every)
+        if every is not _true:  # the other classes get it, and the answer never fires
+            for t in _EXACT:
+                table.setdefault(t, every)
+        return _dispatch_or(table, True)
 
-    def bool_any_of(self, branches, siblings, cached) -> Check:
-        fs = [self.schema(s, BOOL, cached) for s in branches]
+    def bool_any_of(self, branches, siblings) -> Check:
+        fs = [self.schema(s, BOOL) for s in branches]
         if _true in fs:
             return _true
         fs = tuple(f for f in fs if f is not _false)
@@ -478,14 +453,14 @@ class _Compiler:
 
         return any_of
 
-    def bool_all_of(self, branches, siblings, cached) -> Check:
-        fs = [self.schema(s, BOOL, cached) for s in branches]
+    def bool_all_of(self, branches, siblings) -> Check:
+        fs = [self.schema(s, BOOL) for s in branches]
         if _false in fs:
             return _false
         return _all([f for f in fs if f is not _true])
 
-    def bool_one_of(self, branches, siblings, cached) -> Check:
-        fs = tuple(self.schema(s, BOOL, cached) for s in branches)
+    def bool_one_of(self, branches, siblings) -> Check:
+        fs = tuple(self.schema(s, BOOL) for s in branches)
 
         def one_of(x, fs=fs):
             found = False
@@ -498,21 +473,21 @@ class _Compiler:
 
         return one_of
 
-    def bool_not(self, sub, siblings, cached) -> Check:
-        f = self.schema(sub, BOOL, cached)
+    def bool_not(self, sub, siblings) -> Check:
+        f = self.schema(sub, BOOL)
         if f is _true:
             return _false
         if f is _false:
             return _true
         return lambda x, f=f: not f(x)
 
-    def bool_ref(self, uri, siblings, cached) -> Check:
-        return self.schema(deref(self.doc, uri), BOOL, True)
+    def bool_ref(self, uri, siblings) -> Check:
+        return self.schema(deref(self.doc, uri), BOOL)
 
-    def bool_properties(self, props, siblings, cached) -> Check:
+    def bool_properties(self, props, siblings) -> Check:
         subs = {}
         for name, sub in props.items():
-            f = self.schema(sub, BOOL, cached)
+            f = self.schema(sub, BOOL)
             if f is not _true:
                 subs[name] = f
         if not subs:
@@ -527,10 +502,10 @@ class _Compiler:
 
         return properties
 
-    def bool_pattern_properties(self, props, siblings, cached) -> Check:
+    def bool_pattern_properties(self, props, siblings) -> Check:
         pairs = []
         for pattern, sub in props.items():
-            f = self.schema(sub, BOOL, cached)
+            f = self.schema(sub, BOOL)
             if f is not _true:
                 pairs.append((compile_pattern(pattern).search, f))
         if not pairs:
@@ -545,8 +520,8 @@ class _Compiler:
 
         return pattern_properties
 
-    def bool_additional_properties(self, sub, siblings, cached) -> Check:
-        f = self.schema(sub, BOOL, cached)
+    def bool_additional_properties(self, sub, siblings) -> Check:
+        f = self.schema(sub, BOOL)
         if f is _true:
             return _true
         names = frozenset(siblings.get("properties", ()))
@@ -566,8 +541,8 @@ class _Compiler:
 
         return additional_properties
 
-    def bool_property_names(self, sub, siblings, cached) -> Check:
-        f = self.schema(sub, BOOL, cached)
+    def bool_property_names(self, sub, siblings) -> Check:
+        f = self.schema(sub, BOOL)
         if f is _true:
             return _true
 
@@ -579,8 +554,8 @@ class _Compiler:
 
         return property_names
 
-    def bool_prefix_items(self, subs, siblings, cached) -> Check:
-        fs = tuple(self.schema(s, BOOL, cached) for s in subs)
+    def bool_prefix_items(self, subs, siblings) -> Check:
+        fs = tuple(self.schema(s, BOOL) for s in subs)
         if all(f is _true for f in fs):
             return _true
 
@@ -592,8 +567,8 @@ class _Compiler:
 
         return prefix_items
 
-    def bool_items(self, sub, siblings, cached) -> Check:
-        f = self.schema(sub, BOOL, cached)
+    def bool_items(self, sub, siblings) -> Check:
+        f = self.schema(sub, BOOL)
         start = len(siblings.get("prefixItems", ()))
         if f is _true:
             return _true
@@ -608,8 +583,8 @@ class _Compiler:
 
         return items
 
-    def bool_contains(self, sub, siblings, cached) -> Check:
-        f = self.schema(sub, BOOL, cached)
+    def bool_contains(self, sub, siblings) -> Check:
+        f = self.schema(sub, BOOL)
         lo = siblings.get("minContains", 1)
         hi = siblings.get("maxContains", INF)
         if lo == 0 and hi == INF:
@@ -630,15 +605,15 @@ class _Compiler:
 
     # -- annotation mode
 
-    def annotation_list(self, keywords: Sequence[Keyword], cached: bool):
+    def annotation_list(self, keywords: Sequence[Keyword]):
         """Annotation of a valid instance, or ``None``: the bool check of
         the keywords without a step, plus what they evaluate by
         :data:`_EVALUATES`, then the steps, which read verdicts or the
         annotation before them and stop at the first failing one."""
-        check = self.bool_list([kw for kw in keywords if kw.name not in _STEPS], keywords, cached)
+        check = self.bool_list([kw for kw in keywords if kw.name not in _STEPS], keywords)
         evaluates = [_EVALUATES[kw.name](kw.value) for kw in keywords if kw.name in _EVALUATES]
         steps = tuple(
-            _STEPS[kw.name](self, kw.value, keywords, cached)
+            _STEPS[kw.name](self, kw.value, keywords)
             for kw in keywords if kw.name in _STEPS
         )
         if check is _false:
@@ -670,10 +645,10 @@ class _Compiler:
         the other keywords keep theirs on failure anyway."""
         name = kw.name
         if name in _STEPS and name not in ("allOf", "oneOf"):
-            return _STEPS[name](self, kw.value, context, False)
-        check = self.bool_list((kw,), context, False)
+            return _STEPS[name](self, kw.value, context)
+        check = self.bool_list((kw,), context)
         if name in ("allOf", "oneOf", "not"):
-            union = self.choice_step((kw.value,) if name == "not" else kw.value, 0, INF, False)
+            union = self.choice_step((kw.value,) if name == "not" else kw.value, 0, INF)
             return lambda x, acc: (check(x), union(x, acc)[1])
         evaluates = _EVALUATES.get(name)
         if evaluates is None:
@@ -685,12 +660,12 @@ class _Compiler:
     # ``acc`` is the annotation of the keywords before it.  A step may stop
     # once it fails, with an incomplete annotation.
 
-    def choice_step(self, branches, lo, hi, cached):
+    def choice_step(self, branches, lo, hi):
         """Holds when ``lo`` to ``hi`` branches are valid; the annotation
         is the union of the valid branches' annotations.  It stops once
         more than ``len(branches) - lo`` branches have failed or more than
         ``hi`` have held."""
-        fs = tuple(self.schema(s, ANNOT, cached) for s in branches)
+        fs = tuple(self.schema(s, ANNOT) for s in branches)
 
         def choice(x, acc, fs=fs, most_failed=len(fs) - lo, hi=hi, lo=lo):
             valid = failed = 0
@@ -711,8 +686,8 @@ class _Compiler:
 
         return choice
 
-    def unevaluated_properties_step(self, sub, context, cached):
-        f = self.schema(sub, BOOL, cached)
+    def unevaluated_properties_step(self, sub, context):
+        f = self.schema(sub, BOOL)
 
         def unevaluated_properties(x, acc, f=f):
             if not isinstance(x, dict):
@@ -724,8 +699,8 @@ class _Compiler:
 
         return unevaluated_properties
 
-    def contains_step(self, sub, context, cached):
-        f = self.schema(sub, BOOL, cached)
+    def contains_step(self, sub, context):
+        f = self.schema(sub, BOOL)
         siblings = _siblings(context)
         lo = siblings.get("minContains", 1)
         hi = siblings.get("maxContains", INF)
@@ -738,8 +713,8 @@ class _Compiler:
 
         return contains
 
-    def unevaluated_items_step(self, sub, context, cached):
-        f = self.schema(sub, BOOL, cached)
+    def unevaluated_items_step(self, sub, context):
+        f = self.schema(sub, BOOL)
 
         def unevaluated_items(x, acc, f=f):
             if not isinstance(x, list):
@@ -795,7 +770,7 @@ def _unique_items(x) -> bool:
 
 def _leaf(types, make):
     """A keyword whose check depends on its argument only."""
-    return types, lambda compiler, value, siblings, cached: make(value)
+    return types, lambda compiler, value, siblings: make(value)
 
 
 #: Bool-mode compilers of the keywords other than ``type``/``const``, with
@@ -847,10 +822,10 @@ _EVALUATES = {
 #: Annotation-mode compilers of the keywords whose annotation reads their
 #: subschemas' verdicts or the annotation of the keywords before them.
 _STEPS = {
-    "anyOf": lambda c, subs, context, cached: c.choice_step(subs, 1, INF, cached),
-    "allOf": lambda c, subs, context, cached: c.choice_step(subs, len(subs), INF, cached),
-    "oneOf": lambda c, subs, context, cached: c.choice_step(subs, 1, 1, cached),
-    "$ref": lambda c, uri, context, cached: c.choice_step((deref(c.doc, uri),), 1, 1, True),
+    "anyOf": lambda c, subs, context: c.choice_step(subs, 1, INF),
+    "allOf": lambda c, subs, context: c.choice_step(subs, len(subs), INF),
+    "oneOf": lambda c, subs, context: c.choice_step(subs, 1, 1),
+    "$ref": lambda c, uri, context: c.choice_step((deref(c.doc, uri),), 1, 1),
     "unevaluatedProperties": _Compiler.unevaluated_properties_step,
     "contains": _Compiler.contains_step,
     "unevaluatedItems": _Compiler.unevaluated_items_step,
@@ -862,6 +837,7 @@ def _compiled(doc: SchemaDocument, schema: Schema, mode: int):
     if entry is not None and entry[mode] is not None:
         return entry[mode]
     compiler = _Compiler(doc)
-    fn = compiler.schema(schema, mode, False)
-    compiler.commit()
+    fn = compiler.schema(schema, mode)
+    if id(schema) in compiler.named:
+        compiler.commit()
     return fn

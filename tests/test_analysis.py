@@ -6,6 +6,7 @@ from uneval.analysis import (
     eq_pairs,
     eq_patterns,
     exact_pattern,
+    guard_implies,
     pair_dominates,
     patterns_dominate,
 )
@@ -16,6 +17,7 @@ from uneval.schema import (
     INF,
     FALSE_SCHEMA,
     BoolSchema,
+    Keyword,
     ObjSchema,
     TRUE_SCHEMA,
     combine,
@@ -537,6 +539,16 @@ def test_covers_equals_the_four_walk_reference(rewrites):
             pairs += 1
             proven += expected
     assert pairs >= 20000 and 1000 < proven < pairs - 1000, (pairs, proven)
+
+
+def test_a_choice_implies_only_the_choices_holding_its_operands():
+    a, b, c = (parse_schema({"const": v}).root for v in (0, "x", None))
+    wide = ObjSchema((Keyword("anyOf", (a, b, c)),))
+    narrow = ObjSchema((Keyword("anyOf", (a, b)),))
+    assert guard_implies(narrow, wide)
+    assert not guard_implies(wide, narrow)
+    assert guard_implies(a, narrow)
+    assert not guard_implies(c, narrow)
 
 
 def test_bounds_are_one_object_for_a_single_or_repeated_choice():

@@ -979,6 +979,31 @@ def test_the_push_normalizes_a_raw_contains_guard(text, expected):
         assert validate(rewritten, rewritten.root, instance).valid is want, instance_text
 
 
+#: Two branches whose item guards are choices of ``contains`` subschemas,
+#: one choice with more operands than the other: a cover proof between
+#: them must not take the longer choice to imply the shorter one.
+CHOICE_OF_CONTAINS_GUARDS = (
+    '{"anyOf":[{"prefixItems":[true],"contains":{"const":0}},'
+    '{"allOf":[{"contains":{"const":0}},{"contains":{"const":"x"}}]}],'
+    '"unevaluatedItems":false}'
+)
+
+
+def test_rewrite_of_a_choice_between_contains_guards():
+    doc = parse_schema(parse_json(CHOICE_OF_CONTAINS_GUARDS))
+    rewritten = parse_schema(serialize_schema(elim_document(doc)))
+    needs_both_branches = parse_json('[null,"x",0]')
+    for d in (doc, rewritten):
+        assert validate(d, d.root, needs_both_branches).valid
+    jsonschema = pytest.importorskip("jsonschema")
+    reference = jsonschema.Draft202012Validator(json.loads(CHOICE_OF_CONTAINS_GUARDS))
+    for instance_text in ('[null,"x",0]', '[0,"x"]', "[0]", "[0,0]", '[null,0]', '["x",null]', "[]"):
+        want = reference.is_valid(json.loads(instance_text))
+        instance = parse_json(instance_text)
+        assert validate(doc, doc.root, instance).valid is want, instance_text
+        assert validate(rewritten, rewritten.root, instance).valid is want, instance_text
+
+
 def _rewrite_with_push(monkeypatch, pushed):
     """The rewrite of a small uneval-schema whose push gives ``pushed``."""
     monkeypatch.setattr(sys.modules["uneval.eliminate"], "push_uneval", lambda *args: pushed)

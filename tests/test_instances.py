@@ -2,8 +2,10 @@ import pytest
 
 from uneval.instances import (
     ARRAY_KEYWORDS,
+    MAX_NAMES,
     OBJECT_KEYWORDS,
     _uses,
+    oracle_names,
     pattern_literal,
     relevant_property_names,
 )
@@ -79,3 +81,16 @@ def test_universe_inputs_equal_the_walk_over_every_occurrence(corpus, rewrites):
 )
 def test_pattern_literal(pattern, literal):
     assert pattern_literal(pattern) == literal
+
+
+@pytest.mark.parametrize("count", [2, MAX_NAMES - 1, MAX_NAMES, MAX_NAMES + 3])
+def test_oracle_names_stop_at_the_cap(count):
+    """Concatenations fill the oracle's names only up to ``MAX_NAMES``: a
+    document with that many relevant names or more gets the first
+    ``MAX_NAMES`` and the fresh name ``_``, and nothing else."""
+    names = [f"n{i:02}" for i in range(count)]
+    got = oracle_names(parse_schema({"required": names}))
+    if count >= MAX_NAMES:
+        assert got == names[:MAX_NAMES] + ["_"]
+    else:
+        assert got == names + ["n00n01", "_"]

@@ -19,6 +19,7 @@ from uneval.schema import (
     serialize_schema,
 )
 from uneval.validator import (
+    ANNOT,
     BOOL,
     EMPTY_ANNOTATION,
     validate,
@@ -198,22 +199,23 @@ def test_values_of_other_classes_are_judged_by_their_json_class(monkeypatch, dic
 
 
 #: Schemas whose root check dispatches on the instance's class, and the
-#: name of the dispatch closure: a ``*_or`` closure answers the classes
-#: outside its table with a constant, the others call the default check.
+#: name of the dispatch closure: it answers the classes outside its table
+#: with a constant; a node with a check for every class has every class in
+#: its table.
 DISPATCH_SCHEMAS = [
     # one class; False for the others
     ({"type": "object", "properties": {"a": {"minimum": 1}}, "required": ["a"]}, "one_type_or"),
     # one class; True for the others
     ({"properties": {"a": {"minimum": 1}}, "required": ["a"]}, "one_type_or"),
     # one class; a check for the others
-    ({"required": ["a"], "not": {"const": 5}}, "one_type"),
+    ({"required": ["a"], "not": {"const": 5}}, "by_type_or"),
     # several classes; False for the others
     ({"type": "integer", "minimum": 2}, "by_type_or"),
     ({"type": "number"}, "by_type_or"),
     # several classes; True for the others
     ({"minimum": 2, "pattern": "^x"}, "by_type_or"),
     # several classes; a check for the others
-    ({"minimum": 2, "pattern": "^x", "not": {"const": 5}}, "by_type"),
+    ({"minimum": 2, "pattern": "^x", "not": {"const": 5}}, "by_type_or"),
 ]
 DISPATCH_INSTANCES = [
     OrderedDict(a=1), OrderedDict(a=0), OrderedDict(b=1), _Dict(a=2),
@@ -620,6 +622,56 @@ def test_ad_hoc_schemas_do_not_grow_the_cache():
         sizes.add(len(doc.compiled))
     assert max(sizes) <= node_count
     assert len(sizes) == 1
+
+
+def test_ad_hoc_schemas_cache_nothing_they_reach():
+    """A compile entered at an ad hoc node caches nothing, not even a named
+    node that it reaches through ``$ref``; one entered at that named node
+    caches the node and what it reaches."""
+    doc = parse_schema({"$defs": {"a": {"properties": {"b": {"type": "string"}}}}})
+    ad_hoc = ObjSchema((Keyword("$ref", "#/$defs/a"),))
+    for instance, valid in (({"b": "x"}, True), ({"b": 1}, False)):
+        got = validate(doc, ad_hoc, instance)
+        assert got.valid is valid
+        assert got.annotation.props == ({"b"} if valid else set())
+        assert doc.compiled == {}
+    (named,) = doc.defs.values()
+    assert validate(doc, named, {"b": "x"}).valid
+    assert len(doc.compiled) == 2
+
+
+def test_a_node_cached_in_annotation_mode_only_gets_a_verdict():
+    """A definition that the root reads only through an annotation step is
+    cached without its bool-mode check; validating it compiles that."""
+    doc = parse_schema({
+        "$ref": "#/$defs/a",
+        "unevaluatedProperties": False,
+        "$defs": {"a": {"properties": {"x": {"type": "integer"}}}},
+    })
+    assert validate(doc, doc.root, {"x": 1}).valid
+    (named,) = doc.defs.values()
+    entry = doc.compiled[id(named)]
+    assert entry[BOOL] is None and entry[ANNOT] is not None
+    assert validate(doc, named, {"x": 1, "y": 2}).valid
+    assert not validate(doc, named, {"x": "1"}).valid
+
+
+def test_a_reference_cycle_through_named_nodes_only():
+    """A document built from parsed nodes may name a node that also stands
+    inside another; on a cycle of named nodes only, the compile breaks the
+    cycle at the one under way."""
+    schema = {"$anchor": "top", "required": ["v"], "properties": {"next": {"$ref": "#top"}}}
+    parsed = parse_schema(schema)
+    link = parsed.root.get("properties").value["next"]
+    doc = build_document(parsed.root, {"link": link})
+    chain = {"v": 1, "next": {"v": 2, "next": {"v": 3}}}
+    broken = {"v": 1, "next": {"v": 2, "next": {}}}
+    for entry in (doc.root, link):
+        assert validate(doc, entry, chain).valid
+        assert not validate(doc, entry, broken).valid
+    jsonschema = pytest.importorskip("jsonschema")
+    reference = jsonschema.Draft202012Validator(schema)
+    assert reference.is_valid(chain) and not reference.is_valid(broken)
 
 
 def test_the_exact_fold_does_not_grow_the_cache():
