@@ -276,11 +276,9 @@ def patterns_dominate(lo: frozenset[str], hi: frozenset[str]) -> bool:
 
 
 def guard_implies(premise: Schema, conclusion: Schema) -> bool:
-    """Sound syntactic implication between guard schemas."""
-    if isinstance(conclusion, BoolSchema) and conclusion.value:
-        return True
-    if isinstance(premise, BoolSchema) and not premise.value:
-        return True
+    """Sound syntactic implication between guard schemas; a ``true``
+    conclusion and a ``false`` premise are for the caller to answer, as
+    :func:`pair_dominates` does."""
     if premise == conclusion:
         return True
     # a disjunction follows from any sub-disjunction of its branches

@@ -320,6 +320,37 @@ def compile_pattern(source: str) -> re.Pattern:
         raise
 
 
+#: The kinds of :func:`pattern_kind`: the pattern matches a name equal to,
+#: starting with or containing its literal text, or it is a regex.
+EXACT, PREFIX, SUBSTRING, REGEX = "exact", "prefix", "substring", "regex"
+
+# ``^``, a literal, ``$``: a literal holds no character with a meaning in a
+# pattern unescaped, and escapes only characters other than ASCII letters
+# and digits, each of which then stands for itself (what ``re.escape``
+# writes)
+_LITERAL_PATTERN_RE = re.compile(r"(\^?)((?:[^\\^$.|?*+()\[\]{}]|\\[^0-9A-Za-z])*)(\$?)")
+# DOTALL, since an escaped newline stands for a newline
+_ESCAPED_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
+@functools.lru_cache(maxsize=1024)
+def pattern_kind(source: str) -> tuple[str, str]:
+    """``(kind, text)``: how a name can be tested against the pattern
+    without a regex.  ``^lit$`` is :data:`EXACT`, ``^lit`` :data:`PREFIX`
+    and ``lit`` :data:`SUBSTRING`, with ``text`` the literal unescaped; any
+    other pattern is :data:`REGEX`, with ``text`` the source.  So
+    ``compile_pattern(source).search(name)`` succeeds exactly when
+    ``name == text``, ``name.startswith(text)`` or ``text in name``."""
+    m = _LITERAL_PATTERN_RE.fullmatch(source)
+    if m is None:
+        return REGEX, source
+    start, lit, end = m.groups()
+    if end and not start:
+        return REGEX, source
+    text = _ESCAPED_RE.sub(r"\1", lit)
+    return (EXACT if end else PREFIX if start else SUBSTRING), text
+
+
 def pattern_matches(source: str, name: str) -> bool:
     """Unanchored match: the pattern 'a' matches any string containing 'a'."""
     return compile_pattern(source).search(name) is not None

@@ -49,6 +49,17 @@ a named node (the root, a definition, an anchor) can be re-entered by a
 Compiled checks bind what they read as default arguments, not as closure
 cells, each one more object to allocate and keep.
 
+Patterns are compiled by the kind :func:`~uneval.schema.pattern_kind`
+gives them: a literal ``^lit$``, ``^lit`` or ``lit`` is tested as
+``==``, ``startswith`` or ``in``, and only another pattern runs a regex
+search.  Beside ``additionalProperties``, the exact names of
+``patternProperties`` (the ``^name$`` patterns a rewrite writes for
+evaluated names) join the ``properties`` names in one set, and
+``additionalProperties: false`` beside names only is ``x.keys() <= names``;
+``patternProperties`` looks its exact names up in a dict, and its
+annotation is ``x.keys() & names`` plus the names another pattern
+matches.
+
 A compile session compiles each node once, and stores what it compiled in
 the cache only when it was entered at a named node.  So validating ad hoc
 schema objects against a document, or the exact fold, does not grow its
@@ -65,14 +76,18 @@ from .errors import NestingDepthError
 from .jsonvalue import JsonValue, json_class, type_of, unique_key
 from .schema import (
     ADK_NAMES,
+    EXACT,
     INF,
+    PREFIX,
     READS,
+    SUBSTRING,
     BoolSchema,
     Keyword,
     Schema,
     SchemaDocument,
     compile_pattern,
     deref,
+    pattern_kind,
 )
 
 
@@ -503,16 +518,26 @@ class _Compiler:
         return properties
 
     def bool_pattern_properties(self, props, siblings) -> Check:
+        exact: dict[str, list[Check]] = {}
         pairs = []
         for pattern, sub in props.items():
             f = self.schema(sub, BOOL)
-            if f is not _true:
+            if f is _true:
+                continue
+            kind, text = pattern_kind(pattern)
+            if kind == EXACT:  # two patterns may name one literal
+                exact.setdefault(text, []).append(f)
+            else:
                 pairs.append((compile_pattern(pattern).search, f))
-        if not pairs:
+        if not exact and not pairs:
             return _true
+        named = {name: _all(fs) for name, fs in exact.items()}
 
-        def pattern_properties(x, pairs=tuple(pairs)):
+        def pattern_properties(x, get=named.get, pairs=tuple(pairs)):
             for k, v in x.items():
+                f = get(k)
+                if f is not None and not f(v):
+                    return False
                 for search, f in pairs:
                     if search(k) is not None and not f(v):
                         return False
@@ -524,19 +549,47 @@ class _Compiler:
         f = self.schema(sub, BOOL)
         if f is _true:
             return _true
-        names = frozenset(siblings.get("properties", ()))
-        searches = tuple(compile_pattern(p).search for p in siblings.get("patternProperties", ()))
+        names = set(siblings.get("properties", ()))
+        prefixes, parts, searches = [], [], []
+        for pattern in siblings.get("patternProperties", ()):
+            kind, text = pattern_kind(pattern)
+            if kind == EXACT:
+                names.add(text)
+            elif kind == PREFIX:
+                prefixes.append(text)
+            elif kind == SUBSTRING:
+                parts.append(text)
+            else:
+                searches.append(compile_pattern(pattern).search)
+        names = frozenset(names)
+        if not (prefixes or parts or searches):
+            if f is _false:
+                return lambda x, names=names: x.keys() <= names
 
-        def additional_properties(x, names=names, searches=searches, f=f):
+            def additional_names(x, names=names, f=f):
+                for k, v in x.items():
+                    if k not in names and not f(v):
+                        return False
+                return True
+
+            return additional_names
+
+        def additional_properties(
+            x, names=names, prefixes=tuple(prefixes), parts=tuple(parts), searches=tuple(searches), f=f
+        ):
             for k, v in x.items():
-                if k in names:
+                if k in names or prefixes and k.startswith(prefixes):
                     continue
-                for search in searches:
-                    if search(k) is not None:
+                for part in parts:
+                    if part in k:
                         break
                 else:
-                    if not f(v):
-                        return False
+                    for search in searches:
+                        if search(k) is not None:
+                            break
+                    else:
+                        if not f(v):
+                            return False
             return True
 
         return additional_properties
@@ -745,6 +798,13 @@ _INTEGRAL = ((float, float.is_integer), (Decimal, _is_integral))
 
 
 def _pattern(source: str) -> Check:
+    kind, text = pattern_kind(source)
+    if kind == EXACT:
+        return lambda x, text=text: x == text
+    if kind == PREFIX:
+        return lambda x, text=text: x.startswith(text)
+    if kind == SUBSTRING:
+        return lambda x, text=text: text in x
     return lambda x, search=compile_pattern(source).search: search(x) is not None
 
 
@@ -804,8 +864,20 @@ _CONTEXT_READERS = frozenset(READS)
 
 
 def _matching_names(patterns):
-    searches = tuple(compile_pattern(p).search for p in patterns)
-    return dict, lambda x, searches=searches: {k for k in x if any(s(k) is not None for s in searches)}
+    names = set()
+    searches = []
+    for pattern in patterns:
+        kind, text = pattern_kind(pattern)
+        if kind == EXACT:
+            names.add(text)
+        else:
+            searches.append(compile_pattern(pattern).search)
+    names = frozenset(names)
+    if not searches:
+        return dict, lambda x, names=names: x.keys() & names
+    return dict, lambda x, names=names, searches=tuple(searches): x.keys() & names | {
+        k for k in x for search in searches if search(k) is not None
+    }
 
 
 #: What a keyword evaluates, given its value: the instance kind it applies

@@ -1004,6 +1004,39 @@ def test_rewrite_of_a_choice_between_contains_guards():
         assert validate(rewritten, rewritten.root, instance).valid is want, instance_text
 
 
+@pytest.mark.parametrize(
+    "schema_text, rewrite_text",
+    [
+        # a branch that evaluates every item covers one that evaluates a
+        # prefix (``pair_dominates`` on a ``true`` guard), so no conjunction
+        (
+            '{"anyOf":[{"items":{"type":"integer"}},{"prefixItems":[true]}],"unevaluatedItems":false}',
+            '{"anyOf":[{"items":{"type":"integer"}},{"items":false,"prefixItems":[true]}]}',
+        ),
+        # two branches evaluate by one ``contains`` guard, and the longer
+        # prefix covers (``guard_implies`` on equal guards)
+        (
+            '{"anyOf":[{"contains":{"type":"integer"},"prefixItems":[true]},'
+            '{"contains":{"type":"integer"},"minItems":2}],"unevaluatedItems":false}',
+            '{"anyOf":[{"contains":{"type":"integer"},"items":{"type":"integer"},"prefixItems":[true]},'
+            '{"contains":{"type":"integer"},"items":{"type":"integer"},"minItems":2}]}',
+        ),
+    ],
+)
+def test_a_proven_item_cover_adds_no_conjunction(schema_text, rewrite_text):
+    """The rewrite keeps the two branches alone: one's item bound covers
+    the other's, so their conjunction is not added; without the proof the
+    rewrite would carry a third branch.  Both agree with the original on
+    its universe."""
+    doc = parse_schema(parse_json(schema_text))
+    out = elim_document(doc)
+    assert serialize_json(serialize_schema(out)) == rewrite_text
+    universe = list(enumerate_instances(doc))
+    assert len(universe) > 20
+    for instance in universe:
+        assert validate(out, out.root, instance).valid is validate(doc, doc.root, instance).valid
+
+
 def _rewrite_with_push(monkeypatch, pushed):
     """The rewrite of a small uneval-schema whose push gives ``pushed``."""
     monkeypatch.setattr(sys.modules["uneval.eliminate"], "push_uneval", lambda *args: pushed)

@@ -1,6 +1,11 @@
+import itertools
 import random
+import re
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uneval.eliminate import elim_document
 from uneval.errors import (
@@ -21,6 +26,10 @@ from uneval.schema import (
     boolean_one_of,
     child_schemas,
     combine,
+    EXACT,
+    PREFIX,
+    REGEX,
+    SUBSTRING,
     compile_pattern,
     deref,
     distinct_nodes,
@@ -28,6 +37,7 @@ from uneval.schema import (
     keyword_rank,
     parse_schema,
     _inplace_edges,
+    pattern_kind,
     schema_to_json,
     serialize_schema,
 )
@@ -579,6 +589,103 @@ def test_pattern_error_names_the_position_in_the_source():
     for pattern, position in (("a$*", 2), ("$$[", 2), ("$)", 1)):
         with pytest.raises(SchemaParseError, match=f"at position {position}$"):
             parse_schema({"pattern": pattern})
+
+
+#: Pattern characters for the classifier's differential tests: the
+#: metacharacters a literal must escape, an escape, a newline, characters
+#: that stand for themselves and a non-ASCII letter.
+PATTERN_ALPHABET = "\\\n$^-.[(|{ éa"
+#: Names that tell apart a literal, its anchors and a final newline.
+PROBE_NAMES = ("", "a", "a\n", "\na", "\n", "aa", "é", "$", "^", "\\", "-", " ")
+
+
+def _literal_test(kind: str, text: str, name: str) -> bool:
+    """The verdict of a literal kind, as string operations."""
+    if kind == EXACT:
+        return name == text
+    if kind == PREFIX:
+        return name.startswith(text)
+    return text in name
+
+
+def _check_pattern_kind(source: str, extra_names=()) -> bool:
+    """``pattern_kind``'s string test agrees with the compiled pattern on
+    the probe names, the literal itself and the literal with text added
+    before and after; False when the source does not compile."""
+    try:
+        with warnings.catch_warnings():  # such as "possible nested set" at "[["
+            warnings.simplefilter("ignore", FutureWarning)
+            search = compile_pattern(source).search
+    except re.error:
+        return False
+    kind, text = pattern_kind(source)
+    if kind == REGEX:
+        assert text == source
+        return True
+    names = {*PROBE_NAMES, *extra_names}
+    for before, after in itertools.product(("", "a", "\n", "$"), repeat=2):
+        names.add(before + text + after)
+    names.update((text[1:], text[:-1]))
+    for name in names:
+        assert _literal_test(kind, text, name) is (search(name) is not None), (source, name)
+    return True
+
+
+def test_pattern_kinds_agree_with_the_regex_on_every_short_source():
+    compiled = literal = 0
+    for n in range(4):
+        for chars in itertools.product(PATTERN_ALPHABET, repeat=n):
+            source = "".join(chars)
+            if _check_pattern_kind(source):
+                compiled += 1
+                literal += pattern_kind(source)[0] != REGEX
+    assert compiled > 1000 and literal > 300
+
+
+@given(st.text(alphabet=PATTERN_ALPHABET, max_size=10), st.lists(st.text(alphabet=PATTERN_ALPHABET, max_size=4)))
+@settings(max_examples=300, deadline=None)
+def test_pattern_kinds_agree_with_the_regex(source, names):
+    _check_pattern_kind(source, names)
+
+
+@given(st.text())
+@settings(max_examples=300, deadline=None)
+def test_escaped_names_are_literal_patterns(name):
+    """What ``re.escape`` writes, and so every pattern the rewrite writes
+    for an evaluated name (``analysis.exact_pattern``), is a literal."""
+    escaped = re.escape(name)
+    assert pattern_kind("^" + escaped + "$") == (EXACT, name)
+    assert pattern_kind("^" + escaped) == (PREFIX, name)
+    assert pattern_kind(escaped) == (SUBSTRING, name)
+    for source in ("^" + escaped + "$", "^" + escaped, escaped):
+        _check_pattern_kind(source)
+
+
+@pytest.mark.parametrize(
+    "source, kind, text",
+    [
+        ("^a$", EXACT, "a"),
+        ("^$", EXACT, ""),
+        ("^a\\\\$", EXACT, "a\\"),
+        ("^a\\-b$", EXACT, "a-b"),
+        ("^x\\\n$", EXACT, "x\n"),
+        ("^a\\$", PREFIX, "a$"),
+        ("^", PREFIX, ""),
+        ("^ab", PREFIX, "ab"),
+        ("", SUBSTRING, ""),
+        ("a b", SUBSTRING, "a b"),
+        ("\\^a", SUBSTRING, "^a"),
+        ("a$", REGEX, "a$"),
+        ("^^a", REGEX, "^^a"),
+        ("^a.b$", REGEX, "^a.b$"),
+        ("^a\\d$", REGEX, "^a\\d$"),
+        ("a{2}", REGEX, "a{2}"),
+        ("a}", REGEX, "a}"),
+    ],
+)
+def test_pattern_kind_examples(source, kind, text):
+    assert pattern_kind(source) == (kind, text)
+    assert _check_pattern_kind(source)
 
 
 def test_keywords_stay_in_rank_order(rewrites):

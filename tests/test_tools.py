@@ -139,6 +139,38 @@ def test_mutants_flips_one_point_at_a_time(tools):
         assert len(changed) == 1, text
 
 
+_SIGNALLED_MUTANTS = """\
+import os, signal, sys, time
+sys.path.insert(0, sys.argv[1])
+import mutants
+
+def run_suite(work, command, timeout):
+    print(work, flush=True)
+    os.kill(os.getpid(), int(sys.argv[2]))
+    time.sleep(60)
+
+mutants.run_suite = run_suite
+sys.exit(mutants.main(["errors.py"]))
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
+def test_mutants_removes_its_copy_when_signalled(tmp_path, signum):
+    """A signal during a suite run ends the tool with 128 plus its number,
+    and the temporary copy of the repository is gone; the suite itself is
+    replaced by one that signals the tool."""
+    script = tmp_path / "signalled.py"
+    script.write_text(_SIGNALLED_MUTANTS)
+    done = subprocess.run(
+        [sys.executable, str(script), str(REPO / "tools"), str(int(signum))],
+        capture_output=True, text=True, timeout=60,
+    )
+    work = Path(done.stdout.strip())
+    assert work.name.startswith("mutants-"), done.stderr
+    assert done.returncode == 128 + signum
+    assert not work.exists()
+
+
 def test_the_oracle_rows_sample_as_the_benchmark_does(tools, monkeypatch):
     monkeypatch.syspath_prepend(str(REPO / "bench"))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)

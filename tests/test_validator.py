@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -10,6 +11,10 @@ import pytest
 from uneval.eliminate import elim_document
 from uneval.jsonvalue import json_class, json_equal, parse_json
 from uneval.schema import (
+    EXACT,
+    PREFIX,
+    REGEX,
+    SUBSTRING,
     Keyword,
     ObjSchema,
     build_document,
@@ -392,6 +397,79 @@ def test_closed_properties_reject_a_name_with_a_trailing_newline():
     for instance, valid in (({"a": 1}, True), ({"a\n": 1}, False), ({"a": 1, "a\n": 1}, False)):
         assert validate(doc, doc.root, instance).valid is valid, instance
         assert validate(rewritten, rewritten.root, instance).valid is valid, instance
+
+
+#: Patterns of each kind of ``schema.pattern_kind``, each with the
+#: subschema its members must satisfy; two exact patterns name ``a-b``.
+KIND_PATTERNS = {
+    EXACT: {"^a$": {"type": "integer"}, "^a-b$": {"type": "integer"}, "^a\\-b$": {"minimum": 0}},
+    PREFIX: {"^p": {"minimum": 0}},
+    SUBSTRING: {"s": {"type": "integer"}},
+    REGEX: {"^r.$": {"minimum": 0}},
+}
+KIND_NAMES = ("a", "a-b", "a\n", "\na", "pa", "xp", "s", "xsx", "rr", "r", "q", "z", "")
+
+
+def _kind_instances():
+    yield {}
+    for name in KIND_NAMES:
+        for value in (1, -1, "x"):
+            yield {name: value}
+    for first, second in itertools.combinations(KIND_NAMES, 2):
+        for a, b in ((1, "x"), ("x", 1)):
+            yield {first: a, second: b}
+
+
+def _kind_schemas():
+    """For each nonempty set of pattern kinds, the patterns closed by
+    ``additionalProperties`` (a check, and ``false``) and by
+    ``unevaluatedProperties``."""
+    kinds = list(KIND_PATTERNS)
+    for n in range(1, len(kinds) + 1):
+        for chosen in itertools.combinations(kinds, n):
+            patterns = {p: sub for kind in chosen for p, sub in KIND_PATTERNS[kind].items()}
+            for rest in ({"type": "string"}, False):
+                yield {
+                    "properties": {"q": {"const": 1}},
+                    "patternProperties": patterns,
+                    "additionalProperties": rest,
+                }
+            yield {"patternProperties": patterns, "unevaluatedProperties": {"type": "string"}}
+    for kind in kinds:
+        for pattern in KIND_PATTERNS[kind]:
+            yield {"pattern": pattern}
+
+
+def _verdicts(schema_json, instances):
+    doc = parse_schema(schema_json)
+    found = []
+    for instance in instances:
+        o = validate(doc, doc.root, instance)
+        found.append((o.valid, o.annotation))
+    return found
+
+
+def test_literal_patterns_judge_as_their_regexes(monkeypatch):
+    """Patterns that ``pattern_kind`` classes as literals are tested as
+    strings under ``patternProperties``, ``additionalProperties`` and
+    ``pattern``; the verdicts and annotations equal those of every pattern
+    searched as a regex, and without a newline in a name, ``jsonschema``'s
+    verdicts."""
+    jsonschema = pytest.importorskip("jsonschema")
+    objects = list(_kind_instances())
+    strings = list(KIND_NAMES)
+    for schema_json in _kind_schemas():
+        instances = strings if "pattern" in schema_json else objects
+        literal = _verdicts(schema_json, instances)
+        with monkeypatch.context() as m:
+            m.setattr("uneval.validator.pattern_kind", lambda source: (REGEX, source))
+            searched = _verdicts(schema_json, instances)
+        assert literal == searched, schema_json
+        assert {valid for valid, _ in literal} == {True, False}, schema_json
+        reference = jsonschema.Draft202012Validator(schema_json)
+        for instance, (valid, _) in zip(instances, literal):
+            if "\n" not in (instance if isinstance(instance, str) else "".join(instance)):
+                assert reference.is_valid(instance) is valid, (schema_json, instance)
 
 
 def test_validate_keyword_list_dependent_step():

@@ -23,7 +23,9 @@ it, and *survives* otherwise.  Survivors listed in
 ``tools/equivalent_mutants.txt`` are reported as equivalent; each line
 there reads ``module:line:col[/k] description -- reason``, with the id and
 description as this tool prints them.  The exit code is 1 when a survivor
-or a hang is not on that list.
+or a hang is not on that list.  SIGTERM and SIGINT stop the running suite
+and remove the temporary directory; the exit code is then 128 plus the
+signal's number.
 
 Standard library only.
 """
@@ -40,6 +42,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from bench_pairs import exit_on_signal
 
 REPO = Path(__file__).resolve().parent.parent
 EQUIVALENT = Path(__file__).with_name("equivalent_mutants.txt")
@@ -186,6 +190,8 @@ def main(argv=None) -> int:
 
     counts = {"killed": 0, "survived": 0, "hung": 0}
     unexplained = 0
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, exit_on_signal)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
         for name in COPIED:
