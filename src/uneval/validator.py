@@ -35,6 +35,20 @@ bool mode throughout.  :func:`validate` returns the bool-mode verdict;
 :attr:`ValidationOutcome.annotation` is computed on first read, in
 annotation mode.
 
+The bool-mode verdict of a node with ``unevaluated*`` builds no
+annotation of its own: it takes the annotation of the node's other
+keywords and tests the members that annotation lacks against the
+``unevaluated*`` subschema, which the annotation step of such a node
+(for ``.annotation`` and under an in-place applicator of another such
+node) shares.  An annotation holds only members of its instance, so
+``anyOf`` stops once a branch has held and the union holds as many
+members as the instance (at the first valid branch for a scalar), and
+against ``false`` the test is one length comparison.  A keyword list
+with at most one evaluating keyword and at most one step gets an
+annotation closure of its shape, without loops; and a node that is only
+a ``$ref`` annotates with its target's closure, or with the trampoline
+while that target is under way.
+
 A node's bool-mode check dispatches once on the instance's class, over a
 table of the JSON classes its keywords constrain; the other classes get a
 constant answer without a call: ``False`` where ``type`` or ``const``
@@ -60,10 +74,12 @@ evaluated names) join the ``properties`` names in one set, and
 annotation is ``x.keys() & names`` plus the names another pattern
 matches.
 
-A compile session compiles each node once, and stores what it compiled in
-the cache only when it was entered at a named node.  So validating ad hoc
-schema objects against a document, or the exact fold, does not grow its
-cache; such nodes are compiled afresh on each call.
+A compile session compiles each node once, and stores in the cache the
+named nodes it compiled and the nodes it compiled below them, never a
+node compiled outside every named node, which may be ad hoc.  So
+validating ad hoc schema objects against a document, or the exact fold,
+does not grow its cache past the document's nodes; the ad hoc nodes are
+compiled afresh on each call, and the named nodes they reach once.
 """
 
 from __future__ import annotations
@@ -87,6 +103,7 @@ from .schema import (
     SchemaDocument,
     compile_pattern,
     deref,
+    distinct_nodes,
     pattern_kind,
 )
 
@@ -249,10 +266,6 @@ def _late(cell: list) -> Check:
     return lambda x, cell=cell: cell[0](x)
 
 
-def _verdict(annotated) -> Check:
-    return lambda x, annotated=annotated: annotated(x) is not None
-
-
 _CONSTANT = {(True, BOOL): _true, (False, BOOL): _false, (True, ANNOT): _ann_true, (False, ANNOT): _ann_false}
 
 _NULL = type(None)
@@ -326,8 +339,7 @@ class _Compiler:
     """One compile session against one document.
 
     Every node compiled is kept in ``new`` for the session; :meth:`commit`
-    stores them in ``doc.compiled``, which :func:`_compiled` does only for
-    a session entered at a named node.
+    stores the document's nodes among them in ``doc.compiled``.
     """
 
     def __init__(self, doc: SchemaDocument):
@@ -340,9 +352,17 @@ class _Compiler:
         #: the nodes a ``$ref`` can reach
         self.named = {id(doc.root), *map(id, doc.defs.values()), *map(id, doc.anchors.values())}
 
-    def commit(self) -> None:
+    def commit(self, top: Schema) -> None:
+        """Store what the session compiled from ``top`` in the cache.  Below
+        a named ``top`` every node is the document's; otherwise only the
+        named nodes compiled and the nodes below them are known to be, and
+        the others, which may be ad hoc, are left out."""
+        new = self.new
+        if id(top) not in self.named:
+            below = {id(s) for s in distinct_nodes([e[0] for i, e in new.items() if i in self.named])}
+            new = {i: e for i, e in new.items() if i in below}
         cache = self.doc.compiled
-        for key, entry in self.new.items():
+        for key, entry in new.items():
             old = cache.get(key)
             if old is None:
                 cache[key] = entry
@@ -373,9 +393,12 @@ class _Compiler:
             cell = self.pending[key] = [None]
         keywords = node.keywords
         if mode == ANNOT:
-            fn = self.annotation_list(keywords)
+            if len(keywords) == 1 and keywords[0].name == "$ref":
+                fn = self.schema(deref(self.doc, keywords[0].value), ANNOT)
+            else:
+                fn = self.annotation_list(keywords)
         elif keywords and keywords[-1].name in ADK_NAMES:  # rank order: ADKs last
-            fn = _verdict(self.schema(node, ANNOT))
+            fn = self.unevaluated_verdict(keywords)
         else:
             fn = self.bool_list(keywords, keywords)
         if named:
@@ -658,6 +681,30 @@ class _Compiler:
 
     # -- annotation mode
 
+    def unevaluated_verdict(self, keywords: Sequence[Keyword]) -> Check:
+        """Verdict of a keyword list ending in ``unevaluated*``, with no
+        annotation of its own: the annotation of the other keywords, then
+        the members it lacks, each against its ``unevaluated*`` subschema."""
+        rest, tests = [], []
+        for kw in keywords:
+            kind = _ADK_KINDS.get(kw.name)
+            if kind is None:
+                rest.append(kw)
+            else:
+                tests.append((kind, _unevaluated_valid(self.schema(kw.value, BOOL), kind)))
+        annotated = self.annotation_list(rest)
+
+        def unevaluated(x, annotated=annotated, tests=tuple(tests)):
+            acc = annotated(x)
+            if acc is None:
+                return False
+            for kind, valid in tests:
+                if isinstance(x, kind):
+                    return valid(x, acc)
+            return True
+
+        return unevaluated
+
     def annotation_list(self, keywords: Sequence[Keyword]):
         """Annotation of a valid instance, or ``None``: the bool check of
         the keywords without a step, plus what they evaluate by
@@ -665,31 +712,10 @@ class _Compiler:
         annotation before them and stop at the first failing one."""
         check = self.bool_list([kw for kw in keywords if kw.name not in _STEPS], keywords)
         evaluates = [_EVALUATES[kw.name](kw.value) for kw in keywords if kw.name in _EVALUATES]
-        steps = tuple(
-            _STEPS[kw.name](self, kw.value, keywords)
-            for kw in keywords if kw.name in _STEPS
-        )
+        steps = [_STEPS[kw.name](self, kw.value, keywords) for kw in keywords if kw.name in _STEPS]
         if check is _false:
             return _ann_false
-        if check is _true:
-            check = None
-
-        def annotated(x, check=check, evaluates=tuple(evaluates), steps=steps):
-            if check is not None and not check(x):
-                return None
-            acc = _EMPTY
-            for kind, evaluated in evaluates:
-                if isinstance(x, kind):
-                    acc = acc | evaluated(x)
-            for step in steps:
-                ok, found = step(x, acc)
-                if not ok:
-                    return None
-                if found:
-                    acc = acc | found
-            return acc
-
-        return annotated
+        return _annotated(None if check is _true else check, evaluates, steps)
 
     def exact_step(self, kw: Keyword, context: Sequence[Keyword]):
         """``step(x, acc) -> (holds, annotation)`` of one keyword, with the
@@ -717,8 +743,27 @@ class _Compiler:
         """Holds when ``lo`` to ``hi`` branches are valid; the annotation
         is the union of the valid branches' annotations.  It stops once
         more than ``len(branches) - lo`` branches have failed or more than
-        ``hi`` have held."""
+        ``hi`` have held.  ``anyOf`` also stops once a branch has held and
+        the union holds every member of the instance: an annotation holds
+        only members of its instance, so no later branch can add one."""
         fs = tuple(self.schema(s, ANNOT) for s in branches)
+        if lo == 1 and hi == INF:
+
+            def any_of(x, acc, fs=fs):
+                members = len(x) if isinstance(x, (dict, list)) else 0
+                held = False
+                union = _EMPTY
+                for f in fs:
+                    found = f(x)
+                    if found is not None:
+                        held = True
+                        if found:
+                            union = union | found
+                        if len(union) >= members:
+                            return True, union
+                return held, union
+
+            return any_of
 
         def choice(x, acc, fs=fs, most_failed=len(fs) - lo, hi=hi, lo=lo):
             valid = failed = 0
@@ -740,15 +785,12 @@ class _Compiler:
         return choice
 
     def unevaluated_properties_step(self, sub, context):
-        f = self.schema(sub, BOOL)
+        valid = _unevaluated_valid(self.schema(sub, BOOL), dict)
 
-        def unevaluated_properties(x, acc, f=f):
+        def unevaluated_properties(x, acc, valid=valid):
             if not isinstance(x, dict):
                 return _OK
-            for k, v in x.items():
-                if k not in acc and not f(v):
-                    return False, x.keys()
-            return True, x.keys()
+            return valid(x, acc), x.keys()
 
         return unevaluated_properties
 
@@ -767,18 +809,103 @@ class _Compiler:
         return contains
 
     def unevaluated_items_step(self, sub, context):
-        f = self.schema(sub, BOOL)
+        valid = _unevaluated_valid(self.schema(sub, BOOL), list)
 
-        def unevaluated_items(x, acc, f=f):
+        def unevaluated_items(x, acc, valid=valid):
             if not isinstance(x, list):
                 return _OK
-            every = set(range(len(x)))
-            for i, v in enumerate(x):
-                if i not in acc and not f(v):
-                    return False, every
-            return True, every
+            return valid(x, acc), set(range(len(x)))
 
         return unevaluated_items
+
+
+def _annotated(check, evaluates: Sequence, steps: Sequence):
+    """The annotation closure of a keyword list: ``check`` (``None`` for
+    none), then what ``evaluates`` gives, then the ``steps``.  A list with
+    at most one of each gets a closure of its shape, without the loops."""
+    if len(evaluates) > 1 or len(steps) > 1:
+
+        def annotated(x, check=check, evaluates=tuple(evaluates), steps=tuple(steps)):
+            if check is not None and not check(x):
+                return None
+            acc = _EMPTY
+            for kind, evaluated in evaluates:
+                if isinstance(x, kind):
+                    acc = acc | evaluated(x)
+            for step in steps:
+                ok, found = step(x, acc)
+                if not ok:
+                    return None
+                if found:
+                    acc = acc | found
+            return acc
+
+        return annotated
+    if not steps:
+        if not evaluates:
+            if check is None:
+                return _ann_true
+            return lambda x, check=check: _EMPTY if check(x) else None
+        ((kind, evaluated),) = evaluates
+
+        def evaluated_only(x, check=check, kind=kind, evaluated=evaluated):
+            if check is not None and not check(x):
+                return None
+            return evaluated(x) if isinstance(x, kind) else _EMPTY
+
+        return evaluated_only
+    (step,) = steps
+    if not evaluates:
+
+        def step_only(x, check=check, step=step):
+            if check is not None and not check(x):
+                return None
+            ok, found = step(x, _EMPTY)
+            return found if ok else None
+
+        return step_only
+    ((kind, evaluated),) = evaluates
+
+    def evaluated_then_step(x, check=check, kind=kind, evaluated=evaluated, step=step):
+        if check is not None and not check(x):
+            return None
+        acc = evaluated(x) if isinstance(x, kind) else _EMPTY
+        ok, found = step(x, acc)
+        if not ok:
+            return None
+        return acc | found if found else acc
+
+    return evaluated_then_step
+
+
+def _unevaluated_valid(f: Check, kind: type):
+    """``valid(x, acc)``: every member of ``x``, an instance of ``kind``,
+    that the annotation ``acc`` lacks is valid against ``f``.  An
+    annotation holds only members of its instance, so against ``false``
+    it must hold as many as the instance has."""
+    if f is _false:
+        return lambda x, acc: len(acc) >= len(x)
+    if kind is dict:
+
+        def properties(x, acc, f=f):
+            for k, v in x.items():
+                if k not in acc and not f(v):
+                    return False
+            return True
+
+        return properties
+
+    def items(x, acc, f=f):
+        for i, v in enumerate(x):
+            if i not in acc and not f(v):
+                return False
+        return True
+
+    return items
+
+
+#: The instance kind each ``unevaluated*`` keyword tests.
+_ADK_KINDS = {"unevaluatedProperties": dict, "unevaluatedItems": list}
 
 
 def _const_check(value) -> Check:
@@ -910,6 +1037,5 @@ def _compiled(doc: SchemaDocument, schema: Schema, mode: int):
         return entry[mode]
     compiler = _Compiler(doc)
     fn = compiler.schema(schema, mode)
-    if id(schema) in compiler.named:
-        compiler.commit()
+    compiler.commit(schema)
     return fn

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,7 +62,7 @@ def test_the_ab_tools_name_checkouts_as_bench_pairs_does(tools):
 _SLEEPING_BENCH = """\
 import os, sys, time
 from pathlib import Path
-Path(sys.argv[0]).with_name("pid").write_text(str(os.getpid()))
+Path({pid_file!r}).write_text(str(os.getpid()))
 time.sleep(60)
 """
 
@@ -77,11 +78,11 @@ def _alive(pid: int) -> bool:
 def test_bench_pairs_stops_its_running_child_on_sigterm(tmp_path):
     checkout = tmp_path / "checkout"
     (checkout / "bench").mkdir(parents=True)
-    (checkout / "bench" / "run.py").write_text(_SLEEPING_BENCH)
+    pid_file = checkout / "bench" / "pid"
+    (checkout / "bench" / "run.py").write_text(_SLEEPING_BENCH.format(pid_file=str(pid_file)))
     (checkout / "BENCHMARK.json").write_text(
         json.dumps({"workloads": [{"name": "w"}], "end_to_end": []})
     )
-    pid_file = checkout / "bench" / "pid"
     tool = subprocess.Popen(
         [sys.executable, str(REPO / "tools" / "bench_pairs.py"), "--parent", str(checkout),
          "--change", str(checkout), "--seeds", "1", "--log", str(tmp_path / "log"),
@@ -105,6 +106,40 @@ def test_bench_pairs_stops_its_running_child_on_sigterm(tmp_path):
         tool.wait()
         if child is not None and _alive(child):
             os.kill(child, signal.SIGKILL)
+
+
+def test_bench_pairs_runs_both_sides_from_one_directory(tools, tmp_path, monkeypatch):
+    """Every run starts in the same directory, which holds a fresh copy of
+    that side's tree without ``.git`` or byte-code caches; the directory
+    is gone after the series."""
+    bench_pairs = tools.import_module("bench_pairs")
+    checkouts = {}
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        for part in ("src/__pycache__", ".git"):
+            (root / part).mkdir(parents=True)
+        (root / "src" / "side.txt").write_text(side)
+        (root / "src" / "__pycache__" / "m.pyc").write_bytes(b"")
+        checkouts[side] = root.resolve()
+    (checkouts["parent"] / "src" / "parent_only.txt").write_text("")
+    runs = []
+
+    def run_child(args, checkout, env=None):
+        files = sorted(p.relative_to(checkout).as_posix() for p in checkout.rglob("*"))
+        runs.append((checkout, (checkout / "src" / "side.txt").read_text(), files))
+        return 0, json.dumps({"metrics": {}})
+
+    monkeypatch.setattr(bench_pairs, "run_child", run_child)
+    args = SimpleNamespace(**checkouts, seeds=[1, 2], log=tmp_path / "log")
+    bench_pairs.collect(args, {"workloads": [{"name": "w"}]})
+    log = [json.loads(line) for line in args.log.read_text().splitlines()]
+    assert [r["side"] for r in log] == ["parent", "change", "change", "parent"]
+    assert [side for _, side, _ in runs] == [r["side"] for r in log]
+    (run_dir,) = {checkout for checkout, _, _ in runs}
+    assert run_dir not in checkouts.values() and not run_dir.exists()
+    for _, side, files in runs:
+        expected = ["src", "src/side.txt"] + (["src/parent_only.txt"] if side == "parent" else [])
+        assert files == sorted(expected)
 
 
 _MUTABLE = """\

@@ -546,6 +546,192 @@ def test_contains_annotations_feed_unevaluated_items():
     assert not outcome(schema, ["x", 1]).valid
 
 
+class _List(list):
+    pass
+
+
+def _judged_as_the_reference_judges(schema_json, instances):
+    """Each instance's verdict equals ``jsonschema``'s and that of the
+    annotation-mode closure; a valid instance's annotation equals the exact
+    fold's and, member by member, the reference's.  Returns the verdicts."""
+    from uneval import validator
+
+    jsonschema = pytest.importorskip("jsonschema")
+    reference = jsonschema.Draft202012Validator(schema_json)
+    doc = parse_schema(schema_json)
+    verdicts = []
+    for instance in instances:
+        got = validate(doc, doc.root, instance)
+        assert got.valid is reference.is_valid(instance), (schema_json, instance)
+        found = validator._compiled(doc, doc.root, ANNOT)(instance)
+        assert (found is not None) is got.valid, (schema_json, instance)
+        ok, folded = validate_keyword_list(doc, doc.root.keywords, instance)
+        assert ok is got.valid, (schema_json, instance)
+        if got.valid:
+            assert got.annotation == folded, (schema_json, instance)
+            if isinstance(instance, (dict, list)) and instance:
+                _check_unevaluated_members(jsonschema, schema_json, instance, got.annotation)
+        verdicts.append(got.valid)
+    return verdicts
+
+
+#: ``anyOf`` whose valid branches cover an instance early or late: the
+#: first valid branch may cover it while a later one also holds, or leave
+#: members that only a later branch evaluates.
+COVERING_ANY_OF = [
+    {"anyOf": [{"properties": {"a": True, "b": True}}, {"properties": {"a": True}, "required": ["a"]}]},
+    {"anyOf": [{"required": ["z"]}, {"properties": {"a": True}}, {"properties": {"b": True}}]},
+    {"anyOf": [{"prefixItems": [True, True]}, {"items": {"type": "integer"}}, {"contains": True}]},
+    {"anyOf": [{"prefixItems": [True]}, {"contains": {"type": "string"}}, {"minItems": 9}]},
+    {"anyOf": [{"additionalProperties": True}, {"properties": {"a": {"type": "string"}}}]},
+    {"anyOf": [{"type": "string"}, {"minimum": 3}, {"properties": {"a": True}}]},
+]
+COVERING_INSTANCES = [
+    {}, {"a": 1}, {"b": 1}, {"a": "x", "b": 2}, {"a": 1, "b": 2, "c": 3}, {"z": 1, "a": 1},
+    [], [1], [1, "x"], ["x", "y", 3], [1, 2, 3], "s", 4, 1, None,
+]
+
+
+@pytest.mark.parametrize("closed", [None, "unevaluatedProperties", "unevaluatedItems"])
+@pytest.mark.parametrize("schema_json", COVERING_ANY_OF)
+def test_an_any_of_stopped_at_a_cover_keeps_the_full_union(schema_json, closed):
+    from uneval import validator
+
+    if closed is not None:
+        schema_json = {**schema_json, closed: False}
+    verdicts = _judged_as_the_reference_judges(schema_json, COVERING_INSTANCES)
+    assert True in verdicts
+    doc = parse_schema(schema_json)
+    branches = doc.root.get("anyOf").value
+    for instance in COVERING_INSTANCES:
+        union = set()
+        for branch in branches:
+            found = validator._compiled(doc, branch, ANNOT)(instance)
+            union |= found or set()
+        got = validate(doc, doc.root, instance)
+        if got.valid and closed is None:
+            assert set(got.annotation.props | got.annotation.items) == union, instance
+
+
+#: ``unevaluated*`` nodes under the in-place applicators of an outer one.
+NESTED_UNEVALUATED = [
+    {
+        "allOf": [{"properties": {"a": True}, "unevaluatedProperties": {"type": "integer"}}],
+        "unevaluatedProperties": False,
+    },
+    {
+        "anyOf": [
+            {"properties": {"a": {"type": "string"}}, "unevaluatedProperties": False},
+            {"properties": {"b": True}},
+        ],
+        "unevaluatedProperties": {"type": "string"},
+    },
+    {
+        "$ref": "#/$defs/inner",
+        "unevaluatedItems": False,
+        "$defs": {"inner": {"prefixItems": [True], "unevaluatedItems": {"type": "string"}}},
+    },
+    {
+        "$ref": "#/$defs/inner",
+        "properties": {"z": True},
+        "unevaluatedProperties": False,
+        "$defs": {"inner": {"properties": {"a": True}, "unevaluatedProperties": {"type": "string"}}},
+    },
+    {
+        "anyOf": [
+            {"prefixItems": [{"type": "integer"}], "unevaluatedItems": False},
+            {"contains": {"type": "string"}},
+        ],
+        "unevaluatedItems": False,
+    },
+    {
+        "oneOf": [
+            {"properties": {"a": True}, "unevaluatedProperties": False},
+            {"prefixItems": [True], "unevaluatedItems": {"type": "integer"}},
+        ],
+        "unevaluatedProperties": {"type": "integer"},
+        "unevaluatedItems": False,
+    },
+]
+NESTED_INSTANCES = [
+    {}, {"a": 1}, {"a": "x"}, {"a": 1, "b": 2}, {"a": "x", "b": "y"}, {"b": 1}, {"z": 1, "a": "q"},
+    {"z": 1, "a": 1}, {"c": 2}, [], [1], ["x"], [1, "x"], [1, 2], ["x", 1], "s", 3, None,
+]
+
+
+@pytest.mark.parametrize("schema_json", NESTED_UNEVALUATED)
+def test_nested_unevaluated_keywords_judge_as_the_reference(schema_json):
+    verdicts = _judged_as_the_reference_judges(schema_json, NESTED_INSTANCES)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("schema_json", NESTED_UNEVALUATED + COVERING_ANY_OF[:3])
+def test_unevaluated_keywords_judge_subclass_instances_as_exact_ones(schema_json):
+    """An ``OrderedDict`` or a ``list`` subclass is judged and annotated as
+    the exact value it equals, and an instance of a class that an
+    ``unevaluated*`` keyword does not apply to only by the other keywords."""
+    doc = parse_schema(schema_json)
+    for instance in NESTED_INSTANCES:
+        if isinstance(instance, dict):
+            other = OrderedDict(reversed(instance.items()))
+        elif isinstance(instance, list):
+            other = _List(instance)
+        else:
+            continue
+        expected = validate(doc, doc.root, instance)
+        got = validate(doc, doc.root, other)
+        assert got.valid is expected.valid, (schema_json, instance)
+        assert got.annotation == expected.annotation, (schema_json, instance)
+    others = [OrderedDict(b=1), OrderedDict(a="x", b="y"), _List([1, "x"]), _List(["x", 1])]
+    _judged_as_the_reference_judges(schema_json, others)
+
+
+#: ``$ref``-only nodes that reach a recursive named schema.
+REF_ONLY_RECURSIVE = [
+    {
+        "$ref": "#/$defs/tree",
+        "$defs": {
+            "tree": {
+                "properties": {"v": {"type": "integer"}, "kids": {"items": {"$ref": "#/$defs/tree"}}},
+                "unevaluatedProperties": False,
+            }
+        },
+    },
+    {
+        "anyOf": [{"$ref": "#/$defs/t"}, {"type": "string"}],
+        "unevaluatedProperties": False,
+        "$defs": {
+            "t": {
+                "anyOf": [{"$ref": "#/$defs/u"}, {"required": ["end"]}],
+                "properties": {"end": True},
+                "unevaluatedProperties": False,
+            },
+            "u": {"properties": {"next": {"$ref": "#/$defs/t"}}, "required": ["next"]},
+        },
+    },
+]
+REF_ONLY_INSTANCES = [
+    {}, {"v": 1}, {"v": "x"}, {"v": 1, "kids": [{"v": 2}, {"v": 3, "kids": []}]},
+    {"v": 1, "kids": [{"v": 2, "w": 0}]}, {"v": 1, "w": 2},
+    {"end": 1}, {"next": {"end": 1}}, {"next": {"next": {"end": 2}}}, {"next": {"next": {}}},
+    {"next": {"end": 1, "x": 0}}, {"next": {"end": 1}, "x": 0}, "s", 3, [],
+]
+
+
+@pytest.mark.parametrize("schema_json", REF_ONLY_RECURSIVE)
+def test_a_ref_only_node_reaching_a_recursive_schema(schema_json):
+    verdicts = _judged_as_the_reference_judges(schema_json, REF_ONLY_INSTANCES)
+    assert True in verdicts and False in verdicts
+
+
+def test_a_ref_only_node_annotates_with_its_targets_closure():
+    from uneval import validator
+
+    doc = parse_schema(REF_ONLY_RECURSIVE[0])
+    (tree,) = doc.defs.values()
+    assert validator._compiled(doc, doc.root, ANNOT) is validator._compiled(doc, tree, ANNOT)
+
+
 def test_annotation_soundness_on_corpus():
     from conftest import load_corpus
 
@@ -703,19 +889,44 @@ def test_ad_hoc_schemas_do_not_grow_the_cache():
 
 
 def test_ad_hoc_schemas_cache_nothing_they_reach():
-    """A compile entered at an ad hoc node caches nothing, not even a named
-    node that it reaches through ``$ref``; one entered at that named node
-    caches the node and what it reaches."""
+    """A compile entered at an ad hoc node caches the named node that it
+    reaches through ``$ref`` and what that node reaches, and nothing ad
+    hoc; validating the named node then compiles nothing."""
     doc = parse_schema({"$defs": {"a": {"properties": {"b": {"type": "string"}}}}})
     ad_hoc = ObjSchema((Keyword("$ref", "#/$defs/a"),))
+    (named,) = doc.defs.values()
     for instance, valid in (({"b": "x"}, True), ({"b": 1}, False)):
         got = validate(doc, ad_hoc, instance)
         assert got.valid is valid
         assert got.annotation.props == ({"b"} if valid else set())
-        assert doc.compiled == {}
-    (named,) = doc.defs.values()
+        assert id(ad_hoc) not in doc.compiled
+        assert id(named) in doc.compiled and len(doc.compiled) == 2
+    cached = dict(doc.compiled)
     assert validate(doc, named, {"b": "x"}).valid
-    assert len(doc.compiled) == 2
+    assert doc.compiled == cached
+
+
+def test_a_second_ad_hoc_validation_compiles_only_the_ad_hoc_nodes(monkeypatch):
+    """The named nodes an ad hoc session reached are cached, so the next
+    ad hoc validation compiles the ad hoc nodes and nothing below them."""
+    from uneval import validator
+
+    compiled = []
+    bool_list = validator._Compiler.bool_list
+
+    def counting(self, keywords, context):
+        compiled.append(tuple(keywords))
+        return bool_list(self, keywords, context)
+
+    monkeypatch.setattr(validator._Compiler, "bool_list", counting)
+    doc = parse_schema(SALE_CAR)
+    instance = {"price": 100, "plate": "x111"}
+    assert validate(doc, not_(not_(doc.root)), instance).valid
+    assert len(compiled) > 2
+    compiled.clear()
+    wrapper = not_(not_(doc.root))
+    assert validate(doc, wrapper, instance).valid
+    assert compiled == [wrapper.keywords, wrapper.keywords[0].value.keywords]
 
 
 def test_a_node_cached_in_annotation_mode_only_gets_a_verdict():

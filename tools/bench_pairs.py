@@ -7,17 +7,21 @@ Run from anywhere, with two checkouts of the repository::
 
 For each workload of ``BENCHMARK.json`` and each seed, the parent and the
 change run ``python3 bench/run.py --workload W --seed S --seconds 20
---trace 0`` in their own checkout, the parent first on even pairs and the
-change first on odd ones.  Every run's result line is appended to the log,
-and runs already in the log are not repeated, so an interrupted series
-resumes; the log keeps each run's ``# key: value`` lines as ``info``.  The
-summary gives, per workload and end-to-end metric, each side's
-median and quartiles, the pairs the change won and lost, and whether the
-change stays within the metric's bound.  Each run's ``peak_rss_mb`` is
-listed beside the oracle's repetitions per op, which set the size of its
-sample arrays.  The tier-1 suite is timed once per checkout.  Each
-checkout is named by its commit or, outside a git repository, by a
-sha256 over its ``src/`` files (:func:`identify`).  Stopped with SIGTERM
+--trace 0``, the parent first on even pairs and the change first on odd
+ones.  Before each run, that side's tree (without ``.git`` and byte-code
+caches) is copied into one run directory, the same for both sides and
+every run, and the run starts there; so whatever the directory a run
+starts from does to its timings lands on both sides.  Every run's result
+line is appended to the log, and runs already in the log are not
+repeated, so an interrupted series resumes; the log keeps each run's
+``# key: value`` lines as ``info``.  The summary gives, per workload and
+end-to-end metric, each side's median and quartiles, the pairs the
+change won and lost, and whether the change stays within the metric's
+bound.  Each run's ``peak_rss_mb`` is listed beside the oracle's
+repetitions per op, which set the size of its sample arrays.  The tier-1
+suite is timed once per checkout.  Each checkout is named by its commit
+or, outside a git repository, by a sha256 over its ``src/`` files
+(:func:`identify`).  Stopped with SIGTERM
 or SIGINT, the tool stops its running child first.
 """
 
@@ -28,9 +32,11 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -88,6 +94,14 @@ def exit_on_signal(signum, frame) -> None:
     sys.exit(128 + signum)
 
 
+def stage(checkout: Path, run_dir: Path) -> Path:
+    """Make ``run_dir`` a fresh copy of ``checkout``'s tree, without its
+    ``.git`` and byte-code caches, and return it."""
+    shutil.rmtree(run_dir, ignore_errors=True)
+    shutil.copytree(checkout, run_dir, ignore=shutil.ignore_patterns(".git", "__pycache__"))
+    return run_dir
+
+
 def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     t0 = time.time()
     code, stdout = run_child([*BENCH, "--workload", workload, "--seed", str(seed)], checkout)
@@ -115,17 +129,19 @@ def collect(args, spec: dict) -> None:
             r = json.loads(line)
             done.add((r["workload"], r["seed"], r["side"]))
     checkouts = {"parent": args.parent, "change": args.change}
-    for workload in [w["name"] for w in spec["workloads"]]:
-        for k, seed in enumerate(args.seeds):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
-                if (workload, seed, side) in done:
-                    continue
-                r = run_bench(checkouts[side], workload, seed)
-                r.update(workload=workload, seed=seed, side=side, pair=k, first=order[0])
-                with args.log.open("a") as log:
-                    log.write(json.dumps(r) + "\n")
-                print(f"{workload} seed {seed} {side}: exit {r['exit']}, {r['wall_s']:.0f} s", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        run_dir = Path(tmp) / "checkout"
+        for workload in [w["name"] for w in spec["workloads"]]:
+            for k, seed in enumerate(args.seeds):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for side in order:
+                    if (workload, seed, side) in done:
+                        continue
+                    r = run_bench(stage(checkouts[side], run_dir), workload, seed)
+                    r.update(workload=workload, seed=seed, side=side, pair=k, first=order[0])
+                    with args.log.open("a") as log:
+                        log.write(json.dumps(r) + "\n")
+                    print(f"{workload} seed {seed} {side}: exit {r['exit']}, {r['wall_s']:.0f} s", flush=True)
 
 
 def summarize(args, spec: dict) -> dict:
@@ -246,7 +262,7 @@ def main(argv=None) -> int:
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "checkouts": {"parent": identify(args.parent), "change": identify(args.change)},
         "seeds": args.seeds,
-        "command": "python3 " + " ".join(BENCH) + " --workload W --seed S  (from each checkout's root)",
+        "command": "python3 " + " ".join(BENCH) + " --workload W --seed S  (from one run directory, a fresh copy of the side's tree)",
         "order": "pair k runs the parent first when k is even, the change first when k is odd",
         "gain_rule": "change wins >= 9/10 of pairs and |median difference| > parent Q3 - Q1",
         "workloads": summarize(args, spec),
