@@ -202,6 +202,18 @@ class Analyzer:
         # id -> (node, min_ep, max_ep, min_ei, max_ei); the node reference
         # keeps ids from being reused
         self._bounds: dict[int, tuple] = {}
+        # id -> (guard, its anyOf operand set), read by every refused cover;
+        # a closure over the table, not a bound method, so that the
+        # analyzer holds no cycle and is freed with its last reference
+        disjuncts: dict[int, tuple] = {}
+
+        def guard_operands(guard: Schema) -> frozenset[Schema]:
+            hit = disjuncts.get(id(guard))
+            if hit is None:
+                hit = disjuncts[id(guard)] = (guard, _disjuncts(guard))
+            return hit[1]
+
+        self._guard_operands = guard_operands
 
     def _of(self, s: Schema) -> tuple:
         hit = self._bounds.get(id(s))
@@ -267,7 +279,19 @@ class Analyzer:
         """
         _, ep1, _, ei1, _ = self._of(s1)
         _, _, ep2, _, ei2 = self._of(s2)
-        return patterns_dominate(ep1, ep2) and pair_dominates(ei1, ei2)
+        return patterns_dominate(ep1, ep2) and pair_dominates(ei1, ei2, self._guard_operands)
+
+    def record_conjunction(self, product: Schema, s1: Schema, s2: Schema) -> None:
+        """Record the bounds of ``product``, the conjunction of ``s1`` and
+        ``s2`` that ``combine`` gives, as the union of theirs.
+
+        Only a node the memo does not hold gets them: a fresh ``allOf``.
+        Whatever else ``combine`` returns (``false``, a factor, or an atom
+        of one) is in the memo once the factors' bounds are read, and keeps
+        its own."""
+        parts = [self._of(s1)[1:], self._of(s2)[1:]]
+        if id(product) not in self._bounds:
+            self._bounds[id(product)] = (product, *_union_bounds(parts))
 
 
 def patterns_dominate(lo: frozenset[str], hi: frozenset[str]) -> bool:
@@ -275,17 +299,24 @@ def patterns_dominate(lo: frozenset[str], hi: frozenset[str]) -> bool:
     return ".*" in lo or hi <= lo
 
 
-def guard_implies(premise: Schema, conclusion: Schema) -> bool:
+def _disjuncts(guard: Schema) -> frozenset[Schema]:
+    """The set of a guard's ``anyOf`` operands, the guard alone if it is
+    no bare ``anyOf``."""
+    return frozenset(operands(guard, "anyOf"))
+
+
+def guard_implies(premise: Schema, conclusion: Schema, disjuncts=_disjuncts) -> bool:
     """Sound syntactic implication between guard schemas; a ``true``
     conclusion and a ``false`` premise are for the caller to answer, as
-    :func:`pair_dominates` does."""
-    if premise == conclusion:
-        return True
-    # a disjunction follows from any sub-disjunction of its branches
-    return frozenset(operands(premise, "anyOf")) <= frozenset(operands(conclusion, "anyOf"))
+    :func:`pair_dominates` does.  ``disjuncts`` gives a guard's operand
+    set (:class:`Analyzer` passes its memoized one).
+
+    A disjunction follows from any sub-disjunction of its branches; equal
+    guards have equal operand sets, so no equality test is needed."""
+    return disjuncts(premise) <= disjuncts(conclusion)
 
 
-def pair_dominates(lo: EvalPair, hi: EvalPair) -> bool:
+def pair_dominates(lo: EvalPair, hi: EvalPair, disjuncts=_disjuncts) -> bool:
     """Prove that every item satisfying hi also satisfies lo."""
     if isinstance(lo.guard, BoolSchema) and lo.guard.value:
         return True
@@ -293,4 +324,4 @@ def pair_dominates(lo: EvalPair, hi: EvalPair) -> bool:
         return False
     if isinstance(hi.guard, BoolSchema) and not hi.guard.value:
         return True
-    return guard_implies(hi.guard, lo.guard)
+    return guard_implies(hi.guard, lo.guard, disjuncts)

@@ -14,6 +14,11 @@ envelope in the number of distinct subschemas.  Deduplication compares
 nodes by their identity, the cached canonical text (:attr:`Schema.key`).
 One :class:`Analyzer` answers every question about the document: the
 bounds, the cover proofs, and the document itself.
+
+A product that :func:`close` builds is handed what its two factors
+already know: its key, from their stored keys, and its bounds, recorded
+as the union of theirs (:meth:`Analyzer.record_conjunction`), so neither
+is computed again atom by atom.
 """
 
 from __future__ import annotations
@@ -25,11 +30,13 @@ from .errors import EliminationError, GuardednessError, NestingDepthError
 from .schema import (
     ADK_NAMES,
     READS,
+    BoolSchema,
     Keyword,
     ObjSchema,
     Schema,
     SchemaDocument,
     TRUE_SCHEMA,
+    all_of,
     any_of,
     boolean_one_of,
     combine,
@@ -50,6 +57,12 @@ def branch_key(s: Schema) -> Schema | frozenset[Schema]:
     return s if len(atoms) == 1 else frozenset(atoms)
 
 
+def product_key(atoms1: frozenset[Schema], atoms2: frozenset[Schema]) -> frozenset[Schema]:
+    """The key of ``allOf(atoms1 + atoms2)``, from its factors' disjoint
+    atom sets; the union reuses their stored hashes."""
+    return atoms1 | atoms2
+
+
 class BranchList:
     """Ordered list of branches without duplicates (first one wins).
 
@@ -64,8 +77,9 @@ class BranchList:
         for s in branches:
             self.add(s)
 
-    def add(self, s: Schema) -> None:
-        self._by_key.setdefault(branch_key(s), s)
+    def add(self, s: Schema) -> Schema:
+        """Add ``s`` unless a branch with its key is kept; return the kept one."""
+        return self._by_key.setdefault(branch_key(s), s)
 
     def merge(self, other: BranchList) -> None:
         """Add the branches of ``other`` by the keys it has stored."""
@@ -98,29 +112,66 @@ def and_combine(lists: Iterable[Iterable[Schema]]) -> BranchList:
     return out
 
 
-def close(an: Analyzer, l1: Iterable[Schema], l2: Iterable[Schema]) -> BranchList:
+def _factors(bl: BranchList) -> list[tuple]:
+    """(branch, atoms, atom set) per branch, the set read from the stored
+    key; it is None where a product with the branch needs :func:`conjoin`:
+    no atoms, a repeated atom, or a unit atom that ``combine`` drops or
+    returns alone."""
+    out = []
+    for key, s in bl._by_key.items():
+        atoms = operands(s, "allOf")
+        atom_set = key if type(key) is frozenset else frozenset(atoms)
+        if not atoms or len(atom_set) != len(atoms) or any(
+            [isinstance(a, BoolSchema) or not a.keywords for a in atoms]
+        ):
+            atom_set = None
+        out.append((s, atoms, atom_set))
+    return out
+
+
+def close(an: Analyzer, l1: BranchList, l2: BranchList) -> BranchList:
     """Conjunctions needed so that l1 ++ l2 ++ close(l1, l2) is cover-closed.
 
     A cross pair is omitted when one of its two endpoints provably covers
-    it; no third-schema search is attempted.
+    it; no third-schema search is attempted.  Where the two factors' atom
+    sets are disjoint and free of units (``true``, ``false``, ``{}``) and
+    repeats, their product is ``allOf(atoms1 + atoms2)``, as
+    :func:`conjoin` builds it, keyed by :func:`product_key` without hashing
+    an atom; any other pair goes through :func:`conjoin` and
+    :meth:`BranchList.add`.  The analyzer records each kept product's
+    bounds from its factors'.
     """
     out = BranchList()
-    for s1 in l1:
-        for s2 in l2:
+    by_key = out._by_key
+    right = _factors(l2)
+    for s1, atoms1, set1 in _factors(l1):
+        for s2, atoms2, set2 in right:
             if an.covers(s1, s2) or an.covers(s2, s1):
                 continue
-            out.add(conjoin(s1, s2))
+            if set1 is not None and set2 is not None and set1.isdisjoint(set2):
+                key = product_key(set1, set2)
+                if key in by_key:
+                    continue
+                product = by_key[key] = all_of(atoms1 + atoms2)
+            else:
+                product = conjoin(s1, s2)
+                if out.add(product) is not product:
+                    continue
+            an.record_conjunction(product, s1, s2)
     return out
 
 
 def or_combine(an: Analyzer, lists: Iterable[Iterable[Schema]]) -> BranchList:
     """Concatenation of branch lists, completed by close insertions,
-    folded from the right in a loop like :func:`and_combine`."""
+    folded from the right in a loop like :func:`and_combine`.  Each step
+    hands :func:`close` the keyed lists it merges, so no factor is keyed
+    twice."""
     out = BranchList()
     for branches in reversed([list(b) for b in lists]):
         rest, out = out, BranchList(branches)
+        products = close(an, out, rest)
         out.merge(rest)
-        out.merge(close(an, branches, rest))
+        out.merge(products)
     return out
 
 

@@ -134,7 +134,7 @@ def enumerate_instances(doc: SchemaDocument) -> Iterator[JsonValue]:
         for k in range(1, MAX_FIELDS + 1):
             for keys in combinations(names, k):
                 for values in product(leaf_values, repeat=k):
-                    yield {key: val for key, val in zip(keys, values)}
+                    yield dict(zip(keys, values))
 
     if _uses(doc, ARRAY_KEYWORDS):
         # small objects as array items: content-driven evaluation needs them
@@ -142,7 +142,7 @@ def enumerate_instances(doc: SchemaDocument) -> Iterator[JsonValue]:
         for k in (1, 2):
             for keys in combinations(names[: min(len(names), 4)], k):
                 for values in product(SCALAR_ALPHABET, repeat=k):
-                    item_objects.append({key: val for key, val in zip(keys, values)})
+                    item_objects.append(dict(zip(keys, values)))
         full_pool: list[JsonValue] = list(leaf_values) + item_objects
         reduced_pool: list[JsonValue] = list(leaf_values) + [
             {name: None} for name in names[: min(len(names), 4)]

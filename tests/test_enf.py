@@ -1,4 +1,5 @@
 import importlib
+import random
 
 import pytest
 
@@ -136,7 +137,7 @@ def test_or_combine_adds_conjunction():
 
 def test_close_no_cross_pairs():
     doc = parse_schema({})
-    assert len(close(Analyzer(doc), [A], [])) == 0
+    assert len(close(Analyzer(doc), BranchList([A]), BranchList())) == 0
 
 
 def test_close_covered_pair_omitted():
@@ -148,13 +149,13 @@ def test_close_covered_pair_omitted():
             }
         }
     )
-    out = close(Analyzer(doc), [doc.defs["all"]], [doc.defs["small"]])
+    out = close(Analyzer(doc), BranchList([doc.defs["all"]]), BranchList([doc.defs["small"]]))
     assert len(out) == 0
 
 
 def test_close_unprovable_pair_conjoined():
     doc = parse_schema({})
-    out = [schema_to_json(s) for s in close(Analyzer(doc), [A], [B])]
+    out = [schema_to_json(s) for s in close(Analyzer(doc), BranchList([A]), BranchList([B]))]
     assert out == [{"allOf": [schema_to_json(A), schema_to_json(B)]}]
 
 
@@ -212,19 +213,114 @@ def test_family_rewrite_keys_each_branch_once(kind, monkeypatch):
     gen = gen_family_sn if kind == "sn" else gen_family_san
     calls = []
     enf_module = importlib.import_module("uneval.enf")
-    real = enf_module.branch_key
 
-    def counting(s):
-        calls.append(s)
-        return real(s)
+    def counting(real):
+        def count(*args):
+            calls.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(enf_module, "branch_key", counting)
+        return count
+
+    # every key built: a branch's own, or a product's from its factors'
+    for name in ("branch_key", "product_key"):
+        monkeypatch.setattr(enf_module, name, counting(getattr(enf_module, name)))
     for n in range(2, 9):
         doc = gen(n)
         calls.clear()
         _, stats = elim_document_with_stats(doc)
         assert sum(stats.values()) == 2**n - 1
         assert len(calls) == 2**n - 1, (kind, n)
+
+
+#: Atoms of the seeded close inputs: evaluating ones, a plain assertion,
+#: and the units that ``combine`` drops (``true``, ``{}``) or returns alone
+#: (``false``).
+_CLOSE_ATOMS = (
+    {"properties": {"a": True}},
+    {"properties": {"b": True}},
+    {"patternProperties": {"^x": True}},
+    {"prefixItems": [True]},
+    {"contains": {"const": 0}},
+    {"contains": {"anyOf": [{"const": 1}, {"const": "y"}]}},
+    {"required": ["a"]},
+    True,
+    {},
+    False,
+)
+
+
+def _close_input(rng):
+    """An anyOf of two to four branches, each an atom, an allOf of up to
+    three atoms (repeats allowed) or a nested anyOf of such branches; the
+    branches share atoms, so products overlap."""
+
+    def branch(depth):
+        roll = rng.random()
+        if depth and roll < 0.2:
+            return {"anyOf": [branch(depth - 1) for _ in range(rng.randrange(2, 4))]}
+        if roll < 0.45:
+            return rng.choice(_CLOSE_ATOMS)
+        return {"allOf": [rng.choice(_CLOSE_ATOMS) for _ in range(rng.randrange(0, 4))]}
+
+    return {"anyOf": [branch(2) for _ in range(rng.randrange(2, 5))]}
+
+
+def _close_documents():
+    """(document, body) for the corpus, sn/san n = 2..8 and seeded inputs."""
+    from uneval.families import gen_family_san, gen_family_sn
+
+    for fixture in load_corpus():
+        doc = parse_schema(fixture.schema_json)
+        yield doc, _enf_able_body(doc)
+    for n in range(2, 9):
+        for gen in (gen_family_sn, gen_family_san):
+            doc = gen(n)
+            yield doc, ObjSchema((doc.root.get("anyOf"),))
+    rng = random.Random(53)
+    for _ in range(400):
+        doc = parse_schema(_close_input(rng))
+        yield doc, doc.root
+
+
+def test_close_products_equal_conjoin_and_carry_fresh_bounds(monkeypatch):
+    """Every product ``close`` builds has the key, atoms and atom order
+    ``conjoin`` gives, in the order ``BranchList.add`` keeps; its bounds are
+    recorded as it is built and equal a fresh analyzer's."""
+    from uneval.schema import operands
+
+    enf_module = importlib.import_module("uneval.enf")
+    real = enf_module.close
+    seen = {"products": 0, "false": 0, "unit": 0, "overlap": 0}
+
+    def is_unit(a):
+        return isinstance(a, BoolSchema) or not a.keywords
+
+    def checked(an, l1, l2):
+        out = real(an, l1, l2)
+        for product in out:
+            assert id(product) in an._bounds, schema_to_json(product)
+        expected = BranchList()
+        for s1 in l1:
+            for s2 in l2:
+                if an.covers(s1, s2) or an.covers(s2, s1):
+                    continue
+                expected.add(conjoin(s1, s2))
+                atoms1, atoms2 = operands(s1, "allOf"), operands(s2, "allOf")
+                seen["unit"] += any(map(is_unit, atoms1 + atoms2))
+                seen["overlap"] += bool(set(atoms1) & set(atoms2))
+        assert [p.key for p in out] == [p.key for p in expected]
+        assert list(out._by_key) == list(expected._by_key)
+        fresh = Analyzer(an.doc)
+        for product in out:
+            assert an._of(product)[1:] == fresh._of(product)[1:], schema_to_json(product)
+            seen["products"] += 1
+            seen["false"] += product == BoolSchema(False)
+        return out
+
+    monkeypatch.setattr(enf_module, "close", checked)
+    for doc, body in _close_documents():
+        EnfBuilder(Analyzer(doc)).enf(body)
+    assert all(seen.values()) and seen["products"] > 1000, seen
 
 
 def test_branchlist_merge_keeps_first_occurrence_and_order():

@@ -214,3 +214,12 @@ def test_the_oracle_rows_sample_as_the_benchmark_does(tools, monkeypatch):
     for n, k in ((0, 4), (3, 4), (4, 4), (10, 4), (1001, 400)):
         seed = f"{n}:{k}"
         assert ours(n, k, random.Random(seed)) == bench_sample(n, k, random.Random(seed))
+
+
+def test_ab_rewrite_reports_what_a_pass_leaves_allocated(tools):
+    """``retained_bytes`` counts what outlives a pass of the ops, and not
+    what the ops build and drop."""
+    retained_bytes = tools.import_module("ab_rewrite").retained_bytes
+    kept = []
+    assert retained_bytes([lambda: bytearray(1 << 20)]) < 1 << 16
+    assert retained_bytes([lambda: kept.append(bytearray(1 << 20))]) >= 1 << 20

@@ -21,13 +21,19 @@ The report gives, per op, the median time of each side and their relative
 difference; then the corpus p50/p90 over per-fixture medians (the shape of
 ``rewrite_ms_p50``/``_p90``) and the family total of medians (the shape of
 ``family_rewrite_s``).  Times are raw ``perf_counter_ns`` readings, not
-scaled to a reference machine as the benchmark's are.  Each checkout is
-named as ``tools/bench_pairs.py`` names it (``identify``).
+scaled to a reference machine as the benchmark's are.  After the timed
+rounds, each side runs every family op once more, untimed, under
+``tracemalloc``; the report gives the bytes that pass leaves allocated
+once its outputs are dropped and ``gc.collect()`` has run
+(``family_retained_bytes``), so that a memo outliving its rewrite shows
+up here before a benchmark run.  Each checkout is named as
+``tools/bench_pairs.py`` names it (``identify``).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import platform
@@ -35,6 +41,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from bench_pairs import identify
@@ -95,6 +102,20 @@ def build_ops(pkgs: dict, corpus_dir: Path) -> list[tuple[str, str, dict]]:
     return ops
 
 
+def retained_bytes(ops: list) -> int:
+    """Bytes still allocated after one untimed run of every op in ``ops``,
+    its outputs dropped and the cyclic collector run."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for op in ops:
+            op()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def percentile(values: list[float], q: float) -> float:
     ordered = sorted(values)
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
@@ -152,6 +173,11 @@ def main(argv=None) -> int:
         summary["family_total_ms"] = {"a": a, "b": b, "delta": rel(a, b)}
     for label, row in summary.items():
         print(f"{label:20} A {row['a']:9.3f}  B {row['b']:9.3f}  {100 * row['delta']:+7.1f}%")
+    family_ops = [by_side for group, _, by_side in ops if group == "family"]
+    if family_ops:
+        a, b = (retained_bytes([by_side[s] for by_side in family_ops]) for s in SIDES)
+        summary["family_retained_bytes"] = {"a": a, "b": b, "delta": rel(a, b)}
+        print(f"{'family_retained_bytes':20} A {a:9d}  B {b:9d}")
     if args.json:
         report = {
             "python": platform.python_version(),
