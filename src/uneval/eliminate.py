@@ -46,10 +46,10 @@ from .schema import (
     all_of,
     any_of,
     build_document,
+    check_rewrite,
     child_schemas,
     combine,
     deref,
-    distinct_nodes,
     find_unguarded_cycle,
     make_obj,
     operands,
@@ -513,22 +513,7 @@ def _elim_with_stats(doc: SchemaDocument) -> tuple[SchemaDocument, dict[str, int
     # each named schema keeps its name and its $anchor, and every reference
     # of a rewrite was one of the unnested document's
     out = build_document(new_root, new_defs)
-    _check_rewrite(out)
-    return out, dict(run.enf_branches)
-
-
-def _left_behind(kw: Keyword) -> None:
-    raise EliminationError("rewriting left unevaluated* keywords behind")
-
-
-#: How :func:`_check_rewrite`'s walk treats each keyword: children as
-#: :data:`CHILD_KIND` has them, an unevaluated* keyword as an error.
-_CHECKED_KINDS = {**CHILD_KIND, **dict.fromkeys(ADK_NAMES, _left_behind)}
-
-
-def _check_rewrite(doc: SchemaDocument) -> None:
-    """Every reference resolves and no unevaluated* is left: one visit per
-    distinct node, each keyword checked on the walk's own loop."""
-    kinds = _CHECKED_KINDS.copy()
-    kinds["$ref"] = lambda kw: deref(doc, kw.value)  # raises if unresolved
-    distinct_nodes((doc.root, *doc.defs.values()), kinds)
+    branches = run.enf_branches
+    del run  # its analyzer's memos die before the check builds the JSON form
+    check_rewrite(out)
+    return out, branches

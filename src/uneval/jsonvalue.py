@@ -8,7 +8,8 @@ floats and ``1.0`` equals ``1`` by mathematical value.
 Values built by the package, such as the JSON form of a rewrite, may reuse
 one list or dict object at several places.  :func:`serialize_json` writes
 such a shared container once per occurrence: in C for a plain value, in
-Python for a value with floats or Decimals.
+Python for a value with floats or Decimals.  A value whose maker already
+knows it to be plain comes as a :class:`PlainDict` and is not scanned.
 """
 
 from __future__ import annotations
@@ -216,10 +217,13 @@ _PLAIN_SCALARS = frozenset((str, int, bool, type(None)))
 _STR_ONLY = frozenset((str,))
 
 
-def _is_plain(v: list | dict) -> bool:
-    """Whether every scalar in ``v`` is exactly a str, int, bool or None
-    and every key a str.  Each distinct list or dict is checked once, so a
-    container shared at many places costs one visit."""
+def is_plain(v: JsonValue) -> bool:
+    """Whether every scalar in ``v``, or ``v`` itself if it is a scalar,
+    is exactly a str, int, bool or None and every key a str.  Each
+    distinct list or dict is checked once, so a container shared at many
+    places costs one visit."""
+    if type(v) is not dict and type(v) is not list:
+        return type(v) in _PLAIN_SCALARS
     seen: set[int] = set()
     stack = [v]
     pop, push, add = stack.pop, stack.append, seen.add
@@ -242,7 +246,16 @@ def _is_plain(v: list | dict) -> bool:
     return True
 
 
-#: Writes plain values (see :func:`_is_plain`) in C, with the same text as
+class PlainDict(dict):
+    """A dict whose maker knows it to be plain (:func:`is_plain`), such as
+    the root of a schema's JSON form: :func:`serialize_json` writes it in
+    C without scanning it.  Store no float, Decimal or non-str key below
+    one; copy it into a ``dict`` to do so."""
+
+    __slots__ = ()
+
+
+#: Writes plain values (see :func:`is_plain`) in C, with the same text as
 #: :func:`_canonical`: ints through ``int.__repr__``, strings through
 #: :data:`string_text`, keys sorted.  A shared container is written at
 #: each of its occurrences.
@@ -257,13 +270,16 @@ def serialize_json(v: JsonValue) -> str:
     Deterministic by construction, so equal values always serialize to the
     same text; schema deduplication relies on this.  A plain value, one
     without floats or Decimals, goes through the C encoder, any other
-    through :func:`_canonical`.  Both write a list or dict object that
-    occurs at several places in ``v`` (as the JSON form of a rewrite shares
+    through :func:`_canonical`; a :class:`PlainDict` is taken as plain
+    without a scan.  Both write a list or dict object that occurs at
+    several places in ``v`` (as the JSON form of a rewrite shares
     subschemas) once per occurrence.
     """
+    if type(v) is PlainDict:
+        return _PLAIN_ENCODER.encode(v)
     if type(v) is not dict and type(v) is not list:
         return _canonical(v)
-    if _is_plain(v):
+    if is_plain(v):
         return _PLAIN_ENCODER.encode(v)
     return _canonical(v)
 

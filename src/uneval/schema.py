@@ -23,8 +23,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .errors import NestingDepthError, RefResolutionError, SchemaParseError
-from .jsonvalue import JsonValue, is_number, serialize_json, string_text, type_of
+from .errors import EliminationError, NestingDepthError, RefResolutionError, SchemaParseError
+from .jsonvalue import JsonValue, PlainDict, is_number, is_plain
+from .jsonvalue import serialize_json, string_text, type_of
 
 INF = math.inf
 
@@ -263,6 +264,10 @@ class SchemaDocument:
     #: ``unevaluated*``: recorded by :func:`parse_schema`, None (unknown)
     #: for a document assembled by :func:`build_document`.
     nested_uneval: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
+    #: The JSON form that :func:`serialize_schema` returns copies of:
+    #: built and kept by :func:`check_rewrite` for a rewrite, None (built
+    #: per call) for any other document.
+    json_form: JsonValue = field(default=None, init=False, repr=False, compare=False)
 
     def named_schemas(self) -> Iterator[tuple[str, Schema]]:
         """Root first (name ``""``), then definitions in name order."""
@@ -672,7 +677,7 @@ def child_schemas(s: Schema) -> Iterator[tuple[Keyword, Schema]]:
                 yield kw, sub
 
 
-def distinct_nodes(tops: Iterable[Schema], kinds: dict = CHILD_KIND) -> list[Schema]:
+def distinct_nodes(tops: Iterable[Schema]) -> list[Schema]:
     """Every node reachable from ``tops``, each once however often it
     occurs, in the order first met: ``tops`` in turn, each pre-order, but
     with the children of a node taken last to first.
@@ -682,11 +687,6 @@ def distinct_nodes(tops: Iterable[Schema], kinds: dict = CHILD_KIND) -> list[Sch
     told apart by ``id``, not by :attr:`Schema.key`, so no key is
     computed.  Children are pushed as they come and popped last first;
     putting them in pre-order would cost a reversal per node.
-
-    ``kinds`` tells how each keyword holds subschemas, as
-    :data:`CHILD_KIND` does.  A keyword whose entry is a function is
-    passed to it instead, and what it holds is not walked: a caller
-    checks keywords on the walk's own loop, with no second pass.
     """
     order: list[Schema] = []
     seen: set[int] = set()
@@ -700,15 +700,13 @@ def distinct_nodes(tops: Iterable[Schema], kinds: dict = CHILD_KIND) -> list[Sch
         order.append(s)
         if isinstance(s, ObjSchema):
             for kw in s.keywords:
-                kind = kinds.get(kw.name)
+                kind = CHILD_KIND.get(kw.name)
                 if kind == 0:
                     stack.append(kw.value)
                 elif kind == 1:
                     stack.extend(kw.value)
                 elif kind == 2:
                     stack.extend(kw.value.values())
-                elif kind is not None:
-                    kind(kw)
     return order
 
 
@@ -809,52 +807,110 @@ def schema_to_json(s: Schema) -> JsonValue:
     A node that occurs several times in the tree, as rewrites share
     subschemas, is converted once and its occurrences share that value.
     """
-    return _schema_json(s, {})
+    return _JsonForm(None, CHILD_KIND).node(s)
 
 
-def _schema_json(s: Schema, memo: dict) -> JsonValue:
-    """``memo`` maps the ids of the nodes converted so far to their values.
+#: :data:`CHILD_KIND` for :func:`check_rewrite`'s walk, with two more
+#: kinds: an unevaluated* keyword is left behind, a ``$ref`` is resolved.
+_LEFT_BEHIND, _RESOLVED = 3, 4
+_CHECKED_KIND = {**CHILD_KIND, **dict.fromkeys(ADK_NAMES, _LEFT_BEHIND), "$ref": _RESOLVED}
 
-    One frame per nesting level: the keywords are converted here, with
-    plain loops, since a comprehension would take a frame of its own."""
-    if isinstance(s, BoolSchema):
-        return s.value
-    out = memo.get(id(s))
-    if out is not None:
+
+class _JsonForm:
+    """The JSON forms of nodes of ``doc``.  ``memo`` maps the ids of the
+    nodes converted so far to their values, which their occurrences
+    share; ``plain`` tells whether every keyword value written so far is
+    plain (:func:`is_plain`).  ``kinds`` tells how each keyword is taken:
+    :data:`CHILD_KIND` or :data:`_CHECKED_KIND`."""
+
+    __slots__ = ("doc", "kinds", "memo", "plain")
+
+    def __init__(self, doc: Optional[SchemaDocument], kinds: dict):
+        self.doc = doc
+        self.kinds = kinds
+        self.memo: dict[int, dict] = {}
+        self.plain = True
+
+    def node(self, s: Schema) -> JsonValue:
+        """One frame per nesting level: the keywords are converted here,
+        with plain loops, since a comprehension would take a frame of its
+        own.  Keys, names and the parser's ``required`` lists are strings,
+        so only the other keyword values are asked whether they are plain."""
+        if isinstance(s, BoolSchema):
+            return s.value
+        memo = self.memo
+        out = memo.get(id(s))
+        if out is not None:
+            return out
+        out = memo[id(s)] = {}
+        kinds = self.kinds
+        for kw in s.keywords:
+            kind = kinds.get(kw.name)
+            value = kw.value
+            if kind == 0:
+                value = self.node(value)
+            elif kind == 1:
+                value = list(value)  # sized once, not grown by appends
+                for i, sub in enumerate(value):
+                    value[i] = self.node(sub)
+            elif kind == 2:
+                value = {}
+                for name, sub in kw.value.items():
+                    value[name] = self.node(sub)
+            elif kind is None:
+                if kw.name == "required":
+                    value = list(value)
+                elif not is_plain(value):
+                    self.plain = False
+            elif kind == _RESOLVED:
+                deref(self.doc, value)  # raises if unresolved
+            else:
+                raise EliminationError("rewriting left unevaluated* keywords behind")
+            out[kw.name] = value
         return out
-    out = memo[id(s)] = {}
-    for kw in s.keywords:
-        kind = CHILD_KIND.get(kw.name)
-        value = kw.value
-        if kind == 0:
-            value = _schema_json(value, memo)
-        elif kind == 1:
-            value = []
-            for sub in kw.value:
-                value.append(_schema_json(sub, memo))
-        elif kind == 2:
-            value = {}
-            for name, sub in kw.value.items():
-                value[name] = _schema_json(sub, memo)
-        elif kw.name == "required":
-            value = list(value)
-        out[kw.name] = value
-    return out
+
+    def document(self) -> JsonValue:
+        """The document's form: the root, then the definitions in name
+        order under ``$defs``.  A dict root comes as a fresh dict, a
+        :class:`PlainDict` when every keyword value is plain."""
+        doc = self.doc
+        root = self.node(doc.root)
+        defs = {name: self.node(s) for name, s in sorted(doc.defs.items())}
+        if isinstance(root, bool):
+            if defs:
+                raise SchemaParseError("cannot attach $defs to a boolean root schema")
+            return root
+        # a copy, of the class that tells plainness: the root node may
+        # also occur inside a definition
+        root = (PlainDict if self.plain else dict)(root)
+        if defs:
+            root["$defs"] = defs
+        return root
 
 
 def serialize_schema(doc: SchemaDocument) -> JsonValue:
     """JSON form of the document, keywords in canonical partition order.
 
-    Occurrences of one node share one JSON value; copy before mutating.
+    The walk that builds the form also tells whether it is plain: then
+    the root is a :class:`PlainDict`, which ``serialize_json`` writes
+    without a scan.  A rewrite's form is built once, by its check
+    (:func:`check_rewrite`), and kept; each call returns a fresh shallow
+    copy of its root.  Occurrences of one node share one JSON value, and
+    a kept form shares them across calls too: copy before mutating.
     """
-    memo: dict = {}
-    root = _schema_json(doc.root, memo)
-    if doc.defs:
-        if not isinstance(root, dict):
-            raise SchemaParseError("cannot attach $defs to a boolean root schema")
-        root = dict(root)  # the root node may also occur inside a definition
-        root["$defs"] = {name: _schema_json(s, memo) for name, s in sorted(doc.defs.items())}
-    return root
+    form = doc.json_form
+    if form is None:
+        return _JsonForm(doc, CHILD_KIND).document()
+    return type(form)(form)
+
+
+def check_rewrite(doc: SchemaDocument) -> None:
+    """Check that every reference of a rewrite resolves
+    (:class:`RefResolutionError`) and that no unevaluated* keyword is
+    left (:class:`EliminationError`), and keep the document's JSON form,
+    which the same walk builds, in ``doc.json_form``: one visit per
+    distinct node."""
+    doc.json_form = _JsonForm(doc, _CHECKED_KIND).document()
 
 
 def canonical_text(s: Schema) -> str:

@@ -15,7 +15,8 @@ from uneval.errors import (
     UnevalError,
 )
 from uneval.families import gen_family_san, gen_family_sn
-from uneval.jsonvalue import dump_json, parse_json, serialize_json
+from uneval import jsonvalue
+from uneval.jsonvalue import PlainDict, _canonical, dump_json, parse_json, serialize_json
 from uneval.schema import (
     FALSE_SCHEMA,
     TRUE_SCHEMA,
@@ -24,6 +25,7 @@ from uneval.schema import (
     ObjSchema,
     SchemaDocument,
     boolean_one_of,
+    build_document,
     child_schemas,
     combine,
     EXACT,
@@ -35,6 +37,7 @@ from uneval.schema import (
     distinct_nodes,
     find_unguarded_cycle,
     keyword_rank,
+    make_obj,
     parse_schema,
     _inplace_edges,
     pattern_kind,
@@ -234,6 +237,17 @@ def test_contains_normalization():
 def test_stray_min_contains_dropped():
     doc = parse_schema({"minContains": 2, "maxContains": 3})
     assert doc.root.keywords == ()
+    assert parse_schema({"maxContains": 3}).root.keywords == ()
+
+
+def test_an_explicit_min_contains_default_leaves_no_trace():
+    """``minContains: 1`` beside ``contains`` is dropped: neither the
+    node's key nor the text of its rewrite carries it."""
+    doc = parse_schema({"contains": {"type": "integer"}, "minContains": 1, "unevaluatedItems": False})
+    assert doc.root.key == '{"contains":{"type":"integer"},"unevaluatedItems":false}'
+    text = serialize_json(serialize_schema(elim_document(doc)))
+    assert text == '{"contains":{"type":"integer"},"items":{"type":"integer"}}'
+    assert "minContains" not in doc.root.key + text
 
 
 def test_deref_anchor_and_path():
@@ -392,6 +406,66 @@ def test_roundtrip_sale_car():
     doc = parse_schema(SALE_CAR)
     again = parse_schema(serialize_schema(doc))
     assert serialize_schema(again) == serialize_schema(doc)
+
+
+def test_a_rewrite_keeps_the_form_its_check_built():
+    """The rewrite's check builds its JSON form and keeps it.  Each call
+    returns an equal value with a root of its own, so changing one
+    call's root leaves the next call's value as it was."""
+    out = elim_document(parse_schema(SALE_CAR))
+    assert out.json_form is not None
+    first, second = serialize_schema(out), serialize_schema(out)
+    assert first == second and first is not second
+    kept = serialize_json(second)
+    first["x"] = 1
+    del first["$defs"]
+    assert serialize_json(serialize_schema(out)) == serialize_json(second) == kept
+
+
+def test_a_plain_form_is_written_without_a_scan(monkeypatch):
+    """The walk that builds a form answers whether it is plain, for a
+    rewrite and for an original alike: its root is a ``PlainDict``, and
+    ``serialize_json`` writes it without ``is_plain``."""
+    doc = parse_schema(SALE_CAR)
+    forms = [serialize_schema(doc), serialize_schema(elim_document(doc))]
+    texts = [_canonical(form) for form in forms]
+    monkeypatch.setattr(jsonvalue, "is_plain", None)  # a call would raise
+    for form, text in zip(forms, texts):
+        assert type(form) is PlainDict
+        assert serialize_json(form) == text
+
+
+@pytest.mark.parametrize(
+    "doc, text, rewrite_text",
+    [
+        (
+            parse_schema(parse_json('{"const": 1.50, "unevaluatedProperties": false}')),
+            '{"const":1.5,"unevaluatedProperties":false}',
+            '{"additionalProperties":false,"const":1.5}',
+        ),
+        # the Decimal stands only in a definition
+        (
+            parse_schema(parse_json(
+                '{"$defs": {"d": {"const": [2.50]}}, "$ref": "#/$defs/d", "unevaluatedProperties": false}'
+            )),
+            '{"$defs":{"d":{"const":[2.5]}},"$ref":"#/$defs/d","unevaluatedProperties":false}',
+            '{"$defs":{"d":{"const":[2.5]}},"allOf":[{"$ref":"#/$defs/d"},{"additionalProperties":false}]}',
+        ),
+        (
+            build_document(make_obj(Keyword("minimum", 1.0), Keyword("unevaluatedItems", FALSE_SCHEMA)), {}),
+            '{"minimum":1,"unevaluatedItems":false}',
+            '{"items":false,"minimum":1}',
+        ),
+    ],
+)
+def test_a_form_with_a_decimal_or_a_float_is_written_as_canonical(doc, text, rewrite_text):
+    """A Decimal parsed from text or a hand-built float makes a form not
+    plain, in the original and in its rewrite: its root is a ``dict`` and
+    the text is the canonical writer's."""
+    for d, expected in ((doc, text), (elim_document(doc), rewrite_text)):
+        form = serialize_schema(d)
+        assert type(form) is dict
+        assert serialize_json(form) == expected
 
 
 def test_roundtrip_corpus_idempotent(rewrites):

@@ -223,3 +223,13 @@ def test_ab_rewrite_reports_what_a_pass_leaves_allocated(tools):
     kept = []
     assert retained_bytes([lambda: bytearray(1 << 20)]) < 1 << 16
     assert retained_bytes([lambda: kept.append(bytearray(1 << 20))]) >= 1 << 20
+
+
+def test_ab_rewrite_reports_the_peak_of_one_op(tools):
+    """``peak_bytes`` counts what an op holds at its peak, also when the
+    op drops it before returning, and not what was allocated before it."""
+    peak_bytes = tools.import_module("ab_rewrite").peak_bytes
+    before = bytearray(1 << 20)
+    assert peak_bytes(lambda: None) < 1 << 16
+    assert peak_bytes(lambda: len(bytearray(1 << 20))) >= 1 << 20
+    assert peak_bytes(lambda: before.count(0)) < 1 << 16

@@ -346,6 +346,7 @@ def test_additional_properties_rejects_unlisted():
         ("^(a|b$)", ["a\n", "b"], ["b\n"]),
         ("[^$]$", ["a", "$a"], ["$", "a$", ""]),
         ("^[^a]$", ["b", "$"], ["a", "bb", "b\n"]),
+        ("^[ab$]+$", ["a$", "ab", "a"], ["a\n", "c", ""]),
     ],
 )
 def test_dollar_is_the_end_of_input(pattern, matched, unmatched):

@@ -26,7 +26,10 @@ rounds, each side runs every family op once more, untimed, under
 ``tracemalloc``; the report gives the bytes that pass leaves allocated
 once its outputs are dropped and ``gc.collect()`` has run
 (``family_retained_bytes``), so that a memo outliving its rewrite shows
-up here before a benchmark run.  Each checkout is named as
+up here before a benchmark run.  Then each side runs one sn and one san
+op at n = ``PEAK_N``, each alone under ``tracemalloc``; the report gives
+the peak of each (``family_peak_bytes``), which shows memory per branch
+at a size the timed rounds do not reach.  Each checkout is named as
 ``tools/bench_pairs.py`` names it (``identify``).
 """
 
@@ -50,6 +53,7 @@ SIDES = ("a", "b")
 ROUNDS = 40
 SEED = 7
 FAMILY_MAX_N = 10
+PEAK_N = 13
 
 
 def load_package(name: str, checkout: Path):
@@ -116,6 +120,18 @@ def retained_bytes(ops: list) -> int:
         tracemalloc.stop()
 
 
+def peak_bytes(op) -> int:
+    """The ``tracemalloc`` peak of one untimed run of ``op``: the most
+    bytes it held allocated at once."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        op()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def percentile(values: list[float], q: float) -> float:
     ordered = sorted(values)
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
@@ -178,6 +194,12 @@ def main(argv=None) -> int:
         a, b = (retained_bytes([by_side[s] for by_side in family_ops]) for s in SIDES)
         summary["family_retained_bytes"] = {"a": a, "b": b, "delta": rel(a, b)}
         print(f"{'family_retained_bytes':20} A {a:9d}  B {b:9d}")
+    peaks = {}
+    for kind in ("sn", "san"):
+        a, b = (peak_bytes(family_op(pkgs[s], kind, PEAK_N)) for s in SIDES)
+        peaks[kind] = {"a": a, "b": b, "delta": rel(a, b)}
+        print(f"{'family_peak_bytes':20} {kind}_{PEAK_N:<3} A {a:9d}  B {b:9d}  {100 * rel(a, b):+7.1f}%")
+    summary["family_peak_bytes"] = peaks
     if args.json:
         report = {
             "python": platform.python_version(),
