@@ -12,22 +12,21 @@ objects, so that content-dependent item evaluation is exercised.
 
 from __future__ import annotations
 
-import re
 from itertools import combinations, product
 from typing import Iterator
 
 from .jsonvalue import JsonValue
 from .schema import (
+    CONSTRAINS,
+    EXACT,
+    SUBSTRING,
     ObjSchema,
-    Schema,
     SchemaDocument,
     distinct_nodes,
+    pattern_kind,
 )
 
 SCALAR_ALPHABET: tuple[JsonValue, ...] = (None, 0, "x")
-
-_LITERAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
-_ANCHORED_RE = re.compile(r"\^([A-Za-z0-9_][A-Za-z0-9_-]*)\$")
 
 MAX_NAMES = 12
 MAX_CONCATS = 3
@@ -36,44 +35,37 @@ MAX_FIELDS = 3
 MAX_ITEMS = 3
 
 
-def pattern_literal(pattern: str) -> str | None:
-    """The literal name a pattern denotes, if it is metacharacter-free."""
-    m = _ANCHORED_RE.fullmatch(pattern)
-    if m:
-        return m.group(1)
-    if _LITERAL_RE.fullmatch(pattern):
-        return pattern
-    return None
-
-
-def _document_nodes(doc: SchemaDocument) -> list[Schema]:
-    """Each node of the document once; the callers below only collect a
-    set, a maximum or a yes/no, so the order does not matter."""
-    return distinct_nodes((doc.root, *doc.defs.values()))
-
-
-def relevant_property_names(doc: SchemaDocument) -> list[str]:
-    """Names the schema can distinguish: literal keys, requireds, patterns."""
+def universe_inputs(doc: SchemaDocument) -> tuple[list[str], set[str]]:
+    """The names the schema can distinguish, sorted, and the JSON types its
+    nodes name in ``type`` or constrain by a keyword of
+    :data:`~uneval.schema.CONSTRAINS`, from one walk over the document's
+    distinct nodes.  The names are the keys of ``properties``, the
+    ``required`` names, and the text of each ``patternProperties`` pattern
+    that :func:`~uneval.schema.pattern_kind` reads as a nonempty exact or
+    substring name."""
     names: set[str] = set()
-    for s in _document_nodes(doc):
+    types: set[str] = set()
+    for s in distinct_nodes((doc.root, *doc.defs.values())):
         if not isinstance(s, ObjSchema):
             continue
         for kw in s.keywords:
-            if kw.name == "properties":
-                names.update(kw.value.keys())
-            elif kw.name == "required":
+            name = kw.name
+            types.add(kw.value if name == "type" else CONSTRAINS.get(name))
+            if name == "properties" or name == "required":
                 names.update(kw.value)
-            elif kw.name == "patternProperties":
-                for p in kw.value:
-                    lit = pattern_literal(p)
-                    if lit is not None:
-                        names.add(lit)
-    return sorted(names)
+            elif name == "patternProperties":
+                for pattern in kw.value:
+                    kind, text = pattern_kind(pattern)
+                    if text and (kind == EXACT or kind == SUBSTRING):
+                        names.add(text)
+    types.discard(None)
+    return sorted(names), types
 
 
-def oracle_names(doc: SchemaDocument) -> list[str]:
-    """Base names, a few pairwise concatenations, and one fresh name."""
-    base = relevant_property_names(doc)[:MAX_NAMES]
+def oracle_names(base: list[str]) -> list[str]:
+    """The first ``MAX_NAMES`` base names, a few pairwise concatenations,
+    and one fresh name."""
+    base = base[:MAX_NAMES]
     names = list(base)
     concats = []
     for a, b in combinations(base, 2):
@@ -88,55 +80,22 @@ def oracle_names(doc: SchemaDocument) -> list[str]:
     return names
 
 
-def _uses(doc: SchemaDocument, keyword_names: tuple[str, ...]) -> bool:
-    for s in _document_nodes(doc):
-        if isinstance(s, ObjSchema):
-            for kw in s.keywords:
-                if kw.name in keyword_names:
-                    return True
-                if kw.name == "type" and kw.value in keyword_names:
-                    return True
-    return False
-
-
-OBJECT_KEYWORDS = (
-    "properties",
-    "patternProperties",
-    "required",
-    "propertyNames",
-    "minProperties",
-    "maxProperties",
-    "additionalProperties",
-    "unevaluatedProperties",
-    "object",
-)
-ARRAY_KEYWORDS = (
-    "prefixItems",
-    "items",
-    "contains",
-    "minItems",
-    "maxItems",
-    "uniqueItems",
-    "unevaluatedItems",
-    "array",
-)
-
-
 def enumerate_instances(doc: SchemaDocument) -> Iterator[JsonValue]:
     """Deterministic instance universe for the given document."""
-    names = oracle_names(doc)
+    base, types = universe_inputs(doc)
+    names = oracle_names(base)
     leaf_values: tuple[JsonValue, ...] = SCALAR_ALPHABET + ([],) + ({},)
 
     for v in leaf_values:
         yield v
 
-    if _uses(doc, OBJECT_KEYWORDS):
+    if "object" in types:
         for k in range(1, MAX_FIELDS + 1):
             for keys in combinations(names, k):
                 for values in product(leaf_values, repeat=k):
                     yield dict(zip(keys, values))
 
-    if _uses(doc, ARRAY_KEYWORDS):
+    if "array" in types:
         # small objects as array items: content-driven evaluation needs them
         item_objects: list[JsonValue] = [{}]
         for k in (1, 2):

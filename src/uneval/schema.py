@@ -83,6 +83,25 @@ READS = {
     "contains": ("minContains", "maxContains"),
 }
 
+#: The JSON type each type-specific keyword constrains: an instance of any
+#: other type passes it.  ``minContains``/``maxContains`` have no check of
+#: their own (``contains`` reads them).  The validator's dispatch and the
+#: oracle's choice of universe both take this fact from here.
+CONSTRAINS = {
+    **dict.fromkeys(("minimum", "maximum"), "number"),
+    "pattern": "string",
+    **dict.fromkeys(
+        ("properties", "patternProperties", "additionalProperties", "required",
+         "propertyNames", "minProperties", "maxProperties", "unevaluatedProperties"),
+        "object",
+    ),
+    **dict.fromkeys(
+        ("prefixItems", "items", "contains", "minItems", "maxItems", "uniqueItems",
+         "unevaluatedItems"),
+        "array",
+    ),
+}
+
 _PLAIN_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
 

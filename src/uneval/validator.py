@@ -92,6 +92,7 @@ from .errors import NestingDepthError
 from .jsonvalue import JsonValue, json_class, type_of, unique_key
 from .schema import (
     ADK_NAMES,
+    CONSTRAINS,
     EXACT,
     INF,
     PREFIX,
@@ -436,7 +437,7 @@ class _Compiler:
                     general.append(_const_check(kw.value))
                 accepted = classes if accepted is None else [t for t in accepted if t in classes]
                 continue
-            compile_kw = _BOOL_KEYWORDS.get(name)
+            compile_kw = _DISPATCH.get(name)
             if compile_kw is None:
                 continue  # $anchor, minContains/maxContains, unknown keywords
             types, compile_kw = compile_kw
@@ -905,7 +906,7 @@ def _unevaluated_valid(f: Check, kind: type):
 
 
 #: The instance kind each ``unevaluated*`` keyword tests.
-_ADK_KINDS = {"unevaluatedProperties": dict, "unevaluatedItems": list}
+_ADK_KINDS = {name: _TYPE_CLASSES[CONSTRAINS[name]][0] for name in ADK_NAMES}
 
 
 def _const_check(value) -> Check:
@@ -955,35 +956,41 @@ def _unique_items(x) -> bool:
     return True
 
 
-def _leaf(types, make):
+def _leaf(make):
     """A keyword whose check depends on its argument only."""
-    return types, lambda compiler, value, siblings: make(value)
+    return lambda compiler, value, siblings: make(value)
 
 
-#: Bool-mode compilers of the keywords other than ``type``/``const``, with
-#: the disjoint groups of instance types they constrain (``None``: all).
+#: Bool-mode compilers of the keywords other than ``type``/``const``.
 _BOOL_KEYWORDS = {
-    "anyOf": (None, _Compiler.bool_any_of),
-    "allOf": (None, _Compiler.bool_all_of),
-    "oneOf": (None, _Compiler.bool_one_of),
-    "not": (None, _Compiler.bool_not),
-    "$ref": (None, _Compiler.bool_ref),
-    "minimum": _leaf(_NUMBERS, lambda m: lambda x, m=m: x >= m),
-    "maximum": _leaf(_NUMBERS, lambda m: lambda x, m=m: x <= m),
-    "pattern": _leaf((str,), _pattern),
-    "properties": ((dict,), _Compiler.bool_properties),
-    "patternProperties": ((dict,), _Compiler.bool_pattern_properties),
-    "additionalProperties": ((dict,), _Compiler.bool_additional_properties),
-    "required": _leaf((dict,), _required),
-    "propertyNames": ((dict,), _Compiler.bool_property_names),
-    "minProperties": _leaf((dict,), lambda n: lambda x, n=n: len(x) >= n),
-    "maxProperties": _leaf((dict,), lambda n: lambda x, n=n: len(x) <= n),
-    "prefixItems": ((list,), _Compiler.bool_prefix_items),
-    "items": ((list,), _Compiler.bool_items),
-    "contains": ((list,), _Compiler.bool_contains),
-    "minItems": _leaf((list,), lambda n: lambda x, n=n: len(x) >= n),
-    "maxItems": _leaf((list,), lambda n: lambda x, n=n: len(x) <= n),
-    "uniqueItems": _leaf((list,), lambda on: _unique_items if on else _true),
+    "anyOf": _Compiler.bool_any_of,
+    "allOf": _Compiler.bool_all_of,
+    "oneOf": _Compiler.bool_one_of,
+    "not": _Compiler.bool_not,
+    "$ref": _Compiler.bool_ref,
+    "minimum": _leaf(lambda m: lambda x, m=m: x >= m),
+    "maximum": _leaf(lambda m: lambda x, m=m: x <= m),
+    "pattern": _leaf(_pattern),
+    "properties": _Compiler.bool_properties,
+    "patternProperties": _Compiler.bool_pattern_properties,
+    "additionalProperties": _Compiler.bool_additional_properties,
+    "required": _leaf(_required),
+    "propertyNames": _Compiler.bool_property_names,
+    "minProperties": _leaf(lambda n: lambda x, n=n: len(x) >= n),
+    "maxProperties": _leaf(lambda n: lambda x, n=n: len(x) <= n),
+    "prefixItems": _Compiler.bool_prefix_items,
+    "items": _Compiler.bool_items,
+    "contains": _Compiler.bool_contains,
+    "minItems": _leaf(lambda n: lambda x, n=n: len(x) >= n),
+    "maxItems": _leaf(lambda n: lambda x, n=n: len(x) <= n),
+    "uniqueItems": _leaf(lambda on: _unique_items if on else _true),
+}
+
+#: Each compiler with the disjoint group of instance classes its keyword
+#: constrains by :data:`~uneval.schema.CONSTRAINS` (``None``: all).
+_DISPATCH = {
+    name: (_TYPE_CLASSES.get(CONSTRAINS.get(name)), compile_kw)
+    for name, compile_kw in _BOOL_KEYWORDS.items()
 }
 
 #: Keywords whose check reads the syntax of their siblings.

@@ -74,6 +74,14 @@ def equivalent(doc, other):
     return True, None
 
 
+def test_fresh_names_skip_the_taken_ones():
+    """Hoisted definitions are named ``__uneval_<n>`` from 0 up, past the
+    names the document already has; this runs ahead of the hoisting
+    tests, which loop forever if a taken name is never recognised."""
+    fresh = eliminate._FreshNames({"__uneval_0", "__uneval_1"})
+    assert [fresh.next(), fresh.next()] == ["__uneval_2", "__uneval_3"]
+
+
 def test_unnest_hoists_nested_uneval():
     doc = parse_schema(WORKED)
     out = unnest(doc)

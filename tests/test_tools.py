@@ -150,6 +150,20 @@ def f(a, b):
 """
 
 
+@pytest.mark.parametrize(
+    "module, own",
+    [("validator.py", "tests/test_validator.py"), ("eliminate.py", "tests/test_eliminator.py")],
+)
+def test_mutants_runs_the_module_own_tests_first(tools, module, own):
+    """A mutant meets its module's own tests first, so that a fast test
+    there ends a mutant that would hang a test in another file."""
+    command = tools.import_module("mutants").tier1_command(REPO, module)
+    files = command[command.index("--continue-on-collection-errors") + 1 :]
+    assert files[0] == own
+    every = sorted(p.relative_to(REPO).as_posix() for p in REPO.glob("tests/test_*.py"))
+    assert sorted(files) == every
+
+
 def test_mutants_flips_one_point_at_a_time(tools):
     mutants = tools.import_module("mutants")
     cases = mutants.mutants("m.py", _MUTABLE)

@@ -11,10 +11,13 @@ import pytest
 from uneval.eliminate import elim_document
 from uneval.jsonvalue import json_class, json_equal, parse_json
 from uneval.schema import (
+    _KEYWORD_PARSERS,
+    CONSTRAINS,
     EXACT,
     PREFIX,
     REGEX,
     SUBSTRING,
+    UNSUPPORTED_NAMES,
     Keyword,
     ObjSchema,
     build_document,
@@ -103,6 +106,70 @@ def test_typed_keyword_trivially_satisfied():
     doc = parse_schema({"required": ["a1", "a2"]})
     ok, ann = validate_keyword_list(doc, (doc.root.keywords[0],), "a string")
     assert ok and ann == EMPTY_ANNOTATION
+
+
+#: Sample instances of each JSON type.
+TYPE_SAMPLES = {
+    "null": [None],
+    "boolean": [True, False],
+    "number": [0, 1.5, -3],
+    "string": ["", "x"],
+    "array": [[], [1, 1], ["x"]],
+    "object": [{}, {"a": 1}],
+}
+
+#: An argument of each type-specific keyword that rejects some sample of
+#: its own type.
+RESTRICTIVE = {
+    "minimum": 100,
+    "maximum": -100,
+    "pattern": "^zz$",
+    "properties": {"a": False},
+    "patternProperties": {"a": False},
+    "additionalProperties": False,
+    "required": ["zz"],
+    "propertyNames": False,
+    "minProperties": 5,
+    "maxProperties": 0,
+    "unevaluatedProperties": False,
+    "prefixItems": [False],
+    "items": False,
+    "contains": False,
+    "minItems": 5,
+    "maxItems": 0,
+    "uniqueItems": True,
+    "unevaluatedItems": False,
+}
+
+#: The keywords the parser accepts that have no type of their own: they
+#: check every type, or nothing by themselves.
+UNTYPED = (
+    "anyOf", "allOf", "oneOf", "not", "$ref", "$defs", "$anchor", "type", "const",
+    "minContains", "maxContains",
+)
+
+
+def test_every_accepted_keyword_is_typed_or_untyped():
+    """``schema.CONSTRAINS`` names every type-specific keyword the parser
+    accepts: each accepted keyword is in it or in ``UNTYPED``, not both."""
+    accepted = set(_KEYWORD_PARSERS) - set(UNSUPPORTED_NAMES) | {"const"}
+    assert set(CONSTRAINS) == accepted - set(UNTYPED)
+    assert set(UNTYPED) <= accepted
+    assert set(RESTRICTIVE) == set(CONSTRAINS)
+
+
+@pytest.mark.parametrize("keyword", sorted(CONSTRAINS))
+def test_a_typed_keyword_constrains_its_own_type_only(keyword):
+    """A keyword passes every instance of the other JSON types, and with
+    a restrictive argument rejects some instance of the type it names."""
+    doc = parse_schema({keyword: RESTRICTIVE[keyword]})
+    own = CONSTRAINS[keyword]
+    for type_, samples in TYPE_SAMPLES.items():
+        verdicts = [validate(doc, doc.root, x).valid for x in samples]
+        if type_ == own:
+            assert not all(verdicts), type_
+        else:
+            assert all(verdicts), type_
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,8 @@ Every run happens in a temporary directory that holds a copy of
 ``pyproject.toml``; nothing is written into the checkout.  The untouched
 re-written module is run first and must pass.  Then each mutant runs the
 tier-1 suite with ``-x``, the module's own test file
-(``tests/test_<module>.py``) first, under a per-mutant timeout of
-``TIMEOUT_S`` seconds.
+(``tests/test_<module>.py``, or the one ``OWN_TESTS`` names) first, under
+a per-mutant timeout of ``TIMEOUT_S`` seconds.
 A mutant is *killed* when the suite fails, *hangs* when the timeout ends
 it, and *survives* otherwise.  Survivors listed in
 ``tools/equivalent_mutants.txt`` are reported as equivalent; each line
@@ -49,6 +49,8 @@ REPO = Path(__file__).resolve().parent.parent
 EQUIVALENT = Path(__file__).with_name("equivalent_mutants.txt")
 COPIED = ("src", "tests", "tools", "bench")
 TIMEOUT_S = 120
+#: The modules whose own test file is not ``tests/test_<module>.py``.
+OWN_TESTS = {"eliminate": "eliminator"}
 
 FLIPS = {
     ast.Eq: ast.NotEq,
@@ -145,7 +147,7 @@ def tier1_command(work: Path, module: str) -> list[str]:
     """Tier-1 with ``-x``, every test file listed, the module's own first."""
     stem = Path(module).stem
     files = sorted(p.relative_to(work).as_posix() for p in (work / "tests").glob("test_*.py"))
-    own = f"tests/test_{stem}.py"
+    own = f"tests/test_{OWN_TESTS.get(stem, stem)}.py"
     if own in files:
         files.remove(own)
         files.insert(0, own)
