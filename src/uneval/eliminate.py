@@ -437,10 +437,10 @@ class _ElimRun(EnfBuilder):
         if result is None:
             doc = self.analyzer.doc
             s = doc.root if name == "" else doc.defs[name]
-            result = self._memo[name] = self.elim(s, stats_key=name)
+            result = self._memo[name] = self.elim(s, name)
         return result
 
-    def elim(self, s: Schema, stats_key: str | None = None) -> Schema:
+    def elim(self, s: Schema, name: str) -> Schema:
         if not is_uneval_schema(s):
             return s
         assert isinstance(s, ObjSchema)
@@ -452,8 +452,7 @@ class _ElimRun(EnfBuilder):
         )
         u = {kw.name: kw.value for kw in s.keywords if kw.name in ADK_NAMES}
         normalized = self.enf(ObjSchema(body))
-        if stats_key is not None:
-            self.enf_branches[stats_key] = len(_branches_of(normalized))
+        self.enf_branches[name] = len(_branches_of(normalized))
         result = push_uneval(
             self.analyzer,
             normalized,

@@ -18,8 +18,7 @@ from typing import Iterator
 from .jsonvalue import JsonValue
 from .schema import (
     CONSTRAINS,
-    EXACT,
-    SUBSTRING,
+    REGEX,
     ObjSchema,
     SchemaDocument,
     distinct_nodes,
@@ -41,8 +40,8 @@ def universe_inputs(doc: SchemaDocument) -> tuple[list[str], set[str]]:
     :data:`~uneval.schema.CONSTRAINS`, from one walk over the document's
     distinct nodes.  The names are the keys of ``properties``, the
     ``required`` names, and the text of each ``patternProperties`` pattern
-    that :func:`~uneval.schema.pattern_kind` reads as a nonempty exact or
-    substring name."""
+    that :func:`~uneval.schema.pattern_kind` reads as a nonempty literal:
+    exact, prefix or substring, each of which its own text matches."""
     names: set[str] = set()
     types: set[str] = set()
     for s in distinct_nodes((doc.root, *doc.defs.values())):
@@ -56,7 +55,7 @@ def universe_inputs(doc: SchemaDocument) -> tuple[list[str], set[str]]:
             elif name == "patternProperties":
                 for pattern in kw.value:
                     kind, text = pattern_kind(pattern)
-                    if text and (kind == EXACT or kind == SUBSTRING):
+                    if text and kind != REGEX:
                         names.add(text)
     types.discard(None)
     return sorted(names), types

@@ -64,15 +64,16 @@ Compiled checks bind what they read as default arguments, not as closure
 cells, each one more object to allocate and keep.
 
 Patterns are compiled by the kind :func:`~uneval.schema.pattern_kind`
-gives them: a literal ``^lit$``, ``^lit`` or ``lit`` is tested as
-``==``, ``startswith`` or ``in``, and only another pattern runs a regex
-search.  Beside ``additionalProperties``, the exact names of
-``patternProperties`` (the ``^name$`` patterns a rewrite writes for
-evaluated names) join the ``properties`` names in one set, and
-``additionalProperties: false`` beside names only is ``x.keys() <= names``;
-``patternProperties`` looks its exact names up in a dict, and its
-annotation is ``x.keys() & names`` plus the names another pattern
-matches.
+gives them, in :func:`_pattern` only: a literal ``^lit$``, ``^lit`` or
+``lit`` is tested as ``==``, ``startswith`` or ``in``, and only another
+pattern runs a regex search.  :func:`_name_patterns` splits a pattern
+set into its exact names and one test for the others.  Beside
+``additionalProperties``, the exact names of ``patternProperties`` (the
+``^name$`` patterns a rewrite writes for evaluated names) join the
+``properties`` names in one set, and ``additionalProperties: false``
+beside names only is ``x.keys() <= names``; ``patternProperties`` looks
+its exact names up in a dict, and its annotation is ``x.keys() & names``
+plus the names the other patterns match.
 
 A compile session compiles each node once, and stores in the cache the
 named nodes it compiled and the nodes it compiled below them, never a
@@ -552,7 +553,7 @@ class _Compiler:
             if kind == EXACT:  # two patterns may name one literal
                 exact.setdefault(text, []).append(f)
             else:
-                pairs.append((compile_pattern(pattern).search, f))
+                pairs.append((_pattern(pattern), f))
         if not exact and not pairs:
             return _true
         named = {name: _all(fs) for name, fs in exact.items()}
@@ -562,8 +563,8 @@ class _Compiler:
                 f = get(k)
                 if f is not None and not f(v):
                     return False
-                for search, f in pairs:
-                    if search(k) is not None and not f(v):
+                for matches, f in pairs:
+                    if matches(k) and not f(v):
                         return False
             return True
 
@@ -573,20 +574,9 @@ class _Compiler:
         f = self.schema(sub, BOOL)
         if f is _true:
             return _true
-        names = set(siblings.get("properties", ()))
-        prefixes, parts, searches = [], [], []
-        for pattern in siblings.get("patternProperties", ()):
-            kind, text = pattern_kind(pattern)
-            if kind == EXACT:
-                names.add(text)
-            elif kind == PREFIX:
-                prefixes.append(text)
-            elif kind == SUBSTRING:
-                parts.append(text)
-            else:
-                searches.append(compile_pattern(pattern).search)
-        names = frozenset(names)
-        if not (prefixes or parts or searches):
+        patterns = siblings.get("patternProperties", ())
+        names, other = _name_patterns(patterns, siblings.get("properties", ()))
+        if other is None:
             if f is _false:
                 return lambda x, names=names: x.keys() <= names
 
@@ -598,22 +588,10 @@ class _Compiler:
 
             return additional_names
 
-        def additional_properties(
-            x, names=names, prefixes=tuple(prefixes), parts=tuple(parts), searches=tuple(searches), f=f
-        ):
+        def additional_properties(x, names=names, other=other, f=f):
             for k, v in x.items():
-                if k in names or prefixes and k.startswith(prefixes):
-                    continue
-                for part in parts:
-                    if part in k:
-                        break
-                else:
-                    for search in searches:
-                        if search(k) is not None:
-                            break
-                    else:
-                        if not f(v):
-                            return False
+                if k not in names and not other(k) and not f(v):
+                    return False
             return True
 
         return additional_properties
@@ -785,16 +763,6 @@ class _Compiler:
 
         return choice
 
-    def unevaluated_properties_step(self, sub, context):
-        valid = _unevaluated_valid(self.schema(sub, BOOL), dict)
-
-        def unevaluated_properties(x, acc, valid=valid):
-            if not isinstance(x, dict):
-                return _OK
-            return valid(x, acc), x.keys()
-
-        return unevaluated_properties
-
     def contains_step(self, sub, context):
         f = self.schema(sub, BOOL)
         siblings = _siblings(context)
@@ -809,15 +777,17 @@ class _Compiler:
 
         return contains
 
-    def unevaluated_items_step(self, sub, context):
-        valid = _unevaluated_valid(self.schema(sub, BOOL), list)
+    def unevaluated_step(self, sub, kind):
+        """``unevaluatedProperties`` for ``kind`` dict, ``unevaluatedItems``
+        for list: then every member of the instance is evaluated."""
+        valid = _unevaluated_valid(self.schema(sub, BOOL), kind)
 
-        def unevaluated_items(x, acc, valid=valid):
-            if not isinstance(x, list):
+        def unevaluated(x, acc, valid=valid, kind=kind, members=_MEMBERS[kind]):
+            if not isinstance(x, kind):
                 return _OK
-            return valid(x, acc), set(range(len(x)))
+            return valid(x, acc), members(x)
 
-        return unevaluated_items
+        return unevaluated
 
 
 def _annotated(check, evaluates: Sequence, steps: Sequence):
@@ -936,6 +906,30 @@ def _pattern(source: str) -> Check:
     return lambda x, search=compile_pattern(source).search: search(x) is not None
 
 
+def _name_patterns(patterns, names=()):
+    """``(exact, other)``: the names of ``patterns`` read as exact, with
+    ``names``, and one test of a name against the other patterns by
+    :func:`_pattern`, or ``None`` when there are none."""
+    exact = set(names)
+    tests = []
+    for pattern in patterns:
+        kind, text = pattern_kind(pattern)
+        if kind == EXACT:
+            exact.add(text)
+        else:
+            tests.append(_pattern(pattern))
+    if len(tests) < 2:
+        return frozenset(exact), tests[0] if tests else None
+
+    def any_pattern(k, tests=tuple(tests)):
+        for test in tests:
+            if test(k):
+                return True
+        return False
+
+    return frozenset(exact), any_pattern
+
+
 def _required(names) -> Check:
     need = frozenset(names)
     if not need:
@@ -998,20 +992,15 @@ _CONTEXT_READERS = frozenset(READS)
 
 
 def _matching_names(patterns):
-    names = set()
-    searches = []
-    for pattern in patterns:
-        kind, text = pattern_kind(pattern)
-        if kind == EXACT:
-            names.add(text)
-        else:
-            searches.append(compile_pattern(pattern).search)
-    names = frozenset(names)
-    if not searches:
+    names, other = _name_patterns(patterns)
+    if other is None:
         return dict, lambda x, names=names: x.keys() & names
-    return dict, lambda x, names=names, searches=tuple(searches): x.keys() & names | {
-        k for k in x for search in searches if search(k) is not None
-    }
+    return dict, lambda x, names=names, other=other: x.keys() & names | {k for k in x if other(k)}
+
+
+#: Every member of an instance of each kind: an object's names, an
+#: array's positions.
+_MEMBERS = {dict: dict.keys, list: lambda x: set(range(len(x)))}
 
 
 #: What a keyword evaluates, given its value: the instance kind it applies
@@ -1020,9 +1009,9 @@ def _matching_names(patterns):
 _EVALUATES = {
     "properties": lambda props: (dict, lambda x, names=props.keys(): x.keys() & names),
     "patternProperties": _matching_names,
-    "additionalProperties": lambda sub: (dict, dict.keys),
+    "additionalProperties": lambda sub: (dict, _MEMBERS[dict]),
     "prefixItems": lambda subs: (list, lambda x, n=len(subs): set(range(min(n, len(x))))),
-    "items": lambda sub: (list, lambda x: set(range(len(x)))),
+    "items": lambda sub: (list, _MEMBERS[list]),
 }
 
 #: Annotation-mode compilers of the keywords whose annotation reads their
@@ -1032,9 +1021,11 @@ _STEPS = {
     "allOf": lambda c, subs, context: c.choice_step(subs, len(subs), INF),
     "oneOf": lambda c, subs, context: c.choice_step(subs, 1, 1),
     "$ref": lambda c, uri, context: c.choice_step((deref(c.doc, uri),), 1, 1),
-    "unevaluatedProperties": _Compiler.unevaluated_properties_step,
     "contains": _Compiler.contains_step,
-    "unevaluatedItems": _Compiler.unevaluated_items_step,
+    **{
+        name: lambda c, sub, context, kind=kind: c.unevaluated_step(sub, kind)
+        for name, kind in _ADK_KINDS.items()
+    },
 }
 
 

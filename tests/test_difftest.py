@@ -121,7 +121,7 @@ REFERENCED_UNEVAL = [
                 }
             },
         },
-        675,
+        4940,
     ),
     (
         {

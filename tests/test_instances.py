@@ -3,8 +3,7 @@ import pytest
 from uneval.difftest import difftest
 from uneval.instances import MAX_NAMES, enumerate_instances, oracle_names, universe_inputs
 from uneval.schema import (
-    EXACT,
-    SUBSTRING,
+    REGEX,
     ObjSchema,
     SchemaDocument,
     distinct_nodes,
@@ -17,7 +16,7 @@ from walking import document_schemas
 #: The size of each corpus fixture's universe, by fixture name.  A change
 #: that moves a universe shows here, with the fixture it moved.
 CORPUS_UNIVERSES = {
-    "additional_properties_false": 675,
+    "additional_properties_false": 4940,
     "additional_properties_ignores_applicators": 40,
     "additional_properties_schema": 40,
     "adv_san_1": 845,
@@ -49,7 +48,7 @@ CORPUS_UNIVERSES = {
     "not_annotation_erasure": 40,
     "not_plain": 5,
     "one_of_plain": 5,
-    "pattern_properties": 10,
+    "pattern_properties": 40,
     "pattern_unanchored": 5,
     "prefix_items": 311,
     "property_names": 10,
@@ -86,7 +85,7 @@ CORPUS_UNIVERSES = {
     "uneval_props_naive_distribution": 675,
     "uneval_props_nested_inner_true": 10,
     "uneval_props_oneof": 675,
-    "uneval_props_pattern_adjacent": 10,
+    "uneval_props_pattern_adjacent": 40,
     "uneval_props_plain": 40,
     "uneval_props_propertynames": 40,
     "uneval_props_schema_arg": 40,
@@ -158,7 +157,7 @@ def _reference_universe_inputs(doc):
         elif kw.name == "patternProperties":
             for pattern in kw.value:
                 kind, text = pattern_kind(pattern)
-                if kind in (EXACT, SUBSTRING) and text:
+                if kind != REGEX and text:
                     names.add(text)
         elif kw.name == "prefixItems":
             longest = max(longest, len(kw.value))
@@ -192,15 +191,28 @@ def test_universe_inputs_equal_the_walk_over_every_occurrence(corpus, rewrites):
         ("^ab$\n", []),
         ("ab\n", ["ab\n"]),
         ("^a.b$", []),
-        ("^ab", []),
+        ("^ab", ["ab"]),
         ("", []),
+        ("^p\\.", ["p."]),
     ],
 )
 def test_pattern_names(pattern, names):
     """A pattern gives the universe a name when ``pattern_kind`` reads it as
-    a nonempty exact or substring name: the name is its literal text."""
+    a nonempty exact, prefix or substring literal: the name is its literal
+    text, which the pattern matches."""
     doc = parse_schema({"patternProperties": {pattern: False}})
     assert universe_inputs(doc)[0] == names
+
+
+def test_a_prefix_pattern_is_probed_by_its_text():
+    """``^ab`` matches ``ab``, so the oracle probes ``ab`` and finds that
+    members matching the pattern fail the original and its rewrite alike."""
+    doc = parse_schema({"patternProperties": {"^ab": False}, "unevaluatedProperties": False})
+    assert universe_inputs(doc)[0] == ["ab"]
+    probed = [x for x in enumerate_instances(doc) if isinstance(x, dict) and "ab" in x]
+    assert len(probed) == 30
+    report = difftest(doc)
+    assert (report.instances_total, report.disagree) == (40, 0)
 
 
 def test_escaped_and_spaced_pattern_names_are_probed():
@@ -228,7 +240,7 @@ def test_corpus_universes_are_pinned(corpus):
         for fixture in corpus
     }
     assert sizes == CORPUS_UNIVERSES
-    assert sum(sizes.values()) == 126121
+    assert sum(sizes.values()) == 130446
 
 
 @pytest.mark.parametrize("count", [2, MAX_NAMES - 1, MAX_NAMES, MAX_NAMES + 3])

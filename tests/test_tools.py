@@ -168,14 +168,14 @@ def test_mutants_flips_one_point_at_a_time(tools):
     mutants = tools.import_module("mutants")
     cases = mutants.mutants("m.py", _MUTABLE)
     assert [(i, d) for i, d, _ in cases] == [
-        ("m.py:2:7", "a < b <= 3 and (a is None or b in (1, 2)): and -> or"),
-        ("m.py:2:7/0", "a < b: < -> >="),
-        ("m.py:2:7/1", "b <= 3: <= -> >"),
-        ("m.py:2:23", "a is None or b in (1, 2): or -> and"),
-        ("m.py:2:23", "a is None: is -> is not"),
-        ("m.py:2:36", "b in (1, 2): in -> not in"),
-        ("m.py:3:15", "True -> False"),
-        ("m.py:4:11", "a != b: != -> =="),
+        ("m.py:f", "a < b <= 3 and (a is None or b in (1, 2)): and -> or"),
+        ("m.py:f", "a < b: < -> >="),
+        ("m.py:f", "b <= 3: <= -> >"),
+        ("m.py:f", "a is None or b in (1, 2): or -> and"),
+        ("m.py:f", "a is None: is -> is not"),
+        ("m.py:f", "b in (1, 2): in -> not in"),
+        ("m.py:f", "True -> False"),
+        ("m.py:f", "a != b: != -> =="),
     ]
     untouched = list(ast.walk(ast.parse(_MUTABLE)))
     for _, _, text in cases:
@@ -186,6 +186,39 @@ def test_mutants_flips_one_point_at_a_time(tools):
             if type(a) is not type(b) or isinstance(a, ast.Constant) and a.value != b.value
         ]
         assert len(changed) == 1, text
+
+
+_SCOPED = """\
+LIMIT = 3 > 2
+
+
+class C:
+    flag = True
+    other = True
+
+    def m(self, x):
+        def inner(y):
+            return y == 1
+        return x == 1 or inner(x)
+"""
+
+
+def test_mutant_ids_name_the_scope_not_the_line(tools):
+    """A mutant's id is its module and innermost def or class, numbered
+    among the points of that scope with the same description, so an edit
+    elsewhere in the module leaves every id as it was."""
+    mutants = tools.import_module("mutants")
+    ids = [(i, d) for i, d, _ in mutants.mutants("m.py", _SCOPED)]
+    assert ids == [
+        ("m.py:<module>", "3 > 2: > -> <="),
+        ("m.py:C", "True -> False"),
+        ("m.py:C#2", "True -> False"),
+        ("m.py:C.m.inner", "y == 1: == -> !="),
+        ("m.py:C.m", "x == 1 or inner(x): or -> and"),
+        ("m.py:C.m", "x == 1: == -> !="),
+    ]
+    moved = "import os\n\n\n" + _SCOPED.replace("flag = True", "flag = True  # moved\n    size = 1")
+    assert [(i, d) for i, d, _ in mutants.mutants("m.py", moved)] == ids
 
 
 _SIGNALLED_MUTANTS = """\

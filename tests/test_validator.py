@@ -468,14 +468,20 @@ def test_closed_properties_reject_a_name_with_a_trailing_newline():
 
 
 #: Patterns of each kind of ``schema.pattern_kind``, each with the
-#: subschema its members must satisfy; two exact patterns name ``a-b``.
+#: subschema its members must satisfy; two exact patterns name ``a-b``,
+#: and two prefix and two substring patterns, one of each escaped, make
+#: the other patterns a set.
 KIND_PATTERNS = {
     EXACT: {"^a$": {"type": "integer"}, "^a-b$": {"type": "integer"}, "^a\\-b$": {"minimum": 0}},
-    PREFIX: {"^p": {"minimum": 0}},
-    SUBSTRING: {"s": {"type": "integer"}},
+    PREFIX: {"^p": {"minimum": 0}, "^p\\.": {"type": "integer"}},
+    SUBSTRING: {"s": {"type": "integer"}, "t\\-": {"minimum": 0}},
     REGEX: {"^r.$": {"minimum": 0}},
 }
-KIND_NAMES = ("a", "a-b", "a\n", "\na", "pa", "xp", "s", "xsx", "rr", "r", "q", "z", "")
+#: Names that match the patterns above, and names that nearly do.
+KIND_NAMES = (
+    "a", "a-b", "a\n", "\na", "pa", "xp", "p.", "p.x", "px", "s", "xsx",
+    "t-", "xt-x", "t", "-t", "rr", "r", "q", "z", "",
+)
 
 
 def _kind_instances():
@@ -488,11 +494,10 @@ def _kind_instances():
             yield {first: a, second: b}
 
 
-def _kind_schemas():
-    """For each nonempty set of pattern kinds, the patterns closed by
+def _kind_schemas(kinds=tuple(KIND_PATTERNS)):
+    """For each nonempty set of the pattern kinds, the patterns closed by
     ``additionalProperties`` (a check, and ``false``) and by
-    ``unevaluatedProperties``."""
-    kinds = list(KIND_PATTERNS)
+    ``unevaluatedProperties``, and each pattern under ``pattern``."""
     for n in range(1, len(kinds) + 1):
         for chosen in itertools.combinations(kinds, n):
             patterns = {p: sub for kind in chosen for p, sub in KIND_PATTERNS[kind].items()}
@@ -538,6 +543,28 @@ def test_literal_patterns_judge_as_their_regexes(monkeypatch):
         for instance, (valid, _) in zip(instances, literal):
             if "\n" not in (instance if isinstance(instance, str) else "".join(instance)):
                 assert reference.is_valid(instance) is valid, (schema_json, instance)
+
+
+def test_literal_patterns_compile_no_regex(monkeypatch):
+    """Where every pattern is a literal, neither a verdict nor an
+    annotation compiles a regex, under ``pattern``, ``patternProperties``
+    and ``patternProperties`` beside ``additionalProperties`` or
+    ``unevaluatedProperties``."""
+    schemas = list(_kind_schemas((EXACT, PREFIX, SUBSTRING)))
+    schemas += [
+        {"patternProperties": s["patternProperties"]} for s in schemas if "unevaluatedProperties" in s
+    ]
+    cases = []
+    for schema_json in schemas:
+        instances = list(KIND_NAMES) if "pattern" in schema_json else list(_kind_instances())
+        cases.append((schema_json, instances, _verdicts(schema_json, instances)))
+
+    def no_regex(source):
+        raise AssertionError(f"a regex was compiled for {source!r}")
+
+    monkeypatch.setattr("uneval.validator.compile_pattern", no_regex)
+    for schema_json, instances, expected in cases:
+        assert _verdicts(schema_json, instances) == expected, schema_json
 
 
 def test_validate_keyword_list_dependent_step():

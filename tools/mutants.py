@@ -21,8 +21,12 @@ a per-mutant timeout of ``TIMEOUT_S`` seconds.
 A mutant is *killed* when the suite fails, *hangs* when the timeout ends
 it, and *survives* otherwise.  Survivors listed in
 ``tools/equivalent_mutants.txt`` are reported as equivalent; each line
-there reads ``module:line:col[/k] description -- reason``, with the id and
-description as this tool prints them.  The exit code is 1 when a survivor
+there reads ``module:scope[#n] description -- reason``, with the id and
+description as this tool prints them.  The scope is the dotted name of
+the innermost ``def`` or ``class`` around the point (``<module>`` at the
+top level), and ``#n`` numbers the second and later points of one scope
+with one description, so an entry stays valid while edits elsewhere in
+the module move its line.  The exit code is 1 when a survivor
 or a hang is not on that list.  SIGTERM and SIGINT stop the running suite
 and remove the temporary directory; the exit code is then 128 plus the
 signal's number.
@@ -70,6 +74,21 @@ OP_TEXT = {
 }
 
 
+def _scopes(tree: ast.AST) -> dict[int, str]:
+    """The dotted name of the innermost ``def`` or ``class`` around each
+    node, by the node's id; ``<module>`` at the top level."""
+    scopes = {}
+    todo = [(tree, "<module>", "")]
+    while todo:
+        node, scope, prefix = todo.pop()
+        scopes[id(node)] = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = prefix = prefix + node.name
+            prefix += "."
+        todo.extend((child, scope, prefix) for child in ast.iter_child_nodes(node))
+    return scopes
+
+
 def mutation_points(tree: ast.AST) -> list[tuple[ast.AST, int]]:
     """``(node, k)`` per mutation point, in source order: ``k`` is the
     operator's index in a comparison chain, 0 otherwise."""
@@ -111,20 +130,19 @@ def flip(node: ast.AST, k: int) -> str:
     return f"{not node.value} -> {node.value}"
 
 
-def point_id(module: str, node: ast.AST, k: int) -> str:
-    suffix = f"/{k}" if isinstance(node, ast.Compare) and len(node.ops) > 1 else ""
-    return f"{module}:{node.lineno}:{node.col_offset}{suffix}"
-
-
 def mutants(module: str, source: str) -> list[tuple[str, str, str]]:
     """``(id, description, mutated source)`` for every mutation point."""
     count = len(mutation_points(ast.parse(source)))
     out = []
+    seen: dict[tuple[str, str], int] = {}
     for i in range(count):
         tree = ast.parse(source)
         node, k = mutation_points(tree)[i]
+        scope = _scopes(tree)[id(node)]
         description = flip(node, k)
-        out.append((point_id(module, node, k), description, ast.unparse(tree)))
+        n = seen[scope, description] = seen.get((scope, description), 0) + 1
+        mutant_id = f"{module}:{scope}" + (f"#{n}" if n > 1 else "")
+        out.append((mutant_id, description, ast.unparse(tree)))
     return out
 
 
