@@ -76,7 +76,10 @@ CHILD_KIND = {
 
 #: The keywords whose check reads the syntax of sibling keywords, each
 #: with the siblings it reads.  The validator, normalization and the push
-#: take every such fact from this table.
+#: take these facts from this table.  The ``unevaluated*`` keywords are
+#: left out: the validator reads their siblings itself, and
+#: ``enf._READ_BY`` would otherwise keep them in one unit with those
+#: siblings and change normalization.
 READS = {
     "additionalProperties": ("properties", "patternProperties"),
     "items": ("prefixItems",),

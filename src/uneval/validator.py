@@ -35,19 +35,25 @@ bool mode throughout.  :func:`validate` returns the bool-mode verdict;
 :attr:`ValidationOutcome.annotation` is computed on first read, in
 annotation mode.
 
-The bool-mode verdict of a node with ``unevaluated*`` builds no
-annotation of its own: it takes the annotation of the node's other
-keywords and tests the members that annotation lacks against the
-``unevaluated*`` subschema, which the annotation step of such a node
-(for ``.annotation`` and under an in-place applicator of another such
-node) shares.  An annotation holds only members of its instance, so
-``anyOf`` stops once a branch has held and the union holds as many
-members as the instance (at the first valid branch for a scalar), and
-against ``false`` the test is one length comparison.  A keyword list
-with at most one evaluating keyword and at most one step gets an
-annotation closure of its shape, without loops; and a node that is only
-a ``$ref`` annotates with its target's closure, or with the trampoline
-while that target is under way.
+The bool-mode verdict of a node with ``unevaluated*`` reads an
+annotation only when an in-place applicator stands beside the keyword.
+With local siblings only, what they evaluate is fixed by their syntax,
+so the node compiles as any other keyword list:
+``unevaluatedProperties`` checks what ``additionalProperties`` would,
+and holds beside it; ``unevaluatedItems`` checks what ``items`` would,
+except for the items ``contains`` matches, and holds beside ``items``.
+Beside an in-place applicator, the verdict builds no annotation of its
+own: it takes the annotation of the node's other keywords and tests the
+members that annotation lacks against the ``unevaluated*`` subschema,
+which the annotation step of such a node (for ``.annotation`` and under
+an in-place applicator of another such node) shares.  An annotation
+holds only members of its instance, so ``anyOf`` stops once a branch has
+held and the union holds as many members as the instance (at the first
+valid branch for a scalar), and against ``false`` the test is one length
+comparison.  A keyword list with at most one evaluating keyword and at
+most one step gets an annotation closure of its shape, without loops;
+and a node that is only a ``$ref`` annotates with its target's closure,
+or with the trampoline while that target is under way.
 
 A node's bool-mode check dispatches once on the instance's class, over a
 table of the JSON classes its keywords constrain; the other classes get a
@@ -399,7 +405,11 @@ class _Compiler:
                 fn = self.schema(deref(self.doc, keywords[0].value), ANNOT)
             else:
                 fn = self.annotation_list(keywords)
-        elif keywords and keywords[-1].name in ADK_NAMES:  # rank order: ADKs last
+        elif (
+            keywords
+            and keywords[-1].name in ADK_NAMES  # rank order: ADKs last
+            and any(kw.name in _IN_PLACE for kw in keywords)
+        ):
             fn = self.unevaluated_verdict(keywords)
         else:
             fn = self.bool_list(keywords, keywords)
@@ -415,10 +425,11 @@ class _Compiler:
     # -- bool mode
 
     def bool_list(self, keywords: Sequence[Keyword], context: Sequence[Keyword]) -> Check:
-        """Verdict of a keyword list without ``unevaluated*``.
+        """Verdict of a keyword list without an in-place applicator beside
+        ``unevaluated*``.
 
         ``context`` is the whole list, whose syntax the keywords of
-        :data:`~uneval.schema.READS` read.
+        :data:`~uneval.schema.READS` and the ``unevaluated*`` keywords read.
         """
         general: list[Check] = []
         # the checks of the keywords that constrain some types, by those types
@@ -553,7 +564,7 @@ class _Compiler:
             if kind == EXACT:  # two patterns may name one literal
                 exact.setdefault(text, []).append(f)
             else:
-                pairs.append((_pattern(pattern), f))
+                pairs.append((_pattern(kind, text), f))
         if not exact and not pairs:
             return _true
         named = {name: _all(fs) for name, fs in exact.items()}
@@ -596,6 +607,15 @@ class _Compiler:
 
         return additional_properties
 
+    def bool_unevaluated_properties(self, sub, siblings) -> Check:
+        """With local siblings only, the siblings evaluate the names of
+        ``properties`` and the names ``patternProperties`` match, so this
+        is the check of ``additionalProperties``; beside that keyword,
+        which evaluates every property, there is none."""
+        if "additionalProperties" in siblings:
+            return _true
+        return self.bool_additional_properties(sub, siblings)
+
     def bool_property_names(self, sub, siblings) -> Check:
         f = self.schema(sub, BOOL)
         if f is _true:
@@ -637,6 +657,30 @@ class _Compiler:
             return True
 
         return items
+
+    def bool_unevaluated_items(self, sub, siblings) -> Check:
+        """With local siblings only, the siblings evaluate the
+        ``prefixItems`` positions and the items ``contains`` matches, so
+        this is the check of ``items``, except for those matches; beside
+        ``items``, which evaluates every item, there is none."""
+        if "items" in siblings:
+            return _true
+        contains = siblings.get("contains")
+        if contains is None:
+            return self.bool_items(sub, siblings)
+        f = self.schema(sub, BOOL)
+        hit = self.schema(contains, BOOL)
+        if _true in (f, hit):
+            return _true
+
+        def unevaluated_items(x, f=f, hit=hit, start=len(siblings.get("prefixItems", ()))):
+            for i in range(start, len(x)):
+                v = x[i]
+                if not hit(v) and not f(v):
+                    return False
+            return True
+
+        return unevaluated_items
 
     def bool_contains(self, sub, siblings) -> Check:
         f = self.schema(sub, BOOL)
@@ -895,15 +939,17 @@ def _is_integral(x: Decimal) -> bool:
 _INTEGRAL = ((float, float.is_integer), (Decimal, _is_integral))
 
 
-def _pattern(source: str) -> Check:
-    kind, text = pattern_kind(source)
+def _pattern(kind: str, text: str) -> Check:
+    """The test of a name against a pattern that
+    :func:`~uneval.schema.pattern_kind` gave ``(kind, text)``; the text of
+    a regex is its source."""
     if kind == EXACT:
         return lambda x, text=text: x == text
     if kind == PREFIX:
         return lambda x, text=text: x.startswith(text)
     if kind == SUBSTRING:
         return lambda x, text=text: text in x
-    return lambda x, search=compile_pattern(source).search: search(x) is not None
+    return lambda x, search=compile_pattern(text).search: search(x) is not None
 
 
 def _name_patterns(patterns, names=()):
@@ -917,7 +963,7 @@ def _name_patterns(patterns, names=()):
         if kind == EXACT:
             exact.add(text)
         else:
-            tests.append(_pattern(pattern))
+            tests.append(_pattern(kind, text))
     if len(tests) < 2:
         return frozenset(exact), tests[0] if tests else None
 
@@ -964,7 +1010,7 @@ _BOOL_KEYWORDS = {
     "$ref": _Compiler.bool_ref,
     "minimum": _leaf(lambda m: lambda x, m=m: x >= m),
     "maximum": _leaf(lambda m: lambda x, m=m: x <= m),
-    "pattern": _leaf(_pattern),
+    "pattern": _leaf(lambda source: _pattern(*pattern_kind(source))),
     "properties": _Compiler.bool_properties,
     "patternProperties": _Compiler.bool_pattern_properties,
     "additionalProperties": _Compiler.bool_additional_properties,
@@ -978,7 +1024,13 @@ _BOOL_KEYWORDS = {
     "minItems": _leaf(lambda n: lambda x, n=n: len(x) >= n),
     "maxItems": _leaf(lambda n: lambda x, n=n: len(x) <= n),
     "uniqueItems": _leaf(lambda on: _unique_items if on else _true),
+    "unevaluatedProperties": _Compiler.bool_unevaluated_properties,
+    "unevaluatedItems": _Compiler.bool_unevaluated_items,
 }
+
+#: The in-place applicators: beside ``unevaluated*``, the annotation they
+#: pass up depends on their subschemas' verdicts, not on syntax alone.
+_IN_PLACE = frozenset(("allOf", "anyOf", "oneOf", "$ref"))
 
 #: Each compiler with the disjoint group of instance classes its keyword
 #: constrains by :data:`~uneval.schema.CONSTRAINS` (``None``: all).
@@ -988,7 +1040,7 @@ _DISPATCH = {
 }
 
 #: Keywords whose check reads the syntax of their siblings.
-_CONTEXT_READERS = frozenset(READS)
+_CONTEXT_READERS = frozenset((*READS, *ADK_NAMES))
 
 
 def _matching_names(patterns):

@@ -100,7 +100,7 @@ A_CLOSED = {"properties": {"a": True}, "unevaluatedProperties": False}
 
 #: In-place references to uneval-schemas, with the size of each universe.
 REFERENCED_UNEVAL = [
-    (
+    pytest.param(
         {
             "allOf": [{"$ref": "#/$defs/A"}],
             "properties": {"b": True},
@@ -108,8 +108,9 @@ REFERENCED_UNEVAL = [
             "$defs": {"A": A_CLOSED},
         },
         675,
+        id="all-of-ref",
     ),
-    (
+    pytest.param(
         {
             "anyOf": [{"$ref": "#/$defs/A"}, {"properties": {"b": True}}],
             "unevaluatedProperties": False,
@@ -122,8 +123,9 @@ REFERENCED_UNEVAL = [
             },
         },
         4940,
+        id="any-of-ref-pattern",
     ),
-    (
+    pytest.param(
         {
             "allOf": [{"$ref": "#A"}],
             "prefixItems": [True],
@@ -140,8 +142,9 @@ REFERENCED_UNEVAL = [
             },
         },
         311,
+        id="all-of-anchor-items",
     ),
-    (
+    pytest.param(
         {
             "oneOf": [{"$ref": "#/$defs/A"}, {"$ref": "#/$defs/B"}],
             "unevaluatedProperties": False,
@@ -151,13 +154,14 @@ REFERENCED_UNEVAL = [
             },
         },
         675,
+        id="one-of-refs",
     ),
 ]
 
 #: References to uneval-schemas whose other side is not characterized, so
 #: that normalization goes through the rewritten target.
 THROUGH_REWRITTEN = [
-    (
+    pytest.param(
         {
             "allOf": [{"$ref": "#/$defs/A"}],
             "unevaluatedProperties": False,
@@ -169,8 +173,9 @@ THROUGH_REWRITTEN = [
             },
         },
         845,
+        id="all-of-ref-items-through-rewrite",
     ),
-    (
+    pytest.param(
         {
             "allOf": [{"$ref": "#A"}],
             "unevaluatedItems": False,
@@ -183,6 +188,7 @@ THROUGH_REWRITTEN = [
             },
         },
         316,
+        id="all-of-anchor-props-through-rewrite",
     ),
 ]
 

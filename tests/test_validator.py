@@ -827,6 +827,192 @@ def test_a_ref_only_node_annotates_with_its_targets_closure():
     assert validator._compiled(doc, doc.root, ANNOT) is validator._compiled(doc, tree, ANNOT)
 
 
+#: ``unevaluated*`` keywords with local siblings only (no ``allOf``,
+#: ``anyOf``, ``oneOf`` or ``$ref`` beside them), whose verdict the
+#: siblings' syntax decides.
+LOCAL_UNEVALUATED = [
+    pytest.param(
+        {"prefixItems": [{"type": "integer"}], "contains": {"type": "string"}, "unevaluatedItems": False},
+        id="contains-prefix-false",
+    ),
+    pytest.param(
+        {
+            "prefixItems": [True],
+            "contains": {"type": "string"},
+            "minContains": 0,
+            "unevaluatedItems": {"type": "integer"},
+        },
+        id="contains-min-zero",
+    ),
+    pytest.param(
+        {"contains": {"type": "string"}, "maxContains": 1, "unevaluatedItems": {"const": 0}},
+        id="contains-max-one",
+    ),
+    pytest.param({"contains": True, "minItems": 2, "unevaluatedItems": False}, id="contains-true"),
+    pytest.param({"contains": {"type": "string"}, "unevaluatedItems": True}, id="contains-uneval-true"),
+    pytest.param(
+        {"contains": False, "minContains": 0, "unevaluatedItems": {"type": "integer"}},
+        id="contains-false",
+    ),
+    pytest.param(
+        {"prefixItems": [{"type": "integer"}], "items": {"type": "string"}, "unevaluatedItems": False},
+        id="items",
+    ),
+    pytest.param({"prefixItems": [True], "unevaluatedItems": {"type": "string"}}, id="prefix-items"),
+    pytest.param({"type": "array", "unevaluatedItems": {"type": "integer"}}, id="items-alone"),
+    pytest.param(
+        {
+            "properties": {"a": True},
+            "additionalProperties": {"type": "integer"},
+            "unevaluatedProperties": False,
+        },
+        id="additional-properties",
+    ),
+    pytest.param(
+        {
+            "properties": {"a": {"type": "integer"}},
+            "not": {"required": ["b"]},
+            "unevaluatedProperties": False,
+        },
+        id="not",
+    ),
+    pytest.param(
+        {
+            "properties": {"a": True},
+            "prefixItems": [True],
+            "contains": {"type": "string"},
+            "unevaluatedProperties": {"type": "integer"},
+            "unevaluatedItems": False,
+        },
+        id="both",
+    ),
+    pytest.param(
+        {
+            "properties": {
+                "a": {
+                    "type": "object",
+                    "properties": {"b": {"type": "string"}},
+                    "unevaluatedProperties": False,
+                },
+                "c": {"type": "array", "prefixItems": [True], "unevaluatedItems": False},
+            },
+        },
+        id="under-properties",
+    ),
+    pytest.param(
+        {"patternProperties": {"^a": {"type": "integer"}}, "unevaluatedProperties": False},
+        id="prefix-pattern",
+    ),
+    pytest.param(
+        {"patternProperties": {"b": {"type": "integer"}}, "unevaluatedProperties": {"type": "string"}},
+        id="substring-pattern",
+    ),
+    pytest.param(
+        {"patternProperties": {"^c.$": {"const": 0}}, "unevaluatedProperties": False},
+        id="regex-pattern",
+    ),
+    pytest.param(
+        {
+            "properties": {"ab": {"const": 0}},
+            "patternProperties": {"^a": {"type": "integer"}, "b": True, "^c.$": {"const": 0}},
+            "unevaluatedProperties": {"type": "string"},
+        },
+        id="three-pattern-kinds",
+    ),
+]
+
+
+def _local_unevaluated_nodes(doc):
+    """The nodes of ``doc`` that end in ``unevaluated*`` with no in-place
+    applicator beside it."""
+    in_place = {"allOf", "anyOf", "oneOf", "$ref"}
+    return [
+        s
+        for s in distinct_nodes((doc.root, *doc.defs.values()))
+        if isinstance(s, ObjSchema)
+        and s.keywords[-1:]
+        and s.keywords[-1].name in ("unevaluatedProperties", "unevaluatedItems")
+        and in_place.isdisjoint(kw.name for kw in s.keywords)
+    ]
+
+
+def _corpus_local_unevaluated():
+    from conftest import load_corpus
+
+    for fixture in load_corpus():
+        doc = parse_schema(fixture.schema_json)
+        for node in _local_unevaluated_nodes(doc):
+            yield fixture.name, doc, node
+
+
+def _agrees_on_the_universe(doc, node) -> set:
+    """On every instance of ``doc``'s universe, ``node``'s verdict equals
+    that of its annotation-mode closure and ``jsonschema``'s.  Returns the
+    verdicts seen."""
+    from uneval import validator
+    from uneval.instances import enumerate_instances
+
+    jsonschema = pytest.importorskip("jsonschema")
+    reference = jsonschema.Draft202012Validator(serialize_schema(build_document(node, doc.defs)))
+    annotated = validator._compiled(doc, node, ANNOT)
+    verdicts = set()
+    for instance in enumerate_instances(doc):
+        valid = validate(doc, node, instance).valid
+        assert (annotated(instance) is not None) is valid, instance
+        assert reference.is_valid(instance) is valid, instance
+        verdicts.add(valid)
+    return verdicts
+
+
+@pytest.mark.parametrize("schema_json", LOCAL_UNEVALUATED)
+def test_local_unevaluated_keywords_judge_as_the_reference(schema_json):
+    doc = parse_schema(schema_json)
+    nodes = [doc.root, *_local_unevaluated_nodes(doc)]
+    assert len(nodes) > 1
+    for node in nodes:
+        assert _agrees_on_the_universe(doc, node) == {True, False}, serialize_schema(
+            build_document(node, doc.defs)
+        )
+
+
+def test_local_unevaluated_corpus_nodes_judge_as_the_reference():
+    """Each corpus node whose ``unevaluated*`` keywords have local siblings
+    only, 21 in 20 fixtures."""
+    found = list(_corpus_local_unevaluated())
+    assert len(found) == 21
+    assert len({name for name, _, _ in found}) == 20
+    for name, doc, node in found:
+        assert _agrees_on_the_universe(doc, node), name
+
+
+def test_local_unevaluated_keywords_read_no_annotation(monkeypatch):
+    """A node whose ``unevaluated*`` keywords have local siblings only gets
+    its verdict without ``unevaluated_verdict``, which annotates its other
+    keywords; an in-place applicator beside them still takes it there."""
+    from uneval import validator
+
+    reached = []
+    verdict = validator._Compiler.unevaluated_verdict
+
+    def spy(compiler, keywords):
+        reached.append(keywords)
+        return verdict(compiler, keywords)
+
+    monkeypatch.setattr(validator._Compiler, "unevaluated_verdict", spy)
+    local = [parse_schema(p.values[0]) for p in LOCAL_UNEVALUATED]
+    local += [doc for _, doc, _ in _corpus_local_unevaluated()]
+    for doc in local:
+        for node in _local_unevaluated_nodes(doc):
+            for instance in ({}, {"a": 1}, [], [1, "x"], 0):
+                validate(doc, node, instance)
+            assert node.keywords not in reached, serialize_schema(build_document(node, doc.defs))
+    for keyword in ({"allOf": [True]}, {"anyOf": [True]}, {"oneOf": [True]}, {"$ref": "#/$defs/t"}):
+        doc = parse_schema({**keyword, "unevaluatedProperties": False, "$defs": {"t": True}})
+        reached.clear()
+        assert validate(doc, doc.root, {}).valid
+        assert reached == [doc.root.keywords], keyword
+
+
 def test_annotation_soundness_on_corpus():
     from conftest import load_corpus
 
