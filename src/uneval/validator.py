@@ -1028,10 +1028,6 @@ _BOOL_KEYWORDS = {
     "unevaluatedItems": _Compiler.bool_unevaluated_items,
 }
 
-#: The in-place applicators: beside ``unevaluated*``, the annotation they
-#: pass up depends on their subschemas' verdicts, not on syntax alone.
-_IN_PLACE = frozenset(("allOf", "anyOf", "oneOf", "$ref"))
-
 #: Each compiler with the disjoint group of instance classes its keyword
 #: constrains by :data:`~uneval.schema.CONSTRAINS` (``None``: all).
 _DISPATCH = {
@@ -1079,6 +1075,11 @@ _STEPS = {
         for name, kind in _ADK_KINDS.items()
     },
 }
+
+#: The in-place applicators: the steps other than ``contains`` and
+#: ``unevaluated*``.  Beside ``unevaluated*``, the annotation they pass up
+#: depends on their subschemas' verdicts, not on syntax alone.
+_IN_PLACE = frozenset(_STEPS).difference(("contains", *ADK_NAMES))
 
 
 def _compiled(doc: SchemaDocument, schema: Schema, mode: int):

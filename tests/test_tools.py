@@ -142,35 +142,6 @@ def test_bench_pairs_runs_both_sides_from_one_directory(tools, tmp_path, monkeyp
         assert files == sorted(expected)
 
 
-def test_bench_pairs_runs_only_the_chosen_workloads(tools, tmp_path, monkeypatch):
-    """``--workloads`` restricts the series and its summary to the named
-    workloads; a name that ``BENCHMARK.json`` lacks is refused."""
-    bench_pairs = tools.import_module("bench_pairs")
-    checkout = tmp_path / "checkout"
-    checkout.mkdir()
-    spec = {"workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}], "end_to_end": []}
-    (checkout / "BENCHMARK.json").write_text(json.dumps(spec))
-    runs = []
-
-    def run_child(args, checkout, env=None):
-        runs.append(args)
-        info = "# oracle_sweep: validated pairs: 4\n# oracle_sweep: sampled instances: 2\n"
-        return 0, info + json.dumps({"metrics": {"peak_rss_mb": {"value": 1.0}}})
-
-    monkeypatch.setattr(bench_pairs, "run_child", run_child)
-    monkeypatch.setattr(bench_pairs.signal, "signal", lambda signum, handler: None)
-    common = ["--parent", str(checkout), "--change", str(checkout), "--seeds", "1-2",
-              "--log", str(tmp_path / "log"), "--out", str(tmp_path / "out.json")]
-    assert bench_pairs.main([*common, "--workloads", "c,a"]) == 0
-    workloads = [args[args.index("--workload") + 1] for args in runs if "--workload" in args]
-    assert workloads == ["a"] * 4 + ["c"] * 4
-    report = json.loads((tmp_path / "out.json").read_text())
-    assert list(report["workloads"]) == ["a", "c"]
-    with pytest.raises(SystemExit) as exc:
-        bench_pairs.main([*common, "--workloads", "a,d"])
-    assert exc.value.code == 2
-
-
 _MUTABLE = """\
 def f(a, b):
     if a < b <= 3 and (a is None or b in (1, 2)):

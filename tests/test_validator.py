@@ -925,14 +925,15 @@ LOCAL_UNEVALUATED = [
 def _local_unevaluated_nodes(doc):
     """The nodes of ``doc`` that end in ``unevaluated*`` with no in-place
     applicator beside it."""
-    in_place = {"allOf", "anyOf", "oneOf", "$ref"}
+    from uneval.validator import _IN_PLACE
+
     return [
         s
         for s in distinct_nodes((doc.root, *doc.defs.values()))
         if isinstance(s, ObjSchema)
         and s.keywords[-1:]
         and s.keywords[-1].name in ("unevaluatedProperties", "unevaluatedItems")
-        and in_place.isdisjoint(kw.name for kw in s.keywords)
+        and _IN_PLACE.isdisjoint(kw.name for kw in s.keywords)
     ]
 
 

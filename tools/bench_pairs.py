@@ -3,11 +3,9 @@
 Run from anywhere, with two checkouts of the repository::
 
     python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \
-        --seeds 501-510 --log runs.jsonl --out BENCH_topic.json \
-        [--workloads oracle_sweep,corpus_rewrite]
+        --seeds 501-510 --log runs.jsonl --out BENCH_topic.json
 
-For each workload of ``BENCHMARK.json`` (or each one ``--workloads``
-names, comma-separated) and each seed, the parent and the
+For each workload of ``BENCHMARK.json`` and each seed, the parent and the
 change run ``python3 bench/run.py --workload W --seed S --seconds 20
 --trace 0``, the parent first on even pairs and the change first on odd
 ones.  Before each run, that side's tree (without ``.git`` and byte-code
@@ -252,17 +250,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seeds_arg, required=True)
     parser.add_argument("--log", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", type=lambda text: text.split(","))
     args = parser.parse_args(argv)
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    if args.workloads is not None:
-        unknown = set(args.workloads) - {w["name"] for w in spec["workloads"]}
-        if unknown:
-            parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
-        spec["workloads"] = [w for w in spec["workloads"] if w["name"] in args.workloads]
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, exit_on_signal)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     collect(args, spec)
 
     report = {
