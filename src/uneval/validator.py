@@ -30,8 +30,12 @@ and the keyword's syntax.  Steps exist only where the annotation reads
 subschema verdicts or the annotation before it: ``contains``, the two
 ``unevaluated*`` keywords, and ``choice_step``, which passes up the union
 of the valid subschemas' annotations for the four in-place applicators.
-A schema without ``unevaluated*`` keywords, such as a rewrite, runs in
-bool mode throughout.  :func:`validate` returns the bool-mode verdict;
+No annotation is ever changed in place, so a union keeps its first
+nonempty part as it is, and one set may serve every instance:
+``prefixItems`` gives each array at least as long as its prefix one
+frozenset, built at compile time.  A schema without ``unevaluated*``
+keywords, such as a rewrite, runs in bool mode throughout.
+:func:`validate` returns the bool-mode verdict;
 :attr:`ValidationOutcome.annotation` is computed on first read, in
 annotation mode.
 
@@ -67,7 +71,8 @@ or instance and cannot be changed; only a passing verdict builds one.  Only
 a named node (the root, a definition, an anchor) can be re-entered by a
 ``$ref``, so only these get a late-bound trampoline while under way.
 Compiled checks bind what they read as default arguments, not as closure
-cells, each one more object to allocate and keep.
+cells, each one more object to allocate and keep.  A one-entry
+``prefixItems`` is one call on the first item, without a loop.
 
 Patterns are compiled by the kind :func:`~uneval.schema.pattern_kind`
 gives them, in :func:`_pattern` only: a literal ``^lit$``, ``^lit`` or
@@ -79,7 +84,7 @@ set into its exact names and one test for the others.  Beside
 ``properties`` names in one set, and ``additionalProperties: false``
 beside names only is ``x.keys() <= names``; ``patternProperties`` looks
 its exact names up in a dict, and its annotation is ``x.keys() & names``
-plus the names the other patterns match.
+plus, or without exact names only, the names the other patterns match.
 
 A compile session compiles each node once, and stores in the cache the
 named nodes it compiled and the nodes it compiled below them, never a
@@ -633,6 +638,8 @@ class _Compiler:
         fs = tuple(self.schema(s, BOOL) for s in subs)
         if all(f is _true for f in fs):
             return _true
+        if len(fs) == 1:
+            return lambda x, f=fs[0]: not x or f(x[0])
 
         def prefix_items(x, fs=fs):
             for f, v in zip(fs, x):
@@ -781,7 +788,7 @@ class _Compiler:
                     if found is not None:
                         held = True
                         if found:
-                            union = union | found
+                            union = union | found if union else found
                         if len(union) >= members:
                             return True, union
                 return held, union
@@ -802,7 +809,7 @@ class _Compiler:
                     if valid > hi:
                         return False, union
                     if found:
-                        union = union | found
+                        union = union | found if union else found
             return valid >= lo, union
 
         return choice
@@ -846,13 +853,14 @@ def _annotated(check, evaluates: Sequence, steps: Sequence):
             acc = _EMPTY
             for kind, evaluated in evaluates:
                 if isinstance(x, kind):
-                    acc = acc | evaluated(x)
+                    found = evaluated(x)
+                    acc = acc | found if acc else found
             for step in steps:
                 ok, found = step(x, acc)
                 if not ok:
                     return None
                 if found:
-                    acc = acc | found
+                    acc = acc | found if acc else found
             return acc
 
         return annotated
@@ -888,6 +896,8 @@ def _annotated(check, evaluates: Sequence, steps: Sequence):
         ok, found = step(x, acc)
         if not ok:
             return None
+        if not acc:
+            return found
         return acc | found if found else acc
 
     return evaluated_then_step
@@ -1043,7 +1053,14 @@ def _matching_names(patterns):
     names, other = _name_patterns(patterns)
     if other is None:
         return dict, lambda x, names=names: x.keys() & names
+    if not names:
+        return dict, lambda x, other=other: {k for k in x if other(k)}
     return dict, lambda x, names=names, other=other: x.keys() & names | {k for k in x if other(k)}
+
+
+def _prefix_positions(subs):
+    n, every = len(subs), frozenset(range(len(subs)))
+    return list, lambda x, n=n, every=every: every if len(x) >= n else set(range(len(x)))
 
 
 #: Every member of an instance of each kind: an object's names, an
@@ -1058,7 +1075,7 @@ _EVALUATES = {
     "properties": lambda props: (dict, lambda x, names=props.keys(): x.keys() & names),
     "patternProperties": _matching_names,
     "additionalProperties": lambda sub: (dict, _MEMBERS[dict]),
-    "prefixItems": lambda subs: (list, lambda x, n=len(subs): set(range(min(n, len(x))))),
+    "prefixItems": _prefix_positions,
     "items": lambda sub: (list, _MEMBERS[list]),
 }
 

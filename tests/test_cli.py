@@ -487,9 +487,12 @@ def answers(command, kind, depth, folder):
     path = os.path.join(folder, f"{command}-{kind}-{depth}.json")
     with open(path, "w") as f:
         f.write(text)
+    argv = [command, "--schema", path]
+    if command == "validate":
+        argv += ["--instance", os.path.join(folder, "instance.json")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--schema", path])
+        code = main(argv)
     if code == 0:
         return True
     assert code == 2 and out.getvalue() == "", (command, kind, depth, code)
@@ -499,6 +502,8 @@ def answers(command, kind, depth, folder):
 
 found = []
 with tempfile.TemporaryDirectory() as folder:
+    with open(os.path.join(folder, "instance.json"), "w") as f:
+        f.write("{}")
     for command, kind, depth in json.loads(sys.argv[1]):
         while answers(command, kind, depth, folder):
             depth += 1
@@ -511,7 +516,8 @@ print(json.dumps(found))
 #: default recursion limit, measured at 0eb1d8e, and for the ``properties``
 #: chains of ``eliminate`` and ``enf`` since the JSON writer takes one
 #: frame per level.  For ``eliminate`` the chain sits under
-#: ``{"allOf": [chain], "unevaluatedProperties": false}``.
+#: ``{"allOf": [chain], "unevaluatedProperties": false}``, and ``validate``
+#: checks the instance ``{}``, measured at 08ad0f4.
 CLI_DEPTH_CEILINGS = [
     ("eliminate", "properties", 493),
     ("eliminate", "allOf", 245),
@@ -519,6 +525,8 @@ CLI_DEPTH_CEILINGS = [
     ("enf", "allOf", 247),
     ("analyze", "properties", 494),
     ("analyze", "allOf", 248),
+    ("validate", "properties", 330),
+    ("validate", "allOf", 164),
 ]
 
 

@@ -221,6 +221,38 @@ def test_mutant_ids_name_the_scope_not_the_line(tools):
     assert [(i, d) for i, d, _ in mutants.mutants("m.py", moved)] == ids
 
 
+_TABLES = """\
+TABLE = {"a": 1, (1, 2): f, **OTHER}
+NOTED: dict = {"b": x == 1}
+A = B = {"c": 2}
+
+
+def f():
+    inner = {"d": 3}
+"""
+
+
+def test_mutants_drop_one_table_entry_at_a_time(tools):
+    """Each entry of a module-level dict display assigned to one name is
+    dropped alone, under an id naming the table and the key; a ``**``
+    splat, a display assigned to two names and one inside a function are
+    not tables."""
+    mutants = tools.import_module("mutants")
+    cases = mutants.mutants("m.py", _TABLES)
+    assert [(i, d) for i, d, _ in cases] == [
+        ("m.py:TABLE['a']", "entry dropped: 1"),
+        ("m.py:TABLE[(1,2)]", "entry dropped: f"),
+        ("m.py:NOTED['b']", "entry dropped: x == 1"),
+        ("m.py:<module>", "x == 1: == -> !="),
+    ]
+    texts = [text for _, _, text in cases]
+    assert 'TABLE = {(1, 2): f, **OTHER}' in texts[0]
+    assert "TABLE = {'a': 1, **OTHER}" in texts[1]
+    assert "NOTED: dict = {}" in texts[2]
+    for text in texts:
+        assert "A = B = {'c': 2}" in text and "inner = {'d': 3}" in text
+
+
 _SIGNALLED_MUTANTS = """\
 import os, signal, sys, time
 sys.path.insert(0, sys.argv[1])

@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 import weakref
 from collections import OrderedDict
 
@@ -680,10 +681,11 @@ COVERING_ANY_OF = [
     {"anyOf": [{"prefixItems": [True]}, {"contains": {"type": "string"}}, {"minItems": 9}]},
     {"anyOf": [{"additionalProperties": True}, {"properties": {"a": {"type": "string"}}}]},
     {"anyOf": [{"type": "string"}, {"minimum": 3}, {"properties": {"a": True}}]},
+    {"anyOf": [{"prefixItems": [{"type": "integer"}]}, {"prefixItems": [False]}, {"contains": {"type": "string"}}]},
 ]
 COVERING_INSTANCES = [
     {}, {"a": 1}, {"b": 1}, {"a": "x", "b": 2}, {"a": 1, "b": 2, "c": 3}, {"z": 1, "a": 1},
-    [], [1], [1, "x"], ["x", "y", 3], [1, 2, 3], "s", 4, 1, None,
+    [], [1], [1, "x"], ["x", "y", 3], [1, 2, 3], _List(["x", 1]), "s", 4, 1, None,
 ]
 
 
@@ -706,6 +708,88 @@ def test_an_any_of_stopped_at_a_cover_keeps_the_full_union(schema_json, closed):
         got = validate(doc, doc.root, instance)
         if got.valid and closed is None:
             assert set(got.annotation.props | got.annotation.items) == union, instance
+
+
+#: A one-entry ``prefixItems`` of ``false``, of a ``$ref`` and of a typed
+#: schema, each alone and beside ``items``, ``contains`` and
+#: ``unevaluatedItems``, over arrays that pass or fail it, exact or not.
+ONE_ENTRY_PREFIXES = [False, {"$ref": "#/$defs/int"}, {"type": "integer"}]
+ONE_ENTRY_SIBLINGS = [
+    {},
+    {"items": {"type": "string"}},
+    {"contains": {"type": "string"}},
+    {"unevaluatedItems": {"type": "string"}},
+]
+ONE_ENTRY_INSTANCES = [[], [1], ["x"], [1, "x"], [1, 2], _List([1]), _List(["x"]), _List([1, "x"]), "s"]
+
+
+@pytest.mark.parametrize("siblings", ONE_ENTRY_SIBLINGS, ids=lambda s: "-".join(s) or "alone")
+@pytest.mark.parametrize("prefix", ONE_ENTRY_PREFIXES, ids=["false", "ref", "typed"])
+def test_a_one_entry_prefix_judges_as_the_reference(prefix, siblings):
+    schema_json = {"prefixItems": [prefix], **siblings, "$defs": {"int": {"type": "integer"}}}
+    verdicts = _judged_as_the_reference_judges(schema_json, ONE_ENTRY_INSTANCES)
+    assert True in verdicts and False in verdicts
+
+
+#: A two-entry prefix alone, beside a ``contains`` that matches later
+#: positions, and under an ``anyOf`` closed by ``unevaluatedItems``; per
+#: array shorter than, as long as and longer than the prefix, the
+#: positions annotated, or ``None`` for an invalid array.
+TWO_ENTRY_PREFIX_POSITIONS = [
+    (
+        {"prefixItems": [True, {"type": "integer"}]},
+        [([], set()), ([1], {0}), (["x", 2], {0, 1}), ([1, 2, "x"], {0, 1}), ([1, "x"], None)],
+    ),
+    (
+        {"prefixItems": [True, True], "contains": {"type": "string"}, "minContains": 0},
+        [([], set()), ([1], {0}), ([1, "x"], {0, 1}), ([1, 2, "x", 3], {0, 1, 2}), ([1, 2, 3, "y"], {0, 1, 3})],
+    ),
+    (
+        {"anyOf": [{"prefixItems": [True, True]}, {"contains": {"type": "string"}}], "unevaluatedItems": False},
+        [([], set()), ([1], {0}), ([1, 2], {0, 1}), ([1, 2, "x"], {0, 1, 2}), ([1, 2, 3], None)],
+    ),
+]
+
+
+@pytest.mark.parametrize("schema_json, expected", TWO_ENTRY_PREFIX_POSITIONS)
+def test_a_two_entry_prefix_annotates_its_positions(schema_json, expected):
+    instances = [instance for instance, _ in expected]
+    _judged_as_the_reference_judges(schema_json, instances)
+    doc = parse_schema(schema_json)
+    for instance, positions in expected:
+        got = validate(doc, doc.root, instance)
+        assert got.valid is (positions is not None), instance
+        if got.valid:
+            assert got.annotation.items == positions, instance
+
+
+def test_a_prefix_gives_every_array_at_least_as_long_one_set():
+    """The annotation closure of ``prefixItems`` gives each array at
+    least as long as the prefix the same frozenset, and a shorter array
+    its own positions."""
+    from uneval import validator
+
+    doc = parse_schema({"prefixItems": [True, {"type": "integer"}]})
+    annotated = validator._compiled(doc, doc.root, ANNOT)
+    first, second = annotated([1, 2]), annotated(["x", 3, None])
+    assert first == {0, 1} and first is second
+    assert annotated([1]) == {0}
+
+
+def test_prefix_and_regex_patterns_annotate_the_names_they_search():
+    """Without exact names, ``patternProperties`` annotates the names
+    its prefix and regex patterns match, as ``re.search`` finds them."""
+    patterns = {**KIND_PATTERNS[PREFIX], **KIND_PATTERNS[REGEX]}
+    doc = parse_schema({"patternProperties": patterns})
+    annotated = unmatched = 0
+    for instance in _kind_instances():
+        got = validate(doc, doc.root, instance)
+        if got.valid:
+            expected = {k for k in instance if any(re.search(p, k) for p in patterns)}
+            assert got.annotation.props == expected, instance
+            annotated += bool(expected)
+            unmatched += expected != instance.keys()
+    assert annotated and unmatched
 
 
 #: ``unevaluated*`` nodes under the in-place applicators of an outer one.
@@ -859,6 +943,15 @@ LOCAL_UNEVALUATED = [
         id="items",
     ),
     pytest.param({"prefixItems": [True], "unevaluatedItems": {"type": "string"}}, id="prefix-items"),
+    pytest.param(
+        {
+            "prefixItems": [{"$ref": "#/$defs/int"}],
+            "contains": {"type": "string"},
+            "unevaluatedItems": False,
+            "$defs": {"int": {"type": "integer"}},
+        },
+        id="one-ref-prefix",
+    ),
     pytest.param({"type": "array", "unevaluatedItems": {"type": "integer"}}, id="items-alone"),
     pytest.param(
         {

@@ -5,11 +5,13 @@ Run from anywhere::
     python3 tools/mutants.py validator.py
 
 A *mutation point* is one comparison operator (``==``/``!=``, ``<``/``>=``,
-``>``/``<=``, ``is``/``is not``, ``in``/``not in``), one ``and``/``or`` or
-one boolean constant of the named module in ``src/uneval``.  Each mutant
-flips one point and nothing else.  The module is re-written from its
-syntax tree (``ast.unparse``), so a mutant differs from the untouched
-re-written module only at its point.
+``>``/``<=``, ``is``/``is not``, ``in``/``not in``), one ``and``/``or``,
+one boolean constant or one entry of a module-level dict display (a table
+such as ``NAME = {key: value, ...}``; a ``**`` splat is not an entry) of
+the named module in ``src/uneval``.  Each mutant flips one point, or drops
+one entry, and nothing else.  The module is re-written from its syntax
+tree (``ast.unparse``), so a mutant differs from the untouched re-written
+module only at its point.
 
 Every run happens in a temporary directory that holds a copy of
 ``src/``, ``tests/``, ``tools/``, ``bench/`` (which the tests read) and
@@ -26,7 +28,9 @@ description as this tool prints them.  The scope is the dotted name of
 the innermost ``def`` or ``class`` around the point (``<module>`` at the
 top level), and ``#n`` numbers the second and later points of one scope
 with one description, so an entry stays valid while edits elsewhere in
-the module move its line.  The exit code is 1 when a survivor
+the module move its line.  A dropped entry's id names the table and the
+key instead, as ``module:TABLE[key]`` with the key's source text
+without blanks.  The exit code is 1 when a survivor
 or a hang is not on that list.  SIGTERM and SIGINT stop the running suite
 and remove the temporary directory; the exit code is then 128 plus the
 signal's number.
@@ -89,13 +93,33 @@ def _scopes(tree: ast.AST) -> dict[int, str]:
     return scopes
 
 
-def mutation_points(tree: ast.AST) -> list[tuple[ast.AST, int]]:
+def _tables(tree: ast.Module) -> dict[int, str]:
+    """The name of each dict display assigned to one name at the top level
+    of the module, by the display's id."""
+    tables = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target = stmt.targets[0]
+        elif isinstance(stmt, ast.AnnAssign):
+            target = stmt.target
+        else:
+            continue
+        if isinstance(target, ast.Name) and isinstance(stmt.value, ast.Dict):
+            tables[id(stmt.value)] = target.id
+    return tables
+
+
+def mutation_points(tree: ast.Module) -> list[tuple[ast.AST, int]]:
     """``(node, k)`` per mutation point, in source order: ``k`` is the
-    operator's index in a comparison chain, 0 otherwise."""
+    operator's index in a comparison chain or the entry's index in a
+    table, 0 otherwise."""
     found = []
+    tables = _tables(tree)
     for order, node in enumerate(ast.walk(tree)):
         if isinstance(node, ast.Compare):
             slots = range(len(node.ops))
+        elif id(node) in tables:
+            slots = [k for k, key in enumerate(node.keys) if key is not None]
         elif isinstance(node, ast.BoolOp) or (
             isinstance(node, ast.Constant) and type(node.value) is bool
         ):
@@ -113,7 +137,12 @@ def _short(text: str, width: int = 60) -> str:
 
 
 def flip(node: ast.AST, k: int) -> str:
-    """Flip the point in place and describe the change."""
+    """Flip the point, or drop the table entry, in place and describe the
+    change."""
+    if isinstance(node, ast.Dict):
+        node.keys.pop(k)
+        value = node.values.pop(k)
+        return f"entry dropped: {_short(ast.unparse(value))}"
     if isinstance(node, ast.Compare):
         old = type(node.ops[k])
         node.ops[k] = FLIPS[old]()
@@ -138,7 +167,11 @@ def mutants(module: str, source: str) -> list[tuple[str, str, str]]:
     for i in range(count):
         tree = ast.parse(source)
         node, k = mutation_points(tree)[i]
-        scope = _scopes(tree)[id(node)]
+        if isinstance(node, ast.Dict):
+            key = "".join(ast.unparse(node.keys[k]).split())
+            scope = f"{_tables(tree)[id(node)]}[{key}]"
+        else:
+            scope = _scopes(tree)[id(node)]
         description = flip(node, k)
         n = seen[scope, description] = seen.get((scope, description), 0) + 1
         mutant_id = f"{module}:{scope}" + (f"#{n}" if n > 1 else "")
