@@ -11,8 +11,7 @@ partitioned into three classes that fix the evaluation order:
 
 Parsing reorders keywords into that partition order, indexes ``$defs``
 and ``$anchor`` targets, checks that every reference resolves inside the
-document, and makes equal inner subschemas that reach no reference one
-shared node.
+document, and makes equal inner subschemas one shared node.
 """
 
 from __future__ import annotations
@@ -425,12 +424,11 @@ def _drop_contains_bounds(keywords: list[Keyword], has_contains: bool) -> list[K
 class _Parser:
     """One parse of a document.
 
-    Inner nodes without a ``$ref`` below them are hash-consed by their
-    identity, :attr:`Schema.key`: two equal ones are one object, the first
-    parsed, so a re-parsed rewrite shares its subschemas as the rewrite
-    did.  Named tops and nodes that reach a ``$ref`` are never shared, so
-    every reference cycle runs through nodes of its own.  The table lives
-    as long as the parser.
+    Inner nodes are hash-consed by their identity, :attr:`Schema.key`: two
+    equal ones are one object, the first parsed, so a re-parsed rewrite
+    shares its subschemas as the rewrite did.  Named tops are never
+    shared, so each has one place.  The table lives as long as the
+    parser.
 
     A ``SchemaParseError`` is raised with the path below the keyword or
     node that detects it, and each enclosing level prepends its segment
@@ -449,7 +447,6 @@ class _Parser:
             return TRUE_SCHEMA if v else FALSE_SCHEMA
         if not isinstance(v, dict):
             raise SchemaParseError(f"a schema must be a boolean or an object, got {type_name(v)}")
-        n_refs = len(self.refs)
         keywords: list[Keyword] = []
         parsers, inert = _KEYWORD_PARSERS, _Parser.inert
         try:
@@ -465,9 +462,7 @@ class _Parser:
             if not named_top and not _ADK.isdisjoint(v):
                 self.nested_uneval = True
         node = ObjSchema(tuple(keywords))
-        if named_top or len(self.refs) != n_refs:
-            return node
-        return self.interned.setdefault(node, node)
+        return node if named_top else self.interned.setdefault(node, node)
 
     # One method per keyword class: ``(name, arg, named_top) -> Keyword``.
 
@@ -594,11 +589,10 @@ def parse_schema(v: JsonValue) -> SchemaDocument:
     document is checked to be closed (every reference resolves).  An
     unresolved reference of the root is reported before those of the
     definitions, and within one named schema the first parsed: keywords in
-    source order, map entries by name.  Equal inner subschemas with no
-    ``$ref`` below them become one shared node.  The document records
-    whether a node below its root or a definition carries ``unevaluated*``
-    (``nested_uneval``).  A schema that nests beyond the recursion limit
-    raises :class:`NestingDepthError`.
+    source order, map entries by name.  Equal inner subschemas become one
+    shared node.  The document records whether a node below its root or a
+    definition carries ``unevaluated*`` (``nested_uneval``).  A schema that
+    nests beyond the recursion limit raises :class:`NestingDepthError`.
     """
     try:
         return _parse_document(v)
@@ -759,8 +753,9 @@ def find_unguarded_cycle(doc: SchemaDocument) -> Optional[list[str]]:
     the root and then from each definition in name order.  It is a path
     from the named schema whose search found it: its start label (``#`` or
     ``#/$defs/name``), then the edge labels up to the first node met again
-    on the path.  Searched once per document and kept in ``doc.cycle``;
-    each call returns a list of its own.
+    on the path, which may be an inner node that two places share.
+    Searched once per document and kept in ``doc.cycle``; each call
+    returns a list of its own.
     """
     if doc.cycle is None:
         doc.cycle = tuple(_first_unguarded_cycle(doc) or ())

@@ -10,7 +10,7 @@ from uneval.cli import main
 from uneval.jsonvalue import serialize_json
 from uneval.schema import parse_schema, serialize_schema
 
-from test_schema import UNIMPLEMENTED
+from test_schema import SHARED_INNER_CYCLE, SHARED_INNER_CYCLE_REPORT, UNIMPLEMENTED
 
 
 def run(capsys, *argv):
@@ -276,6 +276,14 @@ def test_unguarded_schema_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--schema", schema)
     assert code == 2
     assert "recursion" in err
+    # a cycle that closes at an inner node two places share
+    schema = write(tmp_path, "shared.json", SHARED_INNER_CYCLE)
+    instance = write(tmp_path, "i.json", 1)
+    code, _, err = run(capsys, "validate", "--schema", schema, "--instance", instance)
+    assert code == 2
+    assert err.strip() == "error: unguarded recursion through " + " -> ".join(
+        SHARED_INNER_CYCLE_REPORT
+    )
 
 
 def test_text_nested_too_deeply_exits_2(tmp_path, capsys):

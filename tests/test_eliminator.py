@@ -111,6 +111,27 @@ def test_unnest_hoists_a_shared_nested_uneval_once():
     assert stats == {"__uneval_0": 1, "": 1}
 
 
+def test_a_shared_nested_uneval_with_a_ref_gets_one_definition():
+    """Equal nested uneval-schemas that carry a $ref parse to one node, so
+    they hoist to one definition."""
+    inner = {"properties": {"b": {"$ref": "#/$defs/t"}}, "unevaluatedProperties": False}
+    doc = parse_schema(
+        {"properties": {"x": inner, "y": inner}, "$defs": {"t": {"type": "string"}}}
+    )
+    rewritten = elim_document(doc)
+    assert sorted(rewritten.defs) == ["__uneval_0", "t"]
+    assert schema_to_json(rewritten.root)["properties"] == {
+        "x": {"$ref": "#/$defs/__uneval_0"},
+        "y": {"$ref": "#/$defs/__uneval_0"},
+    }
+    assert len(serialize_json(serialize_schema(rewritten))) == 200
+    assert equivalent(doc, rewritten) == (True, None)
+    for instance in ({"x": {"b": "s"}}, {"x": {"b": 1}}, {"y": {"b": "s", "c": 0}}):
+        assert validate(doc, doc.root, instance).valid == validate(
+            rewritten, rewritten.root, instance
+        ).valid
+
+
 def test_count_uneval_keywords_counts_each_occurrence_of_a_shared_node():
     shared = ObjSchema(
         (
@@ -1052,9 +1073,10 @@ def _rewrite_with_push(monkeypatch, pushed):
 
 
 def test_the_rewrite_check_finds_unevaluated_below_a_name_map(monkeypatch):
-    pushed = parse_schema({"properties": {"a": {"properties": {"b": {"unevaluatedProperties": False}}}}})
-    with pytest.raises(EliminationError, match="rewriting left unevaluated"):
-        _rewrite_with_push(monkeypatch, pushed.root)
+    for name in ADK_NAMES:
+        pushed = parse_schema({"properties": {"a": {"properties": {"b": {name: False}}}}})
+        with pytest.raises(EliminationError, match="rewriting left unevaluated"):
+            _rewrite_with_push(monkeypatch, pushed.root)
 
 
 def test_the_rewrite_check_resolves_a_reference_in_a_list(monkeypatch):

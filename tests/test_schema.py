@@ -197,6 +197,12 @@ def test_parse_error_path(schema, path):
 #: Draft 2020-12 keywords outside the grammar, each with an argument that
 #: would change a verdict or an annotation if it were read as inert.
 UNIMPLEMENTED = {
+    "$id": "https://example.com/s",
+    "$dynamicRef": "#meta",
+    "$dynamicAnchor": "meta",
+    "dependentSchemas": {"a": {"required": ["b"]}},
+    "exclusiveMinimum": 0,
+    "exclusiveMaximum": 1,
     "enum": [1],
     "multipleOf": 2,
     "minLength": 3,
@@ -549,15 +555,6 @@ def test_keys_and_distinct_nodes_over_originals_and_rewrites(rewrites):
     assert checked > 5_000
 
 
-def _reaches_ref(s, memo: dict) -> bool:
-    if id(s) not in memo:
-        memo[id(s)] = isinstance(s, ObjSchema) and (
-            s.get("$ref") is not None
-            or any(_reaches_ref(child, memo) for _, child in child_schemas(s))
-        )
-    return memo[id(s)]
-
-
 def _reversed_keys(v):
     """``v`` with the names of every object in reverse order."""
     if isinstance(v, dict):
@@ -575,11 +572,11 @@ def _twice(doc_json):
     return {**top, "properties": {"a": inner, "b": _reversed_keys(inner)}}
 
 
-def test_parse_shares_equal_ref_free_subtrees(rewrites):
-    """In a re-parsed rewrite (or original), inner nodes without a $ref
-    below them and with equal keys are one object, whatever the order of
-    their keywords; a named top or a node that reaches a $ref occurs
-    once."""
+def test_parse_shares_equal_inner_subtrees(rewrites):
+    """In a re-parsed rewrite (or original), inner nodes with equal keys
+    are one object, whatever the order of their keywords and whether or
+    not a $ref lies below them; a named top occurs once.  A re-parsed
+    family rewrite has as many distinct nodes as the rewrite in memory."""
     docs = []
     for d in rewrites.corpus:
         emitted = serialize_schema(d)
@@ -594,20 +591,30 @@ def test_parse_shares_equal_ref_free_subtrees(rewrites):
         for top in tops:
             for s in walk(top):
                 occurrences[id(s)] = occurrences.get(id(s), 0) + 1
-        reaches: dict[int, bool] = {}
         by_key: dict[str, int] = {}
         for s in distinct_nodes(tops):
             if isinstance(s, BoolSchema):
                 assert s is (TRUE_SCHEMA if s.value else FALSE_SCHEMA)
-            elif any(s is top for top in tops) or _reaches_ref(s, reaches):
+            elif any(s is top for top in tops):
                 assert occurrences[id(s)] == 1
             else:
                 assert by_key.setdefault(s.key, id(s)) == id(s)
                 shared += occurrences[id(s)] > 1
     assert shared > 50
+    # san's atoms carry $refs; its text parses back to the rewrite's nodes
+    counts = {}
+    for n, pair in rewrites.family.items():
+        for kind, rewrite in zip(("sn", "san"), pair):
+            again = parse_schema(parse_json(serialize_json(serialize_schema(rewrite))))
+            counts[kind, n] = [
+                len(distinct_nodes([top for _, top in doc.named_schemas()]))
+                for doc in (rewrite, again)
+            ]
+            assert counts[kind, n][0] == counts[kind, n][1], (kind, n)
+    assert counts["san", 6] == [197, 197]
 
 
-def test_named_tops_and_ref_carrying_nodes_are_not_shared():
+def test_named_tops_are_not_shared_and_ref_carrying_nodes_are():
     doc = parse_schema(
         {
             "properties": {
@@ -621,8 +628,7 @@ def test_named_tops_and_ref_carrying_nodes_are_not_shared():
     )
     props = doc.root.get("properties").value
     assert props["x"] is props["w"]
-    assert props["y"] is not props["z"]
-    assert props["y"].get("not").value is not props["z"].get("not").value
+    assert props["y"] is props["z"]
     assert doc.defs["a"] is not doc.defs["b"]
     assert props["x"] is not doc.defs["a"] and props["x"] is not doc.defs["b"]
 
@@ -834,6 +840,22 @@ COLOURED_PARENT = {
 }
 
 
+#: The root and the definition ``a`` hold one equal inner node, which the
+#: parser shares, so the root's search meets it again through ``b`` and
+#: ``a``, and the cycle closes there rather than at a named schema.
+_SHARED_REF_NODE = {"allOf": [{"$ref": "#/$defs/b"}]}
+SHARED_INNER_CYCLE = {
+    "anyOf": [_SHARED_REF_NODE],
+    "$defs": {
+        "a": {"anyOf": [_SHARED_REF_NODE, {"type": "string"}]},
+        "b": {"allOf": [{"$ref": "#/$defs/a"}]},
+    },
+}
+SHARED_INNER_CYCLE_REPORT = [
+    "#", "anyOf[0]", "allOf[0]", "$ref:#/$defs/b", "allOf[0]", "$ref:#/$defs/a", "anyOf[0]"
+]
+
+
 def _random_ref_document(rng):
     """Definitions that reference each other at in-place and at guarded
     places, around randgen subschemas; cyclic or not."""
@@ -862,7 +884,7 @@ def _random_ref_document(rng):
 
 
 def _guard_search_documents():
-    docs = [parse_schema(COLOURED_PARENT)]
+    docs = [parse_schema(COLOURED_PARENT), parse_schema(SHARED_INNER_CYCLE)]
     docs += [parse_schema(f.schema_json) for f in load_corpus()]
     rng = random.Random(41)
     docs += [parse_schema(_random_ref_document(rng)) for _ in range(400)]
@@ -878,6 +900,7 @@ def test_find_unguarded_cycle_follows_named_schema_order():
         cyclic += expected is not None
     assert 50 < cyclic < len(docs) - 50
     assert find_unguarded_cycle(docs[0]) == ["#/$defs/a", "anyOf[0]", "$ref:#/$defs/a"]
+    assert find_unguarded_cycle(docs[1]) == SHARED_INNER_CYCLE_REPORT
 
 
 def test_every_reported_cycle_is_a_path_from_its_start():

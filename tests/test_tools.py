@@ -253,6 +253,32 @@ def test_mutants_drop_one_table_entry_at_a_time(tools):
         assert "A = B = {'c': 2}" in text and "inner = {'d': 3}" in text
 
 
+_SPLATS = """\
+NAMES = ("p", "q")
+KINDS = {**dict.fromkeys(NAMES, 0), **dict.fromkeys(["r"], 1), "s": 2, **dict.fromkeys(names(), 3)}
+"""
+
+
+def test_mutants_drop_one_key_of_a_fromkeys_splat_at_a_time(tools):
+    """A ``dict.fromkeys`` splat in a table gives one entry per key, whether
+    its keys are a display or a name bound to one; the key is dropped from
+    that splat only, and keys that are computed give no entries."""
+    mutants = tools.import_module("mutants")
+    cases = mutants.mutants("m.py", _SPLATS)
+    assert [(i, d) for i, d, _ in cases] == [
+        ("m.py:KINDS['p']", "entry dropped: 0"),
+        ("m.py:KINDS['q']", "entry dropped: 0"),
+        ("m.py:KINDS['r']", "entry dropped: 1"),
+        ("m.py:KINDS['s']", "entry dropped: 2"),
+    ]
+    texts = [text for _, _, text in cases]
+    assert "**dict.fromkeys(('q',), 0), **dict.fromkeys(['r'], 1)" in texts[0]
+    assert "**dict.fromkeys(('p',), 0), **dict.fromkeys(['r'], 1)" in texts[1]
+    assert "**dict.fromkeys(NAMES, 0), **dict.fromkeys((), 1)" in texts[2]
+    for text in texts:
+        assert "NAMES = ('p', 'q')" in text and "**dict.fromkeys(names(), 3)" in text
+
+
 _SIGNALLED_MUTANTS = """\
 import os, signal, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -312,3 +338,22 @@ def test_ab_rewrite_reports_the_peak_of_one_op(tools):
     assert peak_bytes(lambda: None) < 1 << 16
     assert peak_bytes(lambda: len(bytearray(1 << 20))) >= 1 << 20
     assert peak_bytes(lambda: before.count(0)) < 1 << 16
+
+
+def test_the_family_rows_time_both_rewrites_of_each_member(tools, monkeypatch):
+    """Every member gets each of the family times, on both sides; the
+    runs check the rewrites' verdicts against the original's."""
+    import uneval
+
+    ab_validate = tools.import_module("ab_validate")
+    monkeypatch.setattr(ab_validate, "FAMILY_INSTANCES", 20)
+    summary = ab_validate.family_summary({"a": uneval, "b": uneval}, ns=(2, 4), rounds=2)
+    labels = [
+        f"{kind}{n}_{time}"
+        for n in (2, 4)
+        for kind in ("sn", "san")
+        for time in ab_validate.FAMILY_TIMES
+    ]
+    for side in ("a", "b"):
+        assert list(summary[side]) == labels
+        assert all(value > 0 for value in summary[side].values())

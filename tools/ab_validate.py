@@ -36,13 +36,28 @@ and round.  The two verdicts must agree on both sides, and both sides
 must rewrite each fixture to the same text.  The rows give each side's
 p50 and p99 over per-pair medians (the shape of
 ``validate_original_us_*``/``validate_rewritten_us_*``) and the sum of
-the per-pair medians.  Times are raw ``perf_counter_ns`` readings, not
-scaled to a reference machine as the benchmark's are.
+the per-pair medians.
+
+The family rows time the rewrites of sn/san n = 4..12, which no benchmark
+workload validates.  Per member, ``FAMILY_INSTANCES`` instances of the
+original's universe are sampled as the oracle rows sample them.  Each of
+``FAMILY_ROUNDS`` rounds runs the member on A and on B, the side that goes
+first alternating per round.  A run builds the rewrite in memory and
+parses the rewrite's text anew (``parse_ms``, from the decoded JSON
+value).  It then times the first validation of each (``*_first_ms``, the
+compile) and the warm validation of every sampled instance
+(``*_warm_us``, per instance).  The garbage of the run before is
+collected first, untimed.  Each row is the median over the rounds.  Both
+sides must rewrite the member to the same text, and both rewrites must
+judge every instance as the original does.  Times are raw
+``perf_counter_ns`` readings, not scaled to a reference machine as the
+benchmark's are.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import random
@@ -60,6 +75,13 @@ SEED = 11
 #: ``oracle_per_fixture`` of the benchmark's full-size runs.
 ORACLE_PER_FIXTURE = 400
 ORACLE_ROUNDS = 15
+FAMILY_NS = range(4, 13)
+FAMILY_INSTANCES = 300
+FAMILY_ROUNDS = 7
+#: what one family run measures, in the order it returns them
+FAMILY_TIMES = (
+    "parse_ms", "memory_first_ms", "reparsed_first_ms", "memory_warm_us", "reparsed_warm_us"
+)
 
 
 class FixtureOps:
@@ -172,6 +194,67 @@ def oracle_summary(oracle: OracleOps, pkgs: dict) -> dict:
     return summary
 
 
+class FamilyOps:
+    """One family member: its sampled instances, their verdicts under the
+    original, and its rewrite's text decoded by each side's package."""
+
+    def __init__(self, pkgs: dict, kind: str, n: int, rng: random.Random):
+        self.name, self.kind, self.n = f"{kind}{n}", kind, n
+        texts = {
+            side: pkg.serialize_json(pkg.serialize_schema(pkg.elim_document(self.original(pkg))))
+            for side, pkg in pkgs.items()
+        }
+        if texts["a"] != texts["b"]:
+            raise SystemExit(f"{self.name}: A and B rewrite to different texts")
+        self.values = {side: pkg.parse_json(texts[side]) for side, pkg in pkgs.items()}
+        original = self.original(pkgs["b"])
+        universe = list(pkgs["b"].enumerate_instances(original))
+        picked = systematic_sample(len(universe), FAMILY_INSTANCES, rng)
+        self.instances = [universe[i] for i in picked]
+        self.verdicts = [pkgs["b"].validate(original, original.root, x).valid for x in self.instances]
+
+    def original(self, pkg):
+        return getattr(pkg, f"gen_family_{self.kind}")(self.n)
+
+    def run(self, pkg, side: str) -> tuple[float, ...]:
+        """One run on one side, its times in :data:`FAMILY_TIMES`' order.
+        The garbage of the run before is collected first, untimed."""
+        gc.collect()
+        memory = pkg.elim_document(self.original(pkg))
+        t0 = time.perf_counter_ns()
+        reparsed = pkg.parse_schema(self.values[side])
+        times = [(time.perf_counter_ns() - t0) / 1e6]
+        for doc in (memory, reparsed):
+            t0 = time.perf_counter_ns()
+            pkg.validate(doc, doc.root, self.instances[0])
+            times.append((time.perf_counter_ns() - t0) / 1e6)
+        for doc in (memory, reparsed):
+            t0 = time.perf_counter_ns()
+            verdicts = [pkg.validate(doc, doc.root, x).valid for x in self.instances]
+            times.append((time.perf_counter_ns() - t0) / 1e3 / len(self.instances))
+            if verdicts != self.verdicts:
+                raise SystemExit(f"{self.name}: side {side}'s rewrite judges unlike the original")
+        return tuple(times)
+
+
+def family_summary(pkgs: dict, ns=FAMILY_NS, rounds: int = FAMILY_ROUNDS) -> dict:
+    """Per side, the median of each of :data:`FAMILY_TIMES` over the
+    rounds, for sn and san at each of ``ns``."""
+    rng = random.Random(f"{SEED}:families")
+    summary = {s: {} for s in SIDES}
+    for n in ns:
+        for kind in ("sn", "san"):
+            ops = FamilyOps(pkgs, kind, n, rng)
+            times = {s: [] for s in SIDES}
+            for r in range(rounds):
+                for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                    times[side].append(ops.run(pkgs[side], side))
+            for s in SIDES:
+                for label, samples in zip(FAMILY_TIMES, zip(*times[s])):
+                    summary[s][f"{ops.name}_{label}"] = statistics.median(samples)
+    return summary
+
+
 def pooled(per_fixture: list[list[float]], part: slice) -> list[float]:
     """The slot medians in ``part`` of every fixture's slots."""
     return [m for medians in per_fixture for m in medians[part]]
@@ -212,14 +295,15 @@ def main(argv=None) -> int:
             "warm_original_p50_us": statistics.median(pooled(per_fixture, slice(2, None, 2))),
             "warm_rewrite_p50_us": statistics.median(pooled(per_fixture, slice(3, None, 2))),
         }
-    for s, rows in oracle_summary(oracle, pkgs).items():
-        summary[s].update(rows)
+    for part in (oracle_summary(oracle, pkgs), family_summary(pkgs)):
+        for s, rows in part.items():
+            summary[s].update(rows)
     rows = {
         label: {"a": summary["a"][label], "b": summary["b"][label]} for label in summary["a"]
     }
     for label, row in rows.items():
         row["delta"] = rel(row["a"], row["b"])
-        print(f"{label:22} A {row['a']:9.2f}  B {row['b']:9.2f}  {100 * row['delta']:+7.1f}%")
+        print(f"{label:24} A {row['a']:9.2f}  B {row['b']:9.2f}  {100 * row['delta']:+7.1f}%")
     if args.json:
         report = {
             "python": platform.python_version(),
@@ -228,6 +312,8 @@ def main(argv=None) -> int:
             "slots": len(medians),
             "oracle_rounds": ORACLE_ROUNDS,
             "oracle_pairs": len(oracle.pairs),
+            "family_rounds": FAMILY_ROUNDS,
+            "family_instances": FAMILY_INSTANCES,
             "checkouts": {s: identify(getattr(args, s).resolve()) for s in SIDES},
             "summary": rows,
         }

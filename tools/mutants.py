@@ -7,9 +7,12 @@ Run from anywhere::
 A *mutation point* is one comparison operator (``==``/``!=``, ``<``/``>=``,
 ``>``/``<=``, ``is``/``is not``, ``in``/``not in``), one ``and``/``or``,
 one boolean constant or one entry of a module-level dict display (a table
-such as ``NAME = {key: value, ...}``; a ``**`` splat is not an entry) of
-the named module in ``src/uneval``.  Each mutant flips one point, or drops
-one entry, and nothing else.  The module is re-written from its syntax
+such as ``NAME = {key: value, ...}``) of the named module in
+``src/uneval``.  A ``**dict.fromkeys(keys, value)`` splat in a table gives
+one entry per key when ``keys`` is a tuple or list display, or a name that
+the module binds to one at its top level; other ``**`` splats are not
+entries.  Each mutant flips one point, or drops one entry, and nothing
+else.  The module is re-written from its syntax
 tree (``ast.unparse``), so a mutant differs from the untouched re-written
 module only at its point.
 
@@ -30,8 +33,9 @@ top level), and ``#n`` numbers the second and later points of one scope
 with one description, so an entry stays valid while edits elsewhere in
 the module move its line.  A dropped entry's id names the table and the
 key instead, as ``module:TABLE[key]`` with the key's source text
-without blanks.  The exit code is 1 when a survivor
-or a hang is not on that list.  SIGTERM and SIGINT stop the running suite
+without blanks; a splat's key is dropped from the ``keys`` it is listed
+in, which becomes a tuple display of the others.  The exit code is 1
+when a survivor or a hang is not on that list.  SIGTERM and SIGINT stop the running suite
 and remove the temporary directory; the exit code is then 128 plus the
 signal's number.
 
@@ -93,33 +97,60 @@ def _scopes(tree: ast.AST) -> dict[int, str]:
     return scopes
 
 
-def _tables(tree: ast.Module) -> dict[int, str]:
-    """The name of each dict display assigned to one name at the top level
-    of the module, by the display's id."""
-    tables = {}
+def _top_bindings(tree: ast.Module) -> dict[str, ast.AST]:
+    """The value bound to each name assigned alone at the top level of the
+    module, by the name."""
+    bound = {}
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             target = stmt.targets[0]
-        elif isinstance(stmt, ast.AnnAssign):
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             target = stmt.target
         else:
             continue
-        if isinstance(target, ast.Name) and isinstance(stmt.value, ast.Dict):
-            tables[id(stmt.value)] = target.id
-    return tables
+        if isinstance(target, ast.Name):
+            bound[target.id] = stmt.value
+    return bound
 
 
-def mutation_points(tree: ast.Module) -> list[tuple[ast.AST, int]]:
+def _tables(tree: ast.Module) -> dict[int, str]:
+    """The name of each dict display assigned to one name at the top level
+    of the module, by the display's id."""
+    return {id(v): name for name, v in _top_bindings(tree).items() if isinstance(v, ast.Dict)}
+
+
+def _splat_keys(value: ast.AST, bound: dict[str, ast.AST]) -> list[ast.AST]:
+    """The keys of a ``dict.fromkeys(keys, value)`` splat, when ``keys`` is
+    a tuple or list display or a top-level name bound to one; else none."""
+    if not (
+        isinstance(value, ast.Call)
+        and ast.unparse(value.func) == "dict.fromkeys"
+        and len(value.args) == 2
+    ):
+        return []
+    keys = value.args[0]
+    if isinstance(keys, ast.Name):
+        keys = bound.get(keys.id)
+    return keys.elts if isinstance(keys, (ast.Tuple, ast.List)) else []
+
+
+def mutation_points(tree: ast.Module) -> list[tuple[ast.AST, object]]:
     """``(node, k)`` per mutation point, in source order: ``k`` is the
-    operator's index in a comparison chain or the entry's index in a
-    table, 0 otherwise."""
+    operator's index in a comparison chain, ``(entry index, key index)``
+    in a table (the key index is None for an entry that is not a splat),
+    0 otherwise."""
     found = []
+    bound = _top_bindings(tree)
     tables = _tables(tree)
     for order, node in enumerate(ast.walk(tree)):
         if isinstance(node, ast.Compare):
             slots = range(len(node.ops))
         elif id(node) in tables:
-            slots = [k for k, key in enumerate(node.keys) if key is not None]
+            slots = [
+                (k, j)
+                for k, (key, value) in enumerate(zip(node.keys, node.values))
+                for j in ([None] if key is not None else range(len(_splat_keys(value, bound))))
+            ]
         elif isinstance(node, ast.BoolOp) or (
             isinstance(node, ast.Constant) and type(node.value) is bool
         ):
@@ -136,13 +167,19 @@ def _short(text: str, width: int = 60) -> str:
     return text if len(text) <= width else text[: width - 3] + "..."
 
 
-def flip(node: ast.AST, k: int) -> str:
+def flip(node: ast.AST, k, bound: dict[str, ast.AST]) -> str:
     """Flip the point, or drop the table entry, in place and describe the
     change."""
     if isinstance(node, ast.Dict):
-        node.keys.pop(k)
-        value = node.values.pop(k)
-        return f"entry dropped: {_short(ast.unparse(value))}"
+        k, j = k
+        if j is None:
+            node.keys.pop(k)
+            value = node.values.pop(k)
+            return f"entry dropped: {_short(ast.unparse(value))}"
+        splat = node.values[k]
+        keys = _splat_keys(splat, bound)
+        splat.args[0] = ast.Tuple([key for i, key in enumerate(keys) if i != j], ast.Load())
+        return f"entry dropped: {_short(ast.unparse(splat.args[1]))}"
     if isinstance(node, ast.Compare):
         old = type(node.ops[k])
         node.ops[k] = FLIPS[old]()
@@ -167,12 +204,14 @@ def mutants(module: str, source: str) -> list[tuple[str, str, str]]:
     for i in range(count):
         tree = ast.parse(source)
         node, k = mutation_points(tree)[i]
+        bound = _top_bindings(tree)
         if isinstance(node, ast.Dict):
-            key = "".join(ast.unparse(node.keys[k]).split())
-            scope = f"{_tables(tree)[id(node)]}[{key}]"
+            entry, j = k
+            key = node.keys[entry] if j is None else _splat_keys(node.values[entry], bound)[j]
+            scope = f"{_tables(tree)[id(node)]}[{''.join(ast.unparse(key).split())}]"
         else:
             scope = _scopes(tree)[id(node)]
-        description = flip(node, k)
+        description = flip(node, k, bound)
         n = seen[scope, description] = seen.get((scope, description), 0) + 1
         mutant_id = f"{module}:{scope}" + (f"#{n}" if n > 1 else "")
         out.append((mutant_id, description, ast.unparse(tree)))
